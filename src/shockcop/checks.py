@@ -18,7 +18,7 @@ from . import copulas as cop
 from . import shock_models as sm
 from .distributions import DistributionFunction
 from .errors import ReconstructionError
-from .sampling import empirical_copula, sample_model, sup_distance
+from .sampling import empirical_copula, sample_model, sup_distance_at
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,8 @@ def check_model_theorem(
     results = [CheckResult("joint-vs-join", worst <= tol, worst, witness)]
 
     emp = empirical_copula(sample_model(m, n, seed))
-    dist = sup_distance(emp, induced, grid)
-    results.append(CheckResult("empirical-vs-induced", dist <= eps, dist, None))
+    dist, at = sup_distance_at(emp, induced, grid)
+    results.append(CheckResult("empirical-vs-induced", dist <= eps, dist, at))
 
     return CheckSuiteReport(f"model-theorem[{m.describe()}]", tuple(results))
 

@@ -31,6 +31,7 @@ from .sampling import (
     read_pairs_csv,
     sample_model,
     sup_distance,
+    sup_distance_at,
     write_pairs_csv,
 )
 
@@ -110,12 +111,12 @@ def cmd_check_empirical(args) -> int:
     source = sys.stdin if args.infile in (None, "-") else args.infile
     pairs = read_pairs_csv(source)
     emp = empirical_copula(pairs)
-    dist = sup_distance(emp, c, grid=args.grid)
+    dist, (u, v) = sup_distance_at(emp, c, grid=args.grid)
     eps = args.eps if args.eps is not None else 4.4 / np.sqrt(pairs.n)
     status = "pass" if dist <= eps else "FAIL"
     print(
         f"sup distance on {args.grid}-grid between {emp.describe()} and "
-        f"{c.describe()}: {dist:.6g} (bound {eps:.6g}) [{status}]"
+        f"{c.describe()}: {dist:.6g} at ({u:.6g}, {v:.6g}) (bound {eps:.6g}) [{status}]"
     )
     return EXIT_OK if dist <= eps else EXIT_CHECK_FAILED
 

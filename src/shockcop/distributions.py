@@ -339,8 +339,18 @@ class TabulatedCdf(DistributionFunction):
         return float(x0 + (u - p0) / (p1 - p0) * (x1 - x0))
 
     def _quantile_array(self, us):
-        out = np.array([float_or_nan(self._quantile(u)) for u in us.ravel()])
-        return out.reshape(us.shape)
+        ps, xs = self.ps, self.xs
+        idx = np.searchsorted(ps, us, side="left")
+        reached = idx < ps.size  # levels above ps[-1] invert to +oo (NaN here)
+        if self.interpolation == "step":
+            return np.where(reached, xs[np.minimum(idx, ps.size - 1)], np.nan)
+        # levels in (0, ps[0]] sit on the flat left tail and invert to -oo (NaN here)
+        out = np.full(us.shape, np.nan)
+        inner = reached & (us > ps[0])
+        k = idx[inner]
+        p0, p1 = ps[k - 1], ps[k]
+        out[inner] = xs[k - 1] + (us[inner] - p0) / (p1 - p0) * (xs[k] - xs[k - 1])
+        return out
 
     def jump_points(self) -> tuple[float, ...]:
         if self.interpolation == "linear":
@@ -355,10 +365,6 @@ class TabulatedCdf(DistributionFunction):
         if self.source is not None:
             return f"{self.interpolation}:file={self.source}"
         return f"{self.interpolation}:knots={self.xs.size}"
-
-
-def float_or_nan(x: ExtendedReal) -> float:
-    return float(x) if isinstance(x, (int, float)) else float("nan")
 
 
 def point_mass(x0: float) -> TabulatedCdf:

@@ -9,6 +9,7 @@ systemic uniform Z, the countermonotonic pair uses Z and 1-Z.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,15 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
 
 
 class EmpiricalCopula(Copula):
-    """Rank-based copula estimate of a paired sample."""
+    """Rank-based copula estimate of a paired sample.
+
+    Evaluation is an exact count of the normalized ranks at or below each
+    query point (Deheuvels' empirical dependence function): the ranks are
+    bucketed against the sorted distinct query coordinates and a 2-D cumulative
+    sum of the bucket counts is read off, so a g x g grid costs O(n log g + g^2)
+    and a grid of 101 costs about as much as a grid of 21.  Values equal
+    ``np.mean((ru <= u) & (rv <= v))`` bit for bit; a NaN coordinate gives NaN.
+    """
 
     def __init__(self, pairs: np.ndarray):
         pairs = np.asarray(pairs, dtype=float)
@@ -89,14 +98,36 @@ class EmpiricalCopula(Copula):
         self.n = n
 
     def _eval(self, u, v):
-        if np.ndim(u) == 0 and np.ndim(v) == 0:
-            return np.mean((self.ru <= u) & (self.rv <= v))
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        out = np.empty(u.shape)
-        flat_u, flat_v, flat_out = u.ravel(), v.ravel(), out.ravel()
-        for i in range(flat_u.size):
-            flat_out[i] = np.mean((self.ru <= flat_u[i]) & (self.rv <= flat_v[i]))
-        return out
+        us, vs = u.ravel(), v.ravel()
+        m = us.size
+        # the count table may hold no more cells than the inputs (n + m):
+        # a lattice fits at once, scattered queries go in blocks of b with (b+1)^2 <= n + m
+        cells = self.n + m
+        if (np.unique(us).size + 1) * (np.unique(vs).size + 1) <= cells:
+            block = max(m, 1)
+        else:
+            block = max(math.isqrt(cells) - 1, 1)
+        counts = np.empty(m, dtype=np.int64)
+        for start in range(0, m, block):
+            stop = start + block
+            counts[start:stop] = self._count_below(us[start:stop], vs[start:stop])
+        out = counts / self.n
+        out[np.isnan(us) | np.isnan(vs)] = np.nan
+        return out.reshape(u.shape)
+
+    def _count_below(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """#{i : ru_i <= u_j and rv_i <= v_j} for each query j of 1-D us, vs."""
+        uq, ui = np.unique(us, return_inverse=True)
+        vq, vi = np.unique(vs, return_inverse=True)
+        # bucket k holds the ranks in (q[k-1], q[k]], so r <= q[k] exactly when bucket <= k
+        bu = np.searchsorted(uq, self.ru, "left")
+        bv = np.searchsorted(vq, self.rv, "left")
+        shape = (uq.size + 1, vq.size + 1)
+        table = np.bincount(bu * shape[1] + bv, minlength=shape[0] * shape[1]).reshape(shape)
+        np.cumsum(table, axis=0, out=table)
+        np.cumsum(table, axis=1, out=table)
+        return table[ui, vi]
 
     def describe(self) -> str:
         return f"empirical:n={self.n}"
@@ -108,11 +139,18 @@ def empirical_copula(s: SamplePairs) -> EmpiricalCopula:
 
 def sup_distance(a: Copula, b: Copula, grid: int = 21) -> float:
     """max |A - B| over the uniform grid x grid lattice on the unit square."""
+    return sup_distance_at(a, b, grid)[0]
+
+
+def sup_distance_at(a: Copula, b: Copula, grid: int = 21) -> tuple[float, tuple[float, float]]:
+    """:func:`sup_distance` together with the lattice point (u, v) where it is attained."""
     if grid < 2:
         raise ValueError("grid must be at least 2")
     us = np.linspace(0.0, 1.0, grid)
     uu, vv = np.meshgrid(us, us, indexing="ij")
-    return float(np.max(np.abs(a.value_array(uu, vv) - b.value_array(uu, vv))))
+    gap = np.abs(a.value_array(uu, vv) - b.value_array(uu, vv))
+    idx = np.unravel_index(np.argmax(gap), gap.shape)
+    return float(gap[idx]), (float(uu[idx]), float(vv[idx]))
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,13 @@ def test_model_theorem_exponential_rmm():
     m = rmm_model(Exponential(1.0), Exponential(1.0), Exponential(1.0), Exponential(1.0))
     report = check_model_theorem(m, n=50_000, seed=5)
     assert report.passed, report.render_text()
+    # the Monte Carlo witness reproduces the reported sup distance
+    mc = report.results[-1]
+    assert mc.check_id == "empirical-vs-induced"
+    u, v = mc.witness
+    emp = empirical_copula(sample_model(m, 50_000, seed=5))
+    induced = induced_copula(m, resolution=1 << 15)
+    assert abs(emp.value(u, v) - induced.value(u, v)) == mc.magnitude
 
 
 def test_model_theorem_detects_coupling_mismatch():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,9 @@ def test_check_empirical_detects_wrong_family(tmp_path, capsys):
     )
     assert code == 1
     assert "FAIL" in out
+    # the worst point of the default 21-grid is printed
+    u, v = (float(t) for t in re.search(r" at \(([^,]+), ([^)]+)\)", out).groups())
+    assert 20 * u == pytest.approx(round(20 * u)) and 20 * v == pytest.approx(round(20 * v))
 
 
 def test_reconstruct_efgm_uniform_margins(tmp_path, capsys):

@@ -20,7 +20,7 @@ from shockcop.distributions import (
     point_mass,
     product_cdf,
 )
-from shockcop.errors import TableFormatError
+from shockcop.errors import MalformedCdfError, TableFormatError
 from shockcop.extreal import NEG_INF, POS_INF
 
 STEP = TabulatedCdf([0.0, 1.0], [0.4, 1.0], "step")
@@ -215,6 +215,49 @@ def test_generalized_inverse_property_for_products(u):
     d = Product(Uniform(), Exponential(1.0))
     q = d.quantile(u)
     assert d.cdf(q) >= u - 1e-10
+
+
+def float_or_nan(q) -> float:
+    """A scalar quantile as a float, with the infinite sentinels mapped to NaN."""
+    return float(q) if isinstance(q, (int, float)) else float("nan")
+
+
+@st.composite
+def tables_and_levels(draw):
+    """A random step or linear table, with plateaus and ps[0] > 0 or ps[-1] < 1 allowed."""
+    k = draw(st.integers(1, 8))
+    xs = draw(st.integers(-10, 10)) + 0.5 * np.cumsum(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+    prob = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    ps = np.sort(draw(st.lists(prob, min_size=k, max_size=k)))
+    d = TabulatedCdf(xs, ps, draw(st.sampled_from(["step", "linear"])))
+    # interior levels, including the knot levels themselves
+    level = st.one_of(st.sampled_from(list(ps)), st.floats(0.0, 1.0)).filter(lambda u: 0.0 < u < 1.0)
+    return d, np.array(draw(st.lists(level, min_size=1, max_size=20)))
+
+
+@given(tables_and_levels())
+@settings(max_examples=300, deadline=None)
+def test_tabulated_quantile_array_matches_scalar_quantile(case):
+    d, us = case
+    expected = np.array([float_or_nan(d.quantile(float(u))) for u in us])
+    finite = ~np.isnan(expected)
+    np.testing.assert_array_equal(d.quantile_array(us[finite]), expected[finite])
+    # interior levels with an infinite inverse are refused
+    for u in us[~finite]:
+        with pytest.raises(MalformedCdfError):
+            d.quantile_array(np.array([u]))
+
+
+@given(tables_and_levels())
+@settings(max_examples=300, deadline=None)
+def test_tabulated_quantile_array_galois_inequalities(case):
+    d, us = case
+    us = us[~np.isnan([float_or_nan(d.quantile(float(u))) for u in us])]
+    qs = d.quantile_array(us)
+    # step inverses are exact; linear ones round once in x, and slopes are at most 2
+    tol = 0.0 if d.interpolation == "step" else 1e-12
+    assert np.all(d.cdf_array(qs) >= us - tol)
+    assert np.all(d.cdf_left_array(qs) <= us + tol)
 
 
 def test_quantile_array_rejects_boundary_levels():

@@ -1,7 +1,10 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shockcop.copulas import efgm, exprmm_ab, frechet_m, frechet_w, independence
 from shockcop.distributions import Exponential, Uniform, point_mass
@@ -13,6 +16,7 @@ from shockcop.sampling import (
     read_pairs_csv,
     sample_model,
     sup_distance,
+    sup_distance_at,
     write_pairs_csv,
 )
 from shockcop.shock_models import (
@@ -101,6 +105,67 @@ def test_sup_distance_identical_is_zero():
 
 def test_sup_distance_between_bounds_on_coarse_grid():
     assert sup_distance(frechet_w(), frechet_m(), 3) == 0.5
+    assert sup_distance_at(frechet_w(), frechet_m(), 3) == (0.5, (0.5, 0.5))
+
+
+def mask_definition(emp, us, vs):
+    """The empirical copula by its definition, one boolean mask per query point."""
+    us, vs = np.broadcast_arrays(np.asarray(us, dtype=float), np.asarray(vs, dtype=float))
+    out = [np.mean((emp.ru <= u) & (emp.rv <= v)) for u, v in zip(us.ravel(), vs.ravel())]
+    return np.array(out).reshape(us.shape)
+
+
+@st.composite
+def tied_sample_and_queries(draw):
+    # integer-valued pairs make heavy ties; levels j/(2n) hit average ranks exactly
+    pairs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=60))
+    n = len(pairs)
+    level = st.one_of(
+        st.sampled_from([0.0, 1.0]),
+        st.integers(0, 2 * n).map(lambda j: j / (2 * n)),
+        st.floats(0.0, 1.0),
+    )
+    us = draw(st.lists(level, min_size=1, max_size=30))
+    vs = draw(st.lists(level, min_size=len(us), max_size=len(us)))
+    return EmpiricalCopula(np.array(pairs, dtype=float)), np.array(us), np.array(vs)
+
+
+@given(tied_sample_and_queries())
+@settings(max_examples=200, deadline=None)
+def test_empirical_count_equals_mask_definition(case):
+    emp, us, vs = case
+    # unsorted, repeated 1-D queries
+    np.testing.assert_array_equal(emp.value_array(us, vs), mask_definition(emp, us, vs))
+    # a broadcast lattice
+    lattice = emp.value_array(us[:, None], vs[None, :])
+    np.testing.assert_array_equal(lattice, mask_definition(emp, us[:, None], vs[None, :]))
+    # scalar queries
+    assert emp.value(us[0], vs[0]) == mask_definition(emp, us[0], vs[0])
+
+
+def test_empirical_count_of_scattered_queries_stays_small():
+    # 20k distinct u and v values would make a 20001 x 20001 table if counted in
+    # one block; blocking holds the table to n + m cells
+    rng = np.random.default_rng(4)
+    n, m = 1000, 20_000
+    emp = EmpiricalCopula(rng.random((n, 2)))
+    us, vs = rng.random(m), rng.random(m)
+    tracemalloc.start()
+    try:
+        got = emp.value_array(us, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 8 * (n + m)  # 32 float64 words per input
+    np.testing.assert_array_equal(got, mask_definition(emp, us, vs))
+
+
+def test_empirical_copula_nan_query_gives_nan():
+    emp = EmpiricalCopula(np.random.default_rng(0).random((50, 2)))
+    us, vs = np.array([np.nan, 0.5, np.nan, 0.5]), np.array([0.5, np.nan, np.nan, 0.5])
+    got = emp.value_array(us, vs)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(independence().value_array(us, vs)))
+    assert got[3] == mask_definition(emp, 0.5, 0.5)
 
 
 def test_empirical_copula_tracks_analytic_family():
