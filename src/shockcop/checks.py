@@ -10,7 +10,6 @@ generators and 1e-9 with tabulated ones; Monte Carlo bounds default to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,44 +18,7 @@ from . import shock_models as sm
 from .distributions import DistributionFunction
 from .errors import ReconstructionError
 from .sampling import empirical_copula, sample_model, sup_distance_at
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    passed: bool
-    magnitude: float
-    witness: tuple[float, float] | None = None
-
-    def render(self) -> str:
-        mark = "pass" if self.passed else "FAIL"
-        where = ""
-        if self.witness is not None:
-            where = f" at ({self.witness[0]:.6g}, {self.witness[1]:.6g})"
-        return f"[{mark}] {self.check_id}: worst {self.magnitude:.3e}{where}"
-
-
-@dataclass(frozen=True)
-class CheckSuiteReport:
-    suite: str
-    results: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def render_text(self) -> str:
-        lines = [f"suite {self.suite}: {'pass' if self.passed else 'FAIL'}"]
-        lines += ["  " + r.render() for r in self.results]
-        return "\n".join(lines)
-
-    def csv_rows(self) -> list[str]:
-        rows = ["check_id,status,magnitude,u,v"]
-        for r in self.results:
-            u, v = r.witness if r.witness is not None else ("", "")
-            status = "pass" if r.passed else "fail"
-            rows.append(f"{r.check_id},{status},{r.magnitude!r},{u},{v}")
-        return rows
+from .shock_models import CheckResult, CheckSuiteReport, _worst
 
 
 def check_copula_axioms(
@@ -132,12 +94,6 @@ def check_copula_axioms(
     return CheckSuiteReport(f"axioms[{c.describe()}]", tuple(results))
 
 
-def _worst(check_id, magnitudes, us, vs, tol) -> CheckResult:
-    idx = int(np.argmax(magnitudes))
-    mag = float(magnitudes[idx])
-    return CheckResult(check_id, mag <= tol, mag, (float(us[idx]), float(vs[idx])))
-
-
 def check_model_theorem(
     m: sm.ShockModel,
     n: int = 200_000,
@@ -163,15 +119,7 @@ def check_model_theorem(
     levels = np.linspace(1e-6, 1.0 - 1e-6, grid)
     xs = margin_u.quantile_array(levels)
     ys = margin_v.quantile_array(levels)
-    worst = 0.0
-    witness = (float(xs[0]), float(ys[0]))
-    for x in xs:
-        for y in ys:
-            diff = abs(sm.joint_cdf(m, float(x), float(y)) - join.cdf(float(x), float(y)))
-            if diff > worst:
-                worst = diff
-                witness = (float(x), float(y))
-    results = [CheckResult("joint-vs-join", worst <= tol, worst, witness)]
+    results = [sm.joint_law_check("joint-vs-join", m, join, xs, ys, tol)]
 
     emp = empirical_copula(sample_model(m, n, seed))
     dist, at = sup_distance_at(emp, induced, grid)
@@ -187,75 +135,32 @@ def check_reconstruction(
     grid_size: int = 1001,
     tol: float = 1e-10,
 ) -> CheckSuiteReport:
-    """Run the family's reconstruction and audit every postcondition it claims."""
+    """Run the family's reconstruction and return its audit report.
+
+    This is the report ``shock_models.audit_reconstruction`` builds and the
+    ``reconstruct_*`` functions raise from: ``margin-u-factorization``,
+    ``margin-v-factorization``, ``f-x-nondecreasing``, ``f-y-nondecreasing``,
+    ``g1-nondecreasing``, ``g2-nondecreasing``, ``shock-margin-envelope``
+    and ``joint-law``.  A failed hypothesis gives the single result
+    ``hypothesis:<assumption>`` with the error's witness.
+    """
+    return reconstruction_audit(c, margin_u, margin_v, grid_size, tol)[1]
+
+
+def reconstruction_audit(
+    c: cop.Copula,
+    margin_u: DistributionFunction,
+    margin_v: DistributionFunction,
+    grid_size: int = 1001,
+    tol: float = 1e-10,
+) -> tuple[sm.ShockModel | None, CheckSuiteReport]:
+    """``check_reconstruction``'s report and the audited model (None if a hypothesis failed)."""
     c = cop.normalize(c)
-    suite = f"reconstruction[{c.describe()}]"
     try:
-        model = sm.reconstruct(c, margin_u, margin_v, grid_size=grid_size, tol=tol)
+        return sm.audited_reconstruction(c, margin_u, margin_v, grid_size, tol)
     except ReconstructionError as exc:
-        return CheckSuiteReport(
-            suite,
-            (
-                CheckResult(
-                    f"hypothesis:{exc.assumption}",
-                    False,
-                    float("nan"),
-                    exc.witness if isinstance(exc.witness, tuple) else None,
-                ),
-            ),
-        )
-
-    xs = sm.support_grid([margin_u, margin_v], grid_size)
-    got_u, got_v = sm.margins(model)
-    results = [
-        _sup_check("margin-u-factorization", xs, got_u.cdf_array(xs) - margin_u.cdf_array(xs), tol),
-        _sup_check("margin-v-factorization", xs, got_v.cdf_array(xs) - margin_v.cdf_array(xs), tol),
-    ]
-
-    shocks = (
-        [("g1", model.coupling.g1), ("g2", model.coupling.g2)]
-        if not isinstance(model.coupling, sm.SharedShock)
-        else [("g", model.coupling.g)]
-    )
-    for label, dist in [("f-x", model.f_x), ("f-y", model.f_y)] + shocks:
-        vals = dist.cdf_array(xs)
-        drop = np.maximum(0.0, -np.diff(vals))
-        idx = int(np.argmax(drop)) if drop.size else 0
-        mag = float(drop[idx]) if drop.size else 0.0
-        results.append(
-            CheckResult(f"{label}-nondecreasing", mag <= 1e-12, mag, (float(xs[idx]), 0.0))
-        )
-
-    if model.combiner is sm.Combiner.MAX_MAX:
-        fu = margin_u.cdf_array(xs)
-        envelope = np.maximum(
-            fu - model.f_x.cdf_array(xs), fu - model.coupling.g1.cdf_array(xs)
-        )
-        results.append(_sup_check("shock-margin-envelope", xs, envelope, 1e-12))
-    elif model.combiner is sm.Combiner.MIN_MIN:
-        fu = margin_u.cdf_array(xs)
-        envelope = np.maximum(
-            model.f_x.cdf_array(xs) - fu, model.coupling.g1.cdf_array(xs) - fu
-        )
-        results.append(_sup_check("shock-margin-envelope", xs, envelope, 1e-12))
-
-    sub = sm._subsample(xs, 21)
-    join = cop.sklar_join(c, margin_u, margin_v)
-    worst = 0.0
-    witness = (float(sub[0]), float(sub[0]))
-    for x in sub:
-        for y in sub:
-            diff = abs(sm.joint_cdf(model, float(x), float(y)) - join.cdf(float(x), float(y)))
-            if diff > worst:
-                worst = diff
-                witness = (float(x), float(y))
-    results.append(CheckResult("joint-law", worst <= tol, worst, witness))
-
-    return CheckSuiteReport(suite, tuple(results))
-
-
-def _sup_check(check_id, xs, signed_gap, tol) -> CheckResult:
-    gap = np.abs(signed_gap) if check_id.endswith("factorization") else np.maximum(0.0, signed_gap)
-    idx = int(np.argmax(gap))
-    mag = float(gap[idx])
-    return CheckResult(check_id, mag <= tol, mag, (float(xs[idx]), 0.0))
+        witness = exc.witness
+        if witness is not None and not isinstance(witness, tuple):
+            witness = (float(witness), 0.0)  # a point on the line, as in the per-x checks
+        failed = CheckResult(f"hypothesis:{exc.assumption}", False, float("nan"), witness)
+        return None, CheckSuiteReport(f"reconstruction[{c.describe()}]", (failed,))

@@ -125,12 +125,11 @@ def cmd_reconstruct(args) -> int:
     c = parse_copula(args.copula)
     margin_u = parse_distribution(args.fu)
     margin_v = parse_distribution(args.fv)
-    report = checks.check_reconstruction(c, margin_u, margin_v, grid_size=args.grid, tol=args.tol)
+    model, report = checks.reconstruction_audit(c, margin_u, margin_v, args.grid, args.tol)
     _emit_report(report, args)
     if not report.passed:
         return EXIT_CHECK_FAILED
     if args.out:
-        model = sm.reconstruct(c, margin_u, margin_v, grid_size=args.grid, tol=args.tol)
         xs = sm.support_grid([margin_u, margin_v], args.points)
         fh, close = _open_out(args.out)
         try:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionFunction
+from .distributions import DistributionFunction, cdf_values
 from .errors import GeneratorValidationError
 from .generators import (
     Generator,
@@ -286,8 +286,10 @@ class JointDistribution:
         self.margin_u = margin_u
         self.margin_v = margin_v
 
-    def cdf(self, x, y) -> float:
-        return self.copula.value(self.margin_u.cdf(x), self.margin_v.cdf(y))
+    def cdf(self, x, y):
+        """H(x, y), broadcast over arrays; scalars (+-oo sentinels included) give a float."""
+        out = self.copula.value_array(cdf_values(self.margin_u, x), cdf_values(self.margin_v, y))
+        return out if out.ndim else float(out)
 
     def __repr__(self) -> str:
         return (

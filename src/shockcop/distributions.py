@@ -596,6 +596,13 @@ def negated(d: DistributionFunction) -> DistributionFunction:
     return NegatedCdf(d)
 
 
+def cdf_values(d: DistributionFunction, x) -> np.ndarray:
+    """``d.cdf`` at an array of any shape; a scalar, +-oo sentinels included, gives a 0-d array."""
+    if isinstance(x, _Infinity):
+        return np.asarray(d.cdf(x))
+    return d.cdf_array(np.asarray(x, dtype=float))
+
+
 def product_cdf(d1: DistributionFunction, d2: DistributionFunction) -> Product:
     return Product(d1, d2)
 

@@ -14,8 +14,13 @@ max/min        one shared shock    maxmin: min{u, phi(u)(v-psi(v)) + u psi(v)}
 
 ``induced_copula`` realizes the forward direction by composing each component
 CDF with the generalized inverse of its margin; the ``reconstruct_*``
-functions invert a copula-plus-margins pair back into explicit shock CDFs and
-verify the factorization and joint-law postconditions on a grid.
+functions invert a copula-plus-margins pair back into explicit shock CDFs.
+Each checks its hypotheses, builds the shocks, then runs one audit,
+``audit_reconstruction``, and raises from its first failed check.  The audit's
+check ids, in order: ``margin-u-factorization``, ``margin-v-factorization``,
+``f-x-nondecreasing``, ``f-y-nondecreasing``, ``g1-nondecreasing``,
+``g2-nondecreasing``, ``shock-margin-envelope`` and ``joint-law``.
+``checks.check_reconstruction`` returns the same report.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .distributions import (
     NegExponential,
     Product,
     SurvivalProduct,
+    cdf_values,
     negated,
 )
 from .errors import IllegalModelError, ReconstructionError
@@ -167,25 +173,26 @@ def margins(m: ShockModel) -> tuple[DistributionFunction, DistributionFunction]:
     return Product(m.f_x, m.coupling.g), SurvivalProduct(m.f_y, m.coupling.g)
 
 
-def joint_cdf(m: ShockModel, x, y) -> float:
-    """P[U <= x, V <= y] in closed form."""
-    fx = m.f_x.cdf(x)
-    fy = m.f_y.cdf(y)
-    if m.combiner is Combiner.MAX_MAX:
-        g1 = m.coupling.g1.cdf(x)
-        g2 = m.coupling.g2.cdf(y)
-        if isinstance(m.coupling, Comonotonic):
-            return fx * fy * min(g1, g2)
-        return fx * fy * max(0.0, g1 + g2 - 1.0)
-    if m.combiner is Combiner.MIN_MIN:
-        g1 = m.coupling.g1.cdf(x)
-        g2 = m.coupling.g2.cdf(y)
-        fu = 1.0 - (1.0 - fx) * (1.0 - g1)
-        fv = 1.0 - (1.0 - fy) * (1.0 - g2)
-        return fu + fv - 1.0 + (1.0 - fx) * (1.0 - fy) * max(0.0, 1.0 - g1 - g2)
-    gx = m.coupling.g.cdf(x)
-    gy = m.coupling.g.cdf(y)
-    return fx * (gx - (1.0 - fy) * max(0.0, gx - gy))
+def joint_cdf(m: ShockModel, x, y):
+    """P[U <= x, V <= y] in closed form, broadcast over array arguments.
+
+    Scalars, the POS_INF/NEG_INF sentinels included, give a float.
+    """
+    fx, fy = cdf_values(m.f_x, x), cdf_values(m.f_y, y)
+    if isinstance(m.coupling, SharedShock):
+        gx, gy = cdf_values(m.coupling.g, x), cdf_values(m.coupling.g, y)
+        out = fx * (gx - (1.0 - fy) * np.maximum(0.0, gx - gy))
+    else:
+        g1, g2 = cdf_values(m.coupling.g1, x), cdf_values(m.coupling.g2, y)
+        if m.combiner is Combiner.MIN_MIN:
+            fu = 1.0 - (1.0 - fx) * (1.0 - g1)
+            fv = 1.0 - (1.0 - fy) * (1.0 - g2)
+            out = fu + fv - 1.0 + (1.0 - fx) * (1.0 - fy) * np.maximum(0.0, 1.0 - g1 - g2)
+        elif isinstance(m.coupling, Comonotonic):
+            out = fx * fy * np.minimum(g1, g2)
+        else:
+            out = fx * fy * np.maximum(0.0, g1 + g2 - 1.0)
+    return out if np.ndim(out) else float(out)
 
 
 def induced_copula(m: ShockModel, resolution: int = 4096) -> cop.Copula:
@@ -232,6 +239,12 @@ class ChiMap:
 IDENTITY_CHI = ChiMap(lambda x: x, lambda x: x, "identity")
 
 
+def _map(fn: Callable[[float], float], xs) -> np.ndarray:
+    """A scalar map such as ``ChiMap.forward`` applied to each element of ``xs``."""
+    xs = np.asarray(xs, dtype=float)
+    return np.array([fn(float(x)) for x in xs.ravel()]).reshape(xs.shape)
+
+
 class ComposedCdf(DistributionFunction):
     """gen(base.cdf(x)) for a continuous nondecreasing generator with gen(0)=0, gen(1)=1."""
 
@@ -273,25 +286,27 @@ class _BranchShockCdf(DistributionFunction):
         raise NotImplementedError
 
     def _values(self, fu: np.ndarray, fv: np.ndarray) -> np.ndarray:
-        out = np.empty_like(fu)
-        for i in range(fu.size):
-            out[i] = self._value(float(fu[i]), float(fv[i]))
-        return out
+        vals = (self._value(float(a), float(b)) for a, b in zip(fu.ravel(), fv.ravel()))
+        return np.fromiter(vals, float, fu.size).reshape(fu.shape)
+
+    def _u_at(self, x):
+        """The point at which margin_u is read for the shock's point x."""
+        return x
 
     def _cdf(self, x: float) -> float:
-        return self._value(self.margin_u.cdf(x), self.margin_v.cdf(x))
+        return self._value(self.margin_u.cdf(self._u_at(x)), self.margin_v.cdf(x))
 
     def _cdf_left(self, x: float) -> float:
-        return self._value(self.margin_u.cdf_left(x), self.margin_v.cdf_left(x))
+        return self._value(self.margin_u.cdf_left(self._u_at(x)), self.margin_v.cdf_left(x))
 
     def cdf_array(self, xs):
         xs = np.asarray(xs, dtype=float)
-        return self._values(self.margin_u.cdf_array(xs), self.margin_v.cdf_array(xs))
+        return self._values(self.margin_u.cdf_array(self._u_at(xs)), self.margin_v.cdf_array(xs))
 
     def cdf_left_array(self, xs):
         xs = np.asarray(xs, dtype=float)
         return self._values(
-            self.margin_u.cdf_left_array(xs), self.margin_v.cdf_left_array(xs)
+            self.margin_u.cdf_left_array(self._u_at(xs)), self.margin_v.cdf_left_array(xs)
         )
 
     def jump_points(self):
@@ -343,8 +358,8 @@ class RmmShockCdf(_BranchShockCdf):
         pos = fu > 0.0
         fu_pos = fu[pos]
         out[pos] = fu_pos / (self.f.value_array(fu_pos) + fu_pos)
-        for i in np.nonzero(~pos)[0]:
-            out[i] = self._value(0.0, float(fv[i]))
+        fv_zero = fv[~pos]
+        out[~pos] = np.fromiter((self._value(0.0, float(v)) for v in fv_zero), float, fv_zero.size)
         return out
 
 
@@ -357,26 +372,8 @@ class MarshallShockCdf(_BranchShockCdf):
         self.psi = psi
         self.chi = chi
 
-    def _cdf(self, x: float) -> float:
-        return self._value(self.margin_u.cdf(self.chi.forward(x)), self.margin_v.cdf(x))
-
-    def _cdf_left(self, x: float) -> float:
-        return self._value(
-            self.margin_u.cdf_left(self.chi.forward(x)), self.margin_v.cdf_left(x)
-        )
-
-    def _shift(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.chi.forward(float(x)) for x in xs])
-
-    def cdf_array(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        return self._values(self.margin_u.cdf_array(self._shift(xs)), self.margin_v.cdf_array(xs))
-
-    def cdf_left_array(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        return self._values(
-            self.margin_u.cdf_left_array(self._shift(xs)), self.margin_v.cdf_left_array(xs)
-        )
+    def _u_at(self, x):
+        return _map(self.chi.forward, x) if isinstance(x, np.ndarray) else self.chi.forward(x)
 
     def _value(self, fu: float, fv: float) -> float:
         if fu == 0.0 and fv == 0.0:
@@ -409,14 +406,11 @@ class ChiShiftedCdf(DistributionFunction):
     def _cdf_left(self, x: float) -> float:
         return self.inner.cdf_left(self.chi.inverse(x))
 
-    def _shift(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.chi.inverse(float(x)) for x in xs])
-
     def cdf_array(self, xs):
-        return self.inner.cdf_array(self._shift(np.asarray(xs, dtype=float)))
+        return self.inner.cdf_array(_map(self.chi.inverse, xs))
 
     def cdf_left_array(self, xs):
-        return self.inner.cdf_left_array(self._shift(np.asarray(xs, dtype=float)))
+        return self.inner.cdf_left_array(_map(self.chi.inverse, xs))
 
     def jump_points(self):
         return tuple(sorted(self.chi.forward(j) for j in self.inner.jump_points()))
@@ -457,8 +451,138 @@ def _subsample(xs: np.ndarray, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the reconstruction audit
+# ---------------------------------------------------------------------------
+
+_SHAPE_TOL = 1e-12  # slack of the monotonicity and envelope checks; ``tol`` does not loosen it
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    check_id: str
+    passed: bool
+    magnitude: float
+    witness: tuple[float, float] | None = None
+
+    def render(self) -> str:
+        mark = "pass" if self.passed else "FAIL"
+        where = ""
+        if self.witness is not None:
+            where = f" at ({self.witness[0]:.6g}, {self.witness[1]:.6g})"
+        return f"[{mark}] {self.check_id}: worst {self.magnitude:.3e}{where}"
+
+
+@dataclass(frozen=True)
+class CheckSuiteReport:
+    suite: str
+    results: tuple[CheckResult, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.results)
+
+    def render_text(self) -> str:
+        lines = [f"suite {self.suite}: {'pass' if self.passed else 'FAIL'}"]
+        lines += ["  " + r.render() for r in self.results]
+        return "\n".join(lines)
+
+    def csv_rows(self) -> list[str]:
+        rows = ["check_id,status,magnitude,u,v"]
+        for r in self.results:
+            u, v = r.witness if r.witness is not None else ("", "")
+            status = "pass" if r.passed else "fail"
+            rows.append(f"{r.check_id},{status},{r.magnitude!r},{u},{v}")
+        return rows
+
+
+def _worst(check_id, magnitudes, us, vs, tol) -> CheckResult:
+    idx = int(np.argmax(magnitudes))
+    mag = float(magnitudes[idx])
+    return CheckResult(check_id, mag <= tol, mag, (float(us[idx]), float(vs[idx])))
+
+
+def joint_law_check(check_id: str, m: ShockModel, join, xs, ys, tol: float) -> CheckResult:
+    """|joint_cdf(m) - join.cdf| on the xs-by-ys lattice in one broadcast evaluation,
+    witnessed at the first maximum in row-major (x outer, y inner) order."""
+    gap = np.abs(joint_cdf(m, xs[:, None], ys[None, :]) - join.cdf(xs[:, None], ys[None, :]))
+    x, y = np.meshgrid(xs, ys, indexing="ij")
+    return _worst(check_id, gap.ravel(), x.ravel(), y.ravel(), tol)
+
+
+def audit_reconstruction(
+    model: ShockModel, c: cop.Copula, margin_u, margin_v, xs: np.ndarray, tol: float
+) -> CheckSuiteReport:
+    """Audit a model reconstructed from ``c`` and the margins on the grid ``xs``.
+
+    In order: the model's margins equal the given ones (within ``tol``); each
+    component CDF is nondecreasing; F_U lies below both f_x and g1 (max-max)
+    or above both (min-min); the joint CDF equals the Sklar join of ``c`` on
+    a 21-point subgrid (within ``tol``).  The check ids are in the module
+    docstring.
+    """
+    got_u, got_v = margins(model)
+    fu, fv, zeros = margin_u.cdf_array(xs), margin_v.cdf_array(xs), np.zeros_like(xs)
+    results = [
+        _worst("margin-u-factorization", np.abs(got_u.cdf_array(xs) - fu), xs, zeros, tol),
+        _worst("margin-v-factorization", np.abs(got_v.cdf_array(xs) - fv), xs, zeros, tol),
+    ]
+
+    components = [("f-x", model.f_x), ("f-y", model.f_y), *vars(model.coupling).items()]
+    values = {label: dist.cdf_array(xs) for label, dist in components}
+    for label, vals in values.items():
+        drop = np.maximum(0.0, -np.diff(vals, append=vals[-1]))
+        results.append(_worst(f"{label}-nondecreasing", drop, xs, zeros, _SHAPE_TOL))
+
+    if model.combiner is not Combiner.MAX_MIN:
+        fx, g1 = values["f-x"], values["g1"]
+        below = model.combiner is Combiner.MAX_MAX
+        envelope = np.maximum(0.0, fu - np.minimum(fx, g1) if below else np.maximum(fx, g1) - fu)
+        results.append(_worst("shock-margin-envelope", envelope, xs, zeros, _SHAPE_TOL))
+
+    sub = _subsample(xs, 21)
+    join = cop.sklar_join(c, margin_u, margin_v)
+    results.append(joint_law_check("joint-law", model, join, sub, sub, tol))
+    return CheckSuiteReport(f"reconstruction[{c.describe()}]", tuple(results))
+
+
+# ---------------------------------------------------------------------------
 # reconstructions
 # ---------------------------------------------------------------------------
+
+
+def audited_reconstruction(
+    c: cop.Copula,
+    margin_u: DistributionFunction,
+    margin_v: DistributionFunction,
+    grid_size: int = 1001,
+    tol: float = 1e-9,
+    chi: ChiMap | None = None,
+) -> tuple[ShockModel, CheckSuiteReport]:
+    """Reconstruct a normalized Marshall, RMM or SMM copula and audit the model once.
+
+    A failed hypothesis raises ReconstructionError; the postconditions come
+    back as the ``audit_reconstruction`` report next to the model.
+    """
+    if not isinstance(c, (cop.MarshallCopula, cop.RmmCopula, cop.SmmCopula)):
+        raise ReconstructionError("family", f"no reconstruction is defined for {c.describe()}")
+    xs = support_grid([margin_u, margin_v], grid_size)
+    if isinstance(c, cop.MarshallCopula):
+        model = _marshall_shocks(c, margin_u, margin_v, xs, chi or IDENTITY_CHI, tol)
+    else:
+        _check_interior_point(margin_u, margin_v, xs)
+        build = _rmm_shocks if isinstance(c, cop.RmmCopula) else _smm_shocks
+        model = build(c, margin_u, margin_v)
+    return model, audit_reconstruction(model, c, margin_u, margin_v, xs, tol)
+
+
+def _passed(model: ShockModel, report: CheckSuiteReport) -> ShockModel:
+    """``model`` when its audit passed; otherwise raise from the first failed check."""
+    for r in report.results:
+        if not r.passed:
+            raise ReconstructionError(
+                r.check_id, f"audit worst {r.magnitude:.3e} at {r.witness}", witness=r.witness
+            )
+    return model
 
 
 def reconstruct_marshall(
@@ -472,41 +596,40 @@ def reconstruct_marshall(
     """Invert a Marshall copula plus margins into a comonotonic max/max model.
 
     Checks the alignment, left-endpoint, and star-divergence assumptions on
-    the grid before building the shocks, and the factorization and joint-law
-    postconditions afterwards.
+    the grid, builds the shocks, then runs ``audit_reconstruction`` once
+    (check ids in the module docstring) and raises from its first failure.
     """
     if not isinstance(c, cop.MarshallCopula):
         raise ReconstructionError("family", f"expected a Marshall copula, got {c.describe()}")
-    chi = chi or IDENTITY_CHI
+    return _passed(*audited_reconstruction(c, margin_u, margin_v, grid_size, tol, chi))
+
+
+def _marshall_shocks(c, margin_u, margin_v, xs, chi, tol) -> ShockModel:
     phi, psi = c.phi, c.psi
-    xs = support_grid([margin_u, margin_v], grid_size)
 
     # alignment of the star ratios wherever both composed margins are positive
-    for x in xs:
-        fu = margin_u.cdf(chi.forward(x))
-        fv = margin_v.cdf(x)
-        if fu > 0.0 and fv > 0.0:
-            left = phi.value(fu) / fu
-            right = psi.value(fv) / fv
-            if abs(left - right) > tol * max(1.0, abs(left), abs(right)):
-                raise ReconstructionError(
-                    "alignment",
-                    f"phi-star({fu:.6g})={left:.6g} != psi-star({fv:.6g})={right:.6g}",
-                    witness=float(x),
-                )
+    fu, fv = margin_u.cdf_array(_map(chi.forward, xs)), margin_v.cdf_array(xs)
+    both = (fu > 0.0) & (fv > 0.0)
+    fu, fv, at = fu[both], fv[both], xs[both]
+    left, right = phi.value_array(fu) / fu, psi.value_array(fv) / fv
+    bad = np.abs(left - right) > tol * np.maximum(1.0, np.maximum(np.abs(left), np.abs(right)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ReconstructionError(
+            "alignment",
+            f"phi-star({fu[i]:.6g})={left[i]:.6g} != psi-star({fv[i]:.6g})={right[i]:.6g}",
+            witness=float(at[i]),
+        )
 
     _check_left_endpoint("margin-u", phi, margin_u, tol)
     _check_left_endpoint("margin-v", psi, margin_v, tol)
     _check_star_divergence("margin-u", phi, margin_u, xs)
     _check_star_divergence("margin-v", psi, margin_v, xs)
 
-    f_x = ComposedCdf(phi, margin_u)
-    f_y = ComposedCdf(psi, margin_v)
     g2 = MarshallShockCdf(phi, psi, margin_u, margin_v, chi)
-    g1 = ChiShiftedCdf(g2, chi)
-    model = ShockModel(f_x, f_y, Comonotonic(g1, g2), Combiner.MAX_MAX)
-    _check_postconditions(model, c, margin_u, margin_v, xs, tol)
-    return model
+    return marshall_model(
+        ComposedCdf(phi, margin_u), ComposedCdf(psi, margin_v), ChiShiftedCdf(g2, chi), g2
+    )
 
 
 def _check_left_endpoint(label, gen, margin, tol):
@@ -548,31 +671,25 @@ def reconstruct_rmm(
     grid_size: int = 1001,
     tol: float = 1e-9,
 ) -> ShockModel:
-    """Invert an RMM copula plus margins into a countermonotonic max/max model."""
+    """Invert an RMM copula plus margins into a countermonotonic max/max model.
+
+    Checks that the margins share an interior point, builds the shocks, then
+    runs ``audit_reconstruction`` once (check ids in the module docstring)
+    and raises from its first failure.
+    """
     if not isinstance(c, cop.RmmCopula):
         raise ReconstructionError("family", f"expected an RMM copula, got {c.describe()}")
-    xs = support_grid([margin_u, margin_v], grid_size)
-    _check_interior_point(margin_u, margin_v, xs)
+    return _passed(*audited_reconstruction(c, margin_u, margin_v, grid_size, tol))
 
+
+def _rmm_shocks(c, margin_u, margin_v) -> ShockModel:
     f, g = c.f, c.g
-    f_x = ComposedCdf(hat_of(f), margin_u)
-    f_y = ComposedCdf(hat_of(g), margin_v)
-    g1 = RmmShockCdf(f, g, margin_u, margin_v, "u")
-    g2 = RmmShockCdf(f, g, margin_u, margin_v, "v")
-    model = ShockModel(f_x, f_y, Countermonotonic(g1, g2), Combiner.MAX_MAX)
-
-    for label, shock in (("g1", g1), ("g2", g2)):
-        vals = shock.cdf_array(xs)
-        steps = np.diff(vals)
-        if steps.size and steps.min() < -1e-12:
-            idx = int(np.argmin(steps))
-            raise ReconstructionError(
-                "shock-monotone",
-                f"reconstructed {label} decreases by {-steps.min():.3g}",
-                witness=float(xs[idx + 1]),
-            )
-    _check_postconditions(model, c, margin_u, margin_v, xs, tol)
-    return model
+    return rmm_model(
+        ComposedCdf(hat_of(f), margin_u),
+        ComposedCdf(hat_of(g), margin_v),
+        RmmShockCdf(f, g, margin_u, margin_v, "u"),
+        RmmShockCdf(f, g, margin_u, margin_v, "v"),
+    )
 
 
 def _check_interior_point(margin_u, margin_v, xs):
@@ -595,57 +712,23 @@ def reconstruct_smm(
 ) -> ShockModel:
     """Invert an SMM copula plus margins into a countermonotonic min/min model.
 
-    Reduction: the negated pair has the survival copula, which is RMM with
-    reflected generators; reconstruct that max/max model on the negated line
-    and negate every shock back.
+    Checks that the margins share an interior point, builds the shocks, then
+    runs ``audit_reconstruction`` once, on the min/min model (check ids in
+    the module docstring), and raises from its first failure.
     """
     if not isinstance(c, cop.SmmCopula):
         raise ReconstructionError("family", f"expected an SMM copula, got {c.describe()}")
-    xs = support_grid([margin_u, margin_v], grid_size)
-    _check_interior_point(margin_u, margin_v, xs)
-
-    f = smm_to_rmm(c.h)
-    g = smm_to_rmm(c.k)
-    neg_model = reconstruct_rmm(
-        cop.RmmCopula(f, g), negated(margin_u), negated(margin_v), grid_size, tol
-    )
-    model = ShockModel(
-        negated(neg_model.f_x),
-        negated(neg_model.f_y),
-        Countermonotonic(negated(neg_model.coupling.g1), negated(neg_model.coupling.g2)),
-        Combiner.MIN_MIN,
-    )
-    _check_postconditions(model, c, margin_u, margin_v, xs, tol)
-    return model
+    return _passed(*audited_reconstruction(c, margin_u, margin_v, grid_size, tol))
 
 
-def _check_postconditions(model, c, margin_u, margin_v, xs, tol):
-    got_u, got_v = margins(model)
-    target_u = margin_u.cdf_array(xs)
-    target_v = margin_v.cdf_array(xs)
-    err_u = np.max(np.abs(got_u.cdf_array(xs) - target_u))
-    err_v = np.max(np.abs(got_v.cdf_array(xs) - target_v))
-    if max(err_u, err_v) > tol:
-        raise ReconstructionError(
-            "margin-factorization",
-            f"reconstructed margins deviate by {max(err_u, err_v):.3g} (tol {tol:.1g})",
-        )
-    sub = _subsample(xs, 21)
-    joint = cop.sklar_join(c, margin_u, margin_v)
-    worst = 0.0
-    witness = None
-    for x in sub:
-        for y in sub:
-            diff = abs(joint_cdf(model, float(x), float(y)) - joint.cdf(float(x), float(y)))
-            if diff > worst:
-                worst = diff
-                witness = (float(x), float(y))
-    if worst > tol:
-        raise ReconstructionError(
-            "joint-law",
-            f"model joint CDF deviates from the join by {worst:.3g} (tol {tol:.1g})",
-            witness=witness,
-        )
+def _smm_shocks(c, margin_u, margin_v) -> ShockModel:
+    """Reduction: the negated pair has the survival copula, which is RMM with
+    reflected generators; build that max/max model on the negated line and
+    negate every shock back."""
+    rmm_copula = cop.RmmCopula(smm_to_rmm(c.h), smm_to_rmm(c.k))
+    neg = _rmm_shocks(rmm_copula, negated(margin_u), negated(margin_v))
+    g1, g2 = neg.coupling.g1, neg.coupling.g2
+    return smm_model(negated(neg.f_x), negated(neg.f_y), negated(g1), negated(g2))
 
 
 def reconstruct(c: cop.Copula, margin_u, margin_v, **kwargs) -> ShockModel:

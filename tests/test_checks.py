@@ -1,16 +1,26 @@
 import numpy as np
 import pytest
 
+from shockcop import shock_models as sm
 from shockcop.checks import (
     check_copula_axioms,
     check_model_theorem,
     check_reconstruction,
 )
-from shockcop.copulas import RmmCopula, efgm, independence, survival
-from shockcop.distributions import Exponential, Uniform, point_mass
+from shockcop.copulas import (
+    MarshallCopula,
+    RmmCopula,
+    efgm,
+    independence,
+    normalize,
+    sklar_join,
+    survival,
+)
+from shockcop.distributions import EfgmMargin, Exponential, Product, Uniform, point_mass
+from shockcop.errors import ReconstructionError
 from shockcop.generators import GeneratorClass, closed_form
 from shockcop.sampling import empirical_copula, sample_model, sup_distance
-from shockcop.shock_models import induced_copula, marshall_model, rmm_model
+from shockcop.shock_models import induced_copula, marshall_model, reconstruct, rmm_model
 
 U = Uniform()
 
@@ -97,3 +107,101 @@ def test_reconstruction_suite_degenerate_margin_fails_hypothesis():
 def test_reconstruction_suite_survival_efgm_as_smm():
     report = check_reconstruction(survival(efgm(0.95)), U, U, tol=1e-9)
     assert report.passed, report.render_text()
+
+
+AUDIT_IDS = [
+    "margin-u-factorization",
+    "margin-v-factorization",
+    "f-x-nondecreasing",
+    "f-y-nondecreasing",
+    "g1-nondecreasing",
+    "g2-nondecreasing",
+    "shock-margin-envelope",
+    "joint-law",
+]
+
+
+def row_major_worst(model, join, xs, ys):
+    """Reference lattice scan: the first maximum of |H_model - H_join|, x outer, y inner."""
+    worst, witness = 0.0, (float(xs[0]), float(ys[0]))
+    for x in xs:
+        for y in ys:
+            diff = abs(sm.joint_cdf(model, float(x), float(y)) - join.cdf(float(x), float(y)))
+            if diff > worst:
+                worst, witness = diff, (float(x), float(y))
+    return worst, witness
+
+
+@pytest.mark.parametrize(
+    "c, margin",
+    [(efgm(0.5), EfgmMargin(0.5)), (survival(efgm(0.9)), U), (efgm(1.0), U)],
+    ids=["rmm-native", "smm", "rmm-uniform"],
+)
+def test_reconstruction_report_ids_and_joint_law_match_row_major_loop(c, margin):
+    report = check_reconstruction(c, margin, margin, tol=1e-10)
+    assert report.passed, report.render_text()
+    assert [r.check_id for r in report.results] == AUDIT_IDS
+    model = reconstruct(c, margin, margin, tol=1e-10)
+    sub = sm._subsample(sm.support_grid([margin, margin], 1001), 21)
+    join = sklar_join(normalize(c), margin, margin)
+    worst, witness = row_major_worst(model, join, sub, sub)
+    joint = report.results[-1]
+    assert abs(joint.magnitude - worst) <= 1e-15
+    assert joint.witness == witness
+
+
+def test_joint_law_check_matches_row_major_loop_on_a_clear_gap():
+    # the model's own join against a different copula: a large gap with one maximum
+    model = rmm_model(Exponential(1.0), Exponential(1.0), Exponential(1.0), Exponential(1.0))
+    f_u, f_v = sm.margins(model)
+    join = sklar_join(efgm(0.3), f_u, f_v)
+    xs = f_u.quantile_array(np.linspace(0.05, 0.95, 13))
+    ys = f_v.quantile_array(np.linspace(0.02, 0.98, 17))
+    got = sm.joint_law_check("joint-law", model, join, xs, ys, 1e-9)
+    worst, witness = row_major_worst(model, join, xs, ys)
+    assert not got.passed and worst > 1e-3
+    assert abs(got.magnitude - worst) <= 1e-15
+    assert got.witness == witness
+
+
+def test_model_theorem_joint_vs_join_matches_row_major_loop():
+    # a coarse tabulation leaves an interpolation gap well above rounding noise
+    m = marshall_model(Exponential(1.0), Exponential(2.0), Exponential(1.5), Exponential(0.5))
+    report = check_model_theorem(m, n=2000, seed=3, resolution=1 << 8)
+    first = report.results[0]
+    assert first.check_id == "joint-vs-join"
+    f_u, f_v = sm.margins(m)
+    join = sklar_join(induced_copula(m, resolution=1 << 8), f_u, f_v)
+    levels = np.linspace(1e-6, 1.0 - 1e-6, 21)
+    xs, ys = f_u.quantile_array(levels), f_v.quantile_array(levels)
+    worst, witness = row_major_worst(m, join, xs, ys)
+    assert worst > 1e-9
+    assert abs(first.magnitude - worst) <= 1e-15
+    assert first.witness == witness
+
+
+def test_postcondition_failure_raises_with_the_check_id():
+    # the tabulated route of criterion 8 passes at 1e-10 with a worst gap near 1e-16
+    exp_margin = Product(Exponential(1.0), Exponential(1.0))
+    model0 = rmm_model(Exponential(1.0), Exponential(1.0), Exponential(1.0), Exponential(1.0))
+    c_tab = induced_copula(model0, resolution=1 << 15)
+    assert check_reconstruction(c_tab, exp_margin, exp_margin, tol=1e-10).passed
+    report = check_reconstruction(c_tab, exp_margin, exp_margin, tol=1e-17)
+    assert [r.check_id for r in report.results] == AUDIT_IDS
+    first_failed = next(r for r in report.results if not r.passed)
+    with pytest.raises(ReconstructionError) as err:
+        reconstruct(c_tab, exp_margin, exp_margin, tol=1e-17)
+    assert err.value.assumption == first_failed.check_id
+    assert err.value.witness == first_failed.witness
+
+
+def test_hypothesis_failure_keeps_a_scalar_witness():
+    cap = closed_form("capped", GeneratorClass.MARSHALL, slope=2.0)
+    c = MarshallCopula(cap, closed_form("identity", GeneratorClass.MARSHALL))
+    with pytest.raises(ReconstructionError) as err:
+        reconstruct(c, U, U)
+    report = check_reconstruction(c, U, U)
+    (result,) = report.results
+    assert result.check_id == "hypothesis:alignment"
+    assert result.witness == (err.value.witness, 0.0)
+    assert report.csv_rows()[1].endswith(f",{err.value.witness},0.0")

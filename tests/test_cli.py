@@ -151,6 +151,24 @@ def test_reconstruct_efgm_uniform_margins(tmp_path, capsys):
     assert row["g1"] == pytest.approx(1.0 / (2.0 - row["x"]), abs=1e-9)
 
 
+def test_reconstruct_with_out_reconstructs_once(tmp_path, capsys, monkeypatch):
+    import shockcop.shock_models as sm
+
+    calls = []
+    audited = sm.audited_reconstruction
+    monkeypatch.setattr(
+        sm, "audited_reconstruction", lambda *a, **k: calls.append(a) or audited(*a, **k)
+    )
+    code, out, _ = run(
+        capsys,
+        "reconstruct", "efgm:a=0.5",
+        "--fu", "uniform", "--fv", "uniform",
+        "--out", str(tmp_path / "recon.csv"),
+    )
+    assert code == 0 and "pass" in out
+    assert len(calls) == 1
+
+
 def test_reconstruct_degenerate_margins_exit_1(capsys):
     code, out, err = run(
         capsys, "reconstruct", "efgm:a=1.0", "--fu", "pointmass:x=0.0", "--fv", "pointmass:x=0.0"

@@ -125,6 +125,84 @@ def test_joint_cdf_shared_shock_margins():
         assert joint_cdf(m, POS_INF, float(x)) == pytest.approx(f_v.cdf(x), abs=1e-14)
 
 
+def scalar_joint_cdf(m, x, y):
+    """The closed-form joint CDF from scalar component CDFs, one point at a time."""
+    fx, fy = m.f_x.cdf(x), m.f_y.cdf(y)
+    if isinstance(m.coupling, SharedShock):
+        gx, gy = m.coupling.g.cdf(x), m.coupling.g.cdf(y)
+        return fx * (gx - (1.0 - fy) * max(0.0, gx - gy))
+    g1, g2 = m.coupling.g1.cdf(x), m.coupling.g2.cdf(y)
+    if m.combiner is Combiner.MIN_MIN:
+        fu = 1.0 - (1.0 - fx) * (1.0 - g1)
+        fv = 1.0 - (1.0 - fy) * (1.0 - g2)
+        return fu + fv - 1.0 + (1.0 - fx) * (1.0 - fy) * max(0.0, 1.0 - g1 - g2)
+    if isinstance(m.coupling, Comonotonic):
+        return fx * fy * min(g1, g2)
+    return fx * fy * max(0.0, g1 + g2 - 1.0)
+
+
+_CAP = closed_form("capped", GeneratorClass.MARSHALL, slope=2.0)
+FOUR_FAMILIES = {
+    "marshall": lambda: marshall_model(
+        Exponential(1.0), Exponential(2.0), Exponential(1.5), Exponential(0.5)
+    ),
+    "rmm": lambda: rmm_model(U, U, EfgmShock(0.7), EfgmShock(0.7)),
+    "smm": lambda: smm_model(
+        Exponential(1.0), Exponential(2.0), Exponential(3.0), Exponential(0.5)
+    ),
+    "maxmin": lambda: maxmin_model(Exponential(1.0), Exponential(2.0), Exponential(1.5)),
+    # reconstructed models: per-element branch shocks and chi-shifted laws
+    "marshall-reconstructed": lambda: reconstruct(marshall(_CAP, _CAP), U, U),
+    "rmm-reconstructed": lambda: reconstruct(efgm(0.8), U, U),
+    "smm-reconstructed": lambda: reconstruct(survival(efgm(0.6)), U, U),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FOUR_FAMILIES))
+def test_array_joint_cdf_equals_scalar_formula(family):
+    from shockcop.extreal import NEG_INF, POS_INF
+
+    model = FOUR_FAMILIES[family]()
+    xs = np.array([-1.0, 0.0, 0.05, 0.3, 0.5, 0.77, 1.0, 2.5])
+    ys = np.array([-0.5, 0.1, 0.5, 0.9, 1.0, 3.0])
+    lattice = joint_cdf(model, xs[:, None], ys[None, :])
+    assert lattice.shape == (xs.size, ys.size)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            ref = scalar_joint_cdf(model, float(x), float(y))
+            assert lattice[i, j] == pytest.approx(ref, abs=1e-15)
+            point = joint_cdf(model, float(x), float(y))
+            assert type(point) is float and point == lattice[i, j]
+    # 1-D arguments broadcast elementwise, a scalar against a vector too
+    np.testing.assert_array_equal(joint_cdf(model, xs[:6], ys), np.diag(lattice[:6]))
+    np.testing.assert_array_equal(joint_cdf(model, 0.3, ys), lattice[3])
+    # the sentinels give the margins, and the corners, as the scalar formula does
+    f_u, f_v = margins(model)
+    for x in xs:
+        assert joint_cdf(model, float(x), POS_INF) == pytest.approx(f_u.cdf(float(x)), abs=1e-14)
+        assert joint_cdf(model, POS_INF, float(x)) == pytest.approx(f_v.cdf(float(x)), abs=1e-14)
+        for args in ((NEG_INF, float(x)), (float(x), NEG_INF)):
+            ref = scalar_joint_cdf(model, *args)
+            assert joint_cdf(model, *args) == pytest.approx(ref, abs=1e-15)
+    assert joint_cdf(model, POS_INF, POS_INF) == 1.0
+    assert joint_cdf(model, NEG_INF, NEG_INF) == 0.0
+
+
+def test_join_cdf_broadcasts_and_keeps_scalars():
+    from shockcop.extreal import POS_INF
+
+    join = sklar_join(efgm(0.9), Exponential(1.0), Exponential(2.0))
+    xs = np.array([0.0, 0.2, 1.0, 4.0])
+    lattice = join.cdf(xs[:, None], xs[None, :])
+    assert lattice.shape == (4, 4)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(xs):
+            u, v = Exponential(1.0).cdf(float(x)), Exponential(2.0).cdf(float(y))
+            assert lattice[i, j] == pytest.approx(efgm(0.9).value(u, v), abs=1e-16)
+    assert type(join.cdf(0.2, 1.0)) is float
+    assert join.cdf(1.0, POS_INF) == pytest.approx(Exponential(1.0).cdf(1.0), abs=1e-16)
+
+
 # ---------------------------------------------------------------------------
 # induced copulas and model/copula agreement as grid identities
 # ---------------------------------------------------------------------------
@@ -245,6 +323,23 @@ def test_marshall_reconstruction_alignment_violation():
     assert err.value.witness is not None
 
 
+def test_marshall_alignment_witness_is_first_violating_grid_point():
+    c = MarshallCopula(capped_gen(), identity_gen())
+    with pytest.raises(ReconstructionError) as err:
+        reconstruct_marshall(c, U, U, tol=1e-9)
+    # reference: the scalar scan over the reconstruction grid
+    for x in support_grid([U, U], 1001):
+        fu, fv = U.cdf(float(x)), U.cdf(float(x))
+        if fu > 0.0 and fv > 0.0:
+            left, right = c.phi.value(fu) / fu, c.psi.value(fv) / fv
+            if abs(left - right) > 1e-9 * max(1.0, abs(left), abs(right)):
+                break
+    assert err.value.witness == float(x)
+    assert str(err.value) == (
+        f"alignment: phi-star({fu:.6g})={left:.6g} != psi-star({fv:.6g})={right:.6g}"
+    )
+
+
 def test_marshall_reconstruction_joint_identity():
     c = marshall(capped_gen(), capped_gen())
     model = reconstruct_marshall(c, U, U)
@@ -345,6 +440,25 @@ def test_smm_reconstruction_from_sigma1_of_maxmin():
 def test_reconstruct_dispatch_normalizes_wrappers():
     model = reconstruct(survival(efgm(0.9)), U, U)
     assert model.combiner is Combiner.MIN_MIN
+
+
+def test_smm_reconstruction_audits_once(monkeypatch):
+    import shockcop.shock_models as sm
+
+    calls = {"audit": 0, "interior": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(sm, "audit_reconstruction", counted("audit", sm.audit_reconstruction))
+    monkeypatch.setattr(sm, "_check_interior_point", counted("interior", sm._check_interior_point))
+    model = reconstruct_smm(normalize(survival(efgm(0.95))), U, U)
+    assert model.combiner is Combiner.MIN_MIN
+    assert calls == {"audit": 1, "interior": 1}
 
 
 def test_smm_reconstructed_model_samples_its_copula():
