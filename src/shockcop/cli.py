@@ -135,13 +135,9 @@ def cmd_reconstruct(args) -> int:
         try:
             fh.write(f"# shockcop={__version__} descriptor={c.describe()} reconstruction\n")
             fh.write("x,f_x,f_y,g1,g2\n")
-            g1, g2 = model.coupling.g1, model.coupling.g2
-            for x in xs:
-                x = float(x)
-                fh.write(
-                    f"{x!r},{float(model.f_x.cdf(x))!r},{float(model.f_y.cdf(x))!r},"
-                    f"{float(g1.cdf(x))!r},{float(g2.cdf(x))!r}\n"
-                )
+            laws = (model.f_x, model.f_y, model.coupling.g1, model.coupling.g2)
+            columns = [xs.tolist(), *(law.cdf_array(xs).tolist() for law in laws)]
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
         finally:
             if close:
                 fh.close()

@@ -10,6 +10,15 @@ level u is never reached.  These conventions are load-bearing: the generator
 constructions in :mod:`shockcop.generators` interpolate across gaps in the
 image of a CDF and need the exact bracket values F(q-) and F(q) at jump
 points.
+
+Each law is written once, on arrays.  A family defines ``cdf_array``; it
+overrides ``cdf_left_array`` only when it has atoms (the default is
+``cdf_array`` itself) and ``_quantile_array`` only when a closed-form inverse
+exists (the default is one vectorized bracketing bisection).  The base class
+derives the rest: the scalar ``cdf``, ``cdf_left`` and ``quantile`` evaluate
+the array path at one point, so scalar and array values agree to the bit,
+and map the infinite results to the ``POS_INF``/``NEG_INF`` sentinels;
+``quantile_array`` refuses levels outside (0,1) and infinite results.
 """
 
 from __future__ import annotations
@@ -29,34 +38,31 @@ _QUANTILE_REL_TOL = 1e-14
 _QUANTILE_ABS_TOL = 1e-14
 
 
+def _at(array_fn, x: float) -> float:
+    """An array method evaluated at the single point x."""
+    return float(array_fn(np.array([float(x)]))[0])
+
+
 class DistributionFunction(ABC):
     """A univariate CDF: nondecreasing, right-continuous, limits 0 and 1."""
 
     @abstractmethod
-    def _cdf(self, x: float) -> float:
-        """CDF at a finite point."""
+    def cdf_array(self, xs: np.ndarray) -> np.ndarray:
+        """F at every point of a float array."""
 
-    def _cdf_left(self, x: float) -> float:
+    def cdf_left_array(self, xs: np.ndarray) -> np.ndarray:
         """Left limit F(x-). Default is the continuous case; atom-bearing families override."""
-        return self._cdf(x)
+        return self.cdf_array(xs)
 
     def cdf(self, x: ExtendedReal) -> float:
         if isinstance(x, _Infinity):
             return 1.0 if x == POS_INF else 0.0
-        return self._cdf(float(x))
+        return _at(self.cdf_array, x)
 
     def cdf_left(self, x: ExtendedReal) -> float:
         if isinstance(x, _Infinity):
             return 1.0 if x == POS_INF else 0.0
-        return self._cdf_left(float(x))
-
-    def cdf_array(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return np.array([self._cdf(x) for x in xs.ravel()]).reshape(xs.shape)
-
-    def cdf_left_array(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return np.array([self._cdf_left(x) for x in xs.ravel()]).reshape(xs.shape)
+        return _at(self.cdf_left_array, x)
 
     def quantile(self, u: float) -> ExtendedReal:
         """Generalized inverse inf{x : F(x) >= u}."""
@@ -64,10 +70,11 @@ class DistributionFunction(ABC):
             raise ValueError(f"probability level must lie in [0,1], got {u}")
         if u == 0.0:
             return NEG_INF
-        return self._quantile(u)
-
-    def _quantile(self, u: float) -> ExtendedReal:
-        return self._bisect_quantile(u)
+        with np.errstate(divide="ignore"):
+            q = _at(self._quantile_array, u)
+        if math.isinf(q):
+            return POS_INF if q > 0.0 else NEG_INF
+        return q
 
     def quantile_array(self, us: np.ndarray) -> np.ndarray:
         """Vectorized quantile for interior levels; infinite results are rejected."""
@@ -83,6 +90,8 @@ class DistributionFunction(ABC):
         return out
 
     def _quantile_array(self, us: np.ndarray) -> np.ndarray:
+        """Quantiles of levels in (0,1]: +inf where a level is never reached, -inf
+        where F stays at or above it on the whole line."""
         return self._bisect_quantile_array(us)
 
     def jump_points(self) -> tuple[float, ...]:
@@ -102,40 +111,13 @@ class DistributionFunction(ABC):
 
     # -- generic bracketing/bisection inverse -------------------------------
 
-    def _bisect_quantile(self, u: float) -> ExtendedReal:
-        lo, hi = self.support_hint()
-        span = max(hi - lo, 1.0)
-        for _ in range(_QUANTILE_MAX_EXPAND):
-            if self._cdf(lo) < u:
-                break
-            lo -= span
-            span *= 2.0
-        else:
-            return NEG_INF
-        span = max(hi - lo, 1.0)
-        for _ in range(_QUANTILE_MAX_EXPAND):
-            if self._cdf(hi) >= u:
-                break
-            hi += span
-            span *= 2.0
-        else:
-            return POS_INF
-        while hi - lo > _QUANTILE_ABS_TOL + _QUANTILE_REL_TOL * max(abs(lo), abs(hi)):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if self._cdf(mid) >= u:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
     def _bisect_quantile_array(self, us: np.ndarray) -> np.ndarray:
         shape = us.shape
         us = us.ravel()
         lo0, hi0 = self.support_hint()
         lo = np.full(us.shape, float(lo0))
         hi = np.full(us.shape, float(hi0))
+        below = above = np.zeros(us.shape, dtype=bool)
         span = max(hi0 - lo0, 1.0)
         for _ in range(_QUANTILE_MAX_EXPAND):
             bad = self.cdf_array(lo) >= us
@@ -143,6 +125,8 @@ class DistributionFunction(ABC):
                 break
             lo[bad] -= span
             span *= 2.0
+        else:
+            below = bad  # F >= u at every probe: the infimum is -oo
         span = max(hi0 - lo0, 1.0)
         for _ in range(_QUANTILE_MAX_EXPAND):
             bad = self.cdf_array(hi) < us
@@ -150,6 +134,9 @@ class DistributionFunction(ABC):
                 break
             hi[bad] += span
             span *= 2.0
+        else:
+            above = bad  # u is never reached: the infimum is +oo
+        lo = np.where(below | above, hi, lo)  # nothing to bisect there
         while True:
             tol = _QUANTILE_ABS_TOL + _QUANTILE_REL_TOL * np.maximum(np.abs(lo), np.abs(hi))
             open_ = hi - lo > tol
@@ -162,7 +149,8 @@ class DistributionFunction(ABC):
             take_hi = self.cdf_array(mid) >= us
             hi = np.where(open_ & take_hi, mid, hi)
             lo = np.where(open_ & ~take_hi, mid, lo)
-        return hi.reshape(shape)
+        hi = np.where(above, np.inf, hi)
+        return np.where(below, -np.inf, hi).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -179,26 +167,12 @@ class Uniform(DistributionFunction):
         if not self.a < self.b:
             raise ValueError(f"uniform needs a < b, got a={self.a}, b={self.b}")
 
-    def _cdf(self, x: float) -> float:
-        if x <= self.a:
-            return 0.0
-        if x >= self.b:
-            return 1.0
-        return (x - self.a) / (self.b - self.a)
-
     def cdf_array(self, xs):
         xs = np.asarray(xs, dtype=float)
         return np.clip((xs - self.a) / (self.b - self.a), 0.0, 1.0)
 
-    cdf_left_array = cdf_array
-
-    def _quantile(self, u: float) -> ExtendedReal:
-        if u == 1.0:
-            return self.b
-        return self.a + u * (self.b - self.a)
-
     def _quantile_array(self, us):
-        return self.a + us * (self.b - self.a)
+        return np.where(us < 1.0, self.a + us * (self.b - self.a), self.b)
 
     def support_hint(self):
         return (self.a, self.b)
@@ -215,21 +189,9 @@ class Exponential(DistributionFunction):
         if not self.rate > 0:
             raise ValueError(f"exponential rate must be positive, got {self.rate}")
 
-    def _cdf(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return -math.expm1(-self.rate * x)
-
     def cdf_array(self, xs):
         xs = np.asarray(xs, dtype=float)
         return np.where(xs <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(xs, 0.0)))
-
-    cdf_left_array = cdf_array
-
-    def _quantile(self, u: float) -> ExtendedReal:
-        if u == 1.0:
-            return POS_INF
-        return -math.log1p(-u) / self.rate
 
     def _quantile_array(self, us):
         return -np.log1p(-us) / self.rate
@@ -255,19 +217,9 @@ class NegExponential(DistributionFunction):
         if not self.rate > 0:
             raise ValueError(f"neg-exponential rate must be positive, got {self.rate}")
 
-    def _cdf(self, x: float) -> float:
-        if x >= 0.0:
-            return 1.0
-        return math.exp(self.rate * x)
-
     def cdf_array(self, xs):
         xs = np.asarray(xs, dtype=float)
         return np.where(xs >= 0.0, 1.0, np.exp(self.rate * np.minimum(xs, 0.0)))
-
-    cdf_left_array = cdf_array
-
-    def _quantile(self, u: float) -> ExtendedReal:
-        return math.log(u) / self.rate
 
     def _quantile_array(self, us):
         return np.log(us) / self.rate
@@ -304,48 +256,28 @@ class TabulatedCdf(DistributionFunction):
         self.interpolation = interpolation
         self.source = source
 
-    def _cdf(self, x: float) -> float:
-        return float(self.cdf_array(np.array([x]))[0])
-
-    def _cdf_left(self, x: float) -> float:
-        return float(self.cdf_left_array(np.array([x]))[0])
-
     def cdf_array(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if self.interpolation == "linear":
-            return np.interp(xs, self.xs, self.ps)
-        idx = np.searchsorted(self.xs, xs, side="right") - 1
-        return np.where(idx < 0, 0.0, self.ps[np.maximum(idx, 0)])
+        return self._table_cdf(xs, "right")
 
     def cdf_left_array(self, xs):
+        return self._table_cdf(xs, "left")
+
+    def _table_cdf(self, xs, side: str):
+        """F (side "right") or F(x-) (side "left"); a linear table is continuous."""
         xs = np.asarray(xs, dtype=float)
         if self.interpolation == "linear":
             return np.interp(xs, self.xs, self.ps)
-        idx = np.searchsorted(self.xs, xs, side="left") - 1
+        idx = np.searchsorted(self.xs, xs, side=side) - 1
         return np.where(idx < 0, 0.0, self.ps[np.maximum(idx, 0)])
-
-    def _quantile(self, u: float) -> ExtendedReal:
-        if u > self.ps[-1]:
-            return POS_INF
-        if self.interpolation == "step":
-            idx = int(np.searchsorted(self.ps, u, side="left"))
-            return float(self.xs[idx])
-        if u <= self.ps[0]:
-            # flat extension to the left sits at level ps[0] on the whole tail
-            return NEG_INF if self.ps[0] > 0.0 else float(self.xs[0])
-        idx = int(np.searchsorted(self.ps, u, side="left"))
-        p0, p1 = self.ps[idx - 1], self.ps[idx]
-        x0, x1 = self.xs[idx - 1], self.xs[idx]
-        return float(x0 + (u - p0) / (p1 - p0) * (x1 - x0))
 
     def _quantile_array(self, us):
         ps, xs = self.ps, self.xs
         idx = np.searchsorted(ps, us, side="left")
-        reached = idx < ps.size  # levels above ps[-1] invert to +oo (NaN here)
+        reached = idx < ps.size  # levels above ps[-1] invert to +oo
         if self.interpolation == "step":
-            return np.where(reached, xs[np.minimum(idx, ps.size - 1)], np.nan)
-        # levels in (0, ps[0]] sit on the flat left tail and invert to -oo (NaN here)
-        out = np.full(us.shape, np.nan)
+            return np.where(reached, xs[np.minimum(idx, ps.size - 1)], np.inf)
+        # levels in (0, ps[0]] sit on the flat left tail and invert to -oo
+        out = np.where(reached, -np.inf, np.inf)
         inner = reached & (us > ps[0])
         k = idx[inner]
         p0, p1 = ps[k - 1], ps[k]
@@ -414,14 +346,6 @@ class EfgmMargin(DistributionFunction):
         if not 0.0 < self.a <= 1.0:
             raise ValueError(f"EFGM weight must lie in (0,1], got {self.a}")
 
-    def _cdf(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if x >= 1.0:
-            return 1.0
-        a = self.a
-        return (a + 1.0 - math.sqrt((a + 1.0) ** 2 - 4.0 * a * x)) / (2.0 * a)
-
     def cdf_array(self, xs):
         xs = np.asarray(xs, dtype=float)
         a = self.a
@@ -429,20 +353,13 @@ class EfgmMargin(DistributionFunction):
         vals = (a + 1.0 - np.sqrt((a + 1.0) ** 2 - 4.0 * a * inner)) / (2.0 * a)
         return np.where(xs <= 0.0, 0.0, np.where(xs >= 1.0, 1.0, vals))
 
-    cdf_left_array = cdf_array
-
     def pdf(self, x: float) -> float:
         if 0.0 < x < 1.0:
             return 1.0 / math.sqrt((self.a + 1.0) ** 2 - 4.0 * self.a * x)
         return 0.0
 
-    def _quantile(self, u: float) -> ExtendedReal:
-        if u == 1.0:
-            return 1.0
-        return (self.a + 1.0) * u - self.a * u * u
-
     def _quantile_array(self, us):
-        return (self.a + 1.0) * us - self.a * us * us
+        return np.where(us < 1.0, (self.a + 1.0) * us - self.a * us * us, 1.0)
 
     def support_hint(self):
         return (0.0, 1.0)
@@ -461,12 +378,6 @@ class EfgmShock(DistributionFunction):
         if not 0.0 < self.a <= 1.0:
             raise ValueError(f"EFGM weight must lie in (0,1], got {self.a}")
 
-    def _cdf(self, x: float) -> float:
-        if x >= 1.0:
-            return 1.0
-        a = self.a
-        return 2.0 / ((a + 1.0) + math.sqrt((a + 1.0) ** 2 - 4.0 * a * x))
-
     def cdf_array(self, xs):
         xs = np.asarray(xs, dtype=float)
         a = self.a
@@ -474,17 +385,9 @@ class EfgmShock(DistributionFunction):
         vals = 2.0 / ((a + 1.0) + np.sqrt((a + 1.0) ** 2 - 4.0 * a * inner))
         return np.where(xs >= 1.0, 1.0, vals)
 
-    cdf_left_array = cdf_array
-
-    def _quantile(self, u: float) -> ExtendedReal:
-        if u == 1.0:
-            return 1.0
-        a = self.a
-        return ((a + 1.0) - 1.0 / u) / (a * u)
-
     def _quantile_array(self, us):
         a = self.a
-        return ((a + 1.0) - 1.0 / us) / (a * us)
+        return np.where(us < 1.0, ((a + 1.0) - 1.0 / us) / (a * us), 1.0)
 
     def support_hint(self):
         return (-50.0, 1.0)
@@ -504,12 +407,6 @@ class Product(DistributionFunction):
     def __init__(self, d1: DistributionFunction, d2: DistributionFunction):
         self.d1 = d1
         self.d2 = d2
-
-    def _cdf(self, x: float) -> float:
-        return self.d1.cdf(x) * self.d2.cdf(x)
-
-    def _cdf_left(self, x: float) -> float:
-        return self.d1.cdf_left(x) * self.d2.cdf_left(x)
 
     def cdf_array(self, xs):
         return self.d1.cdf_array(xs) * self.d2.cdf_array(xs)
@@ -536,12 +433,6 @@ class SurvivalProduct(DistributionFunction):
         self.d1 = d1
         self.d2 = d2
 
-    def _cdf(self, x: float) -> float:
-        return 1.0 - (1.0 - self.d1.cdf(x)) * (1.0 - self.d2.cdf(x))
-
-    def _cdf_left(self, x: float) -> float:
-        return 1.0 - (1.0 - self.d1.cdf_left(x)) * (1.0 - self.d2.cdf_left(x))
-
     def cdf_array(self, xs):
         return 1.0 - (1.0 - self.d1.cdf_array(xs)) * (1.0 - self.d2.cdf_array(xs))
 
@@ -565,12 +456,6 @@ class NegatedCdf(DistributionFunction):
 
     def __init__(self, inner: DistributionFunction):
         self.inner = inner
-
-    def _cdf(self, x: float) -> float:
-        return 1.0 - self.inner.cdf_left(-x)
-
-    def _cdf_left(self, x: float) -> float:
-        return 1.0 - self.inner.cdf(-x)
 
     def cdf_array(self, xs):
         return 1.0 - self.inner.cdf_left_array(-np.asarray(xs, dtype=float))

@@ -559,15 +559,10 @@ def generator_from_shocks(
     # piecewise-linear error of hat maps ~ u**beta unbounded near the ends,
     # while spacing ~ u**(5/6) keeps it O(resolution**-2) down to tiny levels
     ladder = (np.arange(1, resolution, dtype=float) / resolution) ** 6
-    brackets: list[float] = []
-    for x in margin.jump_points():
-        under = margin.cdf_left(x)
-        over = margin.cdf(x)
-        if over - under > 1e-15:
-            brackets.extend((under, over))
-    us = np.unique(
-        np.concatenate((levels, ladder, 1.0 - ladder, np.asarray(brackets, dtype=float)))
-    )
+    jumps = np.asarray(margin.jump_points(), dtype=float)
+    under, over = margin.cdf_left_array(jumps), margin.cdf_array(jumps)
+    real = over - under > 1e-15
+    us = np.unique(np.concatenate((levels, ladder, 1.0 - ladder, under[real], over[real])))
     us = us[(us >= 0.0) & (us <= 1.0)]
 
     interior = us[(us > 0.0) & (us < 1.0)]

@@ -252,12 +252,6 @@ class ComposedCdf(DistributionFunction):
         self.gen = gen
         self.base = base
 
-    def _cdf(self, x: float) -> float:
-        return self.gen.value(self.base.cdf(x))
-
-    def _cdf_left(self, x: float) -> float:
-        return self.gen.value(self.base.cdf_left(x))
-
     def cdf_array(self, xs):
         return self.gen.value_array(self.base.cdf_array(xs))
 
@@ -282,22 +276,13 @@ class _BranchShockCdf(DistributionFunction):
         self.margin_v = margin_v
         self._label = label
 
-    def _value(self, fu: float, fv: float) -> float:
+    def _values(self, fu: np.ndarray, fv: np.ndarray) -> np.ndarray:
+        """The shock CDF from the margin values read at the same points."""
         raise NotImplementedError
 
-    def _values(self, fu: np.ndarray, fv: np.ndarray) -> np.ndarray:
-        vals = (self._value(float(a), float(b)) for a, b in zip(fu.ravel(), fv.ravel()))
-        return np.fromiter(vals, float, fu.size).reshape(fu.shape)
-
-    def _u_at(self, x):
-        """The point at which margin_u is read for the shock's point x."""
-        return x
-
-    def _cdf(self, x: float) -> float:
-        return self._value(self.margin_u.cdf(self._u_at(x)), self.margin_v.cdf(x))
-
-    def _cdf_left(self, x: float) -> float:
-        return self._value(self.margin_u.cdf_left(self._u_at(x)), self.margin_v.cdf_left(x))
+    def _u_at(self, xs: np.ndarray) -> np.ndarray:
+        """The points at which margin_u is read for the shock's points xs."""
+        return xs
 
     def cdf_array(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -345,26 +330,29 @@ class RmmShockCdf(_BranchShockCdf):
         self.f = f
         self.g = g
 
-    def _value(self, fu: float, fv: float) -> float:
-        if fu == 0.0:
-            s = derived_value(self.g, "star", 1.0 - fv)
-            if isinstance(s, _Infinity):
-                return 1.0
-            return s / (1.0 + s)
-        return fu / (self.f.value(fu) + fu)
-
     def _values(self, fu, fv):
         out = np.empty_like(fu)
         pos = fu > 0.0
         fu_pos = fu[pos]
         out[pos] = fu_pos / (self.f.value_array(fu_pos) + fu_pos)
-        fv_zero = fv[~pos]
-        out[~pos] = np.fromiter((self._value(0.0, float(v)) for v in fv_zero), float, fv_zero.size)
+        # star ratio g(t)/t of t = 1 - fv; at t = 0 its one-sided limit, +oo giving 1
+        t = 1.0 - fv[~pos]
+        at_zero = t == 0.0
+        s = self.g.value_array(t) / np.where(at_zero, 1.0, t)
+        vals = s / (1.0 + s)
+        if at_zero.any():
+            s0 = derived_value(self.g, "star", 0.0)
+            vals[at_zero] = 1.0 if isinstance(s0, _Infinity) else s0 / (1.0 + s0)
+        out[~pos] = vals
         return out
 
 
 class MarshallShockCdf(_BranchShockCdf):
-    """Reconstructed second systemic shock of the comonotonic max/max model."""
+    """Reconstructed second systemic shock of the comonotonic max/max model.
+
+    It is margin_u / phi(margin_u), with margin_u read at chi.forward(x); where
+    margin_u vanishes it is margin_v / psi(margin_v), and 0 where both vanish.
+    """
 
     def __init__(self, phi: Generator, psi: Generator, margin_u, margin_v, chi: ChiMap):
         super().__init__(margin_u, margin_v, "marshall-shock")
@@ -372,25 +360,22 @@ class MarshallShockCdf(_BranchShockCdf):
         self.psi = psi
         self.chi = chi
 
-    def _u_at(self, x):
-        return _map(self.chi.forward, x) if isinstance(x, np.ndarray) else self.chi.forward(x)
+    def _u_at(self, xs):
+        return _map(self.chi.forward, xs)
 
-    def _value(self, fu: float, fv: float) -> float:
-        if fu == 0.0 and fv == 0.0:
-            return 0.0
-        if fu == 0.0:
-            den = self.psi.value(fv)
-            if den == 0.0:
-                raise ReconstructionError(
-                    "generator-vanishes", f"psi vanishes at a point with margin value {fv}"
-                )
-            return fv / den
-        den = self.phi.value(fu)
-        if den == 0.0:
+    def _values(self, fu, fv):
+        on_v = fu == 0.0
+        num = np.where(on_v, fv, fu)
+        den = np.where(on_v, self.psi.value_array(fv), self.phi.value_array(fu))
+        vanishes = (den == 0.0) & (num != 0.0)
+        if vanishes.any():
+            i = int(np.argmax(vanishes.ravel()))
+            name = "psi" if on_v.ravel()[i] else "phi"
             raise ReconstructionError(
-                "generator-vanishes", f"phi vanishes at a point with margin value {fu}"
+                "generator-vanishes",
+                f"{name} vanishes at a point with margin value {float(num.ravel()[i])}",
             )
-        return fu / den
+        return np.where(num == 0.0, 0.0, num / np.where(den == 0.0, 1.0, den))
 
 
 class ChiShiftedCdf(DistributionFunction):
@@ -399,12 +384,6 @@ class ChiShiftedCdf(DistributionFunction):
     def __init__(self, inner: DistributionFunction, chi: ChiMap):
         self.inner = inner
         self.chi = chi
-
-    def _cdf(self, x: float) -> float:
-        return self.inner.cdf(self.chi.inverse(x))
-
-    def _cdf_left(self, x: float) -> float:
-        return self.inner.cdf_left(self.chi.inverse(x))
 
     def cdf_array(self, xs):
         return self.inner.cdf_array(_map(self.chi.inverse, xs))

@@ -101,6 +101,14 @@ def test_quantile_beyond_reach_is_positive_infinity():
     assert Exponential(1.0).quantile(1.0) == POS_INF
 
 
+def test_quantile_at_one_is_the_right_endpoint():
+    # the closed forms evaluated at u = 1 round away from the endpoint here
+    assert Uniform(-0.3, 0.1).quantile(1.0) == 0.1
+    assert Uniform(0.2, 0.9).quantile(1.0) == 0.9
+    assert EfgmMargin(0.13).quantile(1.0) == 1.0
+    assert EfgmShock(0.3).quantile(1.0) == 1.0
+
+
 def test_image_brackets_continuous():
     assert image_brackets(Uniform(), 0.7) == (0.7, 0.7, True)
 
@@ -217,9 +225,133 @@ def test_generalized_inverse_property_for_products(u):
     assert d.cdf(q) >= u - 1e-10
 
 
+# laws whose quantile is +oo above the top of the table (and -oo on a flat left tail)
+SHORT_STEP = TabulatedCdf([0.0, 1.0], [0.2, 0.6], "step")
+SHORT_LINEAR = TabulatedCdf([0.0, 1.0], [0.2, 0.6], "linear")
+
+
+def reconstructed_laws():
+    """Every component law of a reconstructed Marshall, RMM and SMM model."""
+    from shockcop.copulas import efgm, marshall, survival
+    from shockcop.generators import GeneratorClass, closed_form
+    from shockcop.shock_models import reconstruct
+
+    cap = closed_form("capped", GeneratorClass.MARSHALL, slope=2.0)
+    models = [
+        reconstruct(marshall(cap, cap), Uniform(), Uniform()),  # composed, chi-shifted, Marshall shock
+        reconstruct(efgm(0.8), Uniform(), Exponential(2.0)),  # composed, RMM shocks
+        reconstruct(survival(efgm(0.6)), Uniform(), Uniform()),  # negated composed and RMM shocks
+    ]
+    return [d for m in models for d in (m.f_x, m.f_y, *vars(m.coupling).values())]
+
+
+SCALAR_API_LAWS = {
+    **{d.describe(): lambda d=d: [d] for d in ALL_DISTS},
+    "exp-and-neg-exp-1.3": lambda: [Exponential(1.3), NegExponential(1.3)],
+    "unreached-levels": lambda: [
+        SHORT_STEP,
+        SHORT_LINEAR,
+        Product(SHORT_STEP, Exponential(1.0)),
+        negated(TabulatedCdf([0.0, 1.0], [0.0, 0.6], "linear")),
+    ],
+    "reconstructed": reconstructed_laws,
+}
+
+
+def as_extended(q: float):
+    return POS_INF if q == math.inf else NEG_INF if q == -math.inf else float(q)
+
+
+@pytest.mark.parametrize("case", sorted(SCALAR_API_LAWS))
+def test_scalar_api_equals_array_path(case):
+    for d in SCALAR_API_LAWS[case]():
+        lo, hi = d.support_hint()
+        xs = np.concatenate((np.linspace(lo - 1.0, hi + 1.0, 201), d.jump_points()))
+        if case.startswith("exp-"):
+            xs = np.linspace(-10.0, 10.0, 10001)
+        for x, f, f_left in zip(xs.tolist(), d.cdf_array(xs), d.cdf_left_array(xs)):
+            assert type(d.cdf(x)) is float and d.cdf(x) == f, (d, x)
+            assert type(d.cdf_left(x)) is float and d.cdf_left(x) == f_left, (d, x)
+        assert (d.cdf(NEG_INF), d.cdf(POS_INF)) == (0.0, 1.0)
+        assert (d.cdf_left(NEG_INF), d.cdf_left(POS_INF)) == (0.0, 1.0)
+
+        us = np.concatenate(([1e-9], np.linspace(0.02, 0.98, 25), [1.0]))
+        with np.errstate(divide="ignore"):
+            qs = d._quantile_array(us)
+        assert [d.quantile(u) for u in us.tolist()] == [as_extended(q) for q in qs], d
+        assert d.quantile(0.0) == NEG_INF
+        for u in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                d.quantile(u)
+
+
+def test_unreached_levels_invert_to_the_sentinels():
+    bisected_top = Product(SHORT_STEP, Exponential(1.0))
+    bisected_floor = negated(TabulatedCdf([0.0, 1.0], [0.0, 0.6], "linear"))  # F >= 0.4 everywhere
+    assert SHORT_STEP.quantile(0.7) == SHORT_LINEAR.quantile(0.7) == POS_INF
+    assert bisected_top.quantile(0.7) == POS_INF
+    assert SHORT_LINEAR.quantile(0.1) == NEG_INF
+    assert bisected_floor.quantile(0.3) == NEG_INF
+    assert bisected_floor.quantile(0.5) == pytest.approx(-0.5 / 0.6, abs=1e-12)
+    for d, u in ((SHORT_STEP, 0.7), (bisected_top, 0.7), (SHORT_LINEAR, 0.1), (bisected_floor, 0.3)):
+        with pytest.raises(MalformedCdfError):
+            d.quantile_array(np.array([0.5, u]))
+
+
+def bisection_width(q: float) -> float:
+    """Twice the bisection's stopping width at q: the solver's last lower end lies within it."""
+    return 2.0 * (1e-14 + 1e-14 * abs(q))
+
+
+@st.composite
+def products_of_steps_and_exponentials(draw):
+    def part():
+        if draw(st.booleans()):
+            return Exponential(draw(st.floats(0.25, 4.0)))
+        k = draw(st.integers(1, 5))
+        xs = draw(st.integers(-4, 4)) + 0.5 * np.cumsum(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+        ps = np.sort(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0), min_size=k, max_size=k)))
+        return TabulatedCdf(xs, ps, "step")
+
+    law = draw(st.sampled_from([Product, SurvivalProduct]))(part(), part())
+    levels = draw(st.lists(st.floats(0.0, 1.0).filter(lambda u: 0.0 < u < 1.0), min_size=1, max_size=4))
+    return law, levels
+
+
+@given(products_of_steps_and_exponentials())
+@settings(max_examples=100, deadline=None)
+def test_galois_inequalities_for_products_of_steps_and_exponentials(case):
+    d, levels = case
+    for u in levels:
+        q = d.quantile(u)
+        if q == POS_INF:
+            assert d.cdf(1e12) < u  # never reached
+            continue
+        assert q != NEG_INF
+        # F(Q(u)) >= u exactly; F(Q(u)-) <= u up to the bisection's stopping width
+        assert d.cdf(q) >= u
+        assert d.cdf_left(q - bisection_width(q)) <= u
+
+
 def float_or_nan(q) -> float:
     """A scalar quantile as a float, with the infinite sentinels mapped to NaN."""
     return float(q) if isinstance(q, (int, float)) else float("nan")
+
+
+def reference_tabulated_quantile(d: TabulatedCdf, u: float):
+    """inf{x : F(x) >= u} of a table at a level u in (0,1], one level at a time."""
+    if u > d.ps[-1]:
+        return POS_INF
+    if d.interpolation == "step":
+        idx = int(np.searchsorted(d.ps, u, side="left"))
+        return float(d.xs[idx])
+    if u <= d.ps[0]:
+        # flat extension to the left sits at level ps[0] on the whole tail
+        return NEG_INF if d.ps[0] > 0.0 else float(d.xs[0])
+    idx = int(np.searchsorted(d.ps, u, side="left"))
+    p0, p1 = d.ps[idx - 1], d.ps[idx]
+    x0, x1 = d.xs[idx - 1], d.xs[idx]
+    return float(x0 + (u - p0) / (p1 - p0) * (x1 - x0))
 
 
 @st.composite
@@ -239,7 +371,10 @@ def tables_and_levels(draw):
 @settings(max_examples=300, deadline=None)
 def test_tabulated_quantile_array_matches_scalar_quantile(case):
     d, us = case
-    expected = np.array([float_or_nan(d.quantile(float(u))) for u in us])
+    reference = [reference_tabulated_quantile(d, float(u)) for u in us]
+    # the scalar API returns the reference inverse, sentinels included
+    assert [d.quantile(float(u)) for u in us] == reference
+    expected = np.array([float_or_nan(q) for q in reference])
     finite = ~np.isnan(expected)
     np.testing.assert_array_equal(d.quantile_array(us[finite]), expected[finite])
     # interior levels with an infinite inverse are refused
@@ -252,7 +387,7 @@ def test_tabulated_quantile_array_matches_scalar_quantile(case):
 @settings(max_examples=300, deadline=None)
 def test_tabulated_quantile_array_galois_inequalities(case):
     d, us = case
-    us = us[~np.isnan([float_or_nan(d.quantile(float(u))) for u in us])]
+    us = us[~np.isnan([float_or_nan(reference_tabulated_quantile(d, float(u))) for u in us])]
     qs = d.quantile_array(us)
     # step inverses are exact; linear ones round once in x, and slopes are at most 2
     tol = 0.0 if d.interpolation == "step" else 1e-12

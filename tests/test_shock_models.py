@@ -25,12 +25,16 @@ from shockcop.distributions import (
     point_mass,
 )
 from shockcop.errors import IllegalModelError, ReconstructionError
-from shockcop.generators import GeneratorClass, closed_form
+from shockcop.extreal import POS_INF
+from shockcop.generators import GeneratorClass, TabulatedGenerator, closed_form, derived_value
 from shockcop.sampling import sup_distance
 from shockcop.shock_models import (
+    IDENTITY_CHI,
     Combiner,
     Comonotonic,
     Countermonotonic,
+    MarshallShockCdf,
+    RmmShockCdf,
     ShockModel,
     SharedShock,
     exponential_rmm_model,
@@ -186,6 +190,20 @@ def test_array_joint_cdf_equals_scalar_formula(family):
             assert joint_cdf(model, *args) == pytest.approx(ref, abs=1e-15)
     assert joint_cdf(model, POS_INF, POS_INF) == 1.0
     assert joint_cdf(model, NEG_INF, NEG_INF) == 0.0
+
+
+def test_scalar_joint_formula_equals_lattice_entry_exactly():
+    from shockcop.extreal import NEG_INF
+
+    # the scalar component CDFs are the array path at one point, so the scalar
+    # formula reproduces each lattice entry to the bit, tiny negative joints included
+    model = FOUR_FAMILIES["smm"]()
+    xs, ys = np.array([0.3, 2.5]), np.array([-np.inf, 0.0, 0.7, 3.0])
+    lattice = joint_cdf(model, xs[:, None], ys[None, :])
+    assert scalar_joint_cdf(model, 2.5, NEG_INF) == lattice[1, 0] < 0.0
+    for i, x in enumerate(xs.tolist()):
+        for j, y in enumerate(ys.tolist()):
+            assert scalar_joint_cdf(model, x, NEG_INF if y == -np.inf else y) == lattice[i, j]
 
 
 def test_join_cdf_broadcasts_and_keeps_scalars():
@@ -385,6 +403,71 @@ def test_rmm_reconstruction_native_margins_recovers_exponentials():
     for lvl in np.linspace(0.05, 0.95, 21):
         x = float(ref.quantile(float(lvl)))
         assert model.f_x.cdf(x) == pytest.approx(ref.cdf(x), abs=1e-6)
+
+
+def reference_rmm_shock(d, x):
+    """The RMM shock CDF at one point: fu / hat_f(fu), or s / (1 + s) with s the
+    star value of g at 1 - fv where fu vanishes."""
+    fu, fv = d.margin_u.cdf(x), d.margin_v.cdf(x)
+    if fu == 0.0:
+        s = derived_value(d.g, "star", 1.0 - fv)
+        return 1.0 if s == POS_INF else s / (1.0 + s)
+    return fu / (d.f.value(fu) + fu)
+
+
+def reference_marshall_shock(d, x):
+    """The Marshall shock CDF at one point: fu / phi(fu), or fv / psi(fv) where fu vanishes."""
+    fu, fv = d.margin_u.cdf(d.chi.forward(x)), d.margin_v.cdf(x)
+    if fu == 0.0 and fv == 0.0:
+        return 0.0
+    name, num, gen = ("psi", fv, d.psi) if fu == 0.0 else ("phi", fu, d.phi)
+    if gen.value(num) == 0.0:
+        raise ReconstructionError(
+            "generator-vanishes", f"{name} vanishes at a point with margin value {num}"
+        )
+    return num / gen.value(num)
+
+
+SHOCK_XS = np.linspace(-0.5, 2.5, 25).reshape(5, 5)  # 2-D, with x = 1 where fu = 0 and fv = 1
+
+
+@pytest.mark.parametrize("g", [
+    closed_form("efgmf", GeneratorClass.RMM, a=0.7),  # finite star limit at 0
+    closed_form("power", GeneratorClass.RMM, alpha=0.5),  # star diverges at 0
+], ids=lambda g: g.describe())
+def test_rmm_shock_cdf_equals_scalar_reference(g):
+    f = closed_form("efgmf", GeneratorClass.RMM, a=0.4)
+    # margin_u vanishes up to 1, where margin_v already reaches 1: every branch is hit
+    d = RmmShockCdf(f, g, Uniform(1.0, 2.0), Uniform(0.0, 1.0), "u")
+    ref = np.vectorize(lambda x: reference_rmm_shock(d, x))(SHOCK_XS)
+    assert 1.0 in SHOCK_XS and d.margin_v.cdf(1.0) == 1.0 and d.margin_u.cdf(1.0) == 0.0
+    np.testing.assert_array_equal(d.cdf_array(SHOCK_XS), ref)
+    np.testing.assert_array_equal(d.cdf_left_array(SHOCK_XS), ref)
+
+
+def test_marshall_shock_cdf_equals_scalar_reference():
+    d = MarshallShockCdf(capped_gen(), identity_gen(), Uniform(0.5, 1.5), U, IDENTITY_CHI)
+    ref = np.vectorize(lambda x: reference_marshall_shock(d, x))(SHOCK_XS)
+    np.testing.assert_array_equal(d.cdf_array(SHOCK_XS), ref)
+
+
+@pytest.mark.parametrize("side", ["phi", "psi"])
+def test_marshall_shock_cdf_raises_at_first_vanishing_point(side):
+    vanishing = TabulatedGenerator([0.0, 0.5, 1.0], [0.0, 0.0, 1.0], GeneratorClass.MARSHALL)
+    gens = (vanishing, identity_gen()) if side == "phi" else (identity_gen(), vanishing)
+    margin_u = U if side == "phi" else Uniform(1.0, 2.0)  # fu = 0 sends psi's side to work
+    d = MarshallShockCdf(*gens, margin_u, U, IDENTITY_CHI)
+    xs = np.array([[0.9, 0.0], [0.3, 0.2]])  # first offending point in ravel order: 0.3
+    with pytest.raises(ReconstructionError) as ref:
+        for x in xs.ravel().tolist():
+            reference_marshall_shock(d, x)
+    with pytest.raises(ReconstructionError) as err:
+        d.cdf_array(xs)
+    assert err.value.assumption == ref.value.assumption == "generator-vanishes"
+    assert str(err.value) == str(ref.value) == (
+        f"generator-vanishes: {side} vanishes at a point with margin value 0.3"
+    )
+    assert err.value.witness is ref.value.witness is None
 
 
 def test_rmm_reconstruction_requires_interior_point():
