@@ -14,16 +14,29 @@ points.
 Each law is written once, on arrays.  A family defines ``cdf_array``; it
 overrides ``cdf_left_array`` only when it has atoms (the default is
 ``cdf_array`` itself) and ``_quantile_array`` only when a closed-form inverse
-exists (the default is one vectorized bracketing bisection).  The base class
-derives the rest: the scalar ``cdf``, ``cdf_left`` and ``quantile`` evaluate
-the array path at one point, so scalar and array values agree to the bit,
-and map the infinite results to the ``POS_INF``/``NEG_INF`` sentinels;
-``quantile_array`` refuses levels outside (0,1) and infinite results.
+exists (the default is the generic inverse below).  The base class derives
+the rest: the scalar ``cdf``, ``cdf_left`` and ``quantile`` evaluate the
+array path at one point, so scalar and array values agree to the bit, and
+map the infinite results to the ``POS_INF``/``NEG_INF`` sentinels;
+``quantile_array`` refuses levels that are not strictly inside (0,1), NaN
+included, and infinite results.
+
+The generic inverse evaluates F once per call on one shared table: the jump
+points, 2**14 + 1 even points on ``support_hint`` and, for levels the hint
+does not bracket, probes at doubling distances beyond it.  One
+``searchsorted`` on the table's running maximum gives every level a bracket
+F(lo) < u <= F(hi).  A level with F(J-) < u <= F(J) at a jump J inverts to J
+exactly; a level that no probe reaches below or above inverts to -oo or +oo.
+The other brackets shrink, in blocks of levels, by a few Illinois (secant)
+steps and then by bisection, until hi - lo <= 1e-14 + 1e-14 * max(|lo|, |hi|)
+or no float lies between them.  The result is hi, so F(quantile(u)) >= u
+holds exactly and F stays below u a stopping width to the left.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -36,6 +49,9 @@ from .extreal import NEG_INF, POS_INF, ExtendedReal, _Infinity
 _QUANTILE_MAX_EXPAND = 200
 _QUANTILE_REL_TOL = 1e-14
 _QUANTILE_ABS_TOL = 1e-14
+_QUANTILE_TABLE = 2**14  # intervals of the shared grid on support_hint
+_QUANTILE_SECANT_STEPS = 6
+_QUANTILE_BLOCK = 4096  # levels refined together
 
 
 def _at(array_fn, x: float) -> float:
@@ -79,7 +95,7 @@ class DistributionFunction(ABC):
     def quantile_array(self, us: np.ndarray) -> np.ndarray:
         """Vectorized quantile for interior levels; infinite results are rejected."""
         us = np.asarray(us, dtype=float)
-        if us.size and (us.min() <= 0.0 or us.max() >= 1.0):
+        if not np.all((us > 0.0) & (us < 1.0)):  # NaN fails both comparisons
             raise ValueError("quantile_array requires levels strictly inside (0,1)")
         out = self._quantile_array(us)
         if not np.all(np.isfinite(out)):
@@ -109,48 +125,110 @@ class DistributionFunction(ABC):
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.describe()}>"
 
-    # -- generic bracketing/bisection inverse -------------------------------
+    # -- generic inverse -----------------------------------------------------
 
     def _bisect_quantile_array(self, us: np.ndarray) -> np.ndarray:
+        """The generic inverse of the module docstring.  A level's result does not
+        depend on the other levels of the call, so ``quantile`` matches it to the bit."""
         shape = us.shape
         us = us.ravel()
+        out = np.empty_like(us)
+        if us.size:
+            table = self._quantile_table(float(us.min()), float(us.max()))
+            for start in range(0, us.size, _QUANTILE_BLOCK):
+                block = slice(start, start + _QUANTILE_BLOCK)
+                out[block] = self._quantile_block(us[block], *table)
+        return out.reshape(shape)
+
+    def _quantile_table(self, u_min: float, u_max: float):
+        """Sorted points x with F(x), F(x-) and the running maximum of F.
+
+        The points are the jumps, an even grid on ``support_hint`` and the
+        expansion probes below and above it, which reach for the smallest and
+        largest level.
+        """
         lo0, hi0 = self.support_hint()
-        lo = np.full(us.shape, float(lo0))
-        hi = np.full(us.shape, float(hi0))
-        below = above = np.zeros(us.shape, dtype=bool)
+        grid = np.linspace(float(lo0), float(hi0), _QUANTILE_TABLE + 1)
+        f_grid = self.cdf_array(grid)
         span = max(hi0 - lo0, 1.0)
-        for _ in range(_QUANTILE_MAX_EXPAND):
-            bad = self.cdf_array(lo) >= us
-            if not bad.any():
+        below, f_below = self._expand(grid[0], -span, f_grid[0], lambda f: f >= u_min)
+        above, f_above = self._expand(grid[-1], span, f_grid[-1], lambda f: f < u_max)
+        jumps = np.asarray(self.jump_points(), dtype=float)
+        # jumps come first, so a jump that is also a grid point is found as a jump
+        xs = np.concatenate((jumps, below, grid, above))
+        fs = np.concatenate((self.cdf_array(jumps), f_below, f_grid, f_above))
+        f_left = np.concatenate((self.cdf_left_array(jumps), f_below, f_grid, f_above))
+        order = np.argsort(xs, kind="stable")
+        fs = fs[order]
+        return xs[order], fs, f_left[order], np.maximum.accumulate(fs)
+
+    def _expand(self, x: float, span: float, f: float, short) -> tuple[np.ndarray, np.ndarray]:
+        """Probes x + span, then steps of twice the last, while ``short(F)``;
+        at most ``_QUANTILE_MAX_EXPAND`` points are probed counting x itself."""
+        xs, fs = [], []
+        for _ in range(_QUANTILE_MAX_EXPAND - 1):
+            if not short(f):
                 break
-            lo[bad] -= span
+            x += span
             span *= 2.0
-        else:
-            below = bad  # F >= u at every probe: the infimum is -oo
-        span = max(hi0 - lo0, 1.0)
-        for _ in range(_QUANTILE_MAX_EXPAND):
-            bad = self.cdf_array(hi) < us
-            if not bad.any():
-                break
-            hi[bad] += span
-            span *= 2.0
-        else:
-            above = bad  # u is never reached: the infimum is +oo
-        lo = np.where(below | above, hi, lo)  # nothing to bisect there
-        while True:
+            f = _at(self.cdf_array, x)
+            xs.append(x)
+            fs.append(f)
+        return np.array(xs), np.array(fs)
+
+    def _quantile_block(self, us, xs, fs, f_left, reach) -> np.ndarray:
+        """The quantiles of some levels from the table: exact at a jump, ±inf past
+        its ends, otherwise refined inside the table's bracket."""
+        j = np.searchsorted(reach, us, side="left")  # F(xs[j-1]) < u <= F(xs[j])
+        last = xs.size - 1
+        k = np.minimum(j, last)
+        out = np.where(j == 0, -np.inf, np.where(j > last, np.inf, xs[k]))
+        # F(J-) < u <= F(J) at a jump J: the quantile is J itself
+        rest = (j > 0) & (j <= last) & (f_left[k] >= us)
+        k = k[rest]
+        out[rest] = self._refine(us[rest], xs[k - 1], xs[k], fs[k - 1], fs[k])
+        return out
+
+    def _refine(self, us, lo, hi, f_lo, f_hi) -> np.ndarray:
+        """Shrink brackets F(lo) < u <= F(hi) to the stopping width and return hi.
+
+        The first steps are Illinois steps (Dowell & Jarratt 1971): secant
+        probes, where an end that stays put twice in a row has its ordinate
+        halved, clamped at least half the stopping width inside the bracket so
+        that it closes from both sides. Bisection follows. Converged levels
+        leave the working arrays.
+        """
+        out = np.empty_like(us)
+        at = np.arange(us.size)
+        g_lo, g_hi = f_lo - us, f_hi - us  # g_lo < 0 <= g_hi
+        moved = np.zeros(us.size)  # +1 where the last step moved hi, -1 where it moved lo
+        for step in itertools.count():
             tol = _QUANTILE_ABS_TOL + _QUANTILE_REL_TOL * np.maximum(np.abs(lo), np.abs(hi))
-            open_ = hi - lo > tol
-            if not open_.any():
-                break
             mid = 0.5 * (lo + hi)
-            # stop once float midpoints can no longer split the interval
-            if not np.any(open_ & (mid > lo) & (mid < hi)):
-                break
-            take_hi = self.cdf_array(mid) >= us
-            hi = np.where(open_ & take_hi, mid, hi)
-            lo = np.where(open_ & ~take_hi, mid, lo)
-        hi = np.where(above, np.inf, hi)
-        return np.where(below, -np.inf, hi).reshape(shape)
+            # stop once the bracket is narrow or float midpoints can no longer split it
+            open_ = (hi - lo > tol) & (mid > lo) & (mid < hi)
+            if not open_.all():
+                out[at[~open_]] = hi[~open_]
+                at, us, lo, hi, g_lo, g_hi, moved, tol, mid = (
+                    a[open_] for a in (at, us, lo, hi, g_lo, g_hi, moved, tol, mid)
+                )
+            if not at.size:
+                return out
+            if step < _QUANTILE_SECANT_STEPS:
+                with np.errstate(all="ignore"):
+                    secant = lo - g_lo * ((hi - lo) / (g_hi - g_lo))
+                secant = np.where(np.isfinite(secant), secant, mid)
+                x = np.clip(secant, lo + 0.5 * tol, hi - 0.5 * tol)
+                g = self.cdf_array(x) - us
+                up = g >= 0.0
+                g_lo = np.where(up, np.where(moved > 0, 0.5 * g_lo, g_lo), g)
+                g_hi = np.where(up, g, np.where(moved < 0, 0.5 * g_hi, g_hi))
+                moved = np.where(up, 1.0, -1.0)
+            else:
+                x = mid
+                up = self.cdf_array(x) >= us
+            hi = np.where(up, x, hi)
+            lo = np.where(up, lo, x)
 
 
 # ---------------------------------------------------------------------------

@@ -567,7 +567,6 @@ def generator_from_shocks(
 
     interior = us[(us > 0.0) & (us < 1.0)]
     qs = margin.quantile_array(interior)
-    qs = _snap_to_jumps(qs, margin.jump_points())
     overs = margin.cdf_array(qs)
     unders = margin.cdf_left_array(qs)
     comp_at = component.cdf_array(qs)
@@ -583,28 +582,6 @@ def generator_from_shocks(
 
     values = np.concatenate(([0.0], interior_vals, [1.0]))
     return TabulatedGenerator(us, values, declared_class)
-
-
-def _snap_to_jumps(qs: np.ndarray, jumps) -> np.ndarray:
-    """Round bisected quantiles onto exact jump locations.
-
-    The generic inverse converges to a jump point from above within ~1e-13;
-    evaluating the margin's left limit there would miss the jump entirely, so
-    anything within snapping distance of a known discontinuity is moved onto
-    it before the brackets are read off.
-    """
-    jumps = np.asarray(jumps, dtype=float)
-    if jumps.size == 0:
-        return qs
-    order = np.argsort(jumps)
-    jumps = jumps[order]
-    idx = np.clip(np.searchsorted(jumps, qs), 0, jumps.size - 1)
-    below = np.clip(idx - 1, 0, jumps.size - 1)
-    nearest = np.where(
-        np.abs(jumps[idx] - qs) <= np.abs(jumps[below] - qs), jumps[idx], jumps[below]
-    )
-    snap = np.abs(nearest - qs) <= 1e-9 * np.maximum(1.0, np.abs(nearest))
-    return np.where(snap, nearest, qs)
 
 
 def _check_margin_order(component, margin, margin_side, points, tol):

@@ -26,6 +26,7 @@ check ids, in order: ``margin-u-factorization``, ``margin-v-factorization``,
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -236,12 +237,19 @@ class ChiMap:
     label: str = "identity"
 
 
-IDENTITY_CHI = ChiMap(lambda x: x, lambda x: x, "identity")
+def _identity(x: float) -> float:
+    return x
+
+
+IDENTITY_CHI = ChiMap(_identity, _identity, "identity")
 
 
 def _map(fn: Callable[[float], float], xs) -> np.ndarray:
-    """A scalar map such as ``ChiMap.forward`` applied to each element of ``xs``."""
+    """A scalar map such as ``ChiMap.forward`` applied to each element of ``xs``;
+    the identity returns ``xs`` as it is."""
     xs = np.asarray(xs, dtype=float)
+    if fn is _identity:
+        return xs
     return np.array([fn(float(x)) for x in xs.ravel()]).reshape(xs.shape)
 
 
@@ -294,15 +302,15 @@ class _BranchShockCdf(DistributionFunction):
             self.margin_u.cdf_left_array(self._u_at(xs)), self.margin_v.cdf_left_array(xs)
         )
 
+    @functools.cached_property
+    def _support_starts(self) -> set[float]:
+        """Where each margin's support starts; the shock may switch branch, and jump, there."""
+        starts = (margin.quantile(1e-12) for margin in (self.margin_u, self.margin_v))
+        return {float(s) for s in starts if not isinstance(s, _Infinity)}
+
     def jump_points(self):
-        extra = []
-        for margin in (self.margin_u, self.margin_v):
-            start = margin.quantile(1e-12)
-            if not isinstance(start, _Infinity):
-                extra.append(float(start))
-        return tuple(
-            sorted(set(self.margin_u.jump_points()) | set(self.margin_v.jump_points()) | set(extra))
-        )
+        jumps = set(self.margin_u.jump_points()) | set(self.margin_v.jump_points())
+        return tuple(sorted(jumps | self._support_starts))
 
     def support_hint(self):
         lo1, hi1 = self.margin_u.support_hint()
