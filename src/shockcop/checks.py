@@ -61,13 +61,15 @@ def check_copula_axioms(
     )
 
     rng = np.random.default_rng(seed)
-    u_pair = np.sort(rng.random((rectangles, 2)), axis=1)
-    v_pair = np.sort(rng.random((rectangles, 2)), axis=1)
+    u_pair = rng.random((rectangles, 2))
+    u1, u2 = np.minimum(u_pair[:, 0], u_pair[:, 1]), np.maximum(u_pair[:, 0], u_pair[:, 1])
+    v_pair = rng.random((rectangles, 2))
+    v1, v2 = np.minimum(v_pair[:, 0], v_pair[:, 1]), np.maximum(v_pair[:, 0], v_pair[:, 1])
     vols = (
-        c.value_array(u_pair[:, 1], v_pair[:, 1])
-        - c.value_array(u_pair[:, 0], v_pair[:, 1])
-        - c.value_array(u_pair[:, 1], v_pair[:, 0])
-        + c.value_array(u_pair[:, 0], v_pair[:, 0])
+        c.value_array(u2, v2)
+        - c.value_array(u1, v2)
+        - c.value_array(u2, v1)
+        + c.value_array(u1, v1)
     )
     worst_idx = int(np.argmin(vols))
     neg = max(0.0, -float(vols[worst_idx]))
@@ -76,7 +78,7 @@ def check_copula_axioms(
             "rectangle-positivity",
             neg <= tol,
             neg,
-            (float(u_pair[worst_idx, 0]), float(v_pair[worst_idx, 0])),
+            (float(u1[worst_idx]), float(v1[worst_idx])),
         )
     )
 

@@ -52,11 +52,35 @@ _QUANTILE_ABS_TOL = 1e-14
 _QUANTILE_TABLE = 2**14  # intervals of the shared grid on support_hint
 _QUANTILE_SECANT_STEPS = 6
 _QUANTILE_BLOCK = 4096  # levels refined together
+_SORTED_LOOKUP_KNOTS = 64  # table size from which sorting scattered queries pays
 
 
 def _at(array_fn, x: float) -> float:
     """An array method evaluated at the single point x."""
     return float(array_fn(np.array([float(x)]))[0])
+
+
+def _in_query_order(lookup, xs, knots: int):
+    """``lookup(xs)`` for a lookup into a sorted table of ``knots`` entries whose
+    result at a point does not depend on the other points, run in ascending order.
+
+    Binary searches of scattered points miss the cache on every step; one sort and
+    a sweep in order cost less from about 20 knots at 10k points and 64 knots at
+    200k points (2-core VM, numpy 2.4: 10k points into 12k knots take 1.19 ms
+    direct, 0.32 ms sorted).  Monotone inputs, fewer than two points and smaller
+    tables go straight through.
+    """
+    xs = np.asarray(xs, dtype=float)
+    flat = xs.ravel()
+    if knots < _SORTED_LOOKUP_KNOTS or flat.size < 2:
+        return lookup(xs)
+    step = np.diff(flat)
+    if np.all(step >= 0.0) or np.all(step <= 0.0):  # NaN fails both
+        return lookup(xs)
+    order = np.argsort(flat)
+    out = np.empty(flat.shape)
+    out[order] = lookup(flat[order])
+    return out.reshape(xs.shape)
 
 
 class DistributionFunction(ABC):
@@ -342,13 +366,19 @@ class TabulatedCdf(DistributionFunction):
 
     def _table_cdf(self, xs, side: str):
         """F (side "right") or F(x-) (side "left"); a linear table is continuous."""
-        xs = np.asarray(xs, dtype=float)
-        if self.interpolation == "linear":
-            return np.interp(xs, self.xs, self.ps)
-        idx = np.searchsorted(self.xs, xs, side=side) - 1
-        return np.where(idx < 0, 0.0, self.ps[np.maximum(idx, 0)])
+
+        def lookup(q):
+            if self.interpolation == "linear":
+                return np.interp(q, self.xs, self.ps)
+            idx = np.searchsorted(self.xs, q, side=side) - 1
+            return np.where(idx < 0, 0.0, self.ps[np.maximum(idx, 0)])
+
+        return _in_query_order(lookup, xs, self.xs.size)
 
     def _quantile_array(self, us):
+        return _in_query_order(self._table_quantile, us, self.ps.size)
+
+    def _table_quantile(self, us):
         ps, xs = self.ps, self.xs
         idx = np.searchsorted(ps, us, side="left")
         reached = idx < ps.size  # levels above ps[-1] invert to +oo

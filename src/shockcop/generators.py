@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionFunction
+from .distributions import DistributionFunction, _in_query_order
 from .errors import (
     GeneratorKindError,
     GeneratorValidationError,
@@ -212,7 +212,11 @@ def closed_form(family: str, declared_class: GeneratorClass, **params) -> Closed
 
 
 class TabulatedGenerator(Generator):
-    """Piecewise-linear generator on knots spanning [0,1]."""
+    """Piecewise-linear generator on knots spanning [0,1].
+
+    Evaluation interpolates the points in ascending order (see
+    ``distributions._in_query_order``); a value does not depend on that order.
+    """
 
     def __init__(self, us, values, declared_class: GeneratorClass):
         us = np.asarray(us, dtype=float)
@@ -230,7 +234,7 @@ class TabulatedGenerator(Generator):
         self.declared_class = declared_class
 
     def _eval(self, u):
-        return np.interp(u, self.us, self.values)
+        return _in_query_order(lambda q: np.interp(q, self.us, self.values), u, self.us.size)
 
     @property
     def grid_tol(self) -> float:

@@ -69,23 +69,48 @@ def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties assigned the average of their positions."""
+    avg, group = _tie_groups(x)
+    return avg[group]
+
+
+def _tie_groups(x) -> tuple[np.ndarray, np.ndarray]:
+    """The average rank of each distinct value of x, ascending, and each element's
+    index into them; NaNs sort last and, as in ``np.unique``, form one group."""
     x = np.asarray(x)
-    uniq, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    avg = (starts + 1 + ends) / 2.0
-    return avg[inverse]
+    order = np.argsort(x)
+    xs = x[order]
+    new = np.empty(x.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(xs[1:], xs[:-1], out=new[1:])
+    if x.size and xs[-1] != xs[-1]:
+        new[np.searchsorted(xs, xs[-1]) + 1 :] = False
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], x.size)
+    group = np.empty(x.size, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return (starts + 1 + ends) / 2.0, group
+
+
+def _buckets(ranks: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(levels, ranks, "left")`` for sorted distinct ranks and
+    levels: each level's edge in the ranks, expanded by run length."""
+    edges = np.searchsorted(ranks, levels, "right")
+    runs = np.diff(edges, prepend=0, append=ranks.size)
+    return np.repeat(np.arange(levels.size + 1), runs)
 
 
 class EmpiricalCopula(Copula):
     """Rank-based copula estimate of a paired sample.
 
     Evaluation is an exact count of the normalized ranks at or below each
-    query point (Deheuvels' empirical dependence function): the ranks are
-    bucketed against the sorted distinct query coordinates and a 2-D cumulative
-    sum of the bucket counts is read off, so a g x g grid costs O(n log g + g^2)
-    and a grid of 101 costs about as much as a grid of 21.  Values equal
-    ``np.mean((ru <= u) & (rv <= v))`` bit for bit; a NaN coordinate gives NaN.
+    query point (Deheuvels' empirical dependence function).  Construction sorts
+    each column once into its distinct ranks and each pair's tie group.  An
+    evaluation places the g distinct query coordinates among the sorted ranks,
+    expands those edges into a bucket per tie group, gathers a bucket per pair
+    and reads a 2-D cumulative sum of the bucket counts, so a g x g grid costs
+    O(n + g^2) and a grid of 101 costs about as much as a grid of 21.  Values
+    equal ``np.mean((ru <= u) & (rv <= v))`` bit for bit; a NaN coordinate
+    gives NaN.
     """
 
     def __init__(self, pairs: np.ndarray):
@@ -93,36 +118,49 @@ class EmpiricalCopula(Copula):
         if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 2:
             raise ValueError("empirical copula needs at least two (u, v) pairs")
         n = pairs.shape[0]
-        self.ru = average_ranks(pairs[:, 0]) / n
-        self.rv = average_ranks(pairs[:, 1]) / n
+        # (distinct normalized ranks ascending, each pair's index into them) per column
+        avg_u, self._group_u = _tie_groups(pairs[:, 0])
+        avg_v, self._group_v = _tie_groups(pairs[:, 1])
+        self._ranks_u, self._ranks_v = avg_u / n, avg_v / n
         self.n = n
+
+    @property
+    def ru(self) -> np.ndarray:
+        return self._ranks_u[self._group_u]
+
+    @property
+    def rv(self) -> np.ndarray:
+        return self._ranks_v[self._group_v]
 
     def _eval(self, u, v):
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         us, vs = u.ravel(), v.ravel()
         m = us.size
+        uq, ui = np.unique(us, return_inverse=True)
+        vq, vi = np.unique(vs, return_inverse=True)
         # the count table may hold no more cells than the inputs (n + m):
         # a lattice fits at once, scattered queries go in blocks of b with (b+1)^2 <= n + m
-        cells = self.n + m
-        if (np.unique(us).size + 1) * (np.unique(vs).size + 1) <= cells:
-            block = max(m, 1)
+        if (uq.size + 1) * (vq.size + 1) <= self.n + m:
+            counts = self._count_below(uq, ui, vq, vi)
         else:
-            block = max(math.isqrt(cells) - 1, 1)
-        counts = np.empty(m, dtype=np.int64)
-        for start in range(0, m, block):
-            stop = start + block
-            counts[start:stop] = self._count_below(us[start:stop], vs[start:stop])
+            block = max(math.isqrt(self.n + m) - 1, 1)
+            counts = np.empty(m, dtype=np.int64)
+            for start in range(0, m, block):
+                part = slice(start, start + block)
+                counts[part] = self._count_below(
+                    *np.unique(us[part], return_inverse=True),
+                    *np.unique(vs[part], return_inverse=True),
+                )
         out = counts / self.n
         out[np.isnan(us) | np.isnan(vs)] = np.nan
         return out.reshape(u.shape)
 
-    def _count_below(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """#{i : ru_i <= u_j and rv_i <= v_j} for each query j of 1-D us, vs."""
-        uq, ui = np.unique(us, return_inverse=True)
-        vq, vi = np.unique(vs, return_inverse=True)
+    def _count_below(self, uq, ui, vq, vi) -> np.ndarray:
+        """#{i : ru_i <= uq[ui_j] and rv_i <= vq[vi_j]} for each query j, where uq
+        and vq are sorted and distinct."""
         # bucket k holds the ranks in (q[k-1], q[k]], so r <= q[k] exactly when bucket <= k
-        bu = np.searchsorted(uq, self.ru, "left")
-        bv = np.searchsorted(vq, self.rv, "left")
+        bu = _buckets(self._ranks_u, uq)[self._group_u]
+        bv = _buckets(self._ranks_v, vq)[self._group_v]
         shape = (uq.size + 1, vq.size + 1)
         table = np.bincount(bu * shape[1] + bv, minlength=shape[0] * shape[1]).reshape(shape)
         np.cumsum(table, axis=0, out=table)

@@ -49,6 +49,20 @@ def test_axiom_suite_catches_negative_volume():
     bad = next(r for r in report.results if r.check_id == "rectangle-positivity")
     assert bad.witness is not None
     assert bad.magnitude > 1e-12
+    # the rectangles are the row-sorted pairs of the seeded draws
+    rng = np.random.default_rng(3)
+    u_pair = np.sort(rng.random((10_000, 2)), axis=1)
+    v_pair = np.sort(rng.random((10_000, 2)), axis=1)
+    c = overweight_efgm()
+    vols = (
+        c.value_array(u_pair[:, 1], v_pair[:, 1])
+        - c.value_array(u_pair[:, 0], v_pair[:, 1])
+        - c.value_array(u_pair[:, 1], v_pair[:, 0])
+        + c.value_array(u_pair[:, 0], v_pair[:, 0])
+    )
+    worst = int(np.argmin(vols))
+    assert bad.magnitude == -float(vols[worst])
+    assert bad.witness == (float(u_pair[worst, 0]), float(v_pair[worst, 0]))
 
 
 def test_axiom_report_renders_text_and_csv():
@@ -205,3 +219,43 @@ def test_hypothesis_failure_keeps_a_scalar_witness():
     assert result.check_id == "hypothesis:alignment"
     assert result.witness == (err.value.witness, 0.0)
     assert report.csv_rows()[1].endswith(f",{err.value.witness},0.0")
+
+
+class _LookupSpy:
+    """numpy, except that ``interp`` and ``searchsorted`` record their table size
+    and whether their flattened queries are monotone."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _record(self, table, queries):
+        step = np.diff(np.ravel(queries))
+        self.calls.append((np.size(table), bool(np.all(step >= 0) or np.all(step <= 0))))
+
+    def interp(self, x, xp, fp, *args, **kwargs):
+        self._record(xp, x)
+        return np.interp(x, xp, fp, *args, **kwargs)
+
+    def searchsorted(self, a, v, *args, **kwargs):
+        self._record(a, v)
+        return np.searchsorted(a, v, *args, **kwargs)
+
+
+def test_large_table_lookups_run_in_query_order(monkeypatch):
+    from shockcop import distributions, generators, sampling
+    from shockcop.distributions import _SORTED_LOOKUP_KNOTS, TabulatedCdf
+
+    reinduced = induced_copula(reconstruct(efgm(0.8), U, U))
+    xs = np.arange(1000.0)
+    step_model = rmm_model(TabulatedCdf(xs, (xs + 1) / xs.size), Exponential(1.0), U, U)
+    spy = _LookupSpy()
+    for module in (distributions, generators, sampling):
+        monkeypatch.setattr(module, "np", spy)
+    check_copula_axioms(reinduced, grid=21, rectangles=2000)
+    sample_model(step_model, 5000, seed=1)
+    large = [monotone for knots, monotone in spy.calls if knots >= _SORTED_LOOKUP_KNOTS]
+    assert len(large) >= 10 and (xs.size, True) in spy.calls
+    assert all(large)

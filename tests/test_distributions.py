@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shockcop.distributions import (
+    _SORTED_LOOKUP_KNOTS,
     EfgmMargin,
     EfgmShock,
     Exponential,
@@ -395,6 +396,40 @@ def test_tabulated_quantile_array_galois_inequalities(case):
     tol = 0.0 if d.interpolation == "step" else 1e-12
     assert np.all(d.cdf_array(qs) >= us - tol)
     assert np.all(d.cdf_left_array(qs) <= us + tol)
+
+
+@st.composite
+def sized_tables_and_shuffled_points(draw):
+    """A step or linear table on either side of the sorted-lookup crossover, with
+    shuffled points (knots, between and beyond them, NaN) and shuffled levels
+    (knot levels included)."""
+    k = draw(st.sampled_from([1, 5, 20, _SORTED_LOOKUP_KNOTS - 1, _SORTED_LOOKUP_KNOTS, 400]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = np.cumsum(rng.integers(1, 4, k) * 0.5) - 3.0
+    ps = np.sort(rng.choice(np.concatenate((rng.random(k), [0.0, 0.5, 1.0])), k))
+    d = TabulatedCdf(xs, ps, draw(st.sampled_from(["step", "linear"])))
+    pool = np.concatenate((xs, rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, 50), [np.nan]))
+    points = rng.permutation(rng.choice(pool, draw(st.integers(2, 300))))
+    levels = np.concatenate((ps, rng.random(50)))
+    levels = rng.permutation(rng.choice(levels[(levels > 0.0) & (levels < 1.0)], 200))
+    return d, points, levels
+
+
+@given(sized_tables_and_shuffled_points())
+@settings(max_examples=150, deadline=None)
+def test_tabulated_lookups_of_shuffled_points_match_direct_lookups(case):
+    d, points, levels = case
+    for side, got in (("right", d.cdf_array(points)), ("left", d.cdf_left_array(points))):
+        if d.interpolation == "linear":
+            want = np.interp(points, d.xs, d.ps)
+        else:
+            idx = np.searchsorted(d.xs, points, side=side) - 1
+            want = np.where(idx < 0, 0.0, d.ps[np.maximum(idx, 0)])
+        assert got.tobytes() == want.tobytes()
+    sentinel = {POS_INF: np.inf, NEG_INF: -np.inf}
+    want = [reference_tabulated_quantile(d, float(u)) for u in levels]
+    want = np.array([sentinel.get(q, q) for q in want], dtype=float)
+    assert d._quantile_array(levels).tobytes() == want.tobytes()
 
 
 def test_quantile_array_rejects_boundary_levels():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shockcop.distributions import (
+    _SORTED_LOOKUP_KNOTS,
     EfgmMargin,
     Exponential,
     NegExponential,
@@ -63,6 +64,39 @@ def test_efgmhat_boundary_and_midpoint():
 def test_tabulated_interpolates_linearly():
     gen = TabulatedGenerator([0.0, 0.5, 1.0], [0.0, 0.4, 0.0], RMM)
     assert gen.value(0.25) == pytest.approx(0.2, abs=1e-15)
+
+
+@st.composite
+def tabulated_and_points(draw):
+    """A tabulated generator on either side of the sorted-lookup crossover and
+    repeated points (knots, NaN) that are shuffled, sorted either way, 0-d, 2-D
+    or empty."""
+    k = draw(st.sampled_from([2, 5, 20, _SORTED_LOOKUP_KNOTS - 1, _SORTED_LOOKUP_KNOTS, 3000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    us = np.unique(np.concatenate(([0.0, 1.0], rng.random(k - 2))))
+    gen = TabulatedGenerator(us, rng.normal(size=us.size), RMM)
+    pool = np.concatenate((us, rng.random(50), [np.nan]))
+    points = rng.choice(pool, draw(st.integers(0, 400)))
+    shape = draw(st.sampled_from(["shuffled", "ascending", "descending", "0-d", "2-D"]))
+    if shape == "ascending":
+        points = np.sort(points)
+    elif shape == "descending":
+        points = np.sort(points)[::-1]
+    elif shape == "0-d":
+        points = np.asarray(pool[draw(st.integers(0, pool.size - 1))])
+    elif shape == "2-D":
+        points = points[: points.size // 2 * 2].reshape(2, -1)
+    return gen, points
+
+
+@given(tabulated_and_points())
+@settings(max_examples=300, deadline=None)
+def test_tabulated_value_array_is_plain_interp(case):
+    gen, points = case
+    got = gen.value_array(points)
+    want = np.interp(points, gen.us, gen.values)
+    assert got.shape == np.shape(want)
+    assert got.tobytes() == np.asarray(want).tobytes()
 
 
 def test_value_rejects_out_of_range():

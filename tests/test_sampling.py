@@ -77,6 +77,26 @@ def test_average_ranks_handles_ties():
     np.testing.assert_allclose(ranks, [1.0, 2.5, 2.5, 4.0])
 
 
+def reference_average_ranks(x):
+    """Average ranks from ``np.unique``'s counts, which treat all NaNs as one value."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((ends - counts + 1 + ends) / 2.0)[inverse.ravel()]
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(-3, 3).map(float), st.sampled_from([np.nan, -0.0]), st.floats()),
+        min_size=1,
+        max_size=80,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_average_ranks_match_unique_counts(values):
+    x = np.array(values)
+    assert average_ranks(x).tobytes() == reference_average_ranks(x).tobytes()
+
+
 def test_empirical_copula_two_concordant_points():
     emp = EmpiricalCopula(np.array([[1.0, 1.0], [2.0, 2.0]]))
     assert emp.value(0.5, 0.5) == 0.5
@@ -111,7 +131,10 @@ def test_sup_distance_between_bounds_on_coarse_grid():
 def mask_definition(emp, us, vs):
     """The empirical copula by its definition, one boolean mask per query point."""
     us, vs = np.broadcast_arrays(np.asarray(us, dtype=float), np.asarray(vs, dtype=float))
-    out = [np.mean((emp.ru <= u) & (emp.rv <= v)) for u, v in zip(us.ravel(), vs.ravel())]
+    out = [
+        np.nan if np.isnan(u) or np.isnan(v) else np.mean((emp.ru <= u) & (emp.rv <= v))
+        for u, v in zip(us.ravel(), vs.ravel())
+    ]
     return np.array(out).reshape(us.shape)
 
 
@@ -121,7 +144,7 @@ def tied_sample_and_queries(draw):
     pairs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=60))
     n = len(pairs)
     level = st.one_of(
-        st.sampled_from([0.0, 1.0]),
+        st.sampled_from([0.0, 1.0, np.nan]),
         st.integers(0, 2 * n).map(lambda j: j / (2 * n)),
         st.floats(0.0, 1.0),
     )
@@ -134,13 +157,15 @@ def tied_sample_and_queries(draw):
 @settings(max_examples=200, deadline=None)
 def test_empirical_count_equals_mask_definition(case):
     emp, us, vs = case
-    # unsorted, repeated 1-D queries
+    # unsorted, repeated 1-D queries; beyond (n + m + 1)^(1/2) distinct levels a side
+    # they are counted in blocks
     np.testing.assert_array_equal(emp.value_array(us, vs), mask_definition(emp, us, vs))
     # a broadcast lattice
     lattice = emp.value_array(us[:, None], vs[None, :])
     np.testing.assert_array_equal(lattice, mask_definition(emp, us[:, None], vs[None, :]))
-    # scalar queries
-    assert emp.value(us[0], vs[0]) == mask_definition(emp, us[0], vs[0])
+    # scalar queries (the scalar API refuses NaN)
+    if not np.isnan(us[0] + vs[0]):
+        assert emp.value(us[0], vs[0]) == mask_definition(emp, us[0], vs[0])
 
 
 def test_empirical_count_of_scattered_queries_stays_small():
@@ -148,8 +173,11 @@ def test_empirical_count_of_scattered_queries_stays_small():
     # one block; blocking holds the table to n + m cells
     rng = np.random.default_rng(4)
     n, m = 1000, 20_000
-    emp = EmpiricalCopula(rng.random((n, 2)))
-    us, vs = rng.random(m), rng.random(m)
+    # tied pairs, and queries that hit average ranks exactly or are NaN
+    emp = EmpiricalCopula(rng.integers(0, 300, (n, 2)).astype(float))
+    us = np.where(rng.random(m) < 0.5, rng.random(m), rng.choice(emp.ru, m))
+    vs = np.where(rng.random(m) < 0.5, rng.random(m), rng.choice(emp.rv, m))
+    us[rng.random(m) < 0.01] = np.nan
     tracemalloc.start()
     try:
         got = emp.value_array(us, vs)
