@@ -10,6 +10,7 @@ recording the tool version, the descriptor, and the seed when one applies.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -34,19 +35,25 @@ from .sampling import (
     sup_distance_at,
     write_pairs_csv,
 )
+from .tables import write_table
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
+@contextlib.contextmanager
 def _open_out(path):
+    """Standard output for no path or ``-``; else the file, closed on exit."""
     if path in (None, "-"):
-        return sys.stdout, False
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", newline=""), True
+        fh = open(path, "w", newline="")
     except OSError as exc:
         raise _OutputError(f"cannot write {path}: {exc}") from exc
+    with fh:
+        yield fh
 
 
 class _OutputError(Exception):
@@ -62,18 +69,12 @@ def cmd_eval(args) -> int:
 
 def cmd_grid(args) -> int:
     c = parse_copula(args.copula)
-    fh, close = _open_out(args.out)
-    try:
-        fh.write(f"# shockcop={__version__} descriptor={c.describe()} n={args.n}\n")
-        fh.write("u,v,C\n")
-        us = np.linspace(0.0, 1.0, args.n + 1)
-        for u in us:
-            row = c.value_array(np.full(us.shape, u), us)
-            for v, val in zip(us, row):
-                fh.write(f"{float(u)!r},{float(v)!r},{float(val)!r}\n")
-    finally:
-        if close:
-            fh.close()
+    us = np.linspace(0.0, 1.0, args.n + 1)
+    uu, vv = np.meshgrid(us, us, indexing="ij")
+    values = c.value_array(uu, vv)
+    with _open_out(args.out) as fh:
+        comment = f"shockcop={__version__} descriptor={c.describe()} n={args.n}"
+        write_table(fh, comment, "u,v,C", (uu.ravel(), vv.ravel(), values.ravel()))
     return EXIT_OK
 
 
@@ -97,12 +98,8 @@ def cmd_check(args) -> int:
 def cmd_sample(args) -> int:
     model = parse_model(args.model)
     pairs = sample_model(model, args.n, args.seed)
-    fh, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as fh:
         write_pairs_csv(fh, pairs, kind="ranks" if args.ranks else "raw", version=__version__)
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
@@ -131,16 +128,10 @@ def cmd_reconstruct(args) -> int:
         return EXIT_CHECK_FAILED
     if args.out:
         xs = sm.support_grid([margin_u, margin_v], args.points)
-        fh, close = _open_out(args.out)
-        try:
-            fh.write(f"# shockcop={__version__} descriptor={c.describe()} reconstruction\n")
-            fh.write("x,f_x,f_y,g1,g2\n")
-            laws = (model.f_x, model.f_y, model.coupling.g1, model.coupling.g2)
-            columns = [xs.tolist(), *(law.cdf_array(xs).tolist() for law in laws)]
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
-        finally:
-            if close:
-                fh.close()
+        laws = (model.f_x, model.f_y, model.coupling.g1, model.coupling.g2)
+        with _open_out(args.out) as fh:
+            comment = f"shockcop={__version__} descriptor={c.describe()} reconstruction"
+            write_table(fh, comment, "x,f_x,f_y,g1,g2", [xs, *(law.cdf_array(xs) for law in laws)])
     return EXIT_OK
 
 
@@ -167,12 +158,8 @@ def _emit_report(report, args) -> None:
         print(report.render_text())
     out = getattr(args, "report_out", None)
     if out:
-        fh, close = _open_out(out)
-        try:
+        with _open_out(out) as fh:
             fh.write("\n".join(report.csv_rows()) + "\n")
-        finally:
-            if close:
-                fh.close()
 
 
 def build_parser() -> argparse.ArgumentParser:

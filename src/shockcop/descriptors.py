@@ -46,7 +46,7 @@ from .distributions import (
     negated,
     point_mass,
 )
-from .errors import DescriptorError, ShockcopError
+from .errors import DescriptorError, ShockcopError, TableFormatError
 from .generators import (
     ClosedFormGenerator,
     Generator,
@@ -56,6 +56,7 @@ from .generators import (
     TabulatedGenerator,
     _REFLECT_CLASS,
 )
+from .tables import read_table, write_table
 
 _WRAPPER = re.compile(r"^([a-z0-9-]+)\((.*)\)$")
 
@@ -216,42 +217,16 @@ def parse_generator(text: str, declared_class: GeneratorClass) -> Generator:
 
 def load_tabulated_generator(path, declared_class: GeneratorClass) -> TabulatedGenerator:
     """Load a generator table from CSV with header ``u,value``."""
-    import csv
-
-    from .errors import TableFormatError
-
-    us, values = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["u", "value"]:
-            raise TableFormatError(f"{path}: expected header 'u,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                us.append(float(row[0]))
-                values.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise TableFormatError(f"{path}:{lineno}: bad row {row!r}") from exc
-    return TabulatedGenerator(us, values, declared_class)
+    _, header, table = read_table(path)
+    if header is None or header[:2] != ["u", "value"]:
+        raise TableFormatError(f"{path}: expected header 'u,value'")
+    return TabulatedGenerator(table[:, 0], table[:, 1], declared_class)
 
 
 def write_tabulated_generator(target, gen: TabulatedGenerator, version: str = "") -> None:
-    close = False
-    if isinstance(target, (str, bytes)):
-        fh = open(target, "w", newline="")
-        close = True
-    else:
-        fh = target
-    try:
-        fh.write(f"# shockcop={version} generator={gen.describe()}\n")
-        fh.write("u,value\n")
-        for u, val in zip(gen.us, gen.values):
-            fh.write(f"{float(u)!r},{float(val)!r}\n")
-    finally:
-        if close:
-            fh.close()
+    """Write a ``u,value`` table that :func:`load_tabulated_generator` reads back to the bit."""
+    comment = f"shockcop={version} generator={gen.describe()}"
+    write_table(target, comment, "u,value", (gen.us, gen.values))
 
 
 GENERATOR_CLASS_NAMES = {

@@ -35,7 +35,6 @@ holds exactly and F stays below u a stopping width to the left.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from abc import ABC, abstractmethod
@@ -45,6 +44,7 @@ import numpy as np
 
 from .errors import MalformedCdfError, TableFormatError
 from .extreal import NEG_INF, POS_INF, ExtendedReal, _Infinity
+from .tables import read_table
 
 _QUANTILE_MAX_EXPAND = 200
 _QUANTILE_REL_TOL = 1e-14
@@ -345,6 +345,8 @@ class TabulatedCdf(DistributionFunction):
         ps = np.asarray(ps, dtype=float)
         if xs.ndim != 1 or xs.shape != ps.shape or xs.size == 0:
             raise TableFormatError("table needs matching, nonempty x and p columns")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ps))):
+            raise TableFormatError("table x and p values must be finite")
         if np.any(np.diff(xs) <= 0):
             raise TableFormatError("table x values must be strictly increasing")
         if np.any(np.diff(ps) < 0):
@@ -414,22 +416,11 @@ def point_mass(x0: float) -> TabulatedCdf:
 
 def load_tabulated_csv(path, interpolation: str = "step") -> TabulatedCdf:
     """Load a CDF table from CSV with header ``x,p`` and rows sorted by x."""
-    xs, ps = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["x", "p"]:
-            raise TableFormatError(f"{path}: expected header 'x,p'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                xs.append(float(row[0]))
-                ps.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise TableFormatError(f"{path}:{lineno}: bad row {row!r}") from exc
+    _, header, table = read_table(path)
+    if header is None or header[:2] != ["x", "p"]:
+        raise TableFormatError(f"{path}: expected header 'x,p'")
     try:
-        return TabulatedCdf(xs, ps, interpolation, source=str(path))
+        return TabulatedCdf(table[:, 0], table[:, 1], interpolation, source=str(path))
     except TableFormatError as exc:
         raise TableFormatError(f"{path}: {exc}") from exc
 
@@ -460,11 +451,6 @@ class EfgmMargin(DistributionFunction):
         inner = np.clip(xs, 0.0, 1.0)
         vals = (a + 1.0 - np.sqrt((a + 1.0) ** 2 - 4.0 * a * inner)) / (2.0 * a)
         return np.where(xs <= 0.0, 0.0, np.where(xs >= 1.0, 1.0, vals))
-
-    def pdf(self, x: float) -> float:
-        if 0.0 < x < 1.0:
-            return 1.0 / math.sqrt((self.a + 1.0) ** 2 - 4.0 * self.a * x)
-        return 0.0
 
     def _quantile_array(self, us):
         return np.where(us < 1.0, (self.a + 1.0) * us - self.a * us * us, 1.0)

@@ -10,7 +10,7 @@ class DescriptorError(ShockcopError, ValueError):
 
 
 class TableFormatError(ShockcopError, ValueError):
-    """A tabulated-CDF or tabulated-generator table violates its format contract."""
+    """A table file is unreadable or malformed (see :mod:`shockcop.tables`), or a table is invalid."""
 
 
 class GeneratorValidationError(ShockcopError):

@@ -223,12 +223,12 @@ class TabulatedGenerator(Generator):
         values = np.asarray(values, dtype=float)
         if us.ndim != 1 or us.shape != values.shape or us.size < 2:
             raise TableFormatError("tabulated generator needs matching u/value knots")
+        if not (np.all(np.isfinite(us)) and np.all(np.isfinite(values))):
+            raise TableFormatError("tabulated generator knots and values must be finite")
         if us[0] != 0.0 or us[-1] != 1.0:
             raise TableFormatError("tabulated generator knots must span [0,1]")
         if np.any(np.diff(us) <= 0):
             raise TableFormatError("tabulated generator knots must be strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise TableFormatError("tabulated generator values must be finite")
         self.us = us
         self.values = values
         self.declared_class = declared_class
@@ -529,6 +529,8 @@ def _check_monotone(condition, us, ys, direction, tol, violations):
 
 DEFAULT_RESOLUTION = 4096
 _IMAGE_ATOL = 1e-12
+_PRECHECK_POINTS = 512  # quantile levels of the margin-order precheck
+_PRECHECK_TOL = 1e-9
 
 
 def generator_from_shocks(
@@ -538,8 +540,6 @@ def generator_from_shocks(
     declared_class: GeneratorClass = GeneratorClass.MARSHALL,
     resolution: int = DEFAULT_RESOLUTION,
     margin_side: str = "below",
-    precheck_points: int = 512,
-    precheck_tol: float = 1e-9,
 ) -> TabulatedGenerator:
     """Tabulate u -> component(margin^{-1}(u)) with interpolation across image gaps.
 
@@ -556,7 +556,7 @@ def generator_from_shocks(
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
 
-    _check_margin_order(component, margin, margin_side, precheck_points, precheck_tol)
+    _check_margin_order(component, margin, margin_side)
 
     levels = np.linspace(0.0, 1.0, resolution + 1)
     # power-graded ladders refine both tails: uniform knots alone leave the
@@ -588,8 +588,8 @@ def generator_from_shocks(
     return TabulatedGenerator(us, values, declared_class)
 
 
-def _check_margin_order(component, margin, margin_side, points, tol):
-    levels = np.linspace(1e-6, 1.0 - 1e-6, points)
+def _check_margin_order(component, margin, margin_side):
+    levels = np.linspace(1e-6, 1.0 - 1e-6, _PRECHECK_POINTS)
     xs = np.unique(
         np.concatenate((margin.quantile_array(levels), np.asarray(margin.jump_points())))
     )
@@ -597,7 +597,7 @@ def _check_margin_order(component, margin, margin_side, points, tol):
     mvals = margin.cdf_array(xs)
     gap = mvals - cvals if margin_side == "below" else cvals - mvals
     worst = int(np.argmax(gap))
-    if gap[worst] > tol:
+    if gap[worst] > _PRECHECK_TOL:
         rel = "margin > component" if margin_side == "below" else "component > margin"
         raise ShockStructureError(
             f"{rel} by {gap[worst]:.3g} at x={xs[worst]:.6g} "

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copulas import Copula
-from .errors import TableFormatError
 from .shock_models import Combiner, Comonotonic, Countermonotonic, ShockModel
+from .tables import read_table, write_table
 
 _TINY = np.nextafter(0.0, 1.0)
 
@@ -204,65 +204,16 @@ def write_pairs_csv(target, s: SamplePairs, kind: str = "raw", version: str = ""
     """
     if kind not in ("raw", "ranks"):
         raise ValueError(f"kind must be 'raw' or 'ranks', got {kind!r}")
-    close = False
-    if isinstance(target, (str, bytes)):
-        fh = open(target, "w", newline="")
-        close = True
+    comment = f"shockcop={version} descriptor={s.descriptor} seed={s.seed} n={s.n} kind={kind}"
+    if kind == "raw":
+        write_table(target, comment, "u,v", s.pairs.T)
     else:
-        fh = target
-    try:
-        fh.write(
-            f"# shockcop={version} descriptor={s.descriptor} seed={s.seed} n={s.n} kind={kind}\n"
-        )
-        if kind == "raw":
-            fh.write("u,v\n")
-            data = s.pairs
-        else:
-            fh.write("ru,rv\n")
-            n = s.n
-            data = np.column_stack(
-                (average_ranks(s.pairs[:, 0]) / n, average_ranks(s.pairs[:, 1]) / n)
-            )
-        for row in data:
-            fh.write(f"{float(row[0])!r},{float(row[1])!r}\n")
-    finally:
-        if close:
-            fh.close()
+        write_table(target, comment, "ru,rv", [average_ranks(col) / s.n for col in s.pairs.T])
 
 
 def read_pairs_csv(source) -> SamplePairs:
-    """Read pairs written by :func:`write_pairs_csv`; header comment is optional."""
-    close = False
-    if isinstance(source, (str, bytes)):
-        fh = open(source, newline="")
-        close = True
-    else:
-        fh = source
-    try:
-        seed = -1
-        descriptor = "unknown"
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if token.startswith("seed="):
-                        seed = int(token[5:])
-                    elif token.startswith("descriptor="):
-                        descriptor = token[11:]
-                continue
-            if line[0].isalpha():  # header row
-                continue
-            parts = line.split(",")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except (IndexError, ValueError) as exc:
-                raise TableFormatError(f"bad sample row {line!r}") from exc
-        if not rows:
-            raise TableFormatError("sample file contains no data rows")
-        return SamplePairs(np.asarray(rows, dtype=float), seed=seed, descriptor=descriptor)
-    finally:
-        if close:
-            fh.close()
+    """Read pairs written by :func:`write_pairs_csv`; comment and header are optional."""
+    meta, _, pairs = read_table(source)
+    return SamplePairs(
+        pairs, seed=int(meta.get("seed", -1)), descriptor=meta.get("descriptor", "unknown")
+    )

@@ -415,7 +415,7 @@ class ChiShiftedCdf(DistributionFunction):
 # ---------------------------------------------------------------------------
 
 
-def support_grid(dists, n: int = 1001, pad: float = 0.0) -> np.ndarray:
+def support_grid(dists, n: int = 1001) -> np.ndarray:
     """Points spanning the union of effective supports (quantile 1e-6 .. 1-1e-6)."""
     levels = np.linspace(1e-6, 1.0 - 1e-6, n)
     pieces = [d.quantile_array(levels) for d in dists]
@@ -423,11 +423,7 @@ def support_grid(dists, n: int = 1001, pad: float = 0.0) -> np.ndarray:
         jumps = np.asarray(d.jump_points(), dtype=float)
         if jumps.size:
             pieces.append(jumps)
-    xs = np.unique(np.concatenate(pieces))
-    if pad > 0.0:
-        span = xs[-1] - xs[0] if xs[-1] > xs[0] else 1.0
-        xs = np.concatenate(([xs[0] - pad * span], xs, [xs[-1] + pad * span]))
-    return xs
+    return np.unique(np.concatenate(pieces))
 
 
 def _subsample(xs: np.ndarray, k: int) -> np.ndarray:

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +61,28 @@ def test_grid_writes_lattice(tmp_path, capsys):
     u, v, val = (float(t) for t in lines[2 + 5 * 11 + 5].split(","))
     code, out, _ = run(capsys, "eval", "exprmm-ab:alpha=0.1,beta=0.1", str(u), str(v))
     assert float(out) == pytest.approx(val, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "copula",
+    ["exprmm-ab:alpha=0.3,beta=0.6", "efgm:a=0.7", "frechet-w", "sigma1(survival(efgm:a=0.4))",
+     "rmm:f=twoparam:alpha=0.5,beta=0.5,g=power:alpha=0.9",
+     "smm:h=reflect(power:alpha=0.5),k=reflect(power:alpha=0.5)",
+     "maxmin:phi=capped:slope=2.0,psi=poly:c0=0.0,c1=0.0,c2=1.0"],
+)
+def test_grid_bytes_match_row_by_row_evaluation(tmp_path, capsys, copula):
+    from shockcop import __version__
+    from shockcop.descriptors import parse_copula
+
+    out_path = tmp_path / "g.csv"
+    assert run(capsys, "grid", copula, "--n", "20", "--out", str(out_path))[0] == 0
+    c = parse_copula(copula)
+    us = np.linspace(0.0, 1.0, 21)
+    want = [f"# shockcop={__version__} descriptor={c.describe()} n=20\n", "u,v,C\n"]
+    for u in us:
+        row = c.value_array(np.full(us.shape, u), us)
+        want += [f"{float(u)!r},{float(v)!r},{float(val)!r}\n" for v, val in zip(us, row)]
+    assert out_path.read_text() == "".join(want)
 
 
 def test_grid_unwritable_path_exits_1(capsys):
@@ -216,3 +241,32 @@ def test_usage_error_exits_2(capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "shockcop" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-empirical", "--against", "indep", "--in", "{missing}"],
+        ["sample", "marshall-max:fx=step:file={missing},fy=uniform,g1=uniform,g2=uniform",
+         "-n", "10", "--seed", "1"],
+        ["eval", "rmm:f=tabulated:file={missing},g=power:alpha=0.5", "0.5", "0.5"],
+    ],
+    ids=["check-empirical", "step", "tabulated"],
+)
+def test_missing_input_file_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing.csv")
+    code, _, err = run(capsys, *(a.replace("{missing}", missing) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert missing in err and "Traceback" not in err
+
+
+def test_missing_input_file_prints_no_traceback(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    missing = str(tmp_path / "missing.csv")
+    proc = subprocess.run(
+        [sys.executable, "-m", "shockcop.cli", "check-empirical", "--against", "indep", "--in", missing],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and missing in proc.stderr

@@ -451,6 +451,11 @@ def test_tabulated_rejects_bad_tables():
         TabulatedCdf([0.0, 1.0], [0.5, 0.2])
     with pytest.raises(TableFormatError):
         TabulatedCdf([0.0, 1.0], [0.5, 1.2])
+    # a NaN knot used to pass the order checks and give NaN quantiles
+    for xs, ps in (([0.0, np.nan, 2.0], [0.1, 0.5, 1.0]), ([0.0, 1.0], [np.nan, 1.0]),
+                   ([0.0, np.inf], [0.5, 1.0])):
+        with pytest.raises(TableFormatError, match="finite"):
+            TabulatedCdf(xs, ps)
 
 
 def test_csv_loader_round_trip(tmp_path):

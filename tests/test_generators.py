@@ -18,6 +18,7 @@ from shockcop.errors import (
     GeneratorKindError,
     GeneratorValidationError,
     ShockStructureError,
+    TableFormatError,
 )
 from shockcop.extreal import POS_INF
 from shockcop.generators import (
@@ -64,6 +65,12 @@ def test_efgmhat_boundary_and_midpoint():
 def test_tabulated_interpolates_linearly():
     gen = TabulatedGenerator([0.0, 0.5, 1.0], [0.0, 0.4, 0.0], RMM)
     assert gen.value(0.25) == pytest.approx(0.2, abs=1e-15)
+
+
+def test_tabulated_rejects_non_finite_knots_and_values():
+    for us, values in (([0.0, np.nan, 1.0], [0.0, 0.4, 0.0]), ([0.0, 0.5, 1.0], [0.0, np.inf, 0.0])):
+        with pytest.raises(TableFormatError, match="finite"):
+            TabulatedGenerator(us, values, RMM)
 
 
 @st.composite
