@@ -301,12 +301,7 @@ def parse_copula(text: str) -> cop.Copula:
 # shock models
 # ---------------------------------------------------------------------------
 
-_MODEL_PREFIXES = {
-    "marshall-max": (sm.Combiner.MAX_MAX, "comonotonic"),
-    "rmm-max": (sm.Combiner.MAX_MAX, "countermonotonic"),
-    "smm-min": (sm.Combiner.MIN_MIN, "countermonotonic"),
-    "maxmin-shared": (sm.Combiner.MAX_MIN, "shared"),
-}
+_MODEL_KINDS = {prefix: family for family, prefix in sm.MODEL_PREFIXES.items()}
 
 _COMBINER_NAMES = {c.value: c for c in sm.Combiner}
 
@@ -314,23 +309,15 @@ _COMBINER_NAMES = {c.value: c for c in sm.Combiner}
 def parse_model(text: str) -> sm.ShockModel:
     text = text.strip()
     head, body = _split_head(text)
-    if head not in _MODEL_PREFIXES:
+    if head not in _MODEL_KINDS:
         raise DescriptorError(f"unknown model kind {head!r} in {text!r}")
-    combiner, coupling_kind = _MODEL_PREFIXES[head]
-    names = {"fx", "fy", "combiner"} | ({"g"} if coupling_kind == "shared" else {"g1", "g2"})
-    fields = _parse_fields(body, names, text)
+    combiner, coupling_type = _MODEL_KINDS[head]
+    shock_names = ("g",) if coupling_type is sm.SharedShock else ("g1", "g2")
+    fields = _parse_fields(body, {"fx", "fy", "combiner", *shock_names}, text)
     fx_text, fy_text = _require(fields, ("fx", "fy"), text)
     f_x = parse_distribution(fx_text)
     f_y = parse_distribution(fy_text)
-    if coupling_kind == "shared":
-        (g_text,) = _require(fields, ("g",), text)
-        coupling: sm.Coupling = sm.SharedShock(parse_distribution(g_text))
-    else:
-        g1_text, g2_text = _require(fields, ("g1", "g2"), text)
-        shocks = (parse_distribution(g1_text), parse_distribution(g2_text))
-        coupling = (
-            sm.Comonotonic(*shocks) if coupling_kind == "comonotonic" else sm.Countermonotonic(*shocks)
-        )
+    coupling = coupling_type(*(parse_distribution(t) for t in _require(fields, shock_names, text)))
     if "combiner" in fields:
         override = fields["combiner"].strip().lower()
         if override not in _COMBINER_NAMES:

@@ -4,7 +4,8 @@ Sampling draws three uniform streams per run (one each for the X, Y, and
 systemic-shock coordinates) from counter-based Philox generators spawned off a
 single seed, so identical (model, n, seed) triples yield bit-identical output.
 The coupling is applied on the uniform scale: the comonotonic pair shares the
-systemic uniform Z, the countermonotonic pair uses Z and 1-Z.
+systemic uniform Z (a shared shock is inverted once), the countermonotonic
+pair uses Z and 1-Z.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copulas import Copula
-from .shock_models import Combiner, Comonotonic, Countermonotonic, ShockModel
-from .tables import read_table, write_table
+from .shock_models import Countermonotonic, ShockModel
+from .errors import TableFormatError
+from .tables import read_table, source_name, write_table
 
 _TINY = np.nextafter(0.0, 1.0)
 
@@ -43,21 +45,15 @@ def sample_model(m: ShockModel, n: int, seed: int) -> SamplePairs:
 
     x = m.f_x.quantile_array(ux)
     y = m.f_y.quantile_array(uy)
-    if isinstance(m.coupling, Comonotonic):
-        z1 = m.coupling.g1.quantile_array(uz)
-        z2 = m.coupling.g2.quantile_array(uz)
-    elif isinstance(m.coupling, Countermonotonic):
-        z1 = m.coupling.g1.quantile_array(uz)
-        z2 = m.coupling.g2.quantile_array(1.0 - uz)
+    g1, g2 = m.coupling.g1, m.coupling.g2
+    z1 = g1.quantile_array(uz)
+    if isinstance(m.coupling, Countermonotonic):
+        z2 = g2.quantile_array(1.0 - uz)
     else:
-        z1 = z2 = m.coupling.g.quantile_array(uz)
+        z2 = z1 if g2 is g1 else g2.quantile_array(uz)
 
-    if m.combiner is Combiner.MAX_MAX:
-        u, v = np.maximum(x, z1), np.maximum(y, z2)
-    elif m.combiner is Combiner.MIN_MIN:
-        u, v = np.minimum(x, z1), np.minimum(y, z2)
-    else:
-        u, v = np.maximum(x, z1), np.minimum(y, z2)
+    u_op, v_op = (np.maximum if is_max else np.minimum for is_max in m.combiner.maxes)
+    u, v = u_op(x, z1), v_op(y, z2)
     return SamplePairs(np.column_stack((u, v)), seed=seed, descriptor=m.describe())
 
 
@@ -214,6 +210,9 @@ def write_pairs_csv(target, s: SamplePairs, kind: str = "raw", version: str = ""
 def read_pairs_csv(source) -> SamplePairs:
     """Read pairs written by :func:`write_pairs_csv`; comment and header are optional."""
     meta, _, pairs = read_table(source)
-    return SamplePairs(
-        pairs, seed=int(meta.get("seed", -1)), descriptor=meta.get("descriptor", "unknown")
-    )
+    seed = meta.get("seed", "-1")
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise TableFormatError(f"{source_name(source)}: seed={seed!r} is not an integer") from None
+    return SamplePairs(pairs, seed=seed, descriptor=meta.get("descriptor", "unknown"))

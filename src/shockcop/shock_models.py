@@ -1,16 +1,21 @@
 """Stochastic shock mechanisms, their joint laws, induced copulas, and reconstructions.
 
-Four couplings of idiosyncratic shocks (X, Y) with systemic shocks are
-supported:
+One mechanism covers the four families.  Each coordinate takes the max or
+the min of its idiosyncratic shock and a systemic one, U = max-or-min(X, Z1)
+and V = max-or-min(Y, Z2), and the systemic pair (Z1, Z2) is comonotone or
+countermonotone.  A shared shock is the comonotone pair with equal laws.
 
-=============  ==================  ==========================================
-combiner       coupling            induced family
-=============  ==================  ==========================================
-max/max        comonotonic         Marshall: min{u psi(v), v phi(u)}
-max/max        countermonotonic    RMM: max{0, uv - f(u)g(v)}
-min/min        countermonotonic    SMM: max{u+v-1, uv - h(u)k(v)}
-max/min        one shared shock    maxmin: min{u, phi(u)(v-psi(v)) + u psi(v)}
-=============  ==================  ==========================================
+========  ======================  ============================================
+U, V      systemic pair           induced family
+========  ======================  ============================================
+max, max  comonotone              Marshall: min{u psi(v), v phi(u)}
+max, max  countermonotone         RMM: max{0, uv - f(u)g(v)}
+min, min  countermonotone         SMM: max{u+v-1, uv - h(u)k(v)}
+max, min  one shared shock        maxmin: min{u, phi(u)(v-psi(v)) + u psi(v)}
+========  ======================  ============================================
+
+``MODEL_PREFIXES`` holds these four (combiner, coupling type) pairs; no
+other pair is legal.
 
 ``induced_copula`` realizes the forward direction by composing each component
 CDF with the generalized inverse of its margin; the ``reconstruct_*``
@@ -61,6 +66,11 @@ class Combiner(enum.Enum):
     MIN_MIN = "min-min"
     MAX_MIN = "max-min"
 
+    @property
+    def maxes(self) -> tuple[bool, bool]:
+        """Per coordinate, U's first, whether it takes the max (else the min) of its two shocks."""
+        return tuple(op == "max" for op in self.value.split("-"))
+
 
 @dataclass(frozen=True)
 class Comonotonic:
@@ -74,18 +84,25 @@ class Countermonotonic:
     g2: DistributionFunction
 
 
-@dataclass(frozen=True)
-class SharedShock:
-    g: DistributionFunction
+class SharedShock(Comonotonic):
+    """One systemic shock read by both coordinates: the comonotone pair with g1 = g2 = g."""
+
+    def __init__(self, g: DistributionFunction):
+        super().__init__(g, g)
+
+    @property
+    def g(self) -> DistributionFunction:
+        return self.g1
 
 
-Coupling = Union[Comonotonic, Countermonotonic, SharedShock]
+Coupling = Union[Comonotonic, Countermonotonic]
 
-_LEGAL = {
-    (Combiner.MAX_MAX, Comonotonic),
-    (Combiner.MAX_MAX, Countermonotonic),
-    (Combiner.MIN_MIN, Countermonotonic),
-    (Combiner.MAX_MIN, SharedShock),
+# the four families: (combiner, coupling type) -> descriptor prefix
+MODEL_PREFIXES = {
+    (Combiner.MAX_MAX, Comonotonic): "marshall-max",
+    (Combiner.MAX_MAX, Countermonotonic): "rmm-max",
+    (Combiner.MIN_MIN, Countermonotonic): "smm-min",
+    (Combiner.MAX_MIN, SharedShock): "maxmin-shared",
 }
 
 
@@ -97,23 +114,19 @@ class ShockModel:
     combiner: Combiner
 
     def __post_init__(self):
-        if (self.combiner, type(self.coupling)) not in _LEGAL:
+        if (self.combiner, type(self.coupling)) not in MODEL_PREFIXES:
             raise IllegalModelError(
                 f"no supported family for combiner {self.combiner.value} with "
                 f"{type(self.coupling).__name__} coupling"
             )
 
     def describe(self) -> str:
-        if isinstance(self.coupling, SharedShock):
-            shocks = f"g={self.coupling.g.describe()}"
+        c = self.coupling
+        if isinstance(c, SharedShock):
+            shocks = f"g={c.g.describe()}"
         else:
-            shocks = f"g1={self.coupling.g1.describe()},g2={self.coupling.g2.describe()}"
-        prefix = {
-            (Combiner.MAX_MAX, Comonotonic): "marshall-max",
-            (Combiner.MAX_MAX, Countermonotonic): "rmm-max",
-            (Combiner.MIN_MIN, Countermonotonic): "smm-min",
-            (Combiner.MAX_MIN, SharedShock): "maxmin-shared",
-        }[(self.combiner, type(self.coupling))]
+            shocks = f"g1={c.g1.describe()},g2={c.g2.describe()}"
+        prefix = MODEL_PREFIXES[(self.combiner, type(c))]
         return f"{prefix}:fx={self.f_x.describe()},fy={self.f_y.describe()},{shocks}"
 
 
@@ -165,62 +178,67 @@ def exprmm_ab_model(alpha: float, beta: float) -> ShockModel:
 # ---------------------------------------------------------------------------
 
 
+def _coordinates(m: ShockModel):
+    """Per coordinate, U's first: whether it takes the max, its own law and its shock's law."""
+    return zip(m.combiner.maxes, (m.f_x, m.f_y), (m.coupling.g1, m.coupling.g2))
+
+
 def margins(m: ShockModel) -> tuple[DistributionFunction, DistributionFunction]:
     """Marginal CDFs of (U, V) under the model."""
-    if m.combiner is Combiner.MAX_MAX:
-        return Product(m.f_x, m.coupling.g1), Product(m.f_y, m.coupling.g2)
-    if m.combiner is Combiner.MIN_MIN:
-        return SurvivalProduct(m.f_x, m.coupling.g1), SurvivalProduct(m.f_y, m.coupling.g2)
-    return Product(m.f_x, m.coupling.g), SurvivalProduct(m.f_y, m.coupling.g)
+    return tuple((Product if is_max else SurvivalProduct)(f, g) for is_max, f, g in _coordinates(m))
+
+
+def _given_shock(is_max: bool, f):
+    """(a, b) with P[max-or-min(X, Z) <= t | Z] = a + b 1{Z <= t}, for f = F_X(t)."""
+    return (0.0, f) if is_max else (f, 1.0 - f)
 
 
 def joint_cdf(m: ShockModel, x, y):
     """P[U <= x, V <= y] in closed form, broadcast over array arguments.
 
-    Scalars, the POS_INF/NEG_INF sentinels included, give a float.
+    With ``_given_shock``'s (a, b) for each coordinate, H = a_u a_v + a_u b_v
+    G2 + b_u a_v G1 + b_u b_v C(G1, G2), where C is min for a comonotone pair
+    and max(0, G1 + G2 - 1) for a countermonotone one: a sum of nonnegative
+    terms.  Scalars, the POS_INF/NEG_INF sentinels included, give a float.
     """
-    fx, fy = cdf_values(m.f_x, x), cdf_values(m.f_y, y)
-    if isinstance(m.coupling, SharedShock):
-        gx, gy = cdf_values(m.coupling.g, x), cdf_values(m.coupling.g, y)
-        out = fx * (gx - (1.0 - fy) * np.maximum(0.0, gx - gy))
-    else:
-        g1, g2 = cdf_values(m.coupling.g1, x), cdf_values(m.coupling.g2, y)
-        if m.combiner is Combiner.MIN_MIN:
-            fu = 1.0 - (1.0 - fx) * (1.0 - g1)
-            fv = 1.0 - (1.0 - fy) * (1.0 - g2)
-            out = fu + fv - 1.0 + (1.0 - fx) * (1.0 - fy) * np.maximum(0.0, 1.0 - g1 - g2)
-        elif isinstance(m.coupling, Comonotonic):
-            out = fx * fy * np.minimum(g1, g2)
-        else:
-            out = fx * fy * np.maximum(0.0, g1 + g2 - 1.0)
+    u_max, v_max = m.combiner.maxes
+    a_u, b_u = _given_shock(u_max, cdf_values(m.f_x, x))
+    a_v, b_v = _given_shock(v_max, cdf_values(m.f_y, y))
+    g1, g2 = cdf_values(m.coupling.g1, x), cdf_values(m.coupling.g2, y)
+    comonotone = isinstance(m.coupling, Comonotonic)
+    shocks = np.minimum(g1, g2) if comonotone else np.maximum(0.0, g1 + g2 - 1.0)
+    out = a_u * a_v + a_u * b_v * g2 + b_u * a_v * g1 + b_u * b_v * shocks
     return out if np.ndim(out) else float(out)
 
 
 def induced_copula(m: ShockModel, resolution: int = 4096) -> cop.Copula:
-    """The copula of (U, V), built from tabulated generators and validated."""
-    f_u, f_v = margins(m)
-    if m.combiner is Combiner.MAX_MAX:
-        side_u = generator_from_shocks(m.f_x, f_u, resolution=resolution)
-        side_v = generator_from_shocks(m.f_y, f_v, resolution=resolution)
-        if isinstance(m.coupling, Comonotonic):
-            return cop.marshall(side_u, side_v)
+    """The copula of (U, V), built from tabulated generators and validated.
+
+    Each coordinate gives the generator F_X(F_U^{-1}) (F_Y(F_V^{-1}) for V).
+    A max puts the margin below its own law and gives a Marshall-class
+    generator; a min puts it above and gives a psi-class one.
+    """
+    side_u, side_v = (
+        generator_from_shocks(
+            f, margin, resolution=resolution,
+            margin_side="below" if is_max else "above",
+            declared_class=GeneratorClass.MARSHALL if is_max else GeneratorClass.MAXMIN_PSI,
+        )
+        for (is_max, f, _), margin in zip(_coordinates(m), margins(m))
+    )
+    if m.combiner is Combiner.MAX_MIN:
+        return cop.maxmin(side_u, side_v)
+    if m.combiner is Combiner.MIN_MIN:
+        # the max model of the negated pair has hat generators 1 - A(1-u) with
+        # A the min side; its survival copula is the SMM with h = id - A directly
+        return cop.smm(
+            identity_minus(side_u, GeneratorClass.SMM), identity_minus(side_v, GeneratorClass.SMM)
+        )
+    if isinstance(m.coupling, Countermonotonic):
         return cop.rmm(
             hat_to_f(side_u, GeneratorClass.RMM), hat_to_f(side_v, GeneratorClass.RMM)
         )
-    if m.combiner is Combiner.MIN_MIN:
-        # the max model of the negated pair has hat generators 1 - A(1-u) with
-        # A below; its survival copula is the SMM with h = id - A directly
-        a_u = generator_from_shocks(m.f_x, f_u, resolution=resolution, margin_side="above")
-        a_v = generator_from_shocks(m.f_y, f_v, resolution=resolution, margin_side="above")
-        return cop.smm(
-            identity_minus(a_u, GeneratorClass.SMM), identity_minus(a_v, GeneratorClass.SMM)
-        )
-    phi = generator_from_shocks(m.f_x, f_u, resolution=resolution)
-    psi = generator_from_shocks(
-        m.f_y, f_v, resolution=resolution, margin_side="above",
-        declared_class=GeneratorClass.MAXMIN_PSI,
-    )
-    return cop.maxmin(phi, psi)
+    return cop.marshall(side_u, side_v)
 
 
 # ---------------------------------------------------------------------------
@@ -230,27 +248,19 @@ def induced_copula(m: ShockModel, resolution: int = 4096) -> cop.Copula:
 
 @dataclass(frozen=True)
 class ChiMap:
-    """Increasing alignment map between the two margins' supports."""
+    """Increasing alignment map between the two margins' supports; ``forward``
+    and ``inverse`` take and return float arrays."""
 
-    forward: Callable[[float], float]
-    inverse: Callable[[float], float]
+    forward: Callable[[np.ndarray], np.ndarray]
+    inverse: Callable[[np.ndarray], np.ndarray]
     label: str = "identity"
 
 
-def _identity(x: float) -> float:
-    return x
+def _identity(xs: np.ndarray) -> np.ndarray:
+    return xs
 
 
 IDENTITY_CHI = ChiMap(_identity, _identity, "identity")
-
-
-def _map(fn: Callable[[float], float], xs) -> np.ndarray:
-    """A scalar map such as ``ChiMap.forward`` applied to each element of ``xs``;
-    the identity returns ``xs`` as it is."""
-    xs = np.asarray(xs, dtype=float)
-    if fn is _identity:
-        return xs
-    return np.array([fn(float(x)) for x in xs.ravel()]).reshape(xs.shape)
 
 
 class ComposedCdf(DistributionFunction):
@@ -369,7 +379,7 @@ class MarshallShockCdf(_BranchShockCdf):
         self.chi = chi
 
     def _u_at(self, xs):
-        return _map(self.chi.forward, xs)
+        return self.chi.forward(xs)
 
     def _values(self, fu, fv):
         on_v = fu == 0.0
@@ -394,17 +404,18 @@ class ChiShiftedCdf(DistributionFunction):
         self.chi = chi
 
     def cdf_array(self, xs):
-        return self.inner.cdf_array(_map(self.chi.inverse, xs))
+        return self.inner.cdf_array(self.chi.inverse(np.asarray(xs, dtype=float)))
 
     def cdf_left_array(self, xs):
-        return self.inner.cdf_left_array(_map(self.chi.inverse, xs))
+        return self.inner.cdf_left_array(self.chi.inverse(np.asarray(xs, dtype=float)))
 
     def jump_points(self):
-        return tuple(sorted(self.chi.forward(j) for j in self.inner.jump_points()))
+        jumps = np.asarray(self.inner.jump_points(), dtype=float)
+        return tuple(np.sort(self.chi.forward(jumps)).tolist())
 
     def support_hint(self):
-        lo, hi = self.inner.support_hint()
-        return tuple(sorted((self.chi.forward(lo), self.chi.forward(hi))))
+        lo, hi = np.sort(self.chi.forward(np.array(self.inner.support_hint(), dtype=float)))
+        return float(lo), float(hi)
 
     def describe(self) -> str:
         return f"chi-shifted({self.inner.describe()})"
@@ -498,10 +509,10 @@ def audit_reconstruction(
     """Audit a model reconstructed from ``c`` and the margins on the grid ``xs``.
 
     In order: the model's margins equal the given ones (within ``tol``); each
-    component CDF is nondecreasing; F_U lies below both f_x and g1 (max-max)
-    or above both (min-min); the joint CDF equals the Sklar join of ``c`` on
-    a 21-point subgrid (within ``tol``).  The check ids are in the module
-    docstring.
+    component CDF is nondecreasing; F_U lies below both f_x and g1 if U takes
+    the max, above both if the min; the joint CDF equals the Sklar join of
+    ``c`` on a 21-point subgrid (within ``tol``).  The check ids are in the
+    module docstring.
     """
     got_u, got_v = margins(model)
     fu, fv, zeros = margin_u.cdf_array(xs), margin_v.cdf_array(xs), np.zeros_like(xs)
@@ -516,11 +527,9 @@ def audit_reconstruction(
         drop = np.maximum(0.0, -np.diff(vals, append=vals[-1]))
         results.append(_worst(f"{label}-nondecreasing", drop, xs, zeros, _SHAPE_TOL))
 
-    if model.combiner is not Combiner.MAX_MIN:
-        fx, g1 = values["f-x"], values["g1"]
-        below = model.combiner is Combiner.MAX_MAX
-        envelope = np.maximum(0.0, fu - np.minimum(fx, g1) if below else np.maximum(fx, g1) - fu)
-        results.append(_worst("shock-margin-envelope", envelope, xs, zeros, _SHAPE_TOL))
+    fx, g1, below = values["f-x"], values["g1"], model.combiner.maxes[0]
+    envelope = np.maximum(0.0, fu - np.minimum(fx, g1) if below else np.maximum(fx, g1) - fu)
+    results.append(_worst("shock-margin-envelope", envelope, xs, zeros, _SHAPE_TOL))
 
     sub = _subsample(xs, 21)
     join = cop.sklar_join(c, margin_u, margin_v)
@@ -591,7 +600,7 @@ def _marshall_shocks(c, margin_u, margin_v, xs, chi, tol) -> ShockModel:
     phi, psi = c.phi, c.psi
 
     # alignment of the star ratios wherever both composed margins are positive
-    fu, fv = margin_u.cdf_array(_map(chi.forward, xs)), margin_v.cdf_array(xs)
+    fu, fv = margin_u.cdf_array(chi.forward(xs)), margin_v.cdf_array(xs)
     both = (fu > 0.0) & (fv > 0.0)
     fu, fv, at = fu[both], fv[both], xs[both]
     left, right = phi.value_array(fu) / fu, psi.value_array(fv) / fv
@@ -715,14 +724,5 @@ def _smm_shocks(c, margin_u, margin_v) -> ShockModel:
 
 
 def reconstruct(c: cop.Copula, margin_u, margin_v, **kwargs) -> ShockModel:
-    """Dispatch reconstruction on the (normalized) family of the copula."""
-    c = cop.normalize(c)
-    if isinstance(c, cop.MarshallCopula):
-        return reconstruct_marshall(c, margin_u, margin_v, **kwargs)
-    if isinstance(c, cop.RmmCopula):
-        return reconstruct_rmm(c, margin_u, margin_v, **kwargs)
-    if isinstance(c, cop.SmmCopula):
-        return reconstruct_smm(c, margin_u, margin_v, **kwargs)
-    raise ReconstructionError(
-        "family", f"no reconstruction is defined for {c.describe()}"
-    )
+    """Reconstruct the (normalized) copula's family and raise from the audit's first failure."""
+    return _passed(*audited_reconstruction(cop.normalize(c), margin_u, margin_v, **kwargs))

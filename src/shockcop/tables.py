@@ -46,7 +46,7 @@ def write_table(target, comment: str, header: str, columns) -> None:
 def read_table(source) -> tuple[dict[str, str], list[str] | None, np.ndarray]:
     """The comments' ``key=value`` tokens, the header's field names (None without
     a header) and the rows' first two fields as an (n, 2) float array."""
-    name = os.fsdecode(source) if _is_path(source) else getattr(source, "name", "<stream>")
+    name = source_name(source)
     meta: dict[str, str] = {}
     header = None
     values = array.array("d")  # the rows' fields, flat
@@ -80,6 +80,11 @@ def read_table(source) -> tuple[dict[str, str], list[str] | None, np.ndarray]:
                 lineno += 1
         raise TableFormatError(f"{name}:{lineno}: value is not a finite number")
     return meta, header, table
+
+
+def source_name(source) -> str:
+    """How a message names ``source``: its path, or the handle's ``name`` if any."""
+    return os.fsdecode(source) if _is_path(source) else getattr(source, "name", "<stream>")
 
 
 def _is_path(target) -> bool:

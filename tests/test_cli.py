@@ -261,6 +261,15 @@ def test_missing_input_file_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert missing in err and "Traceback" not in err
 
 
+def test_non_integer_seed_exits_2_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("# seed=abc\nu,v\n0.1,0.2\n")
+    code, _, err = run(capsys, "check-empirical", "--against", "indep", "--in", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 def test_missing_input_file_prints_no_traceback(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     missing = str(tmp_path / "missing.csv")

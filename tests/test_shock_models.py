@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shockcop.copulas import (
     MarshallCopula,
@@ -30,6 +32,7 @@ from shockcop.generators import GeneratorClass, TabulatedGenerator, closed_form,
 from shockcop.sampling import sup_distance
 from shockcop.shock_models import (
     IDENTITY_CHI,
+    ChiMap,
     Combiner,
     Comonotonic,
     Countermonotonic,
@@ -37,6 +40,7 @@ from shockcop.shock_models import (
     RmmShockCdf,
     ShockModel,
     SharedShock,
+    audited_reconstruction,
     exponential_rmm_model,
     exprmm_ab_model,
     induced_copula,
@@ -195,15 +199,48 @@ def test_array_joint_cdf_equals_scalar_formula(family):
 def test_scalar_joint_formula_equals_lattice_entry_exactly():
     from shockcop.extreal import NEG_INF
 
-    # the scalar component CDFs are the array path at one point, so the scalar
-    # formula reproduces each lattice entry to the bit, tiny negative joints included
+    # a scalar call is the array path at one point, so it reproduces each lattice
+    # entry to the bit; the joint law is a sum of nonnegative terms, so it is exactly
+    # 0 where the per-family formula cancels to a tiny negative number
     model = FOUR_FAMILIES["smm"]()
     xs, ys = np.array([0.3, 2.5]), np.array([-np.inf, 0.0, 0.7, 3.0])
     lattice = joint_cdf(model, xs[:, None], ys[None, :])
-    assert scalar_joint_cdf(model, 2.5, NEG_INF) == lattice[1, 0] < 0.0
+    assert scalar_joint_cdf(model, 2.5, NEG_INF) < 0.0
+    assert joint_cdf(model, 2.5, NEG_INF) == lattice[1, 0] == 0.0
     for i, x in enumerate(xs.tolist()):
         for j, y in enumerate(ys.tolist()):
-            assert scalar_joint_cdf(model, x, NEG_INF if y == -np.inf else y) == lattice[i, j]
+            y = NEG_INF if y == -np.inf else y
+            assert joint_cdf(model, x, y) == lattice[i, j]
+            assert lattice[i, j] == pytest.approx(scalar_joint_cdf(model, x, y), abs=1e-15)
+
+
+_LAWS = st.one_of(
+    st.floats(0.1, 5.0).map(Exponential),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(0.1, 3.0)).map(lambda t: Uniform(t[0], t[0] + t[1])),
+)
+_BUILDERS = {
+    "marshall": marshall_model,
+    "rmm": rmm_model,
+    "smm": smm_model,
+    "maxmin": lambda f_x, f_y, g1, g2: maxmin_model(f_x, f_y, g1),
+}
+
+
+@given(
+    st.sampled_from(sorted(_BUILDERS)),
+    st.tuples(_LAWS, _LAWS, _LAWS, _LAWS),
+    st.lists(st.floats(-2.0, 8.0), min_size=1, max_size=30),
+)
+@settings(max_examples=200, deadline=None)
+def test_joint_law_lies_between_zero_and_both_margins(family, laws, points):
+    model = _BUILDERS[family](*laws)
+    xs = np.concatenate(([-np.inf, np.inf], points))
+    h = joint_cdf(model, xs[:, None], xs[None, :])
+    f_u, f_v = (margin.cdf_array(xs) for margin in margins(model))
+    assert np.all(h >= 0.0)
+    assert np.all(h <= np.minimum(f_u[:, None], f_v[None, :]) + 4e-16)
+    np.testing.assert_allclose(h[:, 1], f_u, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(h[1, :], f_v, rtol=0.0, atol=1e-14)
 
 
 def test_join_cdf_broadcasts_and_keeps_scalars():
@@ -356,6 +393,19 @@ def test_marshall_alignment_witness_is_first_violating_grid_point():
     assert str(err.value) == (
         f"alignment: phi-star({fu:.6g})={left:.6g} != psi-star({fv:.6g})={right:.6g}"
     )
+
+
+def test_marshall_reconstruction_through_an_array_chi():
+    # U on [1, 3] and V on [0, 1] align only through chi(x) = 2x + 1
+    c = marshall(capped_gen(), capped_gen())
+    margin_u = Uniform(1.0, 3.0)
+    with pytest.raises(ReconstructionError) as err:
+        audited_reconstruction(c, margin_u, U)
+    assert err.value.assumption == "alignment"
+    chi = ChiMap(lambda x: 2.0 * x + 1.0, lambda y: (y - 1.0) / 2.0, "affine")
+    model, report = audited_reconstruction(c, margin_u, U, chi=chi)
+    assert report.passed and len(report.results) == 8
+    assert grid_joint_gap(model, c) <= 1e-9
 
 
 def test_marshall_reconstruction_joint_identity():

@@ -114,6 +114,13 @@ def test_missing_file_is_a_table_error_naming_the_path(tmp_path, read):
         read(path)
 
 
+def test_non_integer_seed_is_a_table_error_naming_the_file(tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text("# seed=abc\nu,v\n0.1,0.2\n")
+    with pytest.raises(TableFormatError, match=f"^{re.escape(str(path))}: seed='abc'"):
+        read_pairs_csv(path)
+
+
 def test_headers_of_knot_tables_are_required(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("0.0,0.4\n1.0,1.0\n")
