@@ -90,9 +90,6 @@ from .shock_models import (
     marshall_model,
     maxmin_model,
     reconstruct,
-    reconstruct_marshall,
-    reconstruct_rmm,
-    reconstruct_smm,
     rmm_model,
     smm_model,
 )

@@ -139,8 +139,8 @@ def check_reconstruction(
 ) -> CheckSuiteReport:
     """Run the family's reconstruction and return its audit report.
 
-    This is the report ``shock_models.audit_reconstruction`` builds and the
-    ``reconstruct_*`` functions raise from: ``margin-u-factorization``,
+    This is the report ``shock_models.audit_reconstruction`` builds and
+    ``shock_models.reconstruct`` raises from: ``margin-u-factorization``,
     ``margin-v-factorization``, ``f-x-nondecreasing``, ``f-y-nondecreasing``,
     ``g1-nondecreasing``, ``g2-nondecreasing``, ``shock-margin-envelope``
     and ``joint-law``.  A failed hypothesis gives the single result

@@ -18,15 +18,9 @@ import numpy as np
 from . import __version__
 from . import checks
 from . import shock_models as sm
-from .descriptors import (
-    GENERATOR_CLASS_NAMES,
-    parse_copula,
-    parse_distribution,
-    parse_generator,
-    parse_model,
-)
+from .descriptors import parse_copula, parse_distribution, parse_generator, parse_model
 from .errors import IllegalModelError, ReconstructionError, ShockcopError
-from .generators import validate
+from .generators import GeneratorClass, validate
 from .sampling import (
     empirical_copula,
     read_pairs_csv,
@@ -79,8 +73,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_validate_gen(args) -> int:
-    cls = GENERATOR_CLASS_NAMES[args.cls]
-    gen = parse_generator(args.generator, cls)
+    gen = parse_generator(args.generator, GeneratorClass(args.cls))
     report = validate(gen, grid_size=args.grid, tol=args.tol)
     print(f"generator {gen.describe()} as {args.cls}: {report}")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -184,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-gen", help="validate a generator against a class")
     p.add_argument("generator")
-    p.add_argument("--class", dest="cls", choices=sorted(GENERATOR_CLASS_NAMES), required=True)
+    p.add_argument("--class", dest="cls", choices=sorted(c.value for c in GeneratorClass), required=True)
     p.add_argument("--grid", type=int, default=1001)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(fn=cmd_validate_gen)

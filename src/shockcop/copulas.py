@@ -105,76 +105,83 @@ class Independence(Copula):
         return "indep"
 
 
-class MarshallCopula(Copula):
+class ShockCopula(Copula):
+    """A copula family of two generators, declared by its descriptor ``name``
+    and its two (slot attribute, generator class) pairs; the generators are
+    reachable as those attributes (``phi``/``psi``, ``f``/``g``, ``h``/``k``)."""
+
+    name: str
+    slots: tuple[tuple[str, GeneratorClass], tuple[str, GeneratorClass]]
+
+    def __init__(self, first: Generator, second: Generator):
+        for (slot, cls), gen in zip(self.slots, (first, second)):
+            if gen.declared_class is not cls:
+                raise GeneratorValidationError(
+                    f"slot {slot} needs a {cls.value} generator, got {gen.declared_class.value}"
+                )
+            setattr(self, slot, gen)
+
+    @classmethod
+    def build(cls, first: Generator, second: Generator) -> "ShockCopula":
+        """The copula, after each generator passes ``validate`` for its declared class."""
+        for (slot, _), gen in zip(cls.slots, (first, second)):
+            report = validate(gen)
+            if not report.passed:
+                raise GeneratorValidationError(
+                    f"generator for slot {slot} ({gen.describe()}) failed validation: "
+                    + "; ".join(str(v) for v in report.violations),
+                    report=report,
+                )
+        return cls(first, second)
+
+    def describe(self) -> str:
+        args = ",".join(f"{slot}={getattr(self, slot).describe()}" for slot, _ in self.slots)
+        return f"{self.name}:{args}"
+
+
+class MarshallCopula(ShockCopula):
     """min{u*psi(v), v*phi(u)} from a max/max model with comonotonic shocks."""
 
-    def __init__(self, phi: Generator, psi: Generator):
-        _expect_class(phi, GeneratorClass.MARSHALL, "phi")
-        _expect_class(psi, GeneratorClass.MARSHALL, "psi")
-        self.phi = phi
-        self.psi = psi
+    name = "marshall"
+    slots = (("phi", GeneratorClass.MARSHALL), ("psi", GeneratorClass.MARSHALL))
 
     def _eval(self, u, v):
         return np.minimum(u * self.psi._eval(v), v * self.phi._eval(u))
 
-    def describe(self) -> str:
-        return f"marshall:phi={self.phi.describe()},psi={self.psi.describe()}"
 
-
-class MaxminCopula(Copula):
+class MaxminCopula(ShockCopula):
     """min{u, phi(u)(v-psi(v)) + u*psi(v)} from a max/min model with one shared shock."""
 
-    def __init__(self, phi: Generator, psi: Generator):
-        _expect_class(phi, GeneratorClass.MARSHALL, "phi")
-        _expect_class(psi, GeneratorClass.MAXMIN_PSI, "psi")
-        self.phi = phi
-        self.psi = psi
+    name = "maxmin"
+    slots = (("phi", GeneratorClass.MARSHALL), ("psi", GeneratorClass.MAXMIN_PSI))
 
     def _eval(self, u, v):
         psi_v = self.psi._eval(v)
         return np.minimum(u, self.phi._eval(u) * (v - psi_v) + u * psi_v)
 
-    def describe(self) -> str:
-        return f"maxmin:phi={self.phi.describe()},psi={self.psi.describe()}"
 
-
-class RmmCopula(Copula):
+class RmmCopula(ShockCopula):
     """max{0, uv - f(u)g(v)} from a max/max model with countermonotonic shocks."""
 
-    def __init__(self, f: Generator, g: Generator):
-        _expect_class(f, GeneratorClass.RMM, "f")
-        _expect_class(g, GeneratorClass.RMM, "g")
-        self.f = f
-        self.g = g
+    name = "rmm"
+    slots = (("f", GeneratorClass.RMM), ("g", GeneratorClass.RMM))
 
     def _eval(self, u, v):
         return np.maximum(0.0, u * v - self.f._eval(u) * self.g._eval(v))
 
-    def describe(self) -> str:
-        return f"rmm:f={self.f.describe()},g={self.g.describe()}"
 
-
-class SmmCopula(Copula):
+class SmmCopula(ShockCopula):
     """max{u+v-1, uv - h(u)k(v)} from a min/min model with countermonotonic shocks."""
 
-    def __init__(self, h: Generator, k: Generator):
-        _expect_class(h, GeneratorClass.SMM, "h")
-        _expect_class(k, GeneratorClass.SMM, "k")
-        self.h = h
-        self.k = k
+    name = "smm"
+    slots = (("h", GeneratorClass.SMM), ("k", GeneratorClass.SMM))
 
     def _eval(self, u, v):
         return np.maximum(u + v - 1.0, u * v - self.h._eval(u) * self.k._eval(v))
 
-    def describe(self) -> str:
-        return f"smm:h={self.h.describe()},k={self.k.describe()}"
 
-
-def _expect_class(gen: Generator, cls: GeneratorClass, slot: str) -> None:
-    if gen.declared_class is not cls:
-        raise GeneratorValidationError(
-            f"slot {slot} needs a {cls.value} generator, got {gen.declared_class.value}"
-        )
+#: the four shock-copula families by descriptor name
+SHOCK_FAMILIES = {c.name: c for c in (MarshallCopula, MaxminCopula, RmmCopula, SmmCopula)}
 
 
 # ---------------------------------------------------------------------------
@@ -302,31 +309,10 @@ def sklar_join(c: Copula, margin_u: DistributionFunction, margin_v: Distribution
     return JointDistribution(c, margin_u, margin_v)
 
 
-def _validated(gen: Generator, slot: str) -> Generator:
-    report = validate(gen)
-    if not report.passed:
-        raise GeneratorValidationError(
-            f"generator for slot {slot} ({gen.describe()}) failed validation: "
-            + "; ".join(str(v) for v in report.violations),
-            report=report,
-        )
-    return gen
-
-
-def marshall(phi: Generator, psi: Generator) -> MarshallCopula:
-    return MarshallCopula(_validated(phi, "phi"), _validated(psi, "psi"))
-
-
-def maxmin(phi: Generator, psi: Generator) -> MaxminCopula:
-    return MaxminCopula(_validated(phi, "phi"), _validated(psi, "psi"))
-
-
-def rmm(f: Generator, g: Generator) -> RmmCopula:
-    return RmmCopula(_validated(f, "f"), _validated(g, "g"))
-
-
-def smm(h: Generator, k: Generator) -> SmmCopula:
-    return SmmCopula(_validated(h, "h"), _validated(k, "k"))
+marshall = MarshallCopula.build
+maxmin = MaxminCopula.build
+rmm = RmmCopula.build
+smm = SmmCopula.build
 
 
 def efgm(a: float) -> RmmCopula:

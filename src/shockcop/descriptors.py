@@ -48,13 +48,13 @@ from .distributions import (
 )
 from .errors import DescriptorError, ShockcopError, TableFormatError
 from .generators import (
+    CLASS_SPECS,
     ClosedFormGenerator,
     Generator,
     GeneratorClass,
     IdentityOffsetGenerator,
     ReflectedGenerator,
     TabulatedGenerator,
-    _REFLECT_CLASS,
 )
 from .tables import read_table, write_table
 
@@ -192,7 +192,7 @@ def parse_generator(text: str, declared_class: GeneratorClass) -> Generator:
         name, inner = wrapped.group(1), wrapped.group(2)
         if name == "reflect":
             return ReflectedGenerator(
-                parse_generator(inner, _REFLECT_CLASS[declared_class]), declared_class
+                parse_generator(inner, CLASS_SPECS[declared_class].reflected), declared_class
             )
         if name in _OFFSET_MODES:
             return IdentityOffsetGenerator(
@@ -229,32 +229,9 @@ def write_tabulated_generator(target, gen: TabulatedGenerator, version: str = ""
     write_table(target, comment, "u,value", (gen.us, gen.values))
 
 
-GENERATOR_CLASS_NAMES = {
-    "marshall": GeneratorClass.MARSHALL,
-    "maxmin-psi": GeneratorClass.MAXMIN_PSI,
-    "rmm": GeneratorClass.RMM,
-    "smm": GeneratorClass.SMM,
-}
-
-
 # ---------------------------------------------------------------------------
 # copulas
 # ---------------------------------------------------------------------------
-
-_GEN_SLOTS = {
-    "rmm": (("f", "g"), (GeneratorClass.RMM, GeneratorClass.RMM), cop.rmm),
-    "smm": (("h", "k"), (GeneratorClass.SMM, GeneratorClass.SMM), cop.smm),
-    "marshall": (
-        ("phi", "psi"),
-        (GeneratorClass.MARSHALL, GeneratorClass.MARSHALL),
-        cop.marshall,
-    ),
-    "maxmin": (
-        ("phi", "psi"),
-        (GeneratorClass.MARSHALL, GeneratorClass.MAXMIN_PSI),
-        cop.maxmin,
-    ),
-}
 
 
 def parse_copula(text: str) -> cop.Copula:
@@ -284,12 +261,11 @@ def parse_copula(text: str) -> cop.Copula:
         if head == "exprmm-ab":
             p = _float_params(body, text)
             return cop.exprmm_ab(p["alpha"], p["beta"])
-        if head in _GEN_SLOTS:
-            slots, classes, build = _GEN_SLOTS[head]
-            fields = _parse_fields(body, set(slots), text)
-            texts = _require(fields, slots, text)
-            gens = [parse_generator(t, c) for t, c in zip(texts, classes)]
-            return build(*gens)
+        if head in cop.SHOCK_FAMILIES:
+            family = cop.SHOCK_FAMILIES[head]
+            names = tuple(slot for slot, _ in family.slots)
+            texts = _require(_parse_fields(body, set(names), text), names, text)
+            return family.build(*(parse_generator(t, c) for t, (_, c) in zip(texts, family.slots)))
     except DescriptorError:
         raise
     except (KeyError, ShockcopError, ValueError) as exc:

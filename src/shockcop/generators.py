@@ -11,8 +11,9 @@ satisfy:
 * ``SMM``        : 0 at both ends, u-h(u) nondecreasing, h(u)/(1-u)
   nondecreasing on [0,1).
 
-``validate`` turns these into grid checks, ``derived_value`` exposes the
-auxiliary maps (star, hat, dagger...), and ``generator_from_shocks`` builds a
+``CLASS_SPECS`` writes each condition set once; ``validate`` turns it into
+grid checks, ``derived_value`` exposes the auxiliary maps of ``DERIVED_MAPS``
+(star, hat, dagger...), and ``generator_from_shocks`` builds a
 tabulated generator from a component CDF and a margin CDF by composing the
 component with the margin's generalized inverse and interpolating linearly
 across gaps in the margin's image.
@@ -21,8 +22,10 @@ across gaps in the margin's image.
 from __future__ import annotations
 
 import enum
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,15 +51,6 @@ class GeneratorClass(enum.Enum):
     MAXMIN_PSI = "maxmin-psi"
     RMM = "rmm"
     SMM = "smm"
-
-
-#: boundary values (at 0, at 1) required by each class
-_BOUNDARIES = {
-    GeneratorClass.MARSHALL: (0.0, 1.0),
-    GeneratorClass.MAXMIN_PSI: (0.0, 1.0),
-    GeneratorClass.RMM: (0.0, 0.0),
-    GeneratorClass.SMM: (0.0, 0.0),
-}
 
 
 class Generator(ABC):
@@ -248,20 +242,12 @@ class TabulatedGenerator(Generator):
 # adapters
 # ---------------------------------------------------------------------------
 
-_REFLECT_CLASS = {
-    GeneratorClass.RMM: GeneratorClass.SMM,
-    GeneratorClass.SMM: GeneratorClass.RMM,
-    GeneratorClass.MARSHALL: GeneratorClass.MARSHALL,
-    GeneratorClass.MAXMIN_PSI: GeneratorClass.MAXMIN_PSI,
-}
-
-
 class ReflectedGenerator(Generator):
     """Evaluates the wrapped generator at 1-u."""
 
     def __init__(self, inner: Generator, declared_class: GeneratorClass | None = None):
         self.inner = inner
-        self.declared_class = declared_class or _REFLECT_CLASS[inner.declared_class]
+        self.declared_class = declared_class or CLASS_SPECS[inner.declared_class].reflected
 
     def _eval(self, u):
         return self.inner._eval(1.0 - u)
@@ -332,23 +318,23 @@ def identity_minus(g: Generator, declared_class: GeneratorClass) -> Generator:
 
 def rmm_to_smm(f: Generator) -> Generator:
     """h(u) = f(1-u); requires a valid RMM generator, returns a valid SMM one."""
-    _require_valid(f, GeneratorClass.RMM)
-    if isinstance(f, ReflectedGenerator) and f.inner.declared_class is GeneratorClass.SMM:
-        out = f.inner
-    else:
-        out = ReflectedGenerator(f, GeneratorClass.SMM)
-    _require_valid(out, GeneratorClass.SMM)
-    return out
+    return _reflect_valid(f, GeneratorClass.RMM)
 
 
 def smm_to_rmm(h: Generator) -> Generator:
     """f(u) = h(1-u); inverse of :func:`rmm_to_smm`, round-trip is exact."""
-    _require_valid(h, GeneratorClass.SMM)
-    if isinstance(h, ReflectedGenerator) and h.inner.declared_class is GeneratorClass.RMM:
-        out = h.inner
+    return _reflect_valid(h, GeneratorClass.SMM)
+
+
+def _reflect_valid(gen: Generator, source: GeneratorClass) -> Generator:
+    """gen(1-u) in the reflected class, unwrapping a reflection; both ends validated."""
+    target = CLASS_SPECS[source].reflected
+    _require_valid(gen, source)
+    if isinstance(gen, ReflectedGenerator) and gen.inner.declared_class is target:
+        out = gen.inner
     else:
-        out = ReflectedGenerator(h, GeneratorClass.RMM)
-    _require_valid(out, GeneratorClass.RMM)
+        out = ReflectedGenerator(gen, target)
+    _require_valid(out, target)
     return out
 
 
@@ -366,43 +352,101 @@ def _require_valid(gen: Generator, expected: GeneratorClass) -> None:
 
 
 # ---------------------------------------------------------------------------
-# derived functions
+# the class table: derived maps and condition sets
 # ---------------------------------------------------------------------------
 
-_KINDS_BY_CLASS = {
-    GeneratorClass.MARSHALL: {"star"},
-    GeneratorClass.MAXMIN_PSI: {"psi_star"},
-    GeneratorClass.RMM: {"star", "hat"},
-    GeneratorClass.SMM: {"dagger", "hat_dagger"},
+
+def _psi_star(f, u):
+    den = u - f
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den == 0.0, np.inf, np.divide(1.0 - f, den))
+
+
+@dataclass(frozen=True)
+class _DerivedMap:
+    """u -> fn(f(u), u), one formula for floats and arrays.
+
+    ``validate`` leaves out the grid point ``end``, where the map is undefined;
+    a ``limit`` map is f(u)/|u - end| and ``derived_value`` takes its one-sided
+    limit there.
+    """
+
+    fn: Callable
+    end: float = np.nan
+    limit: bool = False
+
+
+DERIVED_MAPS = {
+    "star": _DerivedMap(lambda f, u: f / u, end=0.0, limit=True),
+    "dagger": _DerivedMap(lambda f, u: f / (1.0 - u), end=1.0, limit=True),
+    "psi_star": _DerivedMap(_psi_star, end=1.0),  # +oo where psi(u) = u
+    "hat": _DerivedMap(lambda f, u: f + u),
+    "hat_dagger": _DerivedMap(lambda f, u: u - f),
+}
+_OWN_VALUES = _DerivedMap(lambda f, u: f)
+
+
+@dataclass(frozen=True)
+class ClassSpec:
+    """A generator class's condition set and its reflection.
+
+    ``ends`` are the values required at 0 and at 1.  Each rule is (condition
+    id, derived map, +1 nondecreasing or -1 nonincreasing), the map None
+    meaning the generator itself.  ``reflected`` is the class of u -> f(1-u);
+    ``notes`` name the conditions that ``validate`` does not enforce.
+    """
+
+    ends: tuple[float, float]
+    rules: tuple[tuple[str, str | None, int], ...]
+    reflected: GeneratorClass
+    notes: tuple[str, ...] = ()
+
+    @functools.cached_property
+    def kinds(self) -> set[str]:
+        """The derived maps defined for the class: those its rules read."""
+        return {kind for _, kind, _ in self.rules if kind is not None}
+
+
+CLASS_SPECS = {
+    GeneratorClass.MARSHALL: ClassSpec(
+        (0.0, 1.0),
+        (("nondecreasing", None, +1), ("star-nonincreasing", "star", -1)),
+        GeneratorClass.MARSHALL,
+    ),
+    GeneratorClass.MAXMIN_PSI: ClassSpec(
+        (0.0, 1.0),
+        (("nondecreasing", None, +1), ("psi-star-nonincreasing", "psi_star", -1)),
+        GeneratorClass.MAXMIN_PSI,
+    ),
+    GeneratorClass.RMM: ClassSpec(
+        (0.0, 0.0),
+        (("hat-nondecreasing", "hat", +1), ("star-nonincreasing", "star", -1)),
+        GeneratorClass.SMM,
+        ("literal zero-limit condition on f(u)/u at u=0 not enforced",),
+    ),
+    GeneratorClass.SMM: ClassSpec(
+        (0.0, 0.0),
+        (("hat-dagger-nondecreasing", "hat_dagger", +1), ("dagger-nondecreasing", "dagger", +1)),
+        GeneratorClass.RMM,
+        ("literal end condition on u-h(u) at u=1 not enforced",),
+    ),
 }
 
 
 def derived_value(gen: Generator, kind: str, u: float) -> ExtendedReal:
     """Evaluate a derived map; divergent one-sided limits come back as +oo."""
-    if kind not in _KINDS_BY_CLASS.get(gen.declared_class, ()):
+    if kind not in CLASS_SPECS[gen.declared_class].kinds:
         raise GeneratorKindError(
             f"derived kind {kind!r} is not defined for class {gen.declared_class.value}"
         )
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"argument must lie in [0,1], got {u}")
-    if kind == "hat":
-        return gen.value(u) + u
-    if kind == "hat_dagger":
-        return u - gen.value(u)
-    if kind == "star":
-        if u == 0.0:
-            return _one_sided_limit(lambda p: gen.value(p) / p)
-        return gen.value(u) / u
-    if kind == "dagger":
-        if u == 1.0:
-            return _one_sided_limit(lambda p: gen.value(1.0 - p) / p)
-        return gen.value(u) / (1.0 - u)
-    # psi_star
-    val = gen.value(u)
-    den = u - val
-    if den == 0.0:
-        return POS_INF
-    return (1.0 - val) / den
+    m = DERIVED_MAPS[kind]
+    if m.limit and u == m.end:
+        return _one_sided_limit(lambda p: gen.value(abs(m.end - p)) / p)
+    # the scalar value, not value_array: float and array powers may differ in the last bit
+    out = m.fn(gen.value(u), u)
+    return POS_INF if out == np.inf else float(out)
 
 
 def _one_sided_limit(ratio) -> ExtendedReal:
@@ -452,12 +496,6 @@ class ValidationReport:
         return "failed:\n  " + "\n  ".join(lines)
 
 
-_UNENFORCED_NOTES = {
-    GeneratorClass.RMM: ("literal zero-limit condition on f(u)/u at u=0 not enforced",),
-    GeneratorClass.SMM: ("literal end condition on u-h(u) at u=1 not enforced",),
-}
-
-
 def validate(gen: Generator, grid_size: int = DEFAULT_GRID, tol: float | None = None) -> ValidationReport:
     """Check the condition set of the generator's declared class on a uniform grid.
 
@@ -471,51 +509,31 @@ def validate(gen: Generator, grid_size: int = DEFAULT_GRID, tol: float | None = 
         tol = gen.grid_tol
     us = np.linspace(0.0, 1.0, grid_size)
     vals = gen.value_array(us)
-    cls = gen.declared_class
+    spec = CLASS_SPECS[gen.declared_class]
     violations: list[Violation] = []
 
     for cond, detail in gen.param_domain_violations():
         violations.append(Violation(f"{cond} ({detail})", float("nan"), float("nan"), float("nan")))
 
-    lo, hi = _BOUNDARIES[cls]
+    lo, hi = spec.ends
     if vals[0] != lo:
         violations.append(Violation("boundary-at-0", 0.0, float(vals[0]), 0.0))
     if vals[-1] != hi:
         violations.append(Violation("boundary-at-1", 1.0, float(vals[-1]), 0.0))
 
-    if cls in (GeneratorClass.MARSHALL, GeneratorClass.MAXMIN_PSI):
-        _check_monotone("nondecreasing", us, vals, +1, tol, violations)
-    if cls is GeneratorClass.MARSHALL:
-        star = vals[1:] / us[1:]
-        _check_monotone("star-nonincreasing", us[1:], star, -1, tol, violations)
-    elif cls is GeneratorClass.MAXMIN_PSI:
-        interior = us[:-1]  # psi_star lives on [0,1)
-        psi = vals[:-1]
-        den = interior - psi
-        with np.errstate(divide="ignore", invalid="ignore"):
-            star = np.where(den == 0.0, np.inf, (1.0 - psi) / den)
-        _check_monotone("psi-star-nonincreasing", interior, star, -1, tol, violations)
-    elif cls is GeneratorClass.RMM:
-        hat = vals + us
-        _check_monotone("hat-nondecreasing", us, hat, +1, tol, violations)
-        star = vals[1:] / us[1:]
-        _check_monotone("star-nonincreasing", us[1:], star, -1, tol, violations)
-    elif cls is GeneratorClass.SMM:
-        hat_dag = us - vals
-        _check_monotone("hat-dagger-nondecreasing", us, hat_dag, +1, tol, violations)
-        dag = vals[:-1] / (1.0 - us[:-1])
-        _check_monotone("dagger-nondecreasing", us[:-1], dag, +1, tol, violations)
+    for condition, kind, direction in spec.rules:
+        m = DERIVED_MAPS[kind] if kind else _OWN_VALUES
+        keep = slice(int(m.end == 0.0), grid_size - int(m.end == 1.0))
+        ys = m.fn(vals[keep], us[keep])
+        _check_monotone(condition, us[keep], ys, direction, tol, violations)
 
-    return ValidationReport(
-        passed=not violations,
-        violations=tuple(violations),
-        notes=_UNENFORCED_NOTES.get(cls, ()),
-    )
+    return ValidationReport(passed=not violations, violations=tuple(violations), notes=spec.notes)
 
 
 def _check_monotone(condition, us, ys, direction, tol, violations):
-    diffs = direction * np.diff(ys)
     # inf -> inf steps difference to nan; equal infinities do not violate
+    with np.errstate(invalid="ignore"):
+        diffs = direction * np.diff(ys)
     both_inf = np.isinf(ys[1:]) & np.isinf(ys[:-1])
     bad = (diffs < -tol) & ~(np.isnan(diffs) & both_inf)
     if bad.any():

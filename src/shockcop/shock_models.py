@@ -18,9 +18,9 @@ max, min  one shared shock        maxmin: min{u, phi(u)(v-psi(v)) + u psi(v)}
 other pair is legal.
 
 ``induced_copula`` realizes the forward direction by composing each component
-CDF with the generalized inverse of its margin; the ``reconstruct_*``
-functions invert a copula-plus-margins pair back into explicit shock CDFs.
-Each checks its hypotheses, builds the shocks, then runs one audit,
+CDF with the generalized inverse of its margin; ``reconstruct`` inverts a
+copula-plus-margins pair back into explicit shock CDFs.  It checks the
+family's hypotheses, builds the shocks, then runs one audit,
 ``audit_reconstruction``, and raises from its first failed check.  The audit's
 check ids, in order: ``margin-u-factorization``, ``margin-v-factorization``,
 ``f-x-nondecreasing``, ``f-y-nondecreasing``, ``g1-nondecreasing``,
@@ -524,7 +524,8 @@ def audit_reconstruction(
     components = [("f-x", model.f_x), ("f-y", model.f_y), *vars(model.coupling).items()]
     values = {label: dist.cdf_array(xs) for label, dist in components}
     for label, vals in values.items():
-        drop = np.maximum(0.0, -np.diff(vals, append=vals[-1]))
+        # v[i] - v[i+1], not -(v[i+1] - v[i]): a flat step gives +0.0, never -0.0
+        drop = np.maximum(0.0, vals - np.append(vals[1:], vals[-1]))
         results.append(_worst(f"{label}-nondecreasing", drop, xs, zeros, _SHAPE_TOL))
 
     fx, g1, below = values["f-x"], values["g1"], model.combiner.maxes[0]
@@ -552,8 +553,13 @@ def audited_reconstruction(
 ) -> tuple[ShockModel, CheckSuiteReport]:
     """Reconstruct a normalized Marshall, RMM or SMM copula and audit the model once.
 
-    A failed hypothesis raises ReconstructionError; the postconditions come
-    back as the ``audit_reconstruction`` report next to the model.
+    The family gives the model: Marshall a comonotonic max/max one (its
+    hypotheses: the star ratios align through ``chi``, a left endpoint, a
+    star divergence), RMM a countermonotonic max/max one and SMM a
+    countermonotonic min/min one (both need a common interior point of the
+    margins).  A failed hypothesis raises ReconstructionError; the
+    postconditions come back as the ``audit_reconstruction`` report next to
+    the model.
     """
     if not isinstance(c, (cop.MarshallCopula, cop.RmmCopula, cop.SmmCopula)):
         raise ReconstructionError("family", f"no reconstruction is defined for {c.describe()}")
@@ -565,35 +571,6 @@ def audited_reconstruction(
         build = _rmm_shocks if isinstance(c, cop.RmmCopula) else _smm_shocks
         model = build(c, margin_u, margin_v)
     return model, audit_reconstruction(model, c, margin_u, margin_v, xs, tol)
-
-
-def _passed(model: ShockModel, report: CheckSuiteReport) -> ShockModel:
-    """``model`` when its audit passed; otherwise raise from the first failed check."""
-    for r in report.results:
-        if not r.passed:
-            raise ReconstructionError(
-                r.check_id, f"audit worst {r.magnitude:.3e} at {r.witness}", witness=r.witness
-            )
-    return model
-
-
-def reconstruct_marshall(
-    c: cop.Copula,
-    margin_u: DistributionFunction,
-    margin_v: DistributionFunction,
-    chi: ChiMap | None = None,
-    grid_size: int = 1001,
-    tol: float = 1e-9,
-) -> ShockModel:
-    """Invert a Marshall copula plus margins into a comonotonic max/max model.
-
-    Checks the alignment, left-endpoint, and star-divergence assumptions on
-    the grid, builds the shocks, then runs ``audit_reconstruction`` once
-    (check ids in the module docstring) and raises from its first failure.
-    """
-    if not isinstance(c, cop.MarshallCopula):
-        raise ReconstructionError("family", f"expected a Marshall copula, got {c.describe()}")
-    return _passed(*audited_reconstruction(c, margin_u, margin_v, grid_size, tol, chi))
 
 
 def _marshall_shocks(c, margin_u, margin_v, xs, chi, tol) -> ShockModel:
@@ -656,24 +633,6 @@ def _check_star_divergence(label, gen, margin, xs):
     )
 
 
-def reconstruct_rmm(
-    c: cop.Copula,
-    margin_u: DistributionFunction,
-    margin_v: DistributionFunction,
-    grid_size: int = 1001,
-    tol: float = 1e-9,
-) -> ShockModel:
-    """Invert an RMM copula plus margins into a countermonotonic max/max model.
-
-    Checks that the margins share an interior point, builds the shocks, then
-    runs ``audit_reconstruction`` once (check ids in the module docstring)
-    and raises from its first failure.
-    """
-    if not isinstance(c, cop.RmmCopula):
-        raise ReconstructionError("family", f"expected an RMM copula, got {c.describe()}")
-    return _passed(*audited_reconstruction(c, margin_u, margin_v, grid_size, tol))
-
-
 def _rmm_shocks(c, margin_u, margin_v) -> ShockModel:
     f, g = c.f, c.g
     return rmm_model(
@@ -695,24 +654,6 @@ def _check_interior_point(margin_u, margin_v, xs):
         )
 
 
-def reconstruct_smm(
-    c: cop.Copula,
-    margin_u: DistributionFunction,
-    margin_v: DistributionFunction,
-    grid_size: int = 1001,
-    tol: float = 1e-9,
-) -> ShockModel:
-    """Invert an SMM copula plus margins into a countermonotonic min/min model.
-
-    Checks that the margins share an interior point, builds the shocks, then
-    runs ``audit_reconstruction`` once, on the min/min model (check ids in
-    the module docstring), and raises from its first failure.
-    """
-    if not isinstance(c, cop.SmmCopula):
-        raise ReconstructionError("family", f"expected an SMM copula, got {c.describe()}")
-    return _passed(*audited_reconstruction(c, margin_u, margin_v, grid_size, tol))
-
-
 def _smm_shocks(c, margin_u, margin_v) -> ShockModel:
     """Reduction: the negated pair has the survival copula, which is RMM with
     reflected generators; build that max/max model on the negated line and
@@ -723,6 +664,20 @@ def _smm_shocks(c, margin_u, margin_v) -> ShockModel:
     return smm_model(negated(neg.f_x), negated(neg.f_y), negated(g1), negated(g2))
 
 
-def reconstruct(c: cop.Copula, margin_u, margin_v, **kwargs) -> ShockModel:
-    """Reconstruct the (normalized) copula's family and raise from the audit's first failure."""
-    return _passed(*audited_reconstruction(cop.normalize(c), margin_u, margin_v, **kwargs))
+def reconstruct(
+    c: cop.Copula,
+    margin_u: DistributionFunction,
+    margin_v: DistributionFunction,
+    grid_size: int = 1001,
+    tol: float = 1e-9,
+    chi: ChiMap | None = None,
+) -> ShockModel:
+    """Reconstruct the (normalized) copula as ``audited_reconstruction`` does and
+    raise ReconstructionError from the audit's first failed check."""
+    model, report = audited_reconstruction(cop.normalize(c), margin_u, margin_v, grid_size, tol, chi)
+    for r in report.results:
+        if not r.passed:
+            raise ReconstructionError(
+                r.check_id, f"audit worst {r.magnitude:.3e} at {r.witness}", witness=r.witness
+            )
+    return model

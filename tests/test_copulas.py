@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,14 @@ def test_constructor_rejects_invalid_generator():
     bad = closed_form("twoparam", GeneratorClass.RMM, alpha=0.5, beta=0.3)
     with pytest.raises(GeneratorValidationError):
         rmm(bad, bad)
+
+
+def test_validating_an_identity_psi_warns_nothing():
+    # psi-star is +oo at every grid point of the identity: its steps are inf - inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = maxmin(capped2(), closed_form("identity", GeneratorClass.MAXMIN_PSI))
+    assert c.value(0.5, 0.5) == 0.25  # min{u, uv}: independence
 
 
 def test_constructor_rejects_wrong_class_tag():

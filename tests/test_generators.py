@@ -45,6 +45,10 @@ def power(alpha, cls=RMM):
     return closed_form("power", cls, alpha=alpha)
 
 
+def poly(cls, *coeffs):
+    return closed_form("poly", cls, **{f"c{i}": float(c) for i, c in enumerate(coeffs)})
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -154,6 +158,17 @@ def test_hat_and_dagger_maps():
     assert derived_value(h, "dagger", 0.5) == pytest.approx(h.value(0.5) / 0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("gen, kind, u, probe, offset", [
+    (power(0.3), "star", 0.25, 0.25, 0.25),
+    (power(0.3), "star", 0.5, 0.5, 0.5),
+    (closed_form("efgmf", RMM, a=0.7), "star", 0.0, 1e-12, 1e-12),
+    (poly(SMM, 0, 3, -3), "dagger", 1.0, 1.0 - 1e-12, 1e-12),
+], ids=["power-star-0.25", "power-star-0.5", "efgmf-star-at-0", "poly-dagger-at-1"])
+def test_derived_value_equals_its_scalar_definition(gen, kind, u, probe, offset):
+    # exact: the scalar value at the probe point over its distance to the map's pole
+    assert derived_value(gen, kind, u) == gen.value(probe) / offset
+
+
 def test_incompatible_kind_rejected():
     with pytest.raises(GeneratorKindError):
         derived_value(power(0.5), "psi_star", 0.5)
@@ -221,6 +236,21 @@ def test_rmm_generator_nonnegative_with_monotone_hat():
         vals = gen.value_array(us)
         assert np.all(vals >= -1e-12)
         assert np.all(np.diff(vals + us) >= -1e-12)
+
+
+@pytest.mark.parametrize("gen, condition", [
+    (TabulatedGenerator([0.0, 0.3, 0.6, 1.0], [0.0, 0.9, 0.5, 1.0], MARSHALL), "nondecreasing"),
+    (poly(MARSHALL, 0, 0, 1), "star-nonincreasing"),
+    (TabulatedGenerator([0.0, 0.5, 0.9, 1.0], [0.0, 0.1, 0.85, 1.0], PSI), "psi-star-nonincreasing"),
+    (poly(RMM, 0, 3, -3), "hat-nondecreasing"),
+    (poly(RMM, 0, 0, 1, -1), "star-nonincreasing"),
+    (poly(SMM, 0, 3, -3), "hat-dagger-nondecreasing"),
+    (poly(SMM, 0, 1, -2, 1), "dagger-nondecreasing"),
+], ids=lambda x: x if isinstance(x, str) else x.declared_class.value)
+def test_each_class_condition_is_reported(gen, condition):
+    report = validate(gen)
+    assert not report.passed
+    assert condition in [v.condition for v in report.violations]
 
 
 def test_validator_notes_flag_unenforced_literals():

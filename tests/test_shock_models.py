@@ -49,9 +49,6 @@ from shockcop.shock_models import (
     marshall_model,
     maxmin_model,
     reconstruct,
-    reconstruct_marshall,
-    reconstruct_rmm,
-    reconstruct_smm,
     rmm_model,
     smm_model,
     support_grid,
@@ -352,7 +349,7 @@ def capped_gen():
 
 def test_marshall_reconstruction_identity_generators():
     c = marshall(identity_gen(), identity_gen())
-    model = reconstruct_marshall(c, U, U)
+    model = reconstruct(c, U, U)
     assert model.combiner is Combiner.MAX_MAX
     g2 = model.coupling.g2
     for x in (0.25, 0.5, 1.0):
@@ -362,7 +359,7 @@ def test_marshall_reconstruction_identity_generators():
 
 def test_marshall_reconstruction_capped_generators():
     c = marshall(capped_gen(), capped_gen())
-    model = reconstruct_marshall(c, U, U)
+    model = reconstruct(c, U, U)
     assert model.coupling.g2.cdf(0.25) == pytest.approx(0.5, abs=1e-12)
     # factorization F_X * G1 = F_U on a grid
     xs = np.linspace(0.01, 0.99, 37)
@@ -373,7 +370,7 @@ def test_marshall_reconstruction_capped_generators():
 def test_marshall_reconstruction_alignment_violation():
     c = MarshallCopula(capped_gen(), identity_gen())  # mismatched star ratios
     with pytest.raises(ReconstructionError) as err:
-        reconstruct_marshall(c, U, U)
+        reconstruct(c, U, U)
     assert err.value.assumption == "alignment"
     assert err.value.witness is not None
 
@@ -381,7 +378,7 @@ def test_marshall_reconstruction_alignment_violation():
 def test_marshall_alignment_witness_is_first_violating_grid_point():
     c = MarshallCopula(capped_gen(), identity_gen())
     with pytest.raises(ReconstructionError) as err:
-        reconstruct_marshall(c, U, U, tol=1e-9)
+        reconstruct(c, U, U, tol=1e-9)
     # reference: the scalar scan over the reconstruction grid
     for x in support_grid([U, U], 1001):
         fu, fv = U.cdf(float(x)), U.cdf(float(x))
@@ -405,18 +402,21 @@ def test_marshall_reconstruction_through_an_array_chi():
     chi = ChiMap(lambda x: 2.0 * x + 1.0, lambda y: (y - 1.0) / 2.0, "affine")
     model, report = audited_reconstruction(c, margin_u, U, chi=chi)
     assert report.passed and len(report.results) == 8
+    # flat steps of the nondecreasing checks are +0.0, in the text and the CSV alike
+    assert not any(np.signbit(r.magnitude) for r in report.results)
+    assert "-0." not in report.render_text() + "\n".join(report.csv_rows())
     assert grid_joint_gap(model, c) <= 1e-9
 
 
 def test_marshall_reconstruction_joint_identity():
     c = marshall(capped_gen(), capped_gen())
-    model = reconstruct_marshall(c, U, U)
+    model = reconstruct(c, U, U)
     assert grid_joint_gap(model, c) <= 1e-9
 
 
 def test_marshall_reconstruction_margin_envelope():
     c = marshall(capped_gen(), capped_gen())
-    model = reconstruct_marshall(c, U, U)
+    model = reconstruct(c, U, U)
     xs = support_grid([U, U], 201)
     f_u, _ = margins(model)
     env = np.minimum(model.f_x.cdf_array(xs), model.coupling.g1.cdf_array(xs))
@@ -432,14 +432,14 @@ def test_rmm_reconstruction_independence():
     c = RmmCopula(
         closed_form("zero", GeneratorClass.RMM), closed_form("zero", GeneratorClass.RMM)
     )
-    model = reconstruct_rmm(c, U, U)
+    model = reconstruct(c, U, U)
     assert model.f_x.cdf(0.3) == pytest.approx(0.3, abs=1e-12)
     assert model.coupling.g1.cdf(0.5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rmm_reconstruction_efgm_closed_forms():
     a = 1.0
-    model = reconstruct_rmm(efgm(a), U, U)
+    model = reconstruct(efgm(a), U, U)
     # F_X(x) = (a+1)x - a x^2 and G1(x) = 1/(a+1-ax) on (0,1]
     assert model.f_x.cdf(0.5) == pytest.approx(0.75, abs=1e-12)
     assert model.coupling.g1.cdf(0.5) == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -448,7 +448,7 @@ def test_rmm_reconstruction_efgm_closed_forms():
 
 def test_rmm_reconstruction_native_margins_recovers_exponentials():
     margin = Product(Exponential(1.0), Exponential(1.0))
-    model = reconstruct_rmm(exprmm_ab(0.5, 0.5), margin, margin)
+    model = reconstruct(exprmm_ab(0.5, 0.5), margin, margin)
     ref = Exponential(1.0)
     for lvl in np.linspace(0.05, 0.95, 21):
         x = float(ref.quantile(float(lvl)))
@@ -523,19 +523,19 @@ def test_marshall_shock_cdf_raises_at_first_vanishing_point(side):
 def test_rmm_reconstruction_requires_interior_point():
     degenerate = point_mass(0.0)
     with pytest.raises(ReconstructionError) as err:
-        reconstruct_rmm(efgm(1.0), degenerate, degenerate)
+        reconstruct(efgm(1.0), degenerate, degenerate)
     assert err.value.assumption == "interior-point"
 
 
 def test_rmm_reconstruction_joint_identity_efgm():
-    model = reconstruct_rmm(efgm(0.5), U, U)
+    model = reconstruct(efgm(0.5), U, U)
     assert grid_joint_gap(model, efgm(0.5)) <= 1e-9
 
 
 def test_rmm_roundtrip_reinduces_original():
     for a in (0.5, 1.0):
         c = efgm(a)
-        model = reconstruct_rmm(c, U, U)
+        model = reconstruct(c, U, U)
         again = induced_copula(model, resolution=1 << 14)
         assert sup_distance(again, c, 11) <= 1e-6
 
@@ -549,7 +549,7 @@ def test_smm_reconstruction_zero_generators():
     c = SmmCopula(
         closed_form("zero", GeneratorClass.SMM), closed_form("zero", GeneratorClass.SMM)
     )
-    model = reconstruct_smm(c, U, U)
+    model = reconstruct(c, U, U)
     assert model.combiner is Combiner.MIN_MIN
     f_u, _ = margins(model)
     for x in np.linspace(0.05, 0.95, 13):
@@ -558,7 +558,7 @@ def test_smm_reconstruction_zero_generators():
 
 def test_smm_reconstruction_of_survival_efgm():
     c = normalize(survival(efgm(0.95)))
-    model = reconstruct_smm(c, U, U)
+    model = reconstruct(c, U, U)
     assert grid_joint_gap(model, c) <= 1e-9
 
 
@@ -566,7 +566,7 @@ def test_smm_reconstruction_from_sigma1_of_maxmin():
     base = MaxminCopula(capped_gen(), closed_form("poly", GeneratorClass.MAXMIN_PSI, c0=0.0, c1=0.0, c2=1.0))
     c = normalize(__import__("shockcop.copulas", fromlist=["reflect"]).reflect(base, "sigma1"))
     assert isinstance(c, SmmCopula)
-    model = reconstruct_smm(c, U, U)
+    model = reconstruct(c, U, U)
     assert grid_joint_gap(model, c) <= 1e-9
 
 
@@ -589,7 +589,7 @@ def test_smm_reconstruction_audits_once(monkeypatch):
 
     monkeypatch.setattr(sm, "audit_reconstruction", counted("audit", sm.audit_reconstruction))
     monkeypatch.setattr(sm, "_check_interior_point", counted("interior", sm._check_interior_point))
-    model = reconstruct_smm(normalize(survival(efgm(0.95))), U, U)
+    model = reconstruct(normalize(survival(efgm(0.95))), U, U)
     assert model.combiner is Combiner.MIN_MIN
     assert calls == {"audit": 1, "interior": 1}
 
@@ -600,7 +600,7 @@ def test_smm_reconstructed_model_samples_its_copula():
     from shockcop.sampling import empirical_copula, sample_model
 
     c = normalize(survival(efgm(0.95)))
-    model = reconstruct_smm(c, U, U)
+    model = reconstruct(c, U, U)
     emp = empirical_copula(sample_model(model, 200_000, seed=8))
     assert sup_distance(emp, c, 21) <= 0.01
 
