@@ -29,7 +29,7 @@ from .sampling import (
     sup_distance_at,
     write_pairs_csv,
 )
-from .tables import write_table
+from .tables import write_blocks, write_table
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -61,14 +61,19 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+_GRID_ROWS = 64  # lattice rows evaluated and written at a time: memory grows with n, not n^2
+
+
 def cmd_grid(args) -> int:
     c = parse_copula(args.copula)
     us = np.linspace(0.0, 1.0, args.n + 1)
-    uu, vv = np.meshgrid(us, us, indexing="ij")
-    values = c.value_array(uu, vv)
+    blocks = (
+        (np.repeat(rows, us.size), np.tile(us, rows.size), c.value_array(rows[:, None], us).ravel())
+        for rows in (us[i : i + _GRID_ROWS] for i in range(0, us.size, _GRID_ROWS))
+    )
     with _open_out(args.out) as fh:
         comment = f"shockcop={__version__} descriptor={c.describe()} n={args.n}"
-        write_table(fh, comment, "u,v,C", (uu.ravel(), vv.ravel(), values.ravel()))
+        write_blocks(fh, comment, "u,v,C", blocks)
     return EXIT_OK
 
 

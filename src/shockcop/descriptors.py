@@ -22,9 +22,12 @@ Grammar sketch::
               (an optional combiner=max-max|min-min|max-min field overrides the
                prefix's combiner, which can make the configuration illegal)
 
-Commas nested inside parentheses never split fields, and a comma-separated
-token that does not introduce a known field name continues the previous field,
-so generator parameters survive inside copula descriptors.
+Commas nested inside parentheses never split fields.  A comma-separated token
+that does not introduce a known field name continues the previous field if it
+holds no ``=`` (a comma in a file path) or if that field holds a
+``head:params`` descriptor (so generator parameters survive inside copula
+descriptors).  Any other unknown name, and a duplicate or a missing one, is an
+error that names it.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .generators import (
 from .tables import read_table, write_table
 
 _WRAPPER = re.compile(r"^([a-z0-9-]+)\((.*)\)$")
+_HAS_PARAMS = re.compile(r"\s*[a-z0-9-]+:")
 
 
 def split_top_level(text: str, sep: str = ",") -> list[str]:
@@ -84,9 +88,9 @@ def _split_head(text: str) -> tuple[str, str]:
     return head.strip(), body if sep else ""
 
 
-def _parse_fields(body: str, names: set[str], context: str) -> dict[str, str]:
-    """Group comma-separated tokens into named fields; unknown tokens continue
-    the previous field (they belong to a nested descriptor)."""
+def _parse_fields(body: str, names, context: str, optional=()) -> dict[str, str]:
+    """Group comma-separated tokens into the named fields, all required but the
+    ``optional``; the module docstring says where a token naming none goes."""
     fields: dict[str, str] = {}
     current = None
     for token in split_top_level(body):
@@ -97,18 +101,16 @@ def _parse_fields(body: str, names: set[str], context: str) -> dict[str, str]:
                 raise DescriptorError(f"{context}: duplicate field {key_l!r}")
             fields[key_l] = rest
             current = key_l
-        elif current is not None:
+        elif current is not None and (not eq or _HAS_PARAMS.match(fields[current])):
             fields[current] += "," + token
         else:
-            raise DescriptorError(f"{context}: expected one of {sorted(names)}, got {token!r}")
-    return fields
-
-
-def _require(fields: dict[str, str], names: tuple[str, ...], context: str) -> list[str]:
-    missing = [n for n in names if n not in fields]
+            raise DescriptorError(
+                f"{context}: unknown field {key.strip()!r}, expected one of {sorted(names)}"
+            )
+    missing = [n for n in names if n not in fields and n not in optional]
     if missing:
         raise DescriptorError(f"{context}: missing field(s) {missing}")
-    return [fields[n] for n in names]
+    return fields
 
 
 def _float(text: str, context: str) -> float:
@@ -124,15 +126,40 @@ def _float_params(body: str, context: str) -> dict[str, float]:
         return params
     for token in split_top_level(body):
         key, eq, rest = token.partition("=")
+        key = key.strip()
         if not eq:
             raise DescriptorError(f"{context}: expected k=v, got {token!r}")
-        params[key.strip()] = _float(rest, context)
+        if key in params:
+            raise DescriptorError(f"{context}: duplicate parameter {key!r}")
+        params[key] = _float(rest, context)
     return params
+
+
+def _build(family: str, make, defaults: dict, body: str, context: str):
+    """``make`` of a ``k=v`` body's values, each key one of ``defaults`` (name ->
+    default in call order, None if the body must give it)."""
+    params = _float_params(body, context)
+    required = {k for k, d in defaults.items() if d is None}
+    if not required <= set(params) <= set(defaults):
+        raise ValueError(f"{family} expects parameters {tuple(defaults)}, got {tuple(sorted(params))}")
+    return make(*(params.get(k, d) for k, d in defaults.items()))
 
 
 # ---------------------------------------------------------------------------
 # distributions
 # ---------------------------------------------------------------------------
+
+
+# family -> (constructor, {parameter: default, None if required})
+_DISTRIBUTION_FAMILIES = {
+    "uniform": (Uniform, {"a": 0.0, "b": 1.0}),
+    "exp": (Exponential, {"rate": None}),
+    "exponential": (Exponential, {"rate": None}),
+    "neg-exp": (NegExponential, {"rate": None}),
+    "efgm-margin": (EfgmMargin, {"a": None}),
+    "efgm-shock": (EfgmShock, {"a": None}),
+    "pointmass": (point_mass, {"x": None}),
+}
 
 
 def parse_distribution(text: str) -> DistributionFunction:
@@ -154,23 +181,10 @@ def parse_distribution(text: str) -> DistributionFunction:
 
     head, body = _split_head(text)
     try:
-        if head == "uniform":
-            params = _float_params(body, text)
-            return Uniform(params.pop("a", 0.0), params.pop("b", 1.0))
-        if head in ("exp", "exponential"):
-            return Exponential(_float_params(body, text)["rate"])
-        if head == "neg-exp":
-            return NegExponential(_float_params(body, text)["rate"])
-        if head == "efgm-margin":
-            return EfgmMargin(_float_params(body, text)["a"])
-        if head == "efgm-shock":
-            return EfgmShock(_float_params(body, text)["a"])
-        if head == "pointmass":
-            return point_mass(_float_params(body, text)["x"])
+        if head in _DISTRIBUTION_FAMILIES:
+            return _build(head, *_DISTRIBUTION_FAMILIES[head], body, text)
         if head in ("step", "linear"):
-            fields = _parse_fields(body, {"file"}, text)
-            (path,) = _require(fields, ("file",), text)
-            return load_tabulated_csv(path, head)
+            return load_tabulated_csv(_parse_fields(body, ("file",), text)["file"], head)
     except DescriptorError:
         raise
     except (KeyError, ShockcopError, ValueError) as exc:
@@ -203,11 +217,8 @@ def parse_generator(text: str, declared_class: GeneratorClass) -> Generator:
     head, body = _split_head(text)
     try:
         if head == "tabulated":
-            fields = _parse_fields(body, {"file"}, text)
-            (path,) = _require(fields, ("file",), text)
+            path = _parse_fields(body, ("file",), text)["file"]
             return load_tabulated_generator(path, declared_class)
-        if head == "poly":
-            return ClosedFormGenerator("poly", _float_params(body, text), declared_class)
         return ClosedFormGenerator(head, _float_params(body, text), declared_class)
     except DescriptorError:
         raise
@@ -234,6 +245,17 @@ def write_tabulated_generator(target, gen: TabulatedGenerator, version: str = ""
 # ---------------------------------------------------------------------------
 
 
+# family -> (constructor, {parameter: default, None if required}), as for distributions
+_COPULA_FAMILIES = {
+    "indep": (cop.independence, {}),
+    "frechet-w": (cop.frechet_w, {}),
+    "frechet-m": (cop.frechet_m, {}),
+    "efgm": (cop.efgm, {"a": None}),
+    "exprmm": (cop.exponential_rmm, dict.fromkeys(("l1", "l2", "m1", "m2"))),
+    "exprmm-ab": (cop.exprmm_ab, dict.fromkeys(("alpha", "beta"))),
+}
+
+
 def parse_copula(text: str) -> cop.Copula:
     text = text.strip()
     wrapped = _WRAPPER.match(text)
@@ -247,25 +269,12 @@ def parse_copula(text: str) -> cop.Copula:
 
     head, body = _split_head(text)
     try:
-        if head == "indep":
-            return cop.independence()
-        if head == "frechet-w":
-            return cop.frechet_w()
-        if head == "frechet-m":
-            return cop.frechet_m()
-        if head == "efgm":
-            return cop.efgm(_float_params(body, text)["a"])
-        if head == "exprmm":
-            p = _float_params(body, text)
-            return cop.exponential_rmm(p["l1"], p["l2"], p["m1"], p["m2"])
-        if head == "exprmm-ab":
-            p = _float_params(body, text)
-            return cop.exprmm_ab(p["alpha"], p["beta"])
+        if head in _COPULA_FAMILIES:
+            return _build(head, *_COPULA_FAMILIES[head], body, text)
         if head in cop.SHOCK_FAMILIES:
             family = cop.SHOCK_FAMILIES[head]
-            names = tuple(slot for slot, _ in family.slots)
-            texts = _require(_parse_fields(body, set(names), text), names, text)
-            return family.build(*(parse_generator(t, c) for t, (_, c) in zip(texts, family.slots)))
+            fields = _parse_fields(body, [slot for slot, _ in family.slots], text)
+            return family.build(*(parse_generator(fields[s], c) for s, c in family.slots))
     except DescriptorError:
         raise
     except (KeyError, ShockcopError, ValueError) as exc:
@@ -289,11 +298,10 @@ def parse_model(text: str) -> sm.ShockModel:
         raise DescriptorError(f"unknown model kind {head!r} in {text!r}")
     combiner, coupling_type = _MODEL_KINDS[head]
     shock_names = ("g",) if coupling_type is sm.SharedShock else ("g1", "g2")
-    fields = _parse_fields(body, {"fx", "fy", "combiner", *shock_names}, text)
-    fx_text, fy_text = _require(fields, ("fx", "fy"), text)
-    f_x = parse_distribution(fx_text)
-    f_y = parse_distribution(fy_text)
-    coupling = coupling_type(*(parse_distribution(t) for t in _require(fields, shock_names, text)))
+    names = ("fx", "fy", *shock_names, "combiner")
+    fields = _parse_fields(body, names, text, optional=("combiner",))
+    f_x, f_y = parse_distribution(fields["fx"]), parse_distribution(fields["fy"])
+    coupling = coupling_type(*(parse_distribution(fields[n]) for n in shock_names))
     if "combiner" in fields:
         override = fields["combiner"].strip().lower()
         if override not in _COMBINER_NAMES:

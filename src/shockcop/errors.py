@@ -1,4 +1,6 @@
-"""Semantic exception hierarchy. Public functions raise these, never bare ValueError."""
+"""Semantic exception hierarchy.  A plain ValueError marks an argument out of its
+range (a grid too small, an unknown mode); the CLI exits 2 on it and on every
+ShockcopError but ReconstructionError, which exits 1."""
 
 
 class ShockcopError(Exception):

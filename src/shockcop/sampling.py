@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copulas import Copula
-from .shock_models import Countermonotonic, ShockModel
+from .shock_models import Countermonotonic, ShockModel, _worst
 from .errors import TableFormatError
 from .tables import read_table, source_name, write_table
 
@@ -181,10 +181,10 @@ def sup_distance_at(a: Copula, b: Copula, grid: int = 21) -> tuple[float, tuple[
     if grid < 2:
         raise ValueError("grid must be at least 2")
     us = np.linspace(0.0, 1.0, grid)
-    uu, vv = np.meshgrid(us, us, indexing="ij")
+    uu, vv = us[:, None], us[None, :]
     gap = np.abs(a.value_array(uu, vv) - b.value_array(uu, vv))
-    idx = np.unravel_index(np.argmax(gap), gap.shape)
-    return float(gap[idx]), (float(uu[idx]), float(vv[idx]))
+    worst = _worst("sup-distance", gap, uu, vv, 0.0)
+    return worst.magnitude, worst.witness
 
 
 # ---------------------------------------------------------------------------

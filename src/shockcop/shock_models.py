@@ -489,18 +489,22 @@ class CheckSuiteReport:
         return rows
 
 
-def _worst(check_id, magnitudes, us, vs, tol) -> CheckResult:
-    idx = int(np.argmax(magnitudes))
-    mag = float(magnitudes[idx])
-    return CheckResult(check_id, mag <= tol, mag, (float(us[idx]), float(vs[idx])))
+def _worst(check_id, gaps, us, vs, tol) -> CheckResult:
+    """The result at the first largest gap in row-major order; a NaN gap counts as the
+    largest and fails, a negative largest gap reports 0.  ``us`` and ``vs`` have the
+    dimensions of ``gaps`` and broadcast to its shape: a length-1 axis reads index 0."""
+    at = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+    mag = float(gaps[at])
+    mag = 0.0 if mag <= 0.0 else mag  # not max(0.0, mag), which turns NaN into 0.0
+    u, v = (float(x[tuple(i if n > 1 else 0 for n, i in zip(x.shape, at))]) for x in (us, vs))
+    return CheckResult(check_id, mag <= tol, mag, (u, v))
 
 
 def joint_law_check(check_id: str, m: ShockModel, join, xs, ys, tol: float) -> CheckResult:
     """|joint_cdf(m) - join.cdf| on the xs-by-ys lattice in one broadcast evaluation,
     witnessed at the first maximum in row-major (x outer, y inner) order."""
-    gap = np.abs(joint_cdf(m, xs[:, None], ys[None, :]) - join.cdf(xs[:, None], ys[None, :]))
-    x, y = np.meshgrid(xs, ys, indexing="ij")
-    return _worst(check_id, gap.ravel(), x.ravel(), y.ravel(), tol)
+    xs, ys = xs[:, None], ys[None, :]
+    return _worst(check_id, np.abs(joint_cdf(m, xs, ys) - join.cdf(xs, ys)), xs, ys, tol)
 
 
 def audit_reconstruction(

@@ -33,14 +33,20 @@ _WRITE_BLOCK = 4096  # rows
 
 def write_table(target, comment: str, header: str, columns) -> None:
     """Write ``# comment``, the ``header`` row, then row i of the equal-length ``columns``."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    row_format = ",".join(["%r"] * len(columns)) + "\n"
+    write_blocks(target, comment, header, [columns])
+
+
+def write_blocks(target, comment: str, header: str, blocks) -> None:
+    """:func:`write_table` of the rows of each item of ``blocks`` (its columns) in turn."""
     with _opened(target, "w") as fh:
         fh.write(f"# {comment}\n{header}\n")
-        # a block at a time bounds the Python floats alive at once
-        for start in range(0, columns[0].size, _WRITE_BLOCK):
-            block = zip(*(c[start : start + _WRITE_BLOCK].tolist() for c in columns))
-            fh.writelines(row_format % row for row in block)
+        for columns in blocks:
+            columns = [np.asarray(c, dtype=float) for c in columns]
+            row_format = ",".join(["%r"] * len(columns)) + "\n"
+            # a block at a time bounds the Python floats alive at once
+            for start in range(0, columns[0].size, _WRITE_BLOCK):
+                block = zip(*(c[start : start + _WRITE_BLOCK].tolist() for c in columns))
+                fh.writelines(row_format % row for row in block)
 
 
 def read_table(source) -> tuple[dict[str, str], list[str] | None, np.ndarray]:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shockcop import shock_models as sm
 from shockcop.checks import (
@@ -8,21 +10,25 @@ from shockcop.checks import (
     check_reconstruction,
 )
 from shockcop.copulas import (
+    Copula,
     MarshallCopula,
     RmmCopula,
     efgm,
     independence,
     normalize,
+    rmm,
     sklar_join,
+    smm,
     survival,
 )
 from shockcop.distributions import EfgmMargin, Exponential, Product, Uniform, point_mass
 from shockcop.errors import ReconstructionError
-from shockcop.generators import GeneratorClass, closed_form
+from shockcop.generators import GeneratorClass, closed_form, rmm_to_smm
 from shockcop.sampling import empirical_copula, sample_model, sup_distance
 from shockcop.shock_models import induced_copula, marshall_model, reconstruct, rmm_model
 
 U = Uniform()
+RMM = GeneratorClass.RMM
 
 
 def overweight_efgm():
@@ -259,3 +265,72 @@ def test_large_table_lookups_run_in_query_order(monkeypatch):
     large = [monotone for knots, monotone in spy.calls if knots >= _SORTED_LOOKUP_KNOTS]
     assert len(large) >= 10 and (xs.size, True) in spy.calls
     assert all(large)
+
+
+# ---------------------------------------------------------------------------
+# one worst-point rule
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def valid_rmm_generators(draw):
+    """``power`` with alpha in (0, 1], or ``twoparam`` with alpha in (0, 1), beta in [1-alpha, 1]."""
+    if draw(st.booleans()):
+        return closed_form("power", RMM, alpha=draw(st.floats(0.0, 1.0, exclude_min=True)))
+    alpha = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return closed_form("twoparam", RMM, alpha=alpha, beta=draw(st.floats(1.0 - alpha, 1.0)))
+
+
+def _one(c, u, v):
+    return float(c.value_array(np.array([u]), np.array([v]))[0])
+
+
+@given(valid_rmm_generators(), valid_rmm_generators())
+@settings(max_examples=20, deadline=None)
+def test_axioms_hold_for_random_rmm_smm_and_survival_copulas(f, g):
+    c = rmm(f, g)
+    for copula in (c, smm(rmm_to_smm(f), rmm_to_smm(g)), survival(c)):
+        report = check_copula_axioms(copula, grid=41, rectangles=2000)
+        assert report.passed, report.render_text()
+        got = {r.check_id: r for r in report.results}
+        # each lattice witness reproduces its magnitude by direct evaluation
+        u, v = got["grounded"].witness
+        assert abs(_one(copula, u, v)) == got["grounded"].magnitude
+        u, v = got["neutral-element"].witness  # one coordinate is 1
+        assert abs(_one(copula, u, v) - min(u, v)) == got["neutral-element"].magnitude
+        u, v = got["frechet-sandwich"].witness
+        val = _one(copula, u, v)
+        breach = max(max(0.0, u + v - 1.0) - val, val - min(u, v))
+        assert (breach if breach > 0.0 else 0.0) == got["frechet-sandwich"].magnitude
+
+
+class _NanPatch(Copula):
+    """The independence copula, except NaN on the open square (0.4, 0.6)^2."""
+
+    def _eval(self, u, v):
+        return np.where((0.4 < u) & (u < 0.6) & (0.4 < v) & (v < 0.6), np.nan, u * v)
+
+    def describe(self):
+        return "nan-indep"
+
+
+def test_nan_values_fail_the_rectangle_and_frechet_checks():
+    report = check_copula_axioms(_NanPatch())
+    assert not report.passed
+    got = {r.check_id: r for r in report.results}
+    assert got["grounded"].passed and got["neutral-element"].passed
+    for check_id in ("rectangle-positivity", "frechet-sandwich"):
+        assert not got[check_id].passed and np.isnan(got[check_id].magnitude)
+    # the first NaN in row-major order: the lattice point just inside the patch
+    lattice = np.linspace(0.0, 1.0, 101)
+    assert got["frechet-sandwich"].witness == (lattice[41], lattice[41])
+
+
+def test_worst_takes_the_first_largest_gap_of_a_broadcast_lattice():
+    xs, ys = np.array([0.0, 1.0, 2.0]), np.array([10.0, 20.0])
+    gaps = np.array([[-1.0, 0.5], [0.5, 0.25], [-3.0, -2.0]])
+    r = sm._worst("c", gaps, xs[:, None], ys[None, :], 0.4)
+    assert r == sm.CheckResult("c", False, 0.5, (0.0, 20.0))
+    r = sm._worst("c", -np.abs(gaps), xs[:, None], ys[None, :], 0.0)
+    assert r == sm.CheckResult("c", True, 0.0, (1.0, 20.0))
+    assert repr(r.magnitude) == "0.0"

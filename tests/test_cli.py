@@ -85,6 +85,21 @@ def test_grid_bytes_match_row_by_row_evaluation(tmp_path, capsys, copula):
     assert out_path.read_text() == "".join(want)
 
 
+def test_grid_memory_grows_with_n_not_n_squared(tmp_path, capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "grid", "exprmm-ab:alpha=0.3,beta=0.6", "--n", "300",
+                         "--out", str(tmp_path / "g.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # row blocks peak near 1.4 MiB; the whole 301 x 301 lattice at once peaked near 3.5 MiB
+    assert peak < 2.5 * 2**20
+
+
 def test_grid_unwritable_path_exits_1(capsys):
     code, _, err = run(capsys, "grid", "indep", "--n", "2", "--out", "/nonexistent/dir/out.csv")
     assert code == 1
@@ -268,6 +283,13 @@ def test_non_integer_seed_exits_2_with_one_error_line(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err
+
+
+@pytest.mark.parametrize("copula", ["efgm:a=0.5,b=3", "rmm:f=zero,g=zero,x=1"])
+def test_unknown_descriptor_name_exits_2_with_one_error_line(capsys, copula):
+    code, _, err = run(capsys, "eval", copula, "0.5", "0.5")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_missing_input_file_prints_no_traceback(tmp_path):

@@ -67,6 +67,13 @@ def test_tabulated_distribution_from_file(tmp_path):
     assert parse_distribution(d.describe()).cdf(0.2) == 0.4
 
 
+def test_comma_in_a_file_path_survives_in_a_model_field(tmp_path):
+    path = tmp_path / "a,b.csv"
+    path.write_text("x,p\n0.0,0.4\n1.0,1.0\n")
+    m = parse_model(f"rmm-max:fx=step:file={path},fy=uniform,g1=uniform,g2=uniform")
+    assert m.f_x.cdf(0.2) == 0.4
+
+
 def test_unknown_distribution_rejected():
     with pytest.raises(DescriptorError):
         parse_distribution("camel:humps=2")
@@ -174,6 +181,29 @@ def test_copula_parse_errors():
         parse_copula("rmm:f=power:alpha=0.5")  # missing g
     with pytest.raises(DescriptorError):
         parse_copula("efgm:a=2.0")  # out of range weight
+
+
+@pytest.mark.parametrize(
+    "parse, text, names",
+    [
+        (parse_distribution, "uniform:a=0.2,B=3", ["'B'", "('a', 'b')"]),
+        (parse_distribution, "exp:rate=1,foo=2", ["'foo'", "('rate',)"]),
+        (parse_distribution, "exp:rat=1", ["'rat'", "('rate',)"]),
+        (parse_distribution, "exp:rate=1,rate=2", ["duplicate", "'rate'"]),
+        (parse_copula, "efgm:a=0.5,b=3", ["'b'", "('a',)"]),
+        (parse_copula, "exprmm-ab:alpha=0.3,beta=0.4,gamma=1", ["'gamma'", "('alpha', 'beta')"]),
+        (parse_copula, "exprmm:l1=1,l2=1,m1=1", ["('l1', 'l2', 'm1', 'm2')"]),
+        (parse_copula, "indep:x=1", ["'x'", "()"]),
+        (parse_copula, "rmm:f=zero,g=zero,x=1", ["'x'", "['f', 'g']"]),
+        (parse_copula, "rmm:f=reflect(zero),x=1,g=zero", ["'x'", "['f', 'g']"]),
+        (parse_model, "rmm-max:fx=uniform,fy=uniform,g1=uniform,g2=uniform,gg=uniform",
+         ["'gg'", "['combiner', 'fx', 'fy', 'g1', 'g2']"]),
+    ],
+)
+def test_unknown_and_missing_names_are_reported(parse, text, names):
+    with pytest.raises(DescriptorError) as err:
+        parse(text)
+    assert all(name in str(err.value) for name in names), str(err.value)
 
 
 # ---------------------------------------------------------------------------

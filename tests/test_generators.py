@@ -11,6 +11,7 @@ from shockcop.distributions import (
     Exponential,
     NegExponential,
     Product,
+    SurvivalProduct,
     Uniform,
     point_mass,
 )
@@ -22,6 +23,7 @@ from shockcop.errors import (
 )
 from shockcop.extreal import POS_INF
 from shockcop.generators import (
+    Generator,
     GeneratorClass,
     TabulatedGenerator,
     closed_form,
@@ -374,6 +376,35 @@ def test_margin_order_precondition_enforced():
     assert err.value.witness is not None
 
 
+@pytest.mark.parametrize(
+    "component, margin, side, at",
+    [
+        (Uniform(), Uniform(0.0, 0.5), "below", 0.5),
+        (Exponential(1.0), SurvivalProduct(Exponential(1.0), Exponential(1.0)), "below", math.log(2.0)),
+        (Exponential(1.0), Product(Exponential(1.0), Exponential(1.0)), "above", math.log(2.0)),
+    ],
+)
+def test_margin_order_witness_reproduces_the_reported_gap(component, margin, side, at):
+    with pytest.raises(ShockStructureError) as err:
+        generator_from_shocks(component, margin, margin_side=side)
+    x = err.value.witness
+    assert x == pytest.approx(at, abs=1e-12)  # the worst point of the tabulation
+    gap = margin.cdf(x) - component.cdf(x) if side == "below" else component.cdf(x) - margin.cdf(x)
+    assert f" by {gap:.3g} at x={x:.6g} " in str(err.value)
+
+
+def test_generator_from_shocks_inverts_the_margin_once():
+    class Spy(Product):
+        calls = 0
+
+        def quantile_array(self, levels):
+            Spy.calls += 1
+            return super().quantile_array(levels)
+
+    gen = generator_from_shocks(Exponential(1.0), Spy(Exponential(1.0), Exponential(2.0)))
+    assert Spy.calls == 1 and validate(gen).passed
+
+
 def test_min_side_margin_order():
     from shockcop.distributions import SurvivalProduct
 
@@ -421,3 +452,22 @@ def test_star_of_valid_rmm_generator_is_nonincreasing():
         us = np.linspace(0.0, 1.0, 1001)[1:]
         stars = [derived_value(gen, "star", float(u)) for u in us]
         assert all(b <= a + 1e-12 for a, b in zip(stars, stars[1:]))
+
+
+class _NanAtHalf(Generator):
+    """0.2 u(1-u), a valid RMM generator, except NaN at u = 0.5."""
+
+    declared_class = RMM
+
+    def _eval(self, u):
+        return np.where(u == 0.5, np.nan, 0.2 * u * (1.0 - u))
+
+    def describe(self):
+        return "nan-at-half"
+
+
+def test_validate_reports_a_nan_step():
+    report = validate(_NanAtHalf())
+    assert not report.passed
+    assert {v.condition for v in report.violations} == {"hat-nondecreasing", "star-nonincreasing"}
+    assert all(v.u == 0.5 and np.isnan(v.observed) for v in report.violations)
