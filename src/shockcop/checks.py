@@ -46,12 +46,9 @@ def check_copula_axioms(
     u1, u2 = np.minimum(u_pair[:, 0], u_pair[:, 1]), np.maximum(u_pair[:, 0], u_pair[:, 1])
     v_pair = rng.random((rectangles, 2))
     v1, v2 = np.minimum(v_pair[:, 0], v_pair[:, 1]), np.maximum(v_pair[:, 0], v_pair[:, 1])
-    vols = (
-        c.value_array(u2, v2)
-        - c.value_array(u1, v2)
-        - c.value_array(u2, v1)
-        + c.value_array(u1, v1)
-    )
+    # corners[i, j] = C(u_i, v_j): each coordinate is evaluated once, on its own axis
+    corners = c.value_array(np.stack((u1, u2))[:, None], np.stack((v1, v2))[None])
+    vols = corners[1, 1] - corners[0, 1] - corners[1, 0] + corners[0, 0]
     results.append(_worst("rectangle-positivity", -vols, u1, v1, tol))
 
     uu, vv = us[:, None], us[None, :]

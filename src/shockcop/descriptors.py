@@ -24,10 +24,10 @@ Grammar sketch::
 
 Commas nested inside parentheses never split fields.  A comma-separated token
 that does not introduce a known field name continues the previous field if it
-holds no ``=`` (a comma in a file path) or if that field holds a
-``head:params`` descriptor (so generator parameters survive inside copula
-descriptors).  Any other unknown name, and a duplicate or a missing one, is an
-error that names it.
+holds no ``=`` (a comma in a file path) or if its key is a parameter of the
+``head:params`` descriptor that field holds (so generator parameters survive
+inside copula descriptors).  Any other unknown name, and a duplicate or a
+missing one, is an error that names it.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .distributions import (
 )
 from .errors import DescriptorError, ShockcopError, TableFormatError
 from .generators import (
+    _FAMILIES as _GENERATOR_FAMILIES,
     CLASS_SPECS,
     ClosedFormGenerator,
     Generator,
@@ -62,7 +63,7 @@ from .generators import (
 from .tables import read_table, write_table
 
 _WRAPPER = re.compile(r"^([a-z0-9-]+)\((.*)\)$")
-_HAS_PARAMS = re.compile(r"\s*[a-z0-9-]+:")
+_HAS_PARAMS = re.compile(r"\s*([a-z0-9-]+):")
 
 
 def split_top_level(text: str, sep: str = ",") -> list[str]:
@@ -101,7 +102,7 @@ def _parse_fields(body: str, names, context: str, optional=()) -> dict[str, str]
                 raise DescriptorError(f"{context}: duplicate field {key_l!r}")
             fields[key_l] = rest
             current = key_l
-        elif current is not None and (not eq or _HAS_PARAMS.match(fields[current])):
+        elif current is not None and (not eq or _is_param(fields[current], key.strip())):
             fields[current] += "," + token
         else:
             raise DescriptorError(
@@ -111,6 +112,16 @@ def _parse_fields(body: str, names, context: str, optional=()) -> dict[str, str]
     if missing:
         raise DescriptorError(f"{context}: missing field(s) {missing}")
     return fields
+
+
+def _is_param(field: str, key: str) -> bool:
+    """Whether ``key`` names a parameter of the ``head:params`` descriptor in ``field``."""
+    head = _HAS_PARAMS.match(field)
+    head = head.group(1) if head else ""
+    if head == "poly":
+        return re.fullmatch(r"c\d+", key) is not None
+    family = _GENERATOR_FAMILIES.get(head)
+    return key in (family.params if family else _DISTRIBUTION_FAMILIES.get(head, (None, {}))[1])
 
 
 def _float(text: str, context: str) -> float:

@@ -7,9 +7,9 @@ F(x-), and inverts through the generalized inverse
 
 with quantile(0) = -oo (the infimum over the whole line) and +oo whenever the
 level u is never reached.  These conventions are load-bearing: the generator
-constructions in :mod:`shockcop.generators` interpolate across gaps in the
-image of a CDF and need the exact bracket values F(q-) and F(q) at jump
-points.
+constructions in :mod:`shockcop.generators` place a knot at each of the
+bracket values F(J-) and F(J) of a jump J, and at F(quantile(u)) for a
+level u.
 
 Each law is written once, on arrays.  A family defines ``cdf_array``; it
 overrides ``cdf_left_array`` only when it has atoms (the default is
@@ -521,17 +521,23 @@ class Product(DistributionFunction):
 
 
 class SurvivalProduct(DistributionFunction):
-    """CDF of min{A, B} for independent A, B: 1 - (1-F1)(1-F2)."""
+    """CDF of min{A, B} for independent A, B: max{F1, 1 - (1-F1)(1-F2)}.
+
+    The product form is nondecreasing in floating point but can round to just below
+    F1; F1 + F2(1-F1) cannot, yet wobbles by an ulp as F1 grows.  The max keeps both.
+    """
 
     def __init__(self, d1: DistributionFunction, d2: DistributionFunction):
         self.d1 = d1
         self.d2 = d2
 
     def cdf_array(self, xs):
-        return 1.0 - (1.0 - self.d1.cdf_array(xs)) * (1.0 - self.d2.cdf_array(xs))
+        a = self.d1.cdf_array(xs)
+        return np.maximum(a, 1.0 - (1.0 - a) * (1.0 - self.d2.cdf_array(xs)))
 
     def cdf_left_array(self, xs):
-        return 1.0 - (1.0 - self.d1.cdf_left_array(xs)) * (1.0 - self.d2.cdf_left_array(xs))
+        a = self.d1.cdf_left_array(xs)
+        return np.maximum(a, 1.0 - (1.0 - a) * (1.0 - self.d2.cdf_left_array(xs)))
 
     def jump_points(self):
         return tuple(sorted(set(self.d1.jump_points()) | set(self.d2.jump_points())))

@@ -14,9 +14,8 @@ satisfy:
 ``CLASS_SPECS`` writes each condition set once; ``validate`` turns it into
 grid checks, ``derived_value`` exposes the auxiliary maps of ``DERIVED_MAPS``
 (star, hat, dagger...), and ``generator_from_shocks`` builds a
-tabulated generator from a component CDF and a margin CDF by composing the
-component with the margin's generalized inverse and interpolating linearly
-across gaps in the margin's image.
+tabulated generator from a component CDF and a margin CDF whose knots are
+points (margin(x), component(x)) of their joint curve.
 """
 
 from __future__ import annotations
@@ -547,7 +546,6 @@ def _check_monotone(condition, us, ys, direction, tol, violations):
 # ---------------------------------------------------------------------------
 
 DEFAULT_RESOLUTION = 4096
-_IMAGE_ATOL = 1e-12
 _PRECHECK_TOL = 1e-9
 
 
@@ -559,58 +557,45 @@ def generator_from_shocks(
     resolution: int = DEFAULT_RESOLUTION,
     margin_side: str = "below",
 ) -> TabulatedGenerator:
-    """Tabulate u -> component(margin^{-1}(u)) with interpolation across image gaps.
+    """Tabulate u -> component(margin^{-1}(u)) on forward knots (margin(x), component(x)).
 
     ``margin_side="below"`` asserts margin <= component (max-type models, where
     the margin is the product of the component with a shock); ``"above"`` the
-    reverse (min-type models).  The order is checked within 1e-9 at the
-    tabulation's own points; ShockStructureError names the worst one.  The
-    result has value 0 at 0 and 1 at 1, takes component(quantile(u)) wherever
-    u is attained by the margin, and joins the bracket values linearly across
-    each jump of the margin; the bracket levels themselves are inserted as
-    knots so the tabulated form reproduces the gap interpolation exactly.
+    reverse (min-type models), checked within 1e-9 at every knot; ShockStructureError
+    names the worst one.  The knots lie at the quantile of each ladder level and,
+    for each jump J of the margin, at J- and at J, so the line between these two
+    spans the gap.  Knots at u = 0 or 1 give way to the ends (0, 0) and (1, 1);
+    of equal u the first is kept.
     """
     if margin_side not in ("below", "above"):
         raise ValueError(f"margin_side must be 'below' or 'above', got {margin_side!r}")
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
 
-    levels = np.linspace(0.0, 1.0, resolution + 1)
     # power-graded ladders refine both tails: uniform knots alone leave the
     # piecewise-linear error of hat maps ~ u**beta unbounded near the ends,
     # while spacing ~ u**(5/6) keeps it O(resolution**-2) down to tiny levels
     ladder = (np.arange(1, resolution, dtype=float) / resolution) ** 6
+    levels = np.unique(np.concatenate((np.linspace(0.0, 1.0, resolution + 1), ladder, 1.0 - ladder)))
     jumps = np.asarray(margin.jump_points(), dtype=float)
-    under, over = margin.cdf_left_array(jumps), margin.cdf_array(jumps)
-    real = over - under > 1e-15
-    us = np.unique(np.concatenate((levels, ladder, 1.0 - ladder, under[real], over[real])))
-    us = us[(us >= 0.0) & (us <= 1.0)]
-
-    interior = us[(us > 0.0) & (us < 1.0)]
-    qs = margin.quantile_array(interior)
-    overs = margin.cdf_array(qs)
-    unders = margin.cdf_left_array(qs)
-    comp_at = component.cdf_array(qs)
-    gap = overs - comp_at if margin_side == "below" else comp_at - overs
+    xs = np.concatenate((margin.quantile_array(levels[(levels > 0.0) & (levels < 1.0)]), jumps))
+    us = np.concatenate((margin.cdf_array(xs), margin.cdf_left_array(jumps)))
+    values = np.concatenate((component.cdf_array(xs), component.cdf_left_array(jumps)))
+    gap = us - values if margin_side == "below" else values - us
     worst = int(np.argmax(gap))
     if gap[worst] > _PRECHECK_TOL:
         rel = "margin > component" if margin_side == "below" else "component > margin"
+        x = float(np.concatenate((xs, jumps))[worst])  # a left limit's x is its jump
         raise ShockStructureError(
-            f"{rel} by {gap[worst]:.3g} at x={qs[worst]:.6g} "
+            f"{rel} by {gap[worst]:.3g} at x={x:.6g} "
             f"(component {component.describe()}, margin {margin.describe()})",
-            witness=float(qs[worst]),
+            witness=x,
         )
-    del gap  # peak memory: free it before the remaining table-sized arrays are built
-    comp_left = component.cdf_left_array(qs)
-
-    in_image = np.abs(overs - interior) <= _IMAGE_ATOL
-    anchor_hi = np.where(overs >= 1.0, 1.0, comp_at)
-    anchor_lo = np.where(unders <= 0.0, 0.0, comp_left)
-    width = overs - unders
-    frac = np.where(width > 0.0, (interior - unders) / np.where(width > 0.0, width, 1.0), 0.0)
-    gap_vals = anchor_lo + frac * (anchor_hi - anchor_lo)
-    interior_vals = np.where(in_image, comp_at, gap_vals)
-
-    values = np.concatenate(([0.0], interior_vals, [1.0]))
-    return TabulatedGenerator(us, values, declared_class)
+    del gap  # peak RSS: free it before the table's own arrays are built
+    inside = (us > 0.0) & (us < 1.0)
+    us, first = np.unique(us[inside], return_index=True)
+    values = values[inside][first]
+    return TabulatedGenerator(
+        np.concatenate(([0.0], us, [1.0])), np.concatenate(([0.0], values, [1.0])), declared_class
+    )
 

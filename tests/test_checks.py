@@ -23,7 +23,7 @@ from shockcop.copulas import (
 )
 from shockcop.distributions import EfgmMargin, Exponential, Product, Uniform, point_mass
 from shockcop.errors import ReconstructionError
-from shockcop.generators import GeneratorClass, closed_form, rmm_to_smm
+from shockcop.generators import GeneratorClass, closed_form, rmm_to_smm, smm_to_rmm, validate
 from shockcop.sampling import empirical_copula, sample_model, sup_distance
 from shockcop.shock_models import induced_copula, marshall_model, reconstruct, rmm_model
 
@@ -261,6 +261,7 @@ def test_large_table_lookups_run_in_query_order(monkeypatch):
     for module in (distributions, generators, sampling):
         monkeypatch.setattr(module, "np", spy)
     check_copula_axioms(reinduced, grid=21, rectangles=2000)
+    assert validate(reinduced.f).passed and validate(reinduced.g).passed
     sample_model(step_model, 5000, seed=1)
     large = [monotone for knots, monotone in spy.calls if knots >= _SORTED_LOOKUP_KNOTS]
     assert len(large) >= 10 and (xs.size, True) in spy.calls
@@ -302,6 +303,30 @@ def test_axioms_hold_for_random_rmm_smm_and_survival_copulas(f, g):
         val = _one(copula, u, v)
         breach = max(max(0.0, u + v - 1.0) - val, val - min(u, v))
         assert (breach if breach > 0.0 else 0.0) == got["frechet-sandwich"].magnitude
+
+
+LATTICE = np.linspace(0.0, 1.0, 21)
+
+
+def _lattice(c):
+    return c.value_array(LATTICE[:, None], LATTICE[None, :])
+
+
+@given(valid_rmm_generators(), valid_rmm_generators())
+@settings(max_examples=40, deadline=None)
+def test_survival_is_an_involution_and_normalize_keeps_values(f, g):
+    c = rmm(f, g)
+    values = _lattice(c)
+    twice = survival(survival(c))
+    assert np.max(np.abs(_lattice(twice) - values)) <= 1e-15
+    for wrapped in (survival(c), twice):
+        assert np.max(np.abs(_lattice(normalize(wrapped)) - _lattice(wrapped))) <= 1e-15
+
+
+@given(valid_rmm_generators())
+@settings(max_examples=40, deadline=None)
+def test_rmm_smm_round_trip_returns_the_same_generator(f):
+    assert smm_to_rmm(rmm_to_smm(f)) is f
 
 
 class _NanPatch(Copula):

@@ -206,6 +206,34 @@ def test_unknown_and_missing_names_are_reported(parse, text, names):
     assert all(name in str(err.value) for name in names), str(err.value)
 
 
+@pytest.mark.parametrize(
+    "parse, text, name, slots",
+    [
+        (parse_copula, "rmm:f=power:alpha=0.5,gg=zero", "'gg'", "['f', 'g']"),
+        (parse_copula, "rmm:g=zero,f=power:alpha=0.5,x=1", "'x'", "['f', 'g']"),
+        (parse_copula, "maxmin:phi=twoparam:alpha=0.5,beta=0.5,ps=identity", "'ps'", "['phi', 'psi']"),
+        (parse_model, "rmm-max:fx=uniform:a=0,b=2,fy=uniform,g1=exp:rate=1,g=uniform",
+         "'g'", "['combiner', 'fx', 'fy', 'g1', 'g2']"),
+    ],
+)
+def test_a_misspelt_slot_after_a_field_with_parameters_is_named(parse, text, name, slots):
+    with pytest.raises(DescriptorError) as err:
+        parse(text)
+    assert f"unknown field {name}, expected one of {slots}" in str(err.value), str(err.value)
+
+
+def test_parameters_of_a_nested_descriptor_stay_with_their_field(tmp_path):
+    c = parse_copula("rmm:f=twoparam:alpha=0.5,beta=0.7,g=poly:c0=0,c1=0.25,c2=-0.25")
+    assert c.f.params == {"alpha": 0.5, "beta": 0.7}
+    assert c.g.params == {"c0": 0.0, "c1": 0.25, "c2": -0.25}
+    m = parse_model("rmm-max:fx=uniform:a=0,b=2,fy=uniform,g1=uniform,g2=uniform")
+    assert m.f_x.describe() == "uniform:a=0.0,b=2.0"
+    path = tmp_path / "a,b.csv"
+    path.write_text("u,value\n0.0,0.0\n0.5,0.1\n1.0,0.0\n")
+    c = parse_copula(f"rmm:f=tabulated:file={path},g=zero")
+    assert c.f.values.tolist() == [0.0, 0.1, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # models
 # ---------------------------------------------------------------------------

@@ -23,12 +23,21 @@ from shockcop.distributions import (
     Exponential,
     NegExponential,
     Product,
+    TabulatedCdf,
     Uniform,
     point_mass,
 )
 from shockcop.errors import IllegalModelError, ReconstructionError
 from shockcop.extreal import POS_INF
-from shockcop.generators import GeneratorClass, TabulatedGenerator, closed_form, derived_value
+from shockcop.generators import (
+    CLASS_SPECS,
+    DERIVED_MAPS,
+    GeneratorClass,
+    TabulatedGenerator,
+    closed_form,
+    derived_value,
+    generator_from_shocks,
+)
 from shockcop.sampling import sup_distance
 from shockcop.shock_models import (
     IDENTITY_CHI,
@@ -41,7 +50,9 @@ from shockcop.shock_models import (
     ShockModel,
     SharedShock,
     audited_reconstruction,
+    exponential_marshall_model,
     exponential_rmm_model,
+    exponential_smm_model,
     exprmm_ab_model,
     induced_copula,
     joint_cdf,
@@ -614,3 +625,88 @@ def test_min_model_margin_monte_carlo():
     f_u, _ = margins(m)
     for x in (0.2, 0.8):
         assert np.mean(s.pairs[:, 0] <= x) == pytest.approx(f_u.cdf(x), abs=3e-3)
+
+
+# ---------------------------------------------------------------------------
+# forward knots of induced generators
+# ---------------------------------------------------------------------------
+
+FORWARD_MODELS = {
+    "maxmin": maxmin_model(Exponential(1.0), Exponential(2.0), Exponential(1.5)),
+    "smm": exponential_smm_model(1.0, 2.0, 3.0, 0.5),
+    "rmm": exponential_rmm_model(1.0, 2.0, 1.5, 0.7),
+    "marshall": exponential_marshall_model(1.0, 2.0, 1.5, 0.7),
+}
+
+
+def side_generators(model, resolution=4096):
+    """(takes the max, generator) for U and V, as ``induced_copula`` builds them."""
+    return [
+        (is_max, generator_from_shocks(
+            f, margin, resolution=resolution, margin_side="below" if is_max else "above"
+        ))
+        for is_max, f, margin in zip(model.combiner.maxes, (model.f_x, model.f_y), margins(model))
+    ]
+
+
+def assert_knots_on_their_side(model, resolution=4096):
+    # a max gives F_X(x) >= F_X(x) G(x), a min F_X(x) <= 1 - (1 - F_X(x))(1 - G(x))
+    for is_max, gen in side_generators(model, resolution):
+        assert np.all(gen.values >= gen.us) if is_max else np.all(gen.values <= gen.us)
+
+
+@pytest.mark.parametrize("name", sorted(FORWARD_MODELS))
+def test_every_knot_lies_on_its_side_of_the_identity(name):
+    assert_knots_on_their_side(FORWARD_MODELS[name])
+
+
+@given(
+    st.sampled_from(["maxmin", "smm", "rmm", "marshall"]),
+    st.lists(st.floats(0.5, 2.0), min_size=4, max_size=4),
+)
+@settings(max_examples=20, deadline=None)
+def test_every_knot_lies_on_its_side_for_random_exponential_rates(family, rates):
+    model = {
+        "maxmin": lambda a, b, c, _: maxmin_model(Exponential(a), Exponential(b), Exponential(c)),
+        "smm": exponential_smm_model,
+        "rmm": exponential_rmm_model,
+        "marshall": exponential_marshall_model,
+    }[family](*rates)
+    assert_knots_on_their_side(model, resolution=512)
+
+
+@pytest.mark.parametrize("name", sorted(FORWARD_MODELS))
+def test_class_rules_hold_between_consecutive_knots(name):
+    c = induced_copula(FORWARD_MODELS[name])
+    for slot, cls in c.slots:
+        gen = getattr(c, slot)
+        for condition, kind, direction in CLASS_SPECS[cls].rules:
+            # the map's undefined end knot is left out, as validate leaves out its grid point
+            m = DERIVED_MAPS.get(kind)
+            keep = gen.us != m.end if m else slice(None)
+            us, vals = gen.us[keep], gen.values[keep]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ys = m.fn(vals, us) if m else vals
+                steps = direction * np.diff(ys)
+            both_inf = np.isinf(ys[1:]) & np.isinf(ys[:-1])
+            assert np.all((steps >= 0.0) | both_inf), (slot, condition)
+
+
+def test_step_table_knots_are_points_of_the_curve():
+    # F_U = F_X G with a 1000-step F_X: on the step [J_k, J_k+1) where F_X = p_k,
+    # F_U runs from F_U(J_k) up to F_U(J_k+1 -), and every knot must lie there
+    xs = np.unique(np.random.default_rng(5).uniform(0.0, 3.0, 1000))
+    ps = np.arange(1, xs.size + 1) / xs.size
+    step = TabulatedCdf(xs, ps, "step")
+    margin = Product(step, Exponential(2.0))
+    gen = generator_from_shocks(step, margin)
+    us, vals = gen.us[1:-1], gen.values[1:-1]
+    k = np.searchsorted(ps, vals)
+    assert np.all(ps[k] == vals)
+    lo = margin.cdf_array(xs[k])
+    hi = np.append(margin.cdf_left_array(xs[1:]), 1.0)[k]
+    assert np.all((lo <= us) & (us <= hi))
+    # both ends of every jump inside (0, 1) are knots
+    for bracket in (margin.cdf_left_array(xs), margin.cdf_array(xs)):
+        inside = bracket[(bracket > 0.0) & (bracket < 1.0)]
+        assert np.isin(inside, gen.us).all()
