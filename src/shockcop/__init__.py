@@ -42,7 +42,6 @@ from .distributions import (
     SurvivalProduct,
     TabulatedCdf,
     Uniform,
-    image_brackets,
     load_tabulated_csv,
     negated,
     point_mass,
@@ -50,12 +49,12 @@ from .distributions import (
 )
 from .extreal import NEG_INF, POS_INF, ExtendedReal, is_finite
 from .generators import (
+    CheckSuiteReport,
     ClosedFormGenerator,
     Generator,
     GeneratorClass,
     ReflectedGenerator,
     TabulatedGenerator,
-    ValidationReport,
     closed_form,
     derived_value,
     generator_from_shocks,

@@ -2,7 +2,8 @@
 
 Each suite returns a :class:`CheckSuiteReport` whose entries carry the worst
 violation magnitude and a witness point, so every failure is reproducible by
-direct evaluation: ``shock_models._worst`` takes the first largest gap in
+direct evaluation: ``generators._worst``, the rule of every check in the
+package (``generators.validate`` included), takes the first largest gap in
 row-major order, reports a negative one as 0 and fails a NaN as the largest.
 Analytic grid identities default to 1e-12 with closed-form generators and
 1e-9 with tabulated ones; Monte Carlo bounds default to 4.4/sqrt(n).
@@ -18,8 +19,8 @@ from . import copulas as cop
 from . import shock_models as sm
 from .distributions import DistributionFunction
 from .errors import ReconstructionError
+from .generators import CheckResult, CheckSuiteReport, _worst
 from .sampling import empirical_copula, sample_model, sup_distance_at
-from .shock_models import CheckResult, CheckSuiteReport, _worst
 
 
 def check_copula_axioms(
@@ -32,6 +33,8 @@ def check_copula_axioms(
     """Groundedness, neutral element, random-rectangle positivity, Frechet sandwich."""
     if grid < 3:
         raise ValueError("grid must be at least 3")
+    if rectangles < 1:
+        raise ValueError("rectangles must be at least 1")
     us = np.linspace(0.0, 1.0, grid)
     results = []
     for check_id, edge in (("grounded", 0.0), ("neutral-element", 1.0)):
@@ -128,5 +131,5 @@ def reconstruction_audit(
         witness = exc.witness
         if witness is not None and not isinstance(witness, tuple):
             witness = (float(witness), 0.0)  # a point on the line, as in the per-x checks
-        failed = CheckResult(f"hypothesis:{exc.assumption}", False, float("nan"), witness)
+        failed = CheckResult(f"hypothesis:{exc.assumption}", False, float("nan"), witness, str(exc))
         return None, CheckSuiteReport(f"reconstruction[{c.describe()}]", (failed,))

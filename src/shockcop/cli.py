@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 import numpy as np
@@ -65,6 +66,8 @@ _GRID_ROWS = 64  # lattice rows evaluated and written at a time: memory grows wi
 
 
 def cmd_grid(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     c = parse_copula(args.copula)
     us = np.linspace(0.0, 1.0, args.n + 1)
     blocks = (
@@ -80,7 +83,8 @@ def cmd_grid(args) -> int:
 def cmd_validate_gen(args) -> int:
     gen = parse_generator(args.generator, GeneratorClass(args.cls))
     report = validate(gen, grid_size=args.grid, tol=args.tol)
-    print(f"generator {gen.describe()} as {args.cls}: {report}")
+    print(f"generator {gen.describe()} as {args.cls}: {'passed' if report.passed else 'failed'}")
+    print(report.render_text())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -245,7 +249,13 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; preserve both
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CHECK_FAILED
     except _OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

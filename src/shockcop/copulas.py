@@ -129,7 +129,7 @@ class ShockCopula(Copula):
             if not report.passed:
                 raise GeneratorValidationError(
                     f"generator for slot {slot} ({gen.describe()}) failed validation: "
-                    + "; ".join(str(v) for v in report.violations),
+                    + "; ".join(r.render() for r in report.results if not r.passed),
                     report=report,
                 )
         return cls(first, second)

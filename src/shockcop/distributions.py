@@ -591,14 +591,3 @@ def cdf_values(d: DistributionFunction, x) -> np.ndarray:
 def product_cdf(d1: DistributionFunction, d2: DistributionFunction) -> Product:
     return Product(d1, d2)
 
-
-def image_brackets(d: DistributionFunction, u: float) -> tuple[float, float, bool]:
-    """Bracket a level u by (F(q-), F(q)) at q = quantile(u); flag whether u is attained."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"image_brackets needs u strictly inside (0,1), got {u}")
-    q = d.quantile(u)
-    if isinstance(q, _Infinity):
-        raise MalformedCdfError(f"{d.describe()}: quantile({u}) is not finite")
-    over = d.cdf(q)
-    under = d.cdf_left(q)
-    return under, over, bool(abs(over - u) <= 1e-12)

@@ -12,10 +12,12 @@ satisfy:
   nondecreasing on [0,1).
 
 ``CLASS_SPECS`` writes each condition set once; ``validate`` turns it into
-grid checks, ``derived_value`` exposes the auxiliary maps of ``DERIVED_MAPS``
-(star, hat, dagger...), and ``generator_from_shocks`` builds a
-tabulated generator from a component CDF and a margin CDF whose knots are
-points (margin(x), component(x)) of their joint curve.
+grid checks, which report as every check in the package does, through
+``CheckResult``, ``CheckSuiteReport`` and ``_worst``.  ``derived_value``
+exposes the auxiliary maps of ``DERIVED_MAPS`` (star, hat, dagger...), and
+``generator_from_shocks`` builds a tabulated generator from a component CDF
+and a margin CDF whose knots are points (margin(x), component(x)) of their
+joint curve.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ _FAMILIES: dict[str, _Family] = {
         _positive("alpha", "beta"),
         _twoparam_domain,
     ),
-    "efgmhat": _Family(("a",), lambda p, t: (p["a"] + 1.0) * t - p["a"] * t * t, None, _efgm_domain),
+    "efgmhat": _Family(("a",), lambda p, t: t + p["a"] * t * (1.0 - t), None, _efgm_domain),
     "efgmf": _Family(("a",), lambda p, t: p["a"] * t * (1.0 - t), None, _efgm_domain),
     "identity": _Family((), lambda p, t: t + 0.0),
     "zero": _Family((), lambda p, t: t * 0.0),
@@ -344,9 +346,9 @@ def _require_valid(gen: Generator, expected: GeneratorClass) -> None:
         )
     report = validate(gen)
     if not report.passed:
+        failed = "; ".join(r.render() for r in report.results if not r.passed)
         raise GeneratorValidationError(
-            f"{gen.describe()} fails {expected.value} validation: {report.violations[0]}",
-            report=report,
+            f"{gen.describe()} fails {expected.value} validation: {failed}", report=report
         )
 
 
@@ -465,42 +467,81 @@ def _one_sided_limit(ratio) -> ExtendedReal:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# verdicts: the one report type of every check in the package
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Violation:
-    condition: str
-    u: float
-    observed: float
-    threshold: float
+class CheckResult:
+    """One condition's verdict: its worst magnitude, the point that shows it and,
+    where no point can (a parameter domain, a failed hypothesis), a ``detail``."""
 
-    def __str__(self) -> str:
-        if np.isnan(self.u):  # parameter-domain violations carry no grid point
-            return self.condition
-        return f"{self.condition} at u={self.u:.6g}: observed {self.observed:.6g} (threshold {self.threshold:.3g})"
+    check_id: str
+    passed: bool
+    magnitude: float
+    witness: tuple[float, float] | None = None
+    detail: str = ""
+
+    def render(self) -> str:
+        mark = "pass" if self.passed else "FAIL"
+        where = ""
+        if self.witness is not None:
+            where = f" at ({self.witness[0]:.6g}, {self.witness[1]:.6g})"
+        detail = f" ({self.detail})" if self.detail else ""
+        return f"[{mark}] {self.check_id}: worst {self.magnitude:.3e}{where}{detail}"
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    violations: tuple[Violation, ...]
+class CheckSuiteReport:
+    """A suite's verdicts in order; ``notes`` name the conditions it does not check."""
+
+    suite: str
+    results: tuple[CheckResult, ...]
     notes: tuple[str, ...] = ()
 
-    def __str__(self) -> str:
-        if self.passed:
-            return "passed" + (f" ({'; '.join(self.notes)})" if self.notes else "")
-        lines = [str(v) for v in self.violations]
-        return "failed:\n  " + "\n  ".join(lines)
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.results)
+
+    def render_text(self) -> str:
+        lines = [f"suite {self.suite}: {'pass' if self.passed else 'FAIL'}"]
+        lines += ["  " + r.render() for r in self.results]
+        lines += ["  note: " + n for n in self.notes]
+        return "\n".join(lines)
+
+    def csv_rows(self) -> list[str]:
+        rows = ["check_id,status,magnitude,u,v"]
+        for r in self.results:
+            u, v = r.witness if r.witness is not None else ("", "")
+            status = "pass" if r.passed else "fail"
+            rows.append(f"{r.check_id},{status},{r.magnitude!r},{u},{v}")
+        return rows
 
 
-def validate(gen: Generator, grid_size: int = DEFAULT_GRID, tol: float | None = None) -> ValidationReport:
+def _worst(check_id, gaps, us, vs, tol) -> CheckResult:
+    """The result at the first largest gap in row-major order; a NaN gap counts as the
+    largest and fails, a negative largest gap reports 0.  ``us`` and ``vs`` have the
+    dimensions of ``gaps`` and broadcast to its shape: a length-1 axis reads index 0."""
+    at = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+    mag = float(gaps[at])
+    mag = 0.0 if mag <= 0.0 else mag  # not max(0.0, mag), which turns NaN into 0.0
+    u, v = (float(x[tuple(i if n > 1 else 0 for n, i in zip(x.shape, at))]) for x in (us, vs))
+    return CheckResult(check_id, mag <= tol, mag, (u, v))
+
+
+# ---------------------------------------------------------------------------
+# validation
+# ---------------------------------------------------------------------------
+
+
+def validate(gen: Generator, grid_size: int = DEFAULT_GRID, tol: float | None = None) -> CheckSuiteReport:
     """Check the condition set of the generator's declared class on a uniform grid.
 
-    Boundary values are compared exactly; monotonicity of the raw and derived
-    maps is checked between consecutive grid points with additive slack
-    ``tol`` (defaults to 1e-12 for closed forms, 1e-9 for tabulated ones).
+    Rows, in order: a failed row per parameter-domain violation (its text in
+    ``detail``); ``boundary-at-0`` and ``boundary-at-1``, compared exactly; one
+    row per class rule, whose worst step between consecutive grid points must
+    stay within the additive slack ``tol`` (defaults to 1e-12 for closed forms,
+    1e-9 for tabulated ones).  Witnesses are (u, 0), a step's u its right end.
     """
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
@@ -509,36 +550,23 @@ def validate(gen: Generator, grid_size: int = DEFAULT_GRID, tol: float | None = 
     us = np.linspace(0.0, 1.0, grid_size)
     vals = gen.value_array(us)
     spec = CLASS_SPECS[gen.declared_class]
-    violations: list[Violation] = []
-
-    for cond, detail in gen.param_domain_violations():
-        violations.append(Violation(f"{cond} ({detail})", float("nan"), float("nan"), float("nan")))
-
-    lo, hi = spec.ends
-    if vals[0] != lo:
-        violations.append(Violation("boundary-at-0", 0.0, float(vals[0]), 0.0))
-    if vals[-1] != hi:
-        violations.append(Violation("boundary-at-1", 1.0, float(vals[-1]), 0.0))
+    domain = gen.param_domain_violations()
+    rows = [CheckResult(cond, False, np.nan, None, detail) for cond, detail in domain]
+    for check_id, at, end in zip(("boundary-at-0", "boundary-at-1"), (0, -1), spec.ends):
+        v = float(vals[at])
+        rows.append(CheckResult(check_id, v == end, abs(v - end), (float(us[at]), 0.0)))
 
     for condition, kind, direction in spec.rules:
         m = DERIVED_MAPS[kind] if kind else _OWN_VALUES
         keep = slice(int(m.end == 0.0), grid_size - int(m.end == 1.0))
         ys = m.fn(vals[keep], us[keep])
-        _check_monotone(condition, us[keep], ys, direction, tol, violations)
+        with np.errstate(invalid="ignore"):  # a step between equal infinities is flat
+            steps = np.where((ys[1:] == ys[:-1]) & np.isinf(ys[1:]), 0.0, np.diff(ys))
+        rows.append(_worst(condition, -direction * steps, us[keep][1:], np.zeros(1), tol))
 
-    return ValidationReport(passed=not violations, violations=tuple(violations), notes=spec.notes)
-
-
-def _check_monotone(condition, us, ys, direction, tol, violations):
-    # inf -> inf steps difference to nan; equal infinities do not violate,
-    # any other nan step does (it is the worst, as in checks)
-    with np.errstate(invalid="ignore"):
-        diffs = direction * np.diff(ys)
-    both_inf = np.isinf(ys[1:]) & np.isinf(ys[:-1])
-    bad = ~(diffs >= -tol) & ~(np.isnan(diffs) & both_inf)
-    if bad.any():
-        idx = int(np.argmin(np.where(bad, diffs, np.inf)))
-        violations.append(Violation(condition, float(us[1:][idx]), float(diffs[idx]), tol))
+    return CheckSuiteReport(
+        f"validate[{gen.describe()} as {gen.declared_class.value}]", tuple(rows), spec.notes
+    )
 
 
 # ---------------------------------------------------------------------------

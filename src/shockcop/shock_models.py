@@ -24,7 +24,8 @@ family's hypotheses, builds the shocks, then runs one audit,
 ``audit_reconstruction``, and raises from its first failed check.  The audit's
 check ids, in order: ``margin-u-factorization``, ``margin-v-factorization``,
 ``f-x-nondecreasing``, ``f-y-nondecreasing``, ``g1-nondecreasing``,
-``g2-nondecreasing``, ``shock-margin-envelope`` and ``joint-law``.
+``g2-nondecreasing``, ``shock-margin-envelope`` and ``joint-law``; each row
+comes from ``generators._worst``, the rule of every check in the package.
 ``checks.check_reconstruction`` returns the same report.
 """
 
@@ -50,6 +51,8 @@ from .distributions import (
 from .errors import IllegalModelError, ReconstructionError
 from .extreal import POS_INF, _Infinity
 from .generators import (
+    CheckResult,
+    CheckSuiteReport,
     Generator,
     GeneratorClass,
     derived_value,
@@ -58,6 +61,7 @@ from .generators import (
     hat_to_f,
     identity_minus,
     smm_to_rmm,
+    _worst,
 )
 
 
@@ -449,55 +453,6 @@ def _subsample(xs: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _SHAPE_TOL = 1e-12  # slack of the monotonicity and envelope checks; ``tol`` does not loosen it
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    passed: bool
-    magnitude: float
-    witness: tuple[float, float] | None = None
-
-    def render(self) -> str:
-        mark = "pass" if self.passed else "FAIL"
-        where = ""
-        if self.witness is not None:
-            where = f" at ({self.witness[0]:.6g}, {self.witness[1]:.6g})"
-        return f"[{mark}] {self.check_id}: worst {self.magnitude:.3e}{where}"
-
-
-@dataclass(frozen=True)
-class CheckSuiteReport:
-    suite: str
-    results: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def render_text(self) -> str:
-        lines = [f"suite {self.suite}: {'pass' if self.passed else 'FAIL'}"]
-        lines += ["  " + r.render() for r in self.results]
-        return "\n".join(lines)
-
-    def csv_rows(self) -> list[str]:
-        rows = ["check_id,status,magnitude,u,v"]
-        for r in self.results:
-            u, v = r.witness if r.witness is not None else ("", "")
-            status = "pass" if r.passed else "fail"
-            rows.append(f"{r.check_id},{status},{r.magnitude!r},{u},{v}")
-        return rows
-
-
-def _worst(check_id, gaps, us, vs, tol) -> CheckResult:
-    """The result at the first largest gap in row-major order; a NaN gap counts as the
-    largest and fails, a negative largest gap reports 0.  ``us`` and ``vs`` have the
-    dimensions of ``gaps`` and broadcast to its shape: a length-1 axis reads index 0."""
-    at = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
-    mag = float(gaps[at])
-    mag = 0.0 if mag <= 0.0 else mag  # not max(0.0, mag), which turns NaN into 0.0
-    u, v = (float(x[tuple(i if n > 1 else 0 for n, i in zip(x.shape, at))]) for x in (us, vs))
-    return CheckResult(check_id, mag <= tol, mag, (u, v))
 
 
 def joint_law_check(check_id: str, m: ShockModel, join, xs, ys, tol: float) -> CheckResult:

@@ -301,3 +301,56 @@ def test_missing_input_file_prints_no_traceback(tmp_path):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and missing in proc.stderr
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shockcop.cli", "grid", "indep", "--n", "300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()  # the reader goes away with ~3.6 MB of rows still to come
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first.startswith(b"# shockcop=")
+    assert code == 1
+    assert "Traceback" not in err
+
+
+def test_check_with_no_rectangles_exits_2(capsys):
+    code, _, err = run(capsys, "check", "efgm:a=0.95", "--rectangles", "0")
+    assert code == 2
+    assert err == "error: rectangles must be at least 1\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_grid_below_one_exits_2_naming_n(tmp_path, capsys, n):
+    out_path = tmp_path / "g.csv"
+    code, _, err = run(capsys, "grid", "indep", "--n", n, "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("error: --n must be at least 1")
+    assert not out_path.exists()
+
+
+def test_validate_gen_prints_the_verdict_then_every_row(capsys):
+    code, out, _ = run(capsys, "validate-gen", "twoparam:alpha=0.5,beta=0.3", "--class", "rmm")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[0] == "generator twoparam:alpha=0.5,beta=0.3 as rmm: failed"
+    assert lines[1] == "suite validate[twoparam:alpha=0.5,beta=0.3 as rmm]: FAIL"
+    assert "[FAIL] twoparam-domain: worst nan (beta=0.3 must be >= 1-alpha=0.5)" in lines[2]
+    assert [line.split(":")[0].split()[-1] for line in lines[3:7]] == [
+        "boundary-at-0", "boundary-at-1", "hat-nondecreasing", "star-nonincreasing"
+    ]
+    assert lines[7].startswith("  note: ")
+
+
+def test_reconstruct_prints_the_failed_hypothesis_message(capsys):
+    code, out, _ = run(capsys, "reconstruct", "efgm:a=1.0", "--fu", "pointmass:x=0", "--fv", "uniform")
+    assert code == 1
+    assert "[FAIL] hypothesis:interior-point: worst nan (interior-point: margins admit no common" in out

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shockcop.copulas import (
     FrechetM,
@@ -28,10 +30,11 @@ from shockcop.copulas import (
     survival,
     volume,
 )
-from shockcop.distributions import Uniform
+from shockcop.distributions import Exponential, Uniform
 from shockcop.errors import GeneratorValidationError
 from shockcop.extreal import POS_INF
 from shockcop.generators import GeneratorClass, ReflectedGenerator, closed_form, rmm_to_smm
+from shockcop.shock_models import induced_copula, maxmin_model
 
 GRID = np.linspace(0.0, 1.0, 21)
 
@@ -175,6 +178,26 @@ def test_sigma1_of_maxmin_equals_smm_rewrite():
     rewritten = normalize(wrapped)
     assert isinstance(rewritten, SmmCopula)
     assert grid_max_diff(wrapped, rewritten, 101) <= 1e-12
+
+
+_PHIS = st.one_of(
+    st.floats(1.0, 4.0).map(lambda s: closed_form("capped", GeneratorClass.MARSHALL, slope=s)),
+    st.just(closed_form("identity", GeneratorClass.MARSHALL)),
+    st.floats(0.0, 1.0, exclude_min=True).map(lambda a: closed_form("efgmhat", GeneratorClass.MARSHALL, a=a)),
+)
+_RATES = st.floats(0.5, 2.0)
+
+
+@given(_PHIS, _RATES, _RATES, _RATES)
+@settings(max_examples=40, deadline=None)
+def test_sigma_rewrites_of_maxmin_with_induced_psi(phi, l1, l2, m):
+    psi = induced_copula(maxmin_model(Exponential(l1), Exponential(l2), Exponential(m)), resolution=512).psi
+    base = maxmin(phi, psi)
+    for which, family in (("sigma2", RmmCopula), ("sigma1", SmmCopula)):
+        wrapped = reflect(base, which)
+        rewritten = normalize(wrapped)
+        assert isinstance(rewritten, family)
+        assert grid_max_diff(wrapped, rewritten, 41) <= 1e-15
 
 
 def test_smm_equals_survival_of_rmm():

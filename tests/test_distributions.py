@@ -17,7 +17,6 @@ from shockcop.distributions import (
     SurvivalProduct,
     TabulatedCdf,
     Uniform,
-    image_brackets,
     load_tabulated_csv,
     negated,
     point_mass,
@@ -110,20 +109,6 @@ def test_quantile_at_one_is_the_right_endpoint():
     assert Uniform(0.2, 0.9).quantile(1.0) == 0.9
     assert EfgmMargin(0.13).quantile(1.0) == 1.0
     assert EfgmShock(0.3).quantile(1.0) == 1.0
-
-
-def test_image_brackets_continuous():
-    assert image_brackets(Uniform(), 0.7) == (0.7, 0.7, True)
-
-
-def test_image_brackets_in_gap():
-    under, over, attained = image_brackets(STEP, 0.2)
-    assert (under, over, attained) == (0.0, 0.4, False)
-
-
-def test_image_brackets_at_attained_jump_top():
-    under, over, attained = image_brackets(STEP, 0.4)
-    assert (under, over, attained) == (0.0, 0.4, True)
 
 
 def test_product_of_uniforms():

@@ -23,6 +23,10 @@ from shockcop.errors import (
 )
 from shockcop.extreal import POS_INF
 from shockcop.generators import (
+    _FAMILIES,
+    _OWN_VALUES,
+    CLASS_SPECS,
+    DERIVED_MAPS,
     Generator,
     GeneratorClass,
     TabulatedGenerator,
@@ -35,6 +39,13 @@ from shockcop.generators import (
     rmm_to_smm,
     smm_to_rmm,
     validate,
+)
+from shockcop.shock_models import (
+    exponential_marshall_model,
+    exponential_rmm_model,
+    exponential_smm_model,
+    induced_copula,
+    maxmin_model,
 )
 
 RMM = GeneratorClass.RMM
@@ -192,7 +203,7 @@ def test_twoparam_below_boundary_fails():
     gen = closed_form("twoparam", RMM, alpha=0.5, beta=0.3)
     report = validate(gen)
     assert not report.passed
-    assert any("twoparam-domain" in v.condition for v in report.violations)
+    assert any("twoparam-domain" in r.check_id and not r.passed for r in report.results)
 
 
 def test_twoparam_on_boundary_passes():
@@ -216,7 +227,7 @@ def test_boundary_violation_detected():
     gen = closed_form("capped", MARSHALL, slope=0.5)  # caps at 0.5 < 1 at u=1
     report = validate(gen)
     assert not report.passed
-    assert any(v.condition == "boundary-at-1" for v in report.violations)
+    assert any(r.check_id == "boundary-at-1" and not r.passed for r in report.results)
 
 
 def test_marshall_generator_dominates_identity():
@@ -252,7 +263,7 @@ def test_rmm_generator_nonnegative_with_monotone_hat():
 def test_each_class_condition_is_reported(gen, condition):
     report = validate(gen)
     assert not report.passed
-    assert condition in [v.condition for v in report.violations]
+    assert condition in [r.check_id for r in report.results if not r.passed]
 
 
 def test_validator_notes_flag_unenforced_literals():
@@ -469,5 +480,100 @@ class _NanAtHalf(Generator):
 def test_validate_reports_a_nan_step():
     report = validate(_NanAtHalf())
     assert not report.passed
-    assert {v.condition for v in report.violations} == {"hat-nondecreasing", "star-nonincreasing"}
-    assert all(v.u == 0.5 and np.isnan(v.observed) for v in report.violations)
+    assert {r.check_id for r in report.results if not r.passed} == {"hat-nondecreasing", "star-nonincreasing"}
+    assert all(r.witness[0] == 0.5 and np.isnan(r.magnitude) for r in report.results if not r.passed)
+
+
+@given(st.floats(0.0, 1.0, exclude_min=True))
+@settings(max_examples=200, deadline=None)
+def test_efgmhat_boundary_is_exact_for_every_weight(a):
+    # t + a t (1 - t) is 1 at t = 1 in floating point; (a+1)t - a t^2 misses by an ulp for 1 a in 4
+    gen = closed_form("efgmhat", MARSHALL, a=a)
+    assert gen.value(0.0) == 0.0 and gen.value(1.0) == 1.0
+    assert validate(gen).passed
+
+
+# ---------------------------------------------------------------------------
+# validate against the rule it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_violations(gen):
+    """The former validate's failed conditions as {condition: (u, observed)}: exact
+    boundary comparisons, and per rule the most negative step ``direction * diff``
+    beyond the slack (a NaN step first), witnessed at the step's right end."""
+    tol = gen.grid_tol
+    us = np.linspace(0.0, 1.0, 1001)
+    vals = gen.value_array(us)
+    spec = CLASS_SPECS[gen.declared_class]
+    out = {cond: (np.nan, np.nan) for cond, _ in gen.param_domain_violations()}
+    for cond, i, end in (("boundary-at-0", 0, spec.ends[0]), ("boundary-at-1", -1, spec.ends[1])):
+        if vals[i] != end:
+            out[cond] = (float(us[i]), float(vals[i]))
+    for condition, kind, direction in spec.rules:
+        m = DERIVED_MAPS[kind] if kind else _OWN_VALUES
+        keep = slice(int(m.end == 0.0), us.size - int(m.end == 1.0))
+        ys = m.fn(vals[keep], us[keep])
+        with np.errstate(invalid="ignore"):
+            diffs = direction * np.diff(ys)
+        both_inf = np.isinf(ys[1:]) & np.isinf(ys[:-1])
+        bad = ~(diffs >= -tol) & ~(np.isnan(diffs) & both_inf)
+        if bad.any():
+            idx = int(np.argmin(np.where(bad, diffs, np.inf)))
+            out[condition] = (float(us[keep][1:][idx]), float(diffs[idx]))
+    return out
+
+
+_FAMILY_PARAMS = {
+    "power": [{"alpha": 0.5}, {"alpha": 1.5}],
+    "twoparam": [{"alpha": 0.5, "beta": 0.5}, {"alpha": 0.5, "beta": 0.3}, {"alpha": 1.0, "beta": 2.0}],
+    "efgmhat": [{"a": 0.95}, {"a": 1.5}],
+    "efgmf": [{"a": 0.8}],
+    "identity": [{}],
+    "zero": [{}],
+    "fullshock": [{}],
+    "capped": [{"slope": 2.0}, {"slope": 0.5}],
+}
+
+
+def _reference_cases():
+    assert set(_FAMILY_PARAMS) == set(_FAMILIES)
+    cases = [
+        closed_form(family, cls, **params)
+        for family, param_sets in _FAMILY_PARAMS.items()
+        for params in param_sets
+        for cls in GeneratorClass
+    ]
+    cases += [  # the failing cases of test_each_class_condition_is_reported
+        TabulatedGenerator([0.0, 0.3, 0.6, 1.0], [0.0, 0.9, 0.5, 1.0], MARSHALL),
+        poly(MARSHALL, 0, 0, 1),
+        TabulatedGenerator([0.0, 0.5, 0.9, 1.0], [0.0, 0.1, 0.85, 1.0], PSI),
+        poly(RMM, 0, 3, -3),
+        poly(RMM, 0, 0, 1, -1),
+        poly(SMM, 0, 3, -3),
+        poly(SMM, 0, 1, -2, 1),
+    ]
+    for model in (
+        exponential_marshall_model(1.0, 2.0, 1.5, 0.7),
+        exponential_rmm_model(1.0, 2.0, 1.5, 0.7),
+        exponential_smm_model(1.0, 2.0, 3.0, 0.5),
+        maxmin_model(Exponential(1.0), Exponential(2.0), Exponential(1.5)),
+    ):
+        c = induced_copula(model)
+        cases += [getattr(c, slot) for slot, _ in c.slots]
+    return cases + [_NanAtHalf()]
+
+
+@pytest.mark.parametrize("gen", _reference_cases(), ids=repr)
+def test_validate_rows_match_the_former_rule(gen):
+    report = validate(gen)
+    ref = reference_violations(gen)
+    rules = [cond for cond, _, _ in CLASS_SPECS[gen.declared_class].rules]
+    domain = [cond for cond, _ in gen.param_domain_violations()]
+    assert [r.check_id for r in report.results] == domain + ["boundary-at-0", "boundary-at-1"] + rules
+    for r in report.results:
+        assert r.passed == (r.check_id not in ref), r.render()
+        if not r.passed and r.check_id in rules:
+            u, observed = ref[r.check_id]
+            assert r.witness[0] == u
+            assert r.magnitude == -observed or (np.isnan(r.magnitude) and np.isnan(observed))
