@@ -65,9 +65,15 @@ def cmd_eval(args) -> int:
 _GRID_ROWS = 64  # lattice rows evaluated and written at a time: memory grows with n, not n^2
 
 
+def _at_least_one(args, *options) -> None:
+    """Refuse a count option below 1 as a usage error that names it."""
+    for name in options:
+        if getattr(args, name) < 1:
+            raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
+
+
 def cmd_grid(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
+    _at_least_one(args, "n")
     c = parse_copula(args.copula)
     us = np.linspace(0.0, 1.0, args.n + 1)
     blocks = (
@@ -121,6 +127,7 @@ def cmd_check_empirical(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    _at_least_one(args, "grid", "points")
     c = parse_copula(args.copula)
     margin_u = parse_distribution(args.fu)
     margin_v = parse_distribution(args.fv)
@@ -138,6 +145,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    _at_least_one(args, "grid")
     c = parse_copula(args.copula)
     margin_u = parse_distribution(args.fu)
     margin_v = parse_distribution(args.fv)

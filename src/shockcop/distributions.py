@@ -8,8 +8,8 @@ F(x-), and inverts through the generalized inverse
 with quantile(0) = -oo (the infimum over the whole line) and +oo whenever the
 level u is never reached.  These conventions are load-bearing: the generator
 constructions in :mod:`shockcop.generators` place a knot at each of the
-bracket values F(J-) and F(J) of a jump J, and at F(quantile(u)) for a
-level u.
+bracket values F(J-) and F(J) of a jump J, and at F(x) for a point x placed
+near each ladder level u (``_place_array``).
 
 Each law is written once, on arrays.  A family defines ``cdf_array``; it
 overrides ``cdf_left_array`` only when it has atoms (the default is
@@ -30,7 +30,8 @@ exactly; a level that no probe reaches below or above inverts to -oo or +oo.
 The other brackets shrink, in blocks of levels, by a few Illinois (secant)
 steps and then by bisection, until hi - lo <= 1e-14 + 1e-14 * max(|lo|, |hi|)
 or no float lies between them.  The result is hi, so F(quantile(u)) >= u
-holds exactly and F stays below u a stopping width to the left.
+holds exactly and F stays below u a stopping width to the left; knot placement
+(``_place_array``) takes the first x with |F(x) - u| <= 1/20 of u's nearer level gap.
 """
 
 from __future__ import annotations
@@ -121,13 +122,22 @@ class DistributionFunction(ABC):
         us = np.asarray(us, dtype=float)
         if not np.all((us > 0.0) & (us < 1.0)):  # NaN fails both comparisons
             raise ValueError("quantile_array requires levels strictly inside (0,1)")
-        out = self._quantile_array(us)
-        if not np.all(np.isfinite(out)):
+        return self._finite(self._quantile_array(us))
+
+    def _place_array(self, levels: np.ndarray) -> np.ndarray:
+        """``quantile_array`` of ascending interior levels, except that the generic
+        inverse stops each level at its placement tolerance (module docstring)."""
+        if type(self)._quantile_array is DistributionFunction._quantile_array:
+            return self._finite(self._bisect_quantile_array(levels, place=True))
+        return self._finite(self._quantile_array(levels))
+
+    def _finite(self, xs: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(xs)):
             raise MalformedCdfError(
                 f"{self.describe()}: quantile transform produced an infinite value "
                 "for an interior probability"
             )
-        return out
+        return xs
 
     def _quantile_array(self, us: np.ndarray) -> np.ndarray:
         """Quantiles of levels in (0,1]: +inf where a level is never reached, -inf
@@ -151,7 +161,7 @@ class DistributionFunction(ABC):
 
     # -- generic inverse -----------------------------------------------------
 
-    def _bisect_quantile_array(self, us: np.ndarray) -> np.ndarray:
+    def _bisect_quantile_array(self, us: np.ndarray, place: bool = False) -> np.ndarray:
         """The generic inverse of the module docstring.  A level's result does not
         depend on the other levels of the call, so ``quantile`` matches it to the bit."""
         shape = us.shape
@@ -160,8 +170,12 @@ class DistributionFunction(ABC):
         if us.size:
             table = self._quantile_table(float(us.min()), float(us.max()))
             for start in range(0, us.size, _QUANTILE_BLOCK):
-                block = slice(start, start + _QUANTILE_BLOCK)
-                out[block] = self._quantile_block(us[block], *table)
+                block, u_tol = slice(start, start + _QUANTILE_BLOCK), None
+                if place:  # 1/20 of the gap to the nearer neighbour, 0 and 1 included
+                    lo = max(start - 1, 0)
+                    gaps = np.diff(np.concatenate(([0.0], us[lo : block.stop + 1], [1.0])))
+                    u_tol = np.minimum(gaps[:-1], gaps[1:])[start - lo :][:_QUANTILE_BLOCK] / 20.0
+                out[block] = self._quantile_block(us[block], *table, u_tol)
         return out.reshape(shape)
 
     def _quantile_table(self, u_min: float, u_max: float):
@@ -200,9 +214,9 @@ class DistributionFunction(ABC):
             fs.append(f)
         return np.array(xs), np.array(fs)
 
-    def _quantile_block(self, us, xs, fs, f_left, reach) -> np.ndarray:
+    def _quantile_block(self, us, xs, fs, f_left, reach, u_tol=None) -> np.ndarray:
         """The quantiles of some levels from the table: exact at a jump, ±inf past
-        its ends, otherwise refined inside the table's bracket."""
+        its ends, otherwise refined inside the table's bracket (see ``_refine``)."""
         j = np.searchsorted(reach, us, side="left")  # F(xs[j-1]) < u <= F(xs[j])
         last = xs.size - 1
         k = np.minimum(j, last)
@@ -210,17 +224,19 @@ class DistributionFunction(ABC):
         # F(J-) < u <= F(J) at a jump J: the quantile is J itself
         rest = (j > 0) & (j <= last) & (f_left[k] >= us)
         k = k[rest]
-        out[rest] = self._refine(us[rest], xs[k - 1], xs[k], fs[k - 1], fs[k])
+        u_tol = None if u_tol is None else u_tol[rest]
+        out[rest] = self._refine(us[rest], xs[k - 1], xs[k], fs[k - 1], fs[k], u_tol)
         return out
 
-    def _refine(self, us, lo, hi, f_lo, f_hi) -> np.ndarray:
+    def _refine(self, us, lo, hi, f_lo, f_hi, u_tol=None) -> np.ndarray:
         """Shrink brackets F(lo) < u <= F(hi) to the stopping width and return hi.
 
         The first steps are Illinois steps (Dowell & Jarratt 1971): secant
         probes, where an end that stays put twice in a row has its ordinate
         halved, clamped at least half the stopping width inside the bracket so
         that it closes from both sides. Bisection follows. Converged levels
-        leave the working arrays.
+        leave the working arrays.  Given per-level ``u_tol``, a level also stops
+        at the first probe x with |F(x) - u| <= u_tol and returns x.
         """
         out = np.empty_like(us)
         at = np.arange(us.size)
@@ -236,6 +252,7 @@ class DistributionFunction(ABC):
                 at, us, lo, hi, g_lo, g_hi, moved, tol, mid = (
                     a[open_] for a in (at, us, lo, hi, g_lo, g_hi, moved, tol, mid)
                 )
+                u_tol = None if u_tol is None else u_tol[open_]
             if not at.size:
                 return out
             if step < _QUANTILE_SECANT_STEPS:
@@ -250,9 +267,12 @@ class DistributionFunction(ABC):
                 moved = np.where(up, 1.0, -1.0)
             else:
                 x = mid
-                up = self.cdf_array(x) >= us
+                g = self.cdf_array(x) - us
+                up = g >= 0.0
             hi = np.where(up, x, hi)
             lo = np.where(up, lo, x)
+            if u_tol is not None:  # a placed level closes its bracket on x, returned next pass
+                hi, lo = (np.where(np.abs(g) <= u_tol, x, end) for end in (hi, lo))
 
 
 # ---------------------------------------------------------------------------

@@ -590,32 +590,32 @@ def generator_from_shocks(
     ``margin_side="below"`` asserts margin <= component (max-type models, where
     the margin is the product of the component with a shock); ``"above"`` the
     reverse (min-type models), checked within 1e-9 at every knot; ShockStructureError
-    names the worst one.  The knots lie at the quantile of each ladder level and,
-    for each jump J of the margin, at J- and at J, so the line between these two
-    spans the gap.  Knots at u = 0 or 1 give way to the ends (0, 0) and (1, 1);
-    of equal u the first is kept.
+    names the worst one, at its ladder level's exact quantile.  The knots lie at a
+    point placed near each ladder level (``_place_array``) and, for each jump J of
+    the margin, at J- and at J, so the line between these two spans the gap.  Knots
+    at u = 0 or 1 give way to the ends (0, 0) and (1, 1); of equal u the first is kept.
     """
     if margin_side not in ("below", "above"):
         raise ValueError(f"margin_side must be 'below' or 'above', got {margin_side!r}")
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
 
-    # power-graded ladders refine both tails: uniform knots alone leave the
-    # piecewise-linear error of hat maps ~ u**beta unbounded near the ends,
-    # while spacing ~ u**(5/6) keeps it O(resolution**-2) down to tiny levels
-    ladder = (np.arange(1, resolution, dtype=float) / resolution) ** 6
-    levels = np.unique(np.concatenate((np.linspace(0.0, 1.0, resolution + 1), ladder, 1.0 - ladder)))
+    levels = _ladder(resolution)
     jumps = np.asarray(margin.jump_points(), dtype=float)
-    xs = np.concatenate((margin.quantile_array(levels[(levels > 0.0) & (levels < 1.0)]), jumps))
+    xs = np.concatenate((margin._place_array(levels), jumps))
     us = np.concatenate((margin.cdf_array(xs), margin.cdf_left_array(jumps)))
     values = np.concatenate((component.cdf_array(xs), component.cdf_left_array(jumps)))
-    gap = us - values if margin_side == "below" else values - us
+    sign = 1.0 if margin_side == "below" else -1.0
+    gap = sign * (us - values)
     worst = int(np.argmax(gap))
     if gap[worst] > _PRECHECK_TOL:
         rel = "margin > component" if margin_side == "below" else "component > margin"
-        x = float(np.concatenate((xs, jumps))[worst])  # a left limit's x is its jump
+        x, excess = float(np.concatenate((xs, jumps))[worst]), gap[worst]  # left limits: x = J
+        if worst < levels.size:  # a placed knot: report at its level's exact quantile
+            x = float(margin.quantile(levels[worst]))
+            excess = sign * (margin.cdf(x) - component.cdf(x))
         raise ShockStructureError(
-            f"{rel} by {gap[worst]:.3g} at x={x:.6g} "
+            f"{rel} by {excess:.3g} at x={x:.6g} "
             f"(component {component.describe()}, margin {margin.describe()})",
             witness=x,
         )
@@ -627,3 +627,9 @@ def generator_from_shocks(
         np.concatenate(([0.0], us, [1.0])), np.concatenate(([0.0], values, [1.0])), declared_class
     )
 
+
+def _ladder(resolution: int) -> np.ndarray:
+    """Ascending interior knot levels; graded tails keep hat maps ~ u**beta O(resolution**-2)."""
+    ladder = (np.arange(1, resolution, dtype=float) / resolution) ** 6
+    levels = np.unique(np.concatenate((np.linspace(0.0, 1.0, resolution + 1), ladder, 1.0 - ladder)))
+    return levels[(levels > 0.0) & (levels < 1.0)]

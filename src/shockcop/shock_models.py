@@ -291,12 +291,14 @@ class ComposedCdf(DistributionFunction):
 
 
 class _BranchShockCdf(DistributionFunction):
-    """Shock CDF defined pointwise from the two margin values at the same point."""
+    """Shock CDF defined pointwise from the two margin values at the same point.
+    ``starts()`` gives ``_support_starts``, solved once for the shocks that share it."""
 
-    def __init__(self, margin_u, margin_v, label: str):
+    def __init__(self, margin_u, margin_v, label: str, starts: Callable[[], frozenset[float]]):
         self.margin_u = margin_u
         self.margin_v = margin_v
         self._label = label
+        self._starts = starts
 
     def _values(self, fu: np.ndarray, fv: np.ndarray) -> np.ndarray:
         """The shock CDF from the margin values read at the same points."""
@@ -316,15 +318,9 @@ class _BranchShockCdf(DistributionFunction):
             self.margin_u.cdf_left_array(self._u_at(xs)), self.margin_v.cdf_left_array(xs)
         )
 
-    @functools.cached_property
-    def _support_starts(self) -> set[float]:
-        """Where each margin's support starts; the shock may switch branch, and jump, there."""
-        starts = (margin.quantile(1e-12) for margin in (self.margin_u, self.margin_v))
-        return {float(s) for s in starts if not isinstance(s, _Infinity)}
-
     def jump_points(self):
         jumps = set(self.margin_u.jump_points()) | set(self.margin_v.jump_points())
-        return tuple(sorted(jumps | self._support_starts))
+        return tuple(sorted(jumps | self._starts()))
 
     def support_hint(self):
         lo1, hi1 = self.margin_u.support_hint()
@@ -343,12 +339,12 @@ class RmmShockCdf(_BranchShockCdf):
     generator at 1 - margin_v.
     """
 
-    def __init__(self, f: Generator, g: Generator, margin_u, margin_v, side: str):
+    def __init__(self, f: Generator, g: Generator, margin_u, margin_v, side: str, starts):
         label = f"rmm-shock-{side}"
         if side == "v":
             margin_u, margin_v = margin_v, margin_u
             f, g = g, f
-        super().__init__(margin_u, margin_v, label)
+        super().__init__(margin_u, margin_v, label, starts)
         self.f = f
         self.g = g
 
@@ -376,8 +372,8 @@ class MarshallShockCdf(_BranchShockCdf):
     margin_u vanishes it is margin_v / psi(margin_v), and 0 where both vanish.
     """
 
-    def __init__(self, phi: Generator, psi: Generator, margin_u, margin_v, chi: ChiMap):
-        super().__init__(margin_u, margin_v, "marshall-shock")
+    def __init__(self, phi: Generator, psi: Generator, margin_u, margin_v, chi: ChiMap, starts):
+        super().__init__(margin_u, margin_v, "marshall-shock", starts)
         self.phi = phi
         self.psi = psi
         self.chi = chi
@@ -398,6 +394,12 @@ class MarshallShockCdf(_BranchShockCdf):
                 f"{name} vanishes at a point with margin value {float(num.ravel()[i])}",
             )
         return np.where(num == 0.0, 0.0, num / np.where(den == 0.0, 1.0, den))
+
+
+def _support_starts(margin_u, margin_v) -> frozenset[float]:
+    """Where each margin's support starts; a ``_BranchShockCdf`` may switch branch there."""
+    starts = (margin.quantile(1e-12) for margin in (margin_u, margin_v))
+    return frozenset(float(s) for s in starts if not isinstance(s, _Infinity))
 
 
 class ChiShiftedCdf(DistributionFunction):
@@ -520,6 +522,8 @@ def audited_reconstruction(
     postconditions come back as the ``audit_reconstruction`` report next to
     the model.
     """
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be at least 1, got {grid_size}")
     if not isinstance(c, (cop.MarshallCopula, cop.RmmCopula, cop.SmmCopula)):
         raise ReconstructionError("family", f"no reconstruction is defined for {c.describe()}")
     xs = support_grid([margin_u, margin_v], grid_size)
@@ -554,7 +558,8 @@ def _marshall_shocks(c, margin_u, margin_v, xs, chi, tol) -> ShockModel:
     _check_star_divergence("margin-u", phi, margin_u, xs)
     _check_star_divergence("margin-v", psi, margin_v, xs)
 
-    g2 = MarshallShockCdf(phi, psi, margin_u, margin_v, chi)
+    starts = functools.cache(functools.partial(_support_starts, margin_u, margin_v))
+    g2 = MarshallShockCdf(phi, psi, margin_u, margin_v, chi, starts)
     return marshall_model(
         ComposedCdf(phi, margin_u), ComposedCdf(psi, margin_v), ChiShiftedCdf(g2, chi), g2
     )
@@ -594,11 +599,12 @@ def _check_star_divergence(label, gen, margin, xs):
 
 def _rmm_shocks(c, margin_u, margin_v) -> ShockModel:
     f, g = c.f, c.g
+    starts = functools.cache(functools.partial(_support_starts, margin_u, margin_v))
     return rmm_model(
         ComposedCdf(hat_of(f), margin_u),
         ComposedCdf(hat_of(g), margin_v),
-        RmmShockCdf(f, g, margin_u, margin_v, "u"),
-        RmmShockCdf(f, g, margin_u, margin_v, "v"),
+        RmmShockCdf(f, g, margin_u, margin_v, "u", starts),
+        RmmShockCdf(f, g, margin_u, margin_v, "v", starts),
     )
 
 

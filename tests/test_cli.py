@@ -337,6 +337,25 @@ def test_grid_below_one_exits_2_naming_n(tmp_path, capsys, n):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--grid", "0"],
+    ["reconstruct", "--grid", "-1"],
+    ["roundtrip", "--grid", "0"],
+    ["reconstruct", "--points", "0"],
+    ["reconstruct", "--points", "-1"],
+])
+def test_reconstruction_counts_below_one_exit_2_naming_the_option(tmp_path, capsys, argv):
+    command, option, value = argv
+    out_path = tmp_path / "shocks.csv"
+    extra = ["--out", str(out_path)] if command == "reconstruct" else []
+    code, out, err = run(
+        capsys, command, "efgm:a=1.0", "--fu", "uniform", "--fv", "uniform", option, value, *extra
+    )
+    assert code == 2
+    assert err == f"error: {option} must be at least 1, got {value}\n"
+    assert out == "" and not out_path.exists()
+
+
 def test_validate_gen_prints_the_verdict_then_every_row(capsys):
     code, out, _ = run(capsys, "validate-gen", "twoparam:alpha=0.5,beta=0.3", "--class", "rmm")
     lines = out.splitlines()

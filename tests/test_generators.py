@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shockcop.copulas import exprmm_ab
 from shockcop.distributions import (
     _SORTED_LOOKUP_KNOTS,
     EfgmMargin,
@@ -30,6 +31,7 @@ from shockcop.generators import (
     Generator,
     GeneratorClass,
     TabulatedGenerator,
+    _ladder,
     closed_form,
     derived_value,
     generator_from_shocks,
@@ -45,7 +47,9 @@ from shockcop.shock_models import (
     exponential_rmm_model,
     exponential_smm_model,
     induced_copula,
+    margins,
     maxmin_model,
+    reconstruct,
 )
 
 RMM = GeneratorClass.RMM
@@ -408,12 +412,57 @@ def test_generator_from_shocks_inverts_the_margin_once():
     class Spy(Product):
         calls = 0
 
-        def quantile_array(self, levels):
+        def _place_array(self, levels):
             Spy.calls += 1
-            return super().quantile_array(levels)
+            return super()._place_array(levels)
 
     gen = generator_from_shocks(Exponential(1.0), Spy(Exponential(1.0), Exponential(2.0)))
     assert Spy.calls == 1 and validate(gen).passed
+
+
+def reconstructed_exprmm():
+    """The model that ``reconstruct`` builds for exprmm_ab(0.3, 0.6) on Exp(1), Exp(2) margins."""
+    return reconstruct(exprmm_ab(0.3, 0.6), Exponential(1.0), Exponential(2.0))
+
+
+def test_placing_a_reconstructed_margin_costs_at_most_1_5_cdf_points_per_level():
+    model = reconstructed_exprmm()
+    margin = margins(model)[0]  # Product(ComposedCdf, RmmShockCdf): no closed-form inverse
+    points = []
+    refine, cdf = margin._refine, margin.cdf_array
+
+    def counted_refine(*args):  # count the solver's probes, not the shared table
+        margin.cdf_array = lambda xs: points.append(np.size(xs)) or cdf(xs)
+        try:
+            return refine(*args)
+        finally:
+            del margin.cdf_array
+
+    margin._refine = counted_refine
+    generator_from_shocks(model.f_x, margin, resolution=4096)
+    levels = _ladder(4096).size
+    assert 0 < sum(points) <= 1.5 * levels  # the tight inverse takes about 6.6
+
+
+@pytest.mark.parametrize("case", ["exprmm-u", "exprmm-v", "product", "survival-product"])
+def test_every_placed_knot_lies_within_its_u_tol_of_its_level(case):
+    exp1, exp2 = Exponential(1.0), Exponential(2.0)
+    margin = {
+        "exprmm-u": lambda: margins(reconstructed_exprmm())[0],
+        "exprmm-v": lambda: margins(reconstructed_exprmm())[1],
+        "product": lambda: Product(exp1, exp2),
+        "survival-product": lambda: SurvivalProduct(exp1, exp2),
+    }[case]()
+    levels = _ladder(4096)
+    gaps = np.diff(np.concatenate(([0.0], levels, [1.0])))
+    u_tol = np.minimum(gaps[:-1], gaps[1:]) / 20.0
+    xs = margin._place_array(levels)
+    close = np.abs(margin.cdf_array(xs) - levels) <= u_tol
+    # the one way out: the solver's stopping width 1e-14 + 1e-14|x| closes first, which
+    # happens to levels below about 1e-13; such a level gets the tight inverse's point
+    tight = xs == margin.quantile_array(levels)
+    assert np.all(close | tight)
+    assert close.mean() > 0.998 and np.all(levels[~close] < 1e-13)
 
 
 def test_min_side_margin_order():

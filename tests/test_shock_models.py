@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from shockcop.copulas import (
     survival,
 )
 from shockcop.distributions import (
+    DistributionFunction,
     EfgmMargin,
     EfgmShock,
     Exponential,
@@ -63,6 +65,7 @@ from shockcop.shock_models import (
     rmm_model,
     smm_model,
     support_grid,
+    _support_starts,
 )
 
 U = Uniform()
@@ -499,7 +502,8 @@ SHOCK_XS = np.linspace(-0.5, 2.5, 25).reshape(5, 5)  # 2-D, with x = 1 where fu 
 def test_rmm_shock_cdf_equals_scalar_reference(g):
     f = closed_form("efgmf", GeneratorClass.RMM, a=0.4)
     # margin_u vanishes up to 1, where margin_v already reaches 1: every branch is hit
-    d = RmmShockCdf(f, g, Uniform(1.0, 2.0), Uniform(0.0, 1.0), "u")
+    margins_uv = Uniform(1.0, 2.0), Uniform(0.0, 1.0)
+    d = RmmShockCdf(f, g, *margins_uv, "u", functools.partial(_support_starts, *margins_uv))
     ref = np.vectorize(lambda x: reference_rmm_shock(d, x))(SHOCK_XS)
     assert 1.0 in SHOCK_XS and d.margin_v.cdf(1.0) == 1.0 and d.margin_u.cdf(1.0) == 0.0
     np.testing.assert_array_equal(d.cdf_array(SHOCK_XS), ref)
@@ -507,7 +511,8 @@ def test_rmm_shock_cdf_equals_scalar_reference(g):
 
 
 def test_marshall_shock_cdf_equals_scalar_reference():
-    d = MarshallShockCdf(capped_gen(), identity_gen(), Uniform(0.5, 1.5), U, IDENTITY_CHI)
+    starts = functools.partial(_support_starts, Uniform(0.5, 1.5), U)
+    d = MarshallShockCdf(capped_gen(), identity_gen(), Uniform(0.5, 1.5), U, IDENTITY_CHI, starts)
     ref = np.vectorize(lambda x: reference_marshall_shock(d, x))(SHOCK_XS)
     np.testing.assert_array_equal(d.cdf_array(SHOCK_XS), ref)
 
@@ -517,7 +522,8 @@ def test_marshall_shock_cdf_raises_at_first_vanishing_point(side):
     vanishing = TabulatedGenerator([0.0, 0.5, 1.0], [0.0, 0.0, 1.0], GeneratorClass.MARSHALL)
     gens = (vanishing, identity_gen()) if side == "phi" else (identity_gen(), vanishing)
     margin_u = U if side == "phi" else Uniform(1.0, 2.0)  # fu = 0 sends psi's side to work
-    d = MarshallShockCdf(*gens, margin_u, U, IDENTITY_CHI)
+    starts = functools.partial(_support_starts, margin_u, U)
+    d = MarshallShockCdf(*gens, margin_u, U, IDENTITY_CHI, starts)
     xs = np.array([[0.9, 0.0], [0.3, 0.2]])  # first offending point in ravel order: 0.3
     with pytest.raises(ReconstructionError) as ref:
         for x in xs.ravel().tolist():
@@ -536,6 +542,23 @@ def test_rmm_reconstruction_requires_interior_point():
     with pytest.raises(ReconstructionError) as err:
         reconstruct(efgm(1.0), degenerate, degenerate)
     assert err.value.assumption == "interior-point"
+
+
+def test_support_starts_are_solved_once_per_reconstruction_when_first_needed(monkeypatch):
+    levels = []
+    quantile = DistributionFunction.quantile
+    monkeypatch.setattr(DistributionFunction, "quantile", lambda d, u: levels.append(u) or quantile(d, u))
+    model = reconstruct(survival(efgm(0.7)), U, U)  # SMM: shocks of negated uniform margins
+    assert levels == []
+    induced_copula(model, resolution=256)
+    assert levels == [1e-12, 1e-12]  # one per margin, shared by both shocks
+
+
+@pytest.mark.parametrize("grid_size", [0, -1])
+def test_reconstruction_refuses_an_empty_grid_before_any_hypothesis(grid_size):
+    # an empty support grid is a usage error, not a failed interior-point hypothesis
+    with pytest.raises(ValueError, match=f"grid_size must be at least 1, got {grid_size}"):
+        audited_reconstruction(efgm(1.0), U, U, grid_size)
 
 
 def test_rmm_reconstruction_joint_identity_efgm():
