@@ -5,14 +5,21 @@ reconstruct, roundtrip.  Exit codes are a stable contract: 0 on success or a
 passing check, 1 on a failed check or unwritable output, 2 on usage, parse, or
 illegal-configuration errors.  Every CSV output starts with a comment line
 recording the tool version, the descriptor, and the seed when one applies.
+
+The CLI calls no BLAS or LAPACK routine, so it defaults OPENBLAS_NUM_THREADS to
+1 before numpy loads: each command then starts without an OpenBLAS thread pool.
+A value set in the environment is kept.  Library imports leave BLAS alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # no BLAS calls here; a pool costs start time
 
 import numpy as np
 
@@ -65,15 +72,26 @@ def cmd_eval(args) -> int:
 _GRID_ROWS = 64  # lattice rows evaluated and written at a time: memory grows with n, not n^2
 
 
-def _at_least_one(args, *options) -> None:
-    """Refuse a count option below 1 as a usage error that names it."""
+def _at_least(low, args, *options) -> None:
+    """Refuse an integer option below ``low`` as a usage error that names it."""
     for name in options:
-        if getattr(args, name) < 1:
-            raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
+        if getattr(args, name) < low:
+            raise ValueError(f"--{name} must be at least {low}, got {getattr(args, name)}")
+
+
+def _finite_non_negative(args, *options) -> None:
+    """Refuse a tolerance that is negative, NaN or infinite as a usage error that names it.
+
+    An unset option (None) keeps its documented default.
+    """
+    for name in options:
+        value = getattr(args, name)
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"--{name} must be finite and non-negative, got {value}")
 
 
 def cmd_grid(args) -> int:
-    _at_least_one(args, "n")
+    _at_least(1, args, "n")
     c = parse_copula(args.copula)
     us = np.linspace(0.0, 1.0, args.n + 1)
     blocks = (
@@ -87,6 +105,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_validate_gen(args) -> int:
+    _at_least(3, args, "grid")
+    _finite_non_negative(args, "tol")
     gen = parse_generator(args.generator, GeneratorClass(args.cls))
     report = validate(gen, grid_size=args.grid, tol=args.tol)
     print(f"generator {gen.describe()} as {args.cls}: {'passed' if report.passed else 'failed'}")
@@ -95,6 +115,8 @@ def cmd_validate_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _at_least(0, args, "seed")
+    _finite_non_negative(args, "tol")
     c = parse_copula(args.copula)
     report = checks.check_copula_axioms(
         c, grid=args.grid, rectangles=args.rectangles, tol=args.tol, seed=args.seed
@@ -104,6 +126,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _at_least(0, args, "seed")
     model = parse_model(args.model)
     pairs = sample_model(model, args.n, args.seed)
     with _open_out(args.out) as fh:
@@ -112,6 +135,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_check_empirical(args) -> int:
+    _finite_non_negative(args, "eps")
     c = parse_copula(args.against)
     source = sys.stdin if args.infile in (None, "-") else args.infile
     pairs = read_pairs_csv(source)
@@ -127,7 +151,8 @@ def cmd_check_empirical(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    _at_least_one(args, "grid", "points")
+    _at_least(1, args, "grid", "points")
+    _finite_non_negative(args, "tol")
     c = parse_copula(args.copula)
     margin_u = parse_distribution(args.fu)
     margin_v = parse_distribution(args.fv)
@@ -145,7 +170,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    _at_least_one(args, "grid")
+    _at_least(1, args, "grid")
+    _finite_non_negative(args, "tol", "eps")
     c = parse_copula(args.copula)
     margin_u = parse_distribution(args.fu)
     margin_v = parse_distribution(args.fv)

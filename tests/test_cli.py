@@ -373,3 +373,44 @@ def test_reconstruct_prints_the_failed_hypothesis_message(capsys):
     code, out, _ = run(capsys, "reconstruct", "efgm:a=1.0", "--fu", "pointmass:x=0", "--fv", "uniform")
     assert code == 1
     assert "[FAIL] hypothesis:interior-point: worst nan (interior-point: margins admit no common" in out
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+@pytest.mark.parametrize("argv, option", [
+    (["check", "efgm:a=0.5"], "--tol"),
+    (["check-empirical", "--against", "indep", "--in", "-"], "--eps"),
+    (["roundtrip", "efgm:a=1.0", "--fu", "uniform", "--fv", "uniform"], "--eps"),
+    (["roundtrip", "efgm:a=1.0", "--fu", "uniform", "--fv", "uniform"], "--tol"),
+    (["reconstruct", "efgm:a=1.0", "--fu", "uniform", "--fv", "uniform"], "--tol"),
+    (["validate-gen", "power:alpha=0.5", "--class", "rmm"], "--tol"),
+], ids=["check-tol", "check-empirical-eps", "roundtrip-eps", "roundtrip-tol", "reconstruct-tol",
+        "validate-gen-tol"])
+def test_bad_tolerance_exits_2_naming_the_option(capsys, argv, option, value):
+    code, out, err = run(capsys, *argv, f"{option}={value}")
+    assert code == 2
+    assert err == f"error: {option} must be finite and non-negative, got {float(value)}\n"
+    assert out == ""
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    code, _, err = run(capsys, "validate-gen", "power:alpha=0.5", "--class", "rmm", "--tol", "0")
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", MODEL, "-n", "5", "--seed", "-1"],
+    ["check", "efgm:a=0.5", "--seed", "-1"],
+], ids=["sample", "check"])
+def test_negative_seed_exits_2_naming_seed(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: --seed must be at least 0, got -1\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("grid", ["0", "2"])
+def test_validate_gen_small_grid_exits_2_naming_grid(capsys, grid):
+    code, out, err = run(capsys, "validate-gen", "power:alpha=0.5", "--class", "rmm", "--grid", grid)
+    assert code == 2
+    assert err == f"error: --grid must be at least 3, got {grid}\n"
+    assert out == ""
