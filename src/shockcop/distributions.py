@@ -30,8 +30,9 @@ exactly; a level that no probe reaches below or above inverts to -oo or +oo.
 The other brackets shrink, in blocks of levels, by a few Illinois (secant)
 steps and then by bisection, until hi - lo <= 1e-14 + 1e-14 * max(|lo|, |hi|)
 or no float lies between them.  The result is hi, so F(quantile(u)) >= u
-holds exactly and F stays below u a stopping width to the left; knot placement
-(``_place_array``) takes the first x with |F(x) - u| <= 1/20 of u's nearer level gap.
+holds exactly and F stays below u a stopping width to the left.  Knot placement
+(``_place_array``) only reads the table: it interpolates x linearly between the
+points where the running maximum rises, with no probe of F beyond the table.
 """
 
 from __future__ import annotations
@@ -125,11 +126,11 @@ class DistributionFunction(ABC):
         return self._finite(self._quantile_array(us))
 
     def _place_array(self, levels: np.ndarray) -> np.ndarray:
-        """``quantile_array`` of ascending interior levels, except that the generic
-        inverse stops each level at its placement tolerance (module docstring)."""
-        if type(self)._quantile_array is DistributionFunction._quantile_array:
-            return self._finite(self._bisect_quantile_array(levels, place=True))
-        return self._finite(self._quantile_array(levels))
+        """Points near the quantiles of ascending interior levels, interpolated linearly
+        in the generic inverse's table; a level the table never reaches is refused."""
+        xs, _, _, reach = self._quantile_table(float(levels[0]), float(levels[-1]))
+        strict = np.concatenate(([True], reach[1:] > reach[:-1]))
+        return self._finite(np.interp(levels, reach[strict], xs[strict], left=-np.inf, right=np.inf))
 
     def _finite(self, xs: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(xs)):
@@ -161,7 +162,7 @@ class DistributionFunction(ABC):
 
     # -- generic inverse -----------------------------------------------------
 
-    def _bisect_quantile_array(self, us: np.ndarray, place: bool = False) -> np.ndarray:
+    def _bisect_quantile_array(self, us: np.ndarray) -> np.ndarray:
         """The generic inverse of the module docstring.  A level's result does not
         depend on the other levels of the call, so ``quantile`` matches it to the bit."""
         shape = us.shape
@@ -170,12 +171,8 @@ class DistributionFunction(ABC):
         if us.size:
             table = self._quantile_table(float(us.min()), float(us.max()))
             for start in range(0, us.size, _QUANTILE_BLOCK):
-                block, u_tol = slice(start, start + _QUANTILE_BLOCK), None
-                if place:  # 1/20 of the gap to the nearer neighbour, 0 and 1 included
-                    lo = max(start - 1, 0)
-                    gaps = np.diff(np.concatenate(([0.0], us[lo : block.stop + 1], [1.0])))
-                    u_tol = np.minimum(gaps[:-1], gaps[1:])[start - lo :][:_QUANTILE_BLOCK] / 20.0
-                out[block] = self._quantile_block(us[block], *table, u_tol)
+                block = slice(start, start + _QUANTILE_BLOCK)
+                out[block] = self._quantile_block(us[block], *table)
         return out.reshape(shape)
 
     def _quantile_table(self, u_min: float, u_max: float):
@@ -214,7 +211,7 @@ class DistributionFunction(ABC):
             fs.append(f)
         return np.array(xs), np.array(fs)
 
-    def _quantile_block(self, us, xs, fs, f_left, reach, u_tol=None) -> np.ndarray:
+    def _quantile_block(self, us, xs, fs, f_left, reach) -> np.ndarray:
         """The quantiles of some levels from the table: exact at a jump, ±inf past
         its ends, otherwise refined inside the table's bracket (see ``_refine``)."""
         j = np.searchsorted(reach, us, side="left")  # F(xs[j-1]) < u <= F(xs[j])
@@ -224,19 +221,17 @@ class DistributionFunction(ABC):
         # F(J-) < u <= F(J) at a jump J: the quantile is J itself
         rest = (j > 0) & (j <= last) & (f_left[k] >= us)
         k = k[rest]
-        u_tol = None if u_tol is None else u_tol[rest]
-        out[rest] = self._refine(us[rest], xs[k - 1], xs[k], fs[k - 1], fs[k], u_tol)
+        out[rest] = self._refine(us[rest], xs[k - 1], xs[k], fs[k - 1], fs[k])
         return out
 
-    def _refine(self, us, lo, hi, f_lo, f_hi, u_tol=None) -> np.ndarray:
+    def _refine(self, us, lo, hi, f_lo, f_hi) -> np.ndarray:
         """Shrink brackets F(lo) < u <= F(hi) to the stopping width and return hi.
 
         The first steps are Illinois steps (Dowell & Jarratt 1971): secant
         probes, where an end that stays put twice in a row has its ordinate
         halved, clamped at least half the stopping width inside the bracket so
         that it closes from both sides. Bisection follows. Converged levels
-        leave the working arrays.  Given per-level ``u_tol``, a level also stops
-        at the first probe x with |F(x) - u| <= u_tol and returns x.
+        leave the working arrays.
         """
         out = np.empty_like(us)
         at = np.arange(us.size)
@@ -252,7 +247,6 @@ class DistributionFunction(ABC):
                 at, us, lo, hi, g_lo, g_hi, moved, tol, mid = (
                     a[open_] for a in (at, us, lo, hi, g_lo, g_hi, moved, tol, mid)
                 )
-                u_tol = None if u_tol is None else u_tol[open_]
             if not at.size:
                 return out
             if step < _QUANTILE_SECANT_STEPS:
@@ -267,12 +261,9 @@ class DistributionFunction(ABC):
                 moved = np.where(up, 1.0, -1.0)
             else:
                 x = mid
-                g = self.cdf_array(x) - us
-                up = g >= 0.0
+                up = self.cdf_array(x) >= us
             hi = np.where(up, x, hi)
             lo = np.where(up, lo, x)
-            if u_tol is not None:  # a placed level closes its bracket on x, returned next pass
-                hi, lo = (np.where(np.abs(g) <= u_tol, x, end) for end in (hi, lo))
 
 
 # ---------------------------------------------------------------------------

@@ -591,9 +591,10 @@ def generator_from_shocks(
     the margin is the product of the component with a shock); ``"above"`` the
     reverse (min-type models), checked within 1e-9 at every knot; ShockStructureError
     names the worst one, at its ladder level's exact quantile.  The knots lie at a
-    point placed near each ladder level (``_place_array``) and, for each jump J of
-    the margin, at J- and at J, so the line between these two spans the gap.  Knots
-    at u = 0 or 1 give way to the ends (0, 0) and (1, 1); of equal u the first is kept.
+    point interpolated near each ladder level in the margin's quantile table
+    (``_place_array``) and, for each jump J of the margin, at J- and at J, so the line
+    between these two spans the gap.  Knots at u = 0 or 1 give way to the ends
+    (0, 0) and (1, 1); of equal u the first is kept.
     """
     if margin_side not in ("below", "above"):
         raise ValueError(f"margin_side must be 'below' or 'above', got {margin_side!r}")

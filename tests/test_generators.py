@@ -13,12 +13,15 @@ from shockcop.distributions import (
     NegExponential,
     Product,
     SurvivalProduct,
+    TabulatedCdf,
     Uniform,
+    negated,
     point_mass,
 )
 from shockcop.errors import (
     GeneratorKindError,
     GeneratorValidationError,
+    MalformedCdfError,
     ShockStructureError,
     TableFormatError,
 )
@@ -408,61 +411,82 @@ def test_margin_order_witness_reproduces_the_reported_gap(component, margin, sid
     assert f" by {gap:.3g} at x={x:.6g} " in str(err.value)
 
 
-def test_generator_from_shocks_inverts_the_margin_once():
-    class Spy(Product):
-        calls = 0
-
-        def _place_array(self, levels):
-            Spy.calls += 1
-            return super()._place_array(levels)
-
-    gen = generator_from_shocks(Exponential(1.0), Spy(Exponential(1.0), Exponential(2.0)))
-    assert Spy.calls == 1 and validate(gen).passed
-
-
-def reconstructed_exprmm():
-    """The model that ``reconstruct`` builds for exprmm_ab(0.3, 0.6) on Exp(1), Exp(2) margins."""
-    return reconstruct(exprmm_ab(0.3, 0.6), Exponential(1.0), Exponential(2.0))
-
-
-def test_placing_a_reconstructed_margin_costs_at_most_1_5_cdf_points_per_level():
-    model = reconstructed_exprmm()
+def test_a_generic_margin_costs_its_table_and_one_cdf_point_per_knot():
+    model = reconstruct(exprmm_ab(0.3, 0.6), Exponential(1.0), Exponential(2.0))
     margin = margins(model)[0]  # Product(ComposedCdf, RmmShockCdf): no closed-form inverse
-    points = []
-    refine, cdf = margin._refine, margin.cdf_array
+    points, probes, refined = [], [], []
+    cdf, expand = margin.cdf_array, margin._expand
 
-    def counted_refine(*args):  # count the solver's probes, not the shared table
-        margin.cdf_array = lambda xs: points.append(np.size(xs)) or cdf(xs)
-        try:
-            return refine(*args)
-        finally:
-            del margin.cdf_array
+    def counted_expand(*args):
+        xs, fs = expand(*args)
+        probes.append(xs.size)
+        return xs, fs
 
-    margin._refine = counted_refine
+    margin.cdf_array = lambda xs: points.append(np.size(xs)) or cdf(xs)
+    margin._expand = counted_expand
+    margin._refine = lambda *args: refined.append(args)
     generator_from_shocks(model.f_x, margin, resolution=4096)
-    levels = _ladder(4096).size
-    assert 0 < sum(points) <= 1.5 * levels  # the tight inverse takes about 6.6
+    # the shared table (grid, expansion probes, jumps), then the knots (levels, jumps)
+    jumps = len(margin.jump_points())
+    assert not refined
+    assert sum(points) <= 2**14 + 1 + sum(probes) + _ladder(4096).size + 2 * jumps
 
 
-@pytest.mark.parametrize("case", ["exprmm-u", "exprmm-v", "product", "survival-product"])
-def test_every_placed_knot_lies_within_its_u_tol_of_its_level(case):
-    exp1, exp2 = Exponential(1.0), Exponential(2.0)
-    margin = {
-        "exprmm-u": lambda: margins(reconstructed_exprmm())[0],
-        "exprmm-v": lambda: margins(reconstructed_exprmm())[1],
-        "product": lambda: Product(exp1, exp2),
-        "survival-product": lambda: SurvivalProduct(exp1, exp2),
-    }[case]()
-    levels = _ladder(4096)
-    gaps = np.diff(np.concatenate(([0.0], levels, [1.0])))
-    u_tol = np.minimum(gaps[:-1], gaps[1:]) / 20.0
-    xs = margin._place_array(levels)
-    close = np.abs(margin.cdf_array(xs) - levels) <= u_tol
-    # the one way out: the solver's stopping width 1e-14 + 1e-14|x| closes first, which
-    # happens to levels below about 1e-13; such a level gets the tight inverse's point
-    tight = xs == margin.quantile_array(levels)
-    assert np.all(close | tight)
-    assert close.mean() > 0.998 and np.all(levels[~close] < 1e-13)
+def exact_curve(margin):
+    """Points (F_U(x), F_C(x)) of the curve u -> F_C(F_U^-1(u)) with 0 < u < 1, F_C = Exp(1)."""
+    x = np.geomspace(1e-16, 40.0, 42001)
+    u, v = margin.cdf_array(x), Exponential(1.0).cdf_array(x)
+    inside = (u > 0.0) & (u < 1.0)
+    return u[inside], v[inside]
+
+
+@pytest.mark.parametrize("resolution", [4096, 32768])
+def test_max_side_curve_error_shrinks_as_resolution_squared_at_both_ends(resolution):
+    margin = Product(Exponential(1.0), Exponential(2.0))
+    u, v = exact_curve(margin)
+    gen = generator_from_shocks(Exponential(1.0), margin, resolution=resolution)
+    err = np.abs(gen.value_array(u) - v)
+    shrink = (4096 / resolution) ** 2
+    # bounds at R = 4096; measured 3.10e-8 sup and, band by band, 5.6e-4, 1.8e-4,
+    # 5.6e-5, 1.8e-5, 6.8e-7; R = 32768 measured 64 times smaller in every band
+    assert err.max() <= 4e-8 * shrink
+    for lo, hi, bound in [
+        (1e-15, 1e-12, 1e-3),
+        (1e-12, 1e-9, 3e-4),
+        (1e-9, 1e-6, 1e-4),
+        (1e-6, 1e-3, 3e-5),
+        (1e-3, 0.999, 1e-6),
+    ]:
+        band = (u >= lo) & (u < hi)
+        assert band.any() and np.max(err[band] / v[band]) <= bound * shrink, (lo, hi)
+
+
+@pytest.mark.parametrize("resolution", [4096, 32768])
+def test_min_side_curve_error_shrinks_as_resolution_squared_between_float_limited_ends(resolution):
+    margin = SurvivalProduct(Exponential(1.0), Exponential(2.0))
+    u, v = exact_curve(margin)
+    gen = generator_from_shocks(Exponential(1.0), margin, resolution=resolution, margin_side="above")
+    err = np.abs(gen.value_array(u) - v)
+    near_0, near_1 = u < 1e-6, u >= 0.999
+    # SurvivalProduct resolves F only to about 2**-53 near 0 (measured 8e-17 at both R)
+    assert err[near_0].max() <= 2.0**-52
+    # measured 5.96e-8 at R = 4096 and 9.3e-10 at R = 32768
+    assert err[~near_0 & ~near_1].max() <= 1e-7 * (4096 / resolution) ** 2
+    # v = 1 - (1-u)**(1/3) moves about 5e-6 while u stays within 2**-53 of 1 (measured 1.65e-6)
+    assert err[near_1].max() <= 2e-6
+
+
+@pytest.mark.parametrize(
+    "margin",
+    [
+        negated(TabulatedCdf([0.0, 1.0], [0.0, 0.7], "linear")),  # F >= 0.3 on the whole line
+        Product(TabulatedCdf([0.0, 1.0], [0.0, 0.8], "linear"), Exponential(1.0)),  # F <= 0.8
+    ],
+    ids=["floor", "ceiling"],
+)
+def test_a_margin_that_never_reaches_a_ladder_level_is_malformed(margin):
+    with pytest.raises(MalformedCdfError):
+        generator_from_shocks(Exponential(1.0), margin)
 
 
 def test_min_side_margin_order():
