@@ -18,7 +18,6 @@ import numpy as np
 from . import copulas as cop
 from . import shock_models as sm
 from .distributions import DistributionFunction
-from .errors import ReconstructionError
 from .generators import CheckResult, CheckSuiteReport, _worst
 from .sampling import empirical_copula, sample_model, sup_distance_at
 
@@ -102,34 +101,8 @@ def check_reconstruction(
     margin_u: DistributionFunction,
     margin_v: DistributionFunction,
     grid_size: int = 1001,
-    tol: float = 1e-10,
+    tol: float = sm.RECONSTRUCTION_TOL,
 ) -> CheckSuiteReport:
-    """Run the family's reconstruction and return its audit report.
-
-    This is the report ``shock_models.audit_reconstruction`` builds and
-    ``shock_models.reconstruct`` raises from: ``margin-u-factorization``,
-    ``margin-v-factorization``, ``f-x-nondecreasing``, ``f-y-nondecreasing``,
-    ``g1-nondecreasing``, ``g2-nondecreasing``, ``shock-margin-envelope``
-    and ``joint-law``.  A failed hypothesis gives the single result
-    ``hypothesis:<assumption>`` with the error's witness.
-    """
-    return reconstruction_audit(c, margin_u, margin_v, grid_size, tol)[1]
-
-
-def reconstruction_audit(
-    c: cop.Copula,
-    margin_u: DistributionFunction,
-    margin_v: DistributionFunction,
-    grid_size: int = 1001,
-    tol: float = 1e-10,
-) -> tuple[sm.ShockModel | None, CheckSuiteReport]:
-    """``check_reconstruction``'s report and the audited model (None if a hypothesis failed)."""
-    c = cop.normalize(c)
-    try:
-        return sm.audited_reconstruction(c, margin_u, margin_v, grid_size, tol)
-    except ReconstructionError as exc:
-        witness = exc.witness
-        if witness is not None and not isinstance(witness, tuple):
-            witness = (float(witness), 0.0)  # a point on the line, as in the per-x checks
-        failed = CheckResult(f"hypothesis:{exc.assumption}", False, float("nan"), witness, str(exc))
-        return None, CheckSuiteReport(f"reconstruction[{c.describe()}]", (failed,))
+    """The report of ``shock_models.audited_reconstruction``, the one reconstruction:
+    its audit rows, or the single row ``hypothesis:<assumption>``."""
+    return sm.audited_reconstruction(c, margin_u, margin_v, grid_size, tol)[1]

@@ -115,6 +115,8 @@ def cmd_validate_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _at_least(3, args, "grid")
+    _at_least(1, args, "rectangles")
     _at_least(0, args, "seed")
     _finite_non_negative(args, "tol")
     c = parse_copula(args.copula)
@@ -156,7 +158,7 @@ def cmd_reconstruct(args) -> int:
     c = parse_copula(args.copula)
     margin_u = parse_distribution(args.fu)
     margin_v = parse_distribution(args.fv)
-    model, report = checks.reconstruction_audit(c, margin_u, margin_v, args.grid, args.tol)
+    model, report = sm.audited_reconstruction(c, margin_u, margin_v, args.grid, args.tol)
     _emit_report(report, args)
     if not report.passed:
         return EXIT_CHECK_FAILED
@@ -171,6 +173,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     _at_least(1, args, "grid")
+    _at_least(8, args, "resolution")
     _finite_non_negative(args, "tol", "eps")
     c = parse_copula(args.copula)
     margin_u = parse_distribution(args.fu)
@@ -255,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fu", required=True)
     p.add_argument("--fv", required=True)
     p.add_argument("--grid", type=int, default=1001)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=sm.RECONSTRUCTION_TOL)
     p.add_argument("--points", type=int, default=41, help="rows in the emitted CDF table")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("text", "csv"), default="text")
@@ -267,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fu", required=True)
     p.add_argument("--fv", required=True)
     p.add_argument("--grid", type=int, default=1001)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=sm.RECONSTRUCTION_TOL)
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--resolution", type=int, default=1 << 16)
     p.set_defaults(fn=cmd_roundtrip)

@@ -18,15 +18,17 @@ max, min  one shared shock        maxmin: min{u, phi(u)(v-psi(v)) + u psi(v)}
 other pair is legal.
 
 ``induced_copula`` realizes the forward direction by composing each component
-CDF with the generalized inverse of its margin; ``reconstruct`` inverts a
-copula-plus-margins pair back into explicit shock CDFs.  It checks the
-family's hypotheses, builds the shocks, then runs one audit,
-``audit_reconstruction``, and raises from its first failed check.  The audit's
-check ids, in order: ``margin-u-factorization``, ``margin-v-factorization``,
+CDF with the generalized inverse of its margin.  ``audited_reconstruction`` is
+the one reverse direction: it inverts a copula-plus-margins pair into explicit
+shock CDFs and returns the model, None if a hypothesis failed, with one report.
+That report is the single row ``hypothesis:<assumption>`` or the audit's rows,
+in order: ``margin-u-factorization``, ``margin-v-factorization``,
 ``f-x-nondecreasing``, ``f-y-nondecreasing``, ``g1-nondecreasing``,
-``g2-nondecreasing``, ``shock-margin-envelope`` and ``joint-law``; each row
-comes from ``generators._worst``, the rule of every check in the package.
-``checks.check_reconstruction`` returns the same report.
+``g2-nondecreasing``, ``shock-margin-envelope`` and ``joint-law``; each audit
+row comes from ``generators._worst``, the rule of every check in the package.
+``reconstruct`` raises from the report's first failed row, and
+``checks.check_reconstruction`` returns the report; every reconstruction's
+tolerance defaults to ``RECONSTRUCTION_TOL``.
 """
 
 from __future__ import annotations
@@ -454,6 +456,7 @@ def _subsample(xs: np.ndarray, k: int) -> np.ndarray:
 # the reconstruction audit
 # ---------------------------------------------------------------------------
 
+RECONSTRUCTION_TOL = 1e-10  # each reconstruction's default ``tol``: it decides verdicts, not models
 _SHAPE_TOL = 1e-12  # slack of the monotonicity and envelope checks; ``tol`` does not loosen it
 
 
@@ -509,31 +512,39 @@ def audited_reconstruction(
     margin_u: DistributionFunction,
     margin_v: DistributionFunction,
     grid_size: int = 1001,
-    tol: float = 1e-9,
+    tol: float = RECONSTRUCTION_TOL,
     chi: ChiMap | None = None,
-) -> tuple[ShockModel, CheckSuiteReport]:
-    """Reconstruct a normalized Marshall, RMM or SMM copula and audit the model once.
+) -> tuple[ShockModel | None, CheckSuiteReport]:
+    """The reconstruction: the model of ``c`` on the margins, or None, and its report.
 
-    The family gives the model: Marshall a comonotonic max/max one (its
-    hypotheses: the star ratios align through ``chi``, a left endpoint, a
-    star divergence), RMM a countermonotonic max/max one and SMM a
-    countermonotonic min/min one (both need a common interior point of the
-    margins).  A failed hypothesis raises ReconstructionError; the
-    postconditions come back as the ``audit_reconstruction`` report next to
-    the model.
+    ``c`` is normalized first.  Its family gives the model: Marshall a
+    comonotonic max/max one (its hypotheses: the star ratios align through
+    ``chi``, a left endpoint, a star divergence), RMM a countermonotonic
+    max/max one and SMM a countermonotonic min/min one (both need a common
+    interior point of the margins); its report is ``audit_reconstruction``'s.
+    A ReconstructionError on the way (another family, a failed hypothesis, a
+    Marshall generator vanishing in the audit) gives no model and the single
+    row ``hypothesis:<assumption>``: magnitude NaN, the error text as detail
+    and, for an error at a point x, the witness (x, 0.0).
     """
     if grid_size < 1:
         raise ValueError(f"grid_size must be at least 1, got {grid_size}")
-    if not isinstance(c, (cop.MarshallCopula, cop.RmmCopula, cop.SmmCopula)):
-        raise ReconstructionError("family", f"no reconstruction is defined for {c.describe()}")
-    xs = support_grid([margin_u, margin_v], grid_size)
-    if isinstance(c, cop.MarshallCopula):
-        model = _marshall_shocks(c, margin_u, margin_v, xs, chi or IDENTITY_CHI, tol)
-    else:
-        _check_interior_point(margin_u, margin_v, xs)
-        build = _rmm_shocks if isinstance(c, cop.RmmCopula) else _smm_shocks
-        model = build(c, margin_u, margin_v)
-    return model, audit_reconstruction(model, c, margin_u, margin_v, xs, tol)
+    c = cop.normalize(c)
+    try:
+        if not isinstance(c, (cop.MarshallCopula, cop.RmmCopula, cop.SmmCopula)):
+            raise ReconstructionError("family", f"no reconstruction is defined for {c.describe()}")
+        xs = support_grid([margin_u, margin_v], grid_size)
+        if isinstance(c, cop.MarshallCopula):
+            model = _marshall_shocks(c, margin_u, margin_v, xs, chi or IDENTITY_CHI, tol)
+        else:
+            _check_interior_point(margin_u, margin_v, xs)
+            build = _rmm_shocks if isinstance(c, cop.RmmCopula) else _smm_shocks
+            model = build(c, margin_u, margin_v)
+        return model, audit_reconstruction(model, c, margin_u, margin_v, xs, tol)
+    except ReconstructionError as exc:
+        witness = None if exc.witness is None else (float(exc.witness), 0.0)
+        failed = CheckResult(f"hypothesis:{exc.assumption}", False, float("nan"), witness, str(exc))
+        return None, CheckSuiteReport(f"reconstruction[{c.describe()}]", (failed,))
 
 
 def _marshall_shocks(c, margin_u, margin_v, xs, chi, tol) -> ShockModel:
@@ -553,8 +564,8 @@ def _marshall_shocks(c, margin_u, margin_v, xs, chi, tol) -> ShockModel:
             witness=float(at[i]),
         )
 
-    _check_left_endpoint("margin-u", phi, margin_u, tol)
-    _check_left_endpoint("margin-v", psi, margin_v, tol)
+    _check_left_endpoint("margin-u", phi, margin_u)
+    _check_left_endpoint("margin-v", psi, margin_v)
     _check_star_divergence("margin-u", phi, margin_u, xs)
     _check_star_divergence("margin-v", psi, margin_v, xs)
 
@@ -565,7 +576,7 @@ def _marshall_shocks(c, margin_u, margin_v, xs, chi, tol) -> ShockModel:
     )
 
 
-def _check_left_endpoint(label, gen, margin, tol):
+def _check_left_endpoint(label, gen, margin):
     """Either the generator is continuous at 0 or the margin has an atom at a
     finite left support endpoint."""
     if gen.value(1e-9) <= 1e-6:
@@ -634,15 +645,21 @@ def reconstruct(
     margin_u: DistributionFunction,
     margin_v: DistributionFunction,
     grid_size: int = 1001,
-    tol: float = 1e-9,
+    tol: float = RECONSTRUCTION_TOL,
     chi: ChiMap | None = None,
 ) -> ShockModel:
-    """Reconstruct the (normalized) copula as ``audited_reconstruction`` does and
-    raise ReconstructionError from the audit's first failed check."""
-    model, report = audited_reconstruction(cop.normalize(c), margin_u, margin_v, grid_size, tol, chi)
-    for r in report.results:
-        if not r.passed:
-            raise ReconstructionError(
-                r.check_id, f"audit worst {r.magnitude:.3e} at {r.witness}", witness=r.witness
-            )
-    return model
+    """``audited_reconstruction``'s model; ReconstructionError from its report's first failed row.
+
+    The error names the row's assumption (a hypothesis row's without the
+    ``hypothesis:`` prefix, with that hypothesis's text) and carries the row's witness.
+    """
+    model, report = audited_reconstruction(c, margin_u, margin_v, grid_size, tol, chi)
+    failed = next((r for r in report.results if not r.passed), None)
+    if failed is None:
+        return model
+    assumption = failed.check_id.removeprefix("hypothesis:")
+    # a hypothesis row carries its error's text; an audit row only its worst gap
+    message = failed.detail.removeprefix(f"{assumption}: ") or (
+        f"audit worst {failed.magnitude:.3e} at {failed.witness}"
+    )
+    raise ReconstructionError(assumption, message, witness=failed.witness)

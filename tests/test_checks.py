@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from shockcop.copulas import (
     smm,
     survival,
 )
+from shockcop.descriptors import parse_copula
 from shockcop.distributions import EfgmMargin, Exponential, Product, Uniform, point_mass
 from shockcop.errors import ReconstructionError
 from shockcop.generators import GeneratorClass, closed_form, rmm_to_smm, smm_to_rmm, validate
@@ -200,31 +203,58 @@ def test_model_theorem_joint_vs_join_matches_row_major_loop():
     assert first.witness == witness
 
 
-def test_postcondition_failure_raises_with_the_check_id():
-    # the tabulated route of criterion 8 passes at 1e-10 with a worst gap near 1e-16
+@functools.cache
+def _tabulated_rmm():
+    # the tabulated route of criterion 8: it passes at 1e-10 with a worst gap near 1e-16
     exp_margin = Product(Exponential(1.0), Exponential(1.0))
     model0 = rmm_model(Exponential(1.0), Exponential(1.0), Exponential(1.0), Exponential(1.0))
-    c_tab = induced_copula(model0, resolution=1 << 15)
-    assert check_reconstruction(c_tab, exp_margin, exp_margin, tol=1e-10).passed
-    report = check_reconstruction(c_tab, exp_margin, exp_margin, tol=1e-17)
-    assert [r.check_id for r in report.results] == AUDIT_IDS
-    first_failed = next(r for r in report.results if not r.passed)
-    with pytest.raises(ReconstructionError) as err:
-        reconstruct(c_tab, exp_margin, exp_margin, tol=1e-17)
-    assert err.value.assumption == first_failed.check_id
-    assert err.value.witness == first_failed.witness
+    return induced_copula(model0, resolution=1 << 15), exp_margin, exp_margin
 
 
-def test_hypothesis_failure_keeps_a_scalar_witness():
-    cap = closed_form("capped", GeneratorClass.MARSHALL, slope=2.0)
-    c = MarshallCopula(cap, closed_form("identity", GeneratorClass.MARSHALL))
+_CAP = closed_form("capped", GeneratorClass.MARSHALL, slope=2.0)
+_ID = closed_form("identity", GeneratorClass.MARSHALL)
+RECONSTRUCTION_CASES = {  # name: (copula and margins, tol, first failed row or None)
+    "pass": (lambda: (efgm(0.5), U, U), sm.RECONSTRUCTION_TOL, None),
+    "normalized-survival": (lambda: (survival(efgm(0.5)), U, U), sm.RECONSTRUCTION_TOL, None),
+    "tabulated": (_tabulated_rmm, sm.RECONSTRUCTION_TOL, None),
+    "alignment": (lambda: (MarshallCopula(_CAP, _ID), U, U), sm.RECONSTRUCTION_TOL,
+                  "hypothesis:alignment"),
+    "interior-point": (lambda: (efgm(1.0), point_mass(0.0), point_mass(0.0)),
+                       sm.RECONSTRUCTION_TOL, "hypothesis:interior-point"),
+    "family": (lambda: (parse_copula("maxmin:phi=capped:slope=2.0,psi=identity"), U, U),
+               sm.RECONSTRUCTION_TOL, "hypothesis:family"),
+    "tabulated-postcondition": (_tabulated_rmm, 1e-17, "margin-u-factorization"),
+}
+
+
+@pytest.mark.parametrize("case", RECONSTRUCTION_CASES)
+def test_every_reconstruction_entry_point_reads_one_report(case):
+    build, tol, first_failed = RECONSTRUCTION_CASES[case]
+    c, fu, fv = build()
+    model, report = sm.audited_reconstruction(c, fu, fv, tol=tol)
+    # the same report; compared as text, since a hypothesis row's NaN is unequal to itself
+    assert repr(check_reconstruction(c, fu, fv, tol=tol)) == repr(report)
+    ids = [r.check_id for r in report.results]
+    assert ids == ([first_failed] if model is None else AUDIT_IDS)
+    if first_failed is None:
+        assert report.passed, report.render_text()
+        assert reconstruct(c, fu, fv, tol=tol) is not None
+        return
+    first = next(r for r in report.results if not r.passed)
+    assert first.check_id == first_failed
     with pytest.raises(ReconstructionError) as err:
-        reconstruct(c, U, U)
-    report = check_reconstruction(c, U, U)
-    (result,) = report.results
-    assert result.check_id == "hypothesis:alignment"
-    assert result.witness == (err.value.witness, 0.0)
-    assert report.csv_rows()[1].endswith(f",{err.value.witness},0.0")
+        reconstruct(c, fu, fv, tol=tol)
+    assert err.value.assumption == first_failed.removeprefix("hypothesis:")
+    assert err.value.witness == first.witness
+    if model is None:
+        assert str(err.value) == first.detail
+        if first.witness is not None:  # a hypothesis at a point x on the line
+            assert first.witness[1] == 0.0
+            assert report.csv_rows()[1].endswith(f",{first.witness[0]},0.0")
+    else:
+        assert str(err.value) == (
+            f"{first_failed}: audit worst {first.magnitude:.3e} at {first.witness}"
+        )
 
 
 class _LookupSpy:

@@ -325,7 +325,7 @@ def test_closed_pipe_exits_1_without_traceback():
 def test_check_with_no_rectangles_exits_2(capsys):
     code, _, err = run(capsys, "check", "efgm:a=0.95", "--rectangles", "0")
     assert code == 2
-    assert err == "error: rectangles must be at least 1\n"
+    assert err == "error: --rectangles must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
@@ -408,9 +408,16 @@ def test_negative_seed_exits_2_naming_seed(capsys, argv):
     assert out == ""
 
 
-@pytest.mark.parametrize("grid", ["0", "2"])
-def test_validate_gen_small_grid_exits_2_naming_grid(capsys, grid):
-    code, out, err = run(capsys, "validate-gen", "power:alpha=0.5", "--class", "rmm", "--grid", grid)
+@pytest.mark.parametrize("argv, option, value, low", [
+    (["validate-gen", "power:alpha=0.5", "--class", "rmm"], "--grid", "0", 3),
+    (["validate-gen", "power:alpha=0.5", "--class", "rmm"], "--grid", "2", 3),
+    (["check", "efgm:a=0.5"], "--grid", "2", 3),
+    (["check", "efgm:a=0.5"], "--rectangles", "0", 1),
+    (["roundtrip", "efgm:a=1.0", "--fu", "uniform", "--fv", "uniform"], "--resolution", "4", 8),
+], ids=["validate-gen-grid-0", "validate-gen-grid-2", "check-grid", "check-rectangles",
+        "roundtrip-resolution"])
+def test_count_below_its_floor_exits_2_naming_the_option(capsys, argv, option, value, low):
+    code, out, err = run(capsys, *argv, option, value)
     assert code == 2
-    assert err == f"error: --grid must be at least 3, got {grid}\n"
+    assert err == f"error: {option} must be at least {low}, got {value}\n"
     assert out == ""

@@ -400,7 +400,7 @@ def test_marshall_alignment_witness_is_first_violating_grid_point():
             left, right = c.phi.value(fu) / fu, c.psi.value(fv) / fv
             if abs(left - right) > 1e-9 * max(1.0, abs(left), abs(right)):
                 break
-    assert err.value.witness == float(x)
+    assert err.value.witness == (float(x), 0.0)
     assert str(err.value) == (
         f"alignment: phi-star({fu:.6g})={left:.6g} != psi-star({fv:.6g})={right:.6g}"
     )
@@ -410,9 +410,9 @@ def test_marshall_reconstruction_through_an_array_chi():
     # U on [1, 3] and V on [0, 1] align only through chi(x) = 2x + 1
     c = marshall(capped_gen(), capped_gen())
     margin_u = Uniform(1.0, 3.0)
-    with pytest.raises(ReconstructionError) as err:
-        audited_reconstruction(c, margin_u, U)
-    assert err.value.assumption == "alignment"
+    model, report = audited_reconstruction(c, margin_u, U)
+    assert model is None
+    assert [r.check_id for r in report.results] == ["hypothesis:alignment"]
     chi = ChiMap(lambda x: 2.0 * x + 1.0, lambda y: (y - 1.0) / 2.0, "affine")
     model, report = audited_reconstruction(c, margin_u, U, chi=chi)
     assert report.passed and len(report.results) == 8
