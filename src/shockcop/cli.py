@@ -137,6 +137,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_check_empirical(args) -> int:
+    _at_least(2, args, "grid")
     _finite_non_negative(args, "eps")
     c = parse_copula(args.against)
     source = sys.stdin if args.infile in (None, "-") else args.infile

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionFunction, cdf_values
+from .distributions import DistributionFunction
 from .errors import GeneratorValidationError
 from .generators import (
     Generator,
@@ -294,8 +294,9 @@ class JointDistribution:
         self.margin_v = margin_v
 
     def cdf(self, x, y):
-        """H(x, y), broadcast over arrays; scalars (+-oo sentinels included) give a float."""
-        out = self.copula.value_array(cdf_values(self.margin_u, x), cdf_values(self.margin_v, y))
+        """H(x, y), broadcast over arrays; scalars, +-inf included, give a float."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        out = self.copula.value_array(self.margin_u.cdf_array(x), self.margin_v.cdf_array(y))
         return out if out.ndim else float(out)
 
     def __repr__(self) -> str:

@@ -5,7 +5,7 @@ F(x-), and inverts through the generalized inverse
 
     quantile(u) = inf{x : F(x) >= u},
 
-with quantile(0) = -oo (the infimum over the whole line) and +oo whenever the
+with quantile(0) = -inf (the infimum over the whole line) and +inf whenever the
 level u is never reached.  These conventions are load-bearing: the generator
 constructions in :mod:`shockcop.generators` place a knot at each of the
 bracket values F(J-) and F(J) of a jump J, and at F(x) for a point x placed
@@ -16,8 +16,9 @@ overrides ``cdf_left_array`` only when it has atoms (the default is
 ``cdf_array`` itself) and ``_quantile_array`` only when a closed-form inverse
 exists (the default is the generic inverse below).  The base class derives
 the rest: the scalar ``cdf``, ``cdf_left`` and ``quantile`` evaluate the
-array path at one point, so scalar and array values agree to the bit, and
-map the infinite results to the ``POS_INF``/``NEG_INF`` sentinels;
+array path at one point, so scalar and array values agree to the bit, at
+the IEEE infinities too: every law reads 0 at -inf and 1 at +inf, and
+``quantile`` returns -inf at level 0 and +inf at a level never reached;
 ``quantile_array`` refuses levels that are not strictly inside (0,1), NaN
 included, and infinite results.
 
@@ -26,7 +27,7 @@ points, 2**14 + 1 even points on ``support_hint`` and, for levels the hint
 does not bracket, probes at doubling distances beyond it.  One
 ``searchsorted`` on the table's running maximum gives every level a bracket
 F(lo) < u <= F(hi).  A level with F(J-) < u <= F(J) at a jump J inverts to J
-exactly; a level that no probe reaches below or above inverts to -oo or +oo.
+exactly; a level that no probe reaches below or above inverts to -inf or +inf.
 The other brackets shrink, in blocks of levels, by a few Illinois (secant)
 steps and then by bisection, until hi - lo <= 1e-14 + 1e-14 * max(|lo|, |hi|)
 or no float lies between them.  The result is hi, so F(quantile(u)) >= u
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedCdfError, TableFormatError
-from .extreal import NEG_INF, POS_INF, ExtendedReal, _Infinity
 from .tables import read_table
 
 _QUANTILE_MAX_EXPAND = 200
@@ -76,8 +76,9 @@ def _in_query_order(lookup, xs, knots: int):
     flat = xs.ravel()
     if knots < _SORTED_LOOKUP_KNOTS or flat.size < 2:
         return lookup(xs)
-    step = np.diff(flat)
-    if np.all(step >= 0.0) or np.all(step <= 0.0):  # NaN fails both
+    # comparisons, not differences: inf - inf would warn and read as NaN
+    head, tail = flat[:-1], flat[1:]
+    if np.all(tail >= head) or np.all(tail <= head):  # NaN fails both
         return lookup(xs)
     order = np.argsort(flat)
     out = np.empty(flat.shape)
@@ -96,27 +97,20 @@ class DistributionFunction(ABC):
         """Left limit F(x-). Default is the continuous case; atom-bearing families override."""
         return self.cdf_array(xs)
 
-    def cdf(self, x: ExtendedReal) -> float:
-        if isinstance(x, _Infinity):
-            return 1.0 if x == POS_INF else 0.0
+    def cdf(self, x: float) -> float:
         return _at(self.cdf_array, x)
 
-    def cdf_left(self, x: ExtendedReal) -> float:
-        if isinstance(x, _Infinity):
-            return 1.0 if x == POS_INF else 0.0
+    def cdf_left(self, x: float) -> float:
         return _at(self.cdf_left_array, x)
 
-    def quantile(self, u: float) -> ExtendedReal:
+    def quantile(self, u: float) -> float:
         """Generalized inverse inf{x : F(x) >= u}."""
         if not 0.0 <= u <= 1.0:
             raise ValueError(f"probability level must lie in [0,1], got {u}")
         if u == 0.0:
-            return NEG_INF
+            return -math.inf
         with np.errstate(divide="ignore"):
-            q = _at(self._quantile_array, u)
-        if math.isinf(q):
-            return POS_INF if q > 0.0 else NEG_INF
-        return q
+            return _at(self._quantile_array, u)
 
     def quantile_array(self, us: np.ndarray) -> np.ndarray:
         """Vectorized quantile for interior levels; infinite results are rejected."""
@@ -378,13 +372,19 @@ class TabulatedCdf(DistributionFunction):
         return self._table_cdf(xs, "left")
 
     def _table_cdf(self, xs, side: str):
-        """F (side "right") or F(x-) (side "left"); a linear table is continuous."""
+        """F (side "right") or F(x-) (side "left"); a linear table is continuous.
+
+        The ends of the line read 0 and 1 whatever the table's first and last
+        p: a table whose p stays below 1 leaves its missing mass at +inf.
+        """
 
         def lookup(q):
             if self.interpolation == "linear":
-                return np.interp(q, self.xs, self.ps)
-            idx = np.searchsorted(self.xs, q, side=side) - 1
-            return np.where(idx < 0, 0.0, self.ps[np.maximum(idx, 0)])
+                inside = np.interp(q, self.xs, self.ps)
+            else:
+                idx = np.searchsorted(self.xs, q, side=side) - 1
+                inside = np.where(idx < 0, 0.0, self.ps[np.maximum(idx, 0)])
+            return np.where(np.isinf(q), q > 0.0, inside)
 
         return _in_query_order(lookup, xs, self.xs.size)
 
@@ -394,10 +394,10 @@ class TabulatedCdf(DistributionFunction):
     def _table_quantile(self, us):
         ps, xs = self.ps, self.xs
         idx = np.searchsorted(ps, us, side="left")
-        reached = idx < ps.size  # levels above ps[-1] invert to +oo
+        reached = idx < ps.size  # levels above ps[-1] invert to +inf
         if self.interpolation == "step":
             return np.where(reached, xs[np.minimum(idx, ps.size - 1)], np.inf)
-        # levels in (0, ps[0]] sit on the flat left tail and invert to -oo
+        # levels in (0, ps[0]] sit on the flat left tail and invert to -inf
         out = np.where(reached, -np.inf, np.inf)
         inner = reached & (us > ps[0])
         k = idx[inner]
@@ -590,13 +590,6 @@ def negated(d: DistributionFunction) -> DistributionFunction:
     if isinstance(d, NegatedCdf):
         return d.inner
     return NegatedCdf(d)
-
-
-def cdf_values(d: DistributionFunction, x) -> np.ndarray:
-    """``d.cdf`` at an array of any shape; a scalar, +-oo sentinels included, gives a 0-d array."""
-    if isinstance(x, _Infinity):
-        return np.asarray(d.cdf(x))
-    return d.cdf_array(np.asarray(x, dtype=float))
 
 
 def product_cdf(d1: DistributionFunction, d2: DistributionFunction) -> Product:

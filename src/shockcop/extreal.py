@@ -1,80 +1,12 @@
-"""Order-only extended reals.
+"""The two ends of the extended real line, as IEEE floats.
 
-The generalized-inverse conventions (inf of the empty set is +oo, inf of the
-whole line is -oo) need values that compare against every float but must never
-enter arithmetic, where oo - oo style accidents hide bugs.  The sentinels here
-support comparisons only; any arithmetic operator raises TypeError because none
-is defined.
+The generalized-inverse conventions use them: the infimum of the empty set is
++oo, the infimum of the whole line is -oo, and every CDF reads 0 at -oo and 1
+at +oo.  Scalar and array paths share these values, so a result at an end
+point is the same float either way.
 """
 
-from __future__ import annotations
+import math
 
-from typing import Union
-
-_NUMBER_TYPES = (int, float)
-
-
-class _Infinity:
-    """Signed infinity that participates in ordering but not in arithmetic."""
-
-    __slots__ = ("_sign",)
-
-    def __init__(self, sign: int):
-        self._sign = sign
-
-    def __repr__(self) -> str:
-        return "+oo" if self._sign > 0 else "-oo"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Infinity) and other._sign == self._sign
-
-    def __hash__(self) -> int:
-        return hash(("shockcop-infinity", self._sign))
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, _Infinity):
-            return self._sign < other._sign
-        if isinstance(other, _NUMBER_TYPES):
-            return self._sign < 0
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, _Infinity):
-            return self._sign <= other._sign
-        if isinstance(other, _NUMBER_TYPES):
-            return self._sign < 0
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, _Infinity):
-            return self._sign > other._sign
-        if isinstance(other, _NUMBER_TYPES):
-            return self._sign > 0
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, _Infinity):
-            return self._sign >= other._sign
-        if isinstance(other, _NUMBER_TYPES):
-            return self._sign > 0
-        return NotImplemented
-
-    def __neg__(self) -> "_Infinity":
-        return NEG_INF if self._sign > 0 else POS_INF
-
-
-POS_INF = _Infinity(+1)
-NEG_INF = _Infinity(-1)
-
-ExtendedReal = Union[float, _Infinity]
-
-
-def is_finite(x: ExtendedReal) -> bool:
-    return not isinstance(x, _Infinity)
-
-
-def ordering_key(x: ExtendedReal) -> float:
-    """Map to a plain float usable as a sort/comparison key (never for arithmetic)."""
-    if isinstance(x, _Infinity):
-        return float("inf") if x._sign > 0 else float("-inf")
-    return float(x)
+POS_INF = math.inf
+NEG_INF = -math.inf

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable
@@ -37,7 +38,6 @@ from .errors import (
     ShockStructureError,
     TableFormatError,
 )
-from .extreal import POS_INF, ExtendedReal
 
 STAR_LIMIT_PROBES = (1e-9, 1e-12)
 STAR_DIVERGENCE_CAP = 1e12
@@ -434,8 +434,8 @@ CLASS_SPECS = {
 }
 
 
-def derived_value(gen: Generator, kind: str, u: float) -> ExtendedReal:
-    """Evaluate a derived map; divergent one-sided limits come back as +oo."""
+def derived_value(gen: Generator, kind: str, u: float) -> float:
+    """Evaluate a derived map; divergent one-sided limits come back as +inf."""
     if kind not in CLASS_SPECS[gen.declared_class].kinds:
         raise GeneratorKindError(
             f"derived kind {kind!r} is not defined for class {gen.declared_class.value}"
@@ -447,22 +447,22 @@ def derived_value(gen: Generator, kind: str, u: float) -> ExtendedReal:
         return _one_sided_limit(lambda p: gen.value(abs(m.end - p)) / p)
     # the scalar value, not value_array: float and array powers may differ in the last bit
     out = m.fn(gen.value(u), u)
-    return POS_INF if out == np.inf else float(out)
+    return float(out)
 
 
-def _one_sided_limit(ratio) -> ExtendedReal:
+def _one_sided_limit(ratio) -> float:
     """Estimate a one-sided limit of a monotone ratio from two probe offsets.
 
-    Reported as +oo when the closer probe exceeds the divergence cap or keeps
+    Reported as +inf when the closer probe exceeds the divergence cap or keeps
     growing markedly as the probe tightens (a power-law divergence too slow to
     reach the cap at representable offsets).
     """
     far = ratio(STAR_LIMIT_PROBES[0])
     near = ratio(STAR_LIMIT_PROBES[1])
     if near > STAR_DIVERGENCE_CAP:
-        return POS_INF
+        return math.inf
     if near > _STAR_GROWTH_RATIO * max(far, 1e-300) and near > far + 1e-9:
-        return POS_INF
+        return math.inf
     return near
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -47,11 +48,9 @@ from .distributions import (
     NegExponential,
     Product,
     SurvivalProduct,
-    cdf_values,
     negated,
 )
 from .errors import IllegalModelError, ReconstructionError
-from .extreal import POS_INF, _Infinity
 from .generators import (
     CheckResult,
     CheckSuiteReport,
@@ -205,12 +204,14 @@ def joint_cdf(m: ShockModel, x, y):
     With ``_given_shock``'s (a, b) for each coordinate, H = a_u a_v + a_u b_v
     G2 + b_u a_v G1 + b_u b_v C(G1, G2), where C is min for a comonotone pair
     and max(0, G1 + G2 - 1) for a countermonotone one: a sum of nonnegative
-    terms.  Scalars, the POS_INF/NEG_INF sentinels included, give a float.
+    terms.  Scalars, +-inf included, give a float; every CDF reads 0 at -inf
+    and 1 at +inf, so H(x, +inf) = F_U(x) and H(+inf, y) = F_V(y).
     """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     u_max, v_max = m.combiner.maxes
-    a_u, b_u = _given_shock(u_max, cdf_values(m.f_x, x))
-    a_v, b_v = _given_shock(v_max, cdf_values(m.f_y, y))
-    g1, g2 = cdf_values(m.coupling.g1, x), cdf_values(m.coupling.g2, y)
+    a_u, b_u = _given_shock(u_max, m.f_x.cdf_array(x))
+    a_v, b_v = _given_shock(v_max, m.f_y.cdf_array(y))
+    g1, g2 = m.coupling.g1.cdf_array(x), m.coupling.g2.cdf_array(y)
     comonotone = isinstance(m.coupling, Comonotonic)
     shocks = np.minimum(g1, g2) if comonotone else np.maximum(0.0, g1 + g2 - 1.0)
     out = a_u * a_v + a_u * b_v * g2 + b_u * a_v * g1 + b_u * b_v * shocks
@@ -338,7 +339,8 @@ class RmmShockCdf(_BranchShockCdf):
 
     On {margin_u > 0} it is margin_u / hat_f(margin_u); where margin_u
     vanishes it continues as s/(1+s) with s the star value of the opposite
-    generator at 1 - margin_v.
+    generator at 1 - margin_v.  Where margin_v is 1, s is the star's
+    one-sided limit at 0, and a divergent limit, +inf, gives 1.
     """
 
     def __init__(self, f: Generator, g: Generator, margin_u, margin_v, side: str, starts):
@@ -355,14 +357,14 @@ class RmmShockCdf(_BranchShockCdf):
         pos = fu > 0.0
         fu_pos = fu[pos]
         out[pos] = fu_pos / (self.f.value_array(fu_pos) + fu_pos)
-        # star ratio g(t)/t of t = 1 - fv; at t = 0 its one-sided limit, +oo giving 1
+        # star ratio g(t)/t of t = 1 - fv; at t = 0 its one-sided limit, +inf giving 1
         t = 1.0 - fv[~pos]
         at_zero = t == 0.0
         s = self.g.value_array(t) / np.where(at_zero, 1.0, t)
         vals = s / (1.0 + s)
         if at_zero.any():
             s0 = derived_value(self.g, "star", 0.0)
-            vals[at_zero] = 1.0 if isinstance(s0, _Infinity) else s0 / (1.0 + s0)
+            vals[at_zero] = s0 / (1.0 + s0) if math.isfinite(s0) else 1.0
         out[~pos] = vals
         return out
 
@@ -401,7 +403,7 @@ class MarshallShockCdf(_BranchShockCdf):
 def _support_starts(margin_u, margin_v) -> frozenset[float]:
     """Where each margin's support starts; a ``_BranchShockCdf`` may switch branch there."""
     starts = (margin.quantile(1e-12) for margin in (margin_u, margin_v))
-    return frozenset(float(s) for s in starts if not isinstance(s, _Infinity))
+    return frozenset(s for s in starts if math.isfinite(s))
 
 
 class ChiShiftedCdf(DistributionFunction):
@@ -578,14 +580,13 @@ def _marshall_shocks(c, margin_u, margin_v, xs, chi, tol) -> ShockModel:
 
 def _check_left_endpoint(label, gen, margin):
     """Either the generator is continuous at 0 or the margin has an atom at a
-    finite left support endpoint."""
+    finite left support endpoint: a jump J with F(J-) = 0 < F(J).  ``jump_points``
+    never under-reports, so reading its points decides this exactly."""
     if gen.value(1e-9) <= 1e-6:
         return
-    start = margin.quantile(1e-15)
-    if not isinstance(start, _Infinity):
-        q = float(start)
-        if margin.cdf(q) - margin.cdf_left(q) > 1e-12:
-            return
+    jumps = np.asarray(margin.jump_points(), dtype=float)
+    if np.any((margin.cdf_left_array(jumps) == 0.0) & (margin.cdf_array(jumps) > 0.0)):
+        return
     raise ReconstructionError(
         "left-endpoint",
         f"{label}: generator not continuous at 0 and margin has no left-endpoint atom",
@@ -595,7 +596,7 @@ def _check_left_endpoint(label, gen, margin):
 def _check_star_divergence(label, gen, margin, xs):
     """Either the star ratio diverges at 0+ or the margin vanishes somewhere."""
     star0 = derived_value(gen, "star", 0.0)
-    if star0 == POS_INF:
+    if star0 == math.inf:
         return
     span = xs[-1] - xs[0] if xs[-1] > xs[0] else 1.0
     probe = xs[0] - 0.05 * span - 1.0

@@ -414,8 +414,9 @@ def test_negative_seed_exits_2_naming_seed(capsys, argv):
     (["check", "efgm:a=0.5"], "--grid", "2", 3),
     (["check", "efgm:a=0.5"], "--rectangles", "0", 1),
     (["roundtrip", "efgm:a=1.0", "--fu", "uniform", "--fv", "uniform"], "--resolution", "4", 8),
+    (["check-empirical", "--against", "indep", "--in", "-"], "--grid", "1", 2),
 ], ids=["validate-gen-grid-0", "validate-gen-grid-2", "check-grid", "check-rectangles",
-        "roundtrip-resolution"])
+        "roundtrip-resolution", "check-empirical-grid"])
 def test_count_below_its_floor_exits_2_naming_the_option(capsys, argv, option, value, low):
     code, out, err = run(capsys, *argv, option, value)
     assert code == 2

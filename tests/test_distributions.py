@@ -246,10 +246,6 @@ SCALAR_API_LAWS = {
 }
 
 
-def as_extended(q: float):
-    return POS_INF if q == math.inf else NEG_INF if q == -math.inf else float(q)
-
-
 @pytest.mark.parametrize("case", sorted(SCALAR_API_LAWS))
 def test_scalar_api_equals_array_path(case):
     for d in SCALAR_API_LAWS[case]():
@@ -262,12 +258,17 @@ def test_scalar_api_equals_array_path(case):
             assert type(d.cdf_left(x)) is float and d.cdf_left(x) == f_left, (d, x)
         assert (d.cdf(NEG_INF), d.cdf(POS_INF)) == (0.0, 1.0)
         assert (d.cdf_left(NEG_INF), d.cdf_left(POS_INF)) == (0.0, 1.0)
+        # the ends of the line read 0 and 1 on the array path too, to the bit
+        ends = np.array([-np.inf, np.inf])
+        for f in (d.cdf_array(ends), d.cdf_left_array(ends)):
+            assert f.tobytes() == np.array([0.0, 1.0]).tobytes(), (d, f)
 
         us = np.concatenate(([1e-9], np.linspace(0.02, 0.98, 25), [1.0]))
         with np.errstate(divide="ignore"):
             qs = d._quantile_array(us)
-        assert [d.quantile(u) for u in us.tolist()] == [as_extended(q) for q in qs], d
-        assert d.quantile(0.0) == NEG_INF
+        scalar = [d.quantile(u) for u in us.tolist()]
+        assert all(type(q) is float for q in scalar) and scalar == qs.tolist(), d
+        assert type(d.quantile(0.0)) is float and d.quantile(0.0) == NEG_INF
         for u in (-0.1, 1.5):
             with pytest.raises(ValueError):
                 d.quantile(u)
@@ -322,8 +323,8 @@ def test_galois_inequalities_for_products_of_steps_and_exponentials(case):
 
 
 def float_or_nan(q) -> float:
-    """A scalar quantile as a float, with the infinite sentinels mapped to NaN."""
-    return float(q) if isinstance(q, (int, float)) else float("nan")
+    """A scalar quantile as a float, with the infinite ones mapped to NaN."""
+    return float(q) if math.isfinite(q) else float("nan")
 
 
 def reference_tabulated_quantile(d: TabulatedCdf, u: float):
@@ -360,7 +361,7 @@ def tables_and_levels(draw):
 def test_tabulated_quantile_array_matches_scalar_quantile(case):
     d, us = case
     reference = [reference_tabulated_quantile(d, float(u)) for u in us]
-    # the scalar API returns the reference inverse, sentinels included
+    # the scalar API returns the reference inverse, infinities included
     assert [d.quantile(float(u)) for u in us] == reference
     expected = np.array([float_or_nan(q) for q in reference])
     finite = ~np.isnan(expected)
@@ -386,14 +387,14 @@ def test_tabulated_quantile_array_galois_inequalities(case):
 @st.composite
 def sized_tables_and_shuffled_points(draw):
     """A step or linear table on either side of the sorted-lookup crossover, with
-    shuffled points (knots, between and beyond them, NaN) and shuffled levels
+    shuffled points (knots, between and beyond them, +-inf, NaN) and shuffled levels
     (knot levels included)."""
     k = draw(st.sampled_from([1, 5, 20, _SORTED_LOOKUP_KNOTS - 1, _SORTED_LOOKUP_KNOTS, 400]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     xs = np.cumsum(rng.integers(1, 4, k) * 0.5) - 3.0
     ps = np.sort(rng.choice(np.concatenate((rng.random(k), [0.0, 0.5, 1.0])), k))
     d = TabulatedCdf(xs, ps, draw(st.sampled_from(["step", "linear"])))
-    pool = np.concatenate((xs, rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, 50), [np.nan]))
+    pool = np.concatenate((xs, rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, 50), [np.inf, -np.inf, np.nan]))
     points = rng.permutation(rng.choice(pool, draw(st.integers(2, 300))))
     levels = np.concatenate((ps, rng.random(50)))
     levels = rng.permutation(rng.choice(levels[(levels > 0.0) & (levels < 1.0)], 200))
@@ -410,11 +411,19 @@ def test_tabulated_lookups_of_shuffled_points_match_direct_lookups(case):
         else:
             idx = np.searchsorted(d.xs, points, side=side) - 1
             want = np.where(idx < 0, 0.0, d.ps[np.maximum(idx, 0)])
+        want = np.where(np.isinf(points), points > 0.0, want)  # F(-inf) = 0, F(inf) = 1
         assert got.tobytes() == want.tobytes()
-    sentinel = {POS_INF: np.inf, NEG_INF: -np.inf}
-    want = [reference_tabulated_quantile(d, float(u)) for u in levels]
-    want = np.array([sentinel.get(q, q) for q in want], dtype=float)
+    want = np.array([reference_tabulated_quantile(d, float(u)) for u in levels])
     assert d._quantile_array(levels).tobytes() == want.tobytes()
+
+
+def test_sorted_table_lookup_takes_repeated_infinities():
+    # the order probe of a 64-knot lookup compares neighbours; inf - inf would be invalid
+    d = TabulatedCdf(np.arange(64.0), np.linspace(0.5, 0.9, 64), "step")
+    xs = np.array([np.inf, np.inf, 3.0, -np.inf, -np.inf])
+    with np.errstate(invalid="raise"):
+        want = [1.0, 1.0, d.ps[3], 0.0, 0.0]
+        assert d.cdf_array(xs).tolist() == d.cdf_left_array(xs + 0.5).tolist() == want
 
 
 def test_quantile_array_rejects_boundary_levels():
@@ -561,7 +570,7 @@ def check_generic_inverse(d, us: np.ndarray) -> None:
     qs = d._bisect_quantile_array(us)
     ref = reference_bisect_quantile(d, us)
     finite = np.isfinite(ref)
-    # unreachable levels keep their sentinels, and quantile_array refuses them
+    # unreachable levels keep their infinities, and quantile_array refuses them
     np.testing.assert_array_equal(qs[~finite], ref[~finite])
     if finite.all():
         d.quantile_array(us)

@@ -1,6 +1,6 @@
-import pytest
+import math
 
-from shockcop.extreal import NEG_INF, POS_INF, is_finite, ordering_key
+from shockcop.extreal import NEG_INF, POS_INF
 
 
 def test_total_ordering_against_floats():
@@ -12,37 +12,12 @@ def test_total_ordering_against_floats():
     assert NEG_INF <= NEG_INF
 
 
-def test_equality_and_hash():
-    assert POS_INF == POS_INF
+def test_ends_are_the_ieee_infinities():
     assert POS_INF != NEG_INF
-    assert POS_INF != float("inf")  # sentinels are not floats
-    assert len({POS_INF, POS_INF, NEG_INF}) == 2
+    assert POS_INF == math.inf and type(POS_INF) is float
+    assert NEG_INF == -math.inf and type(NEG_INF) is float
 
 
 def test_negation_flips_sign():
     assert -POS_INF == NEG_INF
     assert -NEG_INF == POS_INF
-
-
-def test_arithmetic_is_rejected():
-    with pytest.raises(TypeError):
-        POS_INF + 1
-    with pytest.raises(TypeError):
-        1 - NEG_INF
-    with pytest.raises(TypeError):
-        POS_INF * 0
-    with pytest.raises(TypeError):
-        float(POS_INF)
-
-
-def test_helpers():
-    assert is_finite(0.5)
-    assert not is_finite(POS_INF)
-    assert ordering_key(NEG_INF) == float("-inf")
-    assert ordering_key(2.5) == 2.5
-    assert sorted([POS_INF, 1.0, NEG_INF, -3.0], key=ordering_key) == [
-        NEG_INF,
-        -3.0,
-        1.0,
-        POS_INF,
-    ]

@@ -1,4 +1,5 @@
-"""The README's command-line examples run and exit with the codes it documents."""
+"""The README's command-line examples run and exit with the codes it documents, and its
+library tour runs."""
 
 import pathlib
 import re
@@ -30,3 +31,10 @@ def test_readme_commands_exit_as_documented(tmp_path, monkeypatch, capsys):
         got.append(main(argv))
         capsys.readouterr()
     assert got == [code for _, code in commands], [" ".join(argv) for argv, _ in commands]
+
+
+def test_readme_library_tour_runs(capsys):
+    section = README.read_text().split("\n## Library tour\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
+    assert "reconstruction[" in capsys.readouterr().out

@@ -195,7 +195,7 @@ def test_array_joint_cdf_equals_scalar_formula(family):
     # 1-D arguments broadcast elementwise, a scalar against a vector too
     np.testing.assert_array_equal(joint_cdf(model, xs[:6], ys), np.diag(lattice[:6]))
     np.testing.assert_array_equal(joint_cdf(model, 0.3, ys), lattice[3])
-    # the sentinels give the margins, and the corners, as the scalar formula does
+    # the infinities give the margins, and the corners, as the scalar formula does
     f_u, f_v = margins(model)
     for x in xs:
         assert joint_cdf(model, float(x), POS_INF) == pytest.approx(f_u.cdf(float(x)), abs=1e-14)
@@ -223,6 +223,20 @@ def test_scalar_joint_formula_equals_lattice_entry_exactly():
             y = NEG_INF if y == -np.inf else y
             assert joint_cdf(model, x, y) == lattice[i, j]
             assert lattice[i, j] == pytest.approx(scalar_joint_cdf(model, x, y), abs=1e-15)
+
+
+def test_sub_stochastic_shock_gives_the_margins_at_infinity_on_arrays():
+    # the table's p stops at 0.6: its missing mass sits at +inf, where F still reads 1
+    t = TabulatedCdf([0.0, 1.0], [0.3, 0.6], "step")
+    model = rmm_model(Exponential(1.0), Exponential(2.0), t, Exponential(1.5))
+    f_u, f_v = margins(model)
+    pts = np.array([-1.0, 0.0, 0.5, 1.0, 3.0])
+    inf = np.full(pts.shape, np.inf)
+    np.testing.assert_allclose(joint_cdf(model, inf, pts), f_v.cdf_array(pts), rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(joint_cdf(model, pts, inf), f_u.cdf_array(pts), rtol=0.0, atol=1e-15)
+    f_v1 = (1.0 - math.exp(-2.0)) * (1.0 - math.exp(-1.5))
+    assert joint_cdf(model, np.array([np.inf]), np.array([1.0]))[0] == pytest.approx(f_v1, abs=1e-15)
+    assert joint_cdf(model, POS_INF, 1.0) == joint_cdf(model, np.array([np.inf]), np.array([1.0]))[0]
 
 
 _LAWS = st.one_of(
@@ -435,6 +449,24 @@ def test_marshall_reconstruction_margin_envelope():
     f_u, _ = margins(model)
     env = np.minimum(model.f_x.cdf_array(xs), model.coupling.g1.cdf_array(xs))
     assert np.all(f_u.cdf_array(xs) <= env + 1e-12)
+
+
+_FULLSHOCK = closed_form("fullshock", GeneratorClass.MARSHALL)
+
+
+@pytest.mark.parametrize("margin, passes", [
+    (U, False),
+    (TabulatedCdf([0.0, 1.0, 2.0], [0.25, 0.5, 1.0], "step"), True),
+    (point_mass(0.0), True),
+], ids=["uniform", "step-table", "point-mass"])
+def test_left_endpoint_hypothesis_needs_an_atom_where_the_margin_starts(margin, passes):
+    # fullshock jumps from 0 to 1 at 0+, so only an atom at the left endpoint carries it
+    model, report = audited_reconstruction(marshall(_FULLSHOCK, _FULLSHOCK), margin, margin)
+    if passes:
+        assert model is not None and report.passed and len(report.results) == 8
+    else:
+        assert model is None
+        assert [r.check_id for r in report.results] == ["hypothesis:left-endpoint"]
 
 
 # ---------------------------------------------------------------------------
