@@ -1,8 +1,16 @@
-"""Evaluable copula families, rectangle volumes, survival/reflection transforms, joins.
+"""Evaluable copula families, rectangle volumes, the survival and sigma flips, joins.
 
 Raw evaluation is deliberately unclamped so that axiom violations stay
 observable to the check suites; ``value_clamped`` clips into [0,1] for callers
 that want a guaranteed probability.
+
+The wrappers ``survival``, ``sigma1`` and ``sigma2`` flip U and V, U, or V
+(u -> 1-u); with the identity they form the group Z2 x Z2, and ``FlippedCopula``
+is the one wrapper for all three.  maxmin, RMM = sigma2(maxmin) and
+SMM = sigma1(maxmin) = survival(RMM) lie on one orbit of this group:
+``normalize`` composes a stack of flips and, where it carries one of these
+families onto RMM or SMM, returns that family with the generators of the
+flipped coordinates reflected.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ class Copula(ABC):
     def value(self, u: float, v: float) -> float:
         if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
             raise ValueError(f"copula arguments must lie in [0,1]^2, got ({u}, {v})")
-        return float(self._eval(u, v))
+        return float(self.value_array(np.array([float(u)]), np.array([float(v)]))[0])
 
     def value_array(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         return np.asarray(self._eval(np.asarray(us, dtype=float), np.asarray(vs, dtype=float)))
@@ -41,12 +49,8 @@ class Copula(ABC):
         return min(1.0, max(0.0, self.value(u, v)))
 
     def volume(self, rect: "Rectangle") -> float:
-        return (
-            self.value(rect.u2, rect.v2)
-            - self.value(rect.u1, rect.v2)
-            - self.value(rect.u2, rect.v1)
-            + self.value(rect.u1, rect.v1)
-        )
+        c = self.value_array([rect.u2, rect.u1, rect.u2, rect.u1], [rect.v2, rect.v2, rect.v1, rect.v1])
+        return float(c[0] - c[1] - c[2] + c[3])
 
     @abstractmethod
     def describe(self) -> str:
@@ -185,99 +189,80 @@ SHOCK_FAMILIES = {c.name: c for c in (MarshallCopula, MaxminCopula, RmmCopula, S
 
 
 # ---------------------------------------------------------------------------
-# transforms
+# flips
 # ---------------------------------------------------------------------------
 
+#: wrapper name -> the coordinates (U, V) it flips; the flips form the group Z2 x Z2
+FLIPS = {"survival": (True, True), "sigma1": (True, False), "sigma2": (False, True)}
+_FLIP_NAMES = {flips: name for name, flips in FLIPS.items()}
 
-class SurvivalCopula(Copula):
-    """u + v - 1 + C(1-u, 1-v): the copula of the negated pair."""
 
-    def __init__(self, inner: Copula):
+class FlippedCopula(Copula):
+    """The copula of the pair with the flagged coordinates negated (1-U for U):
+    survival u + v - 1 + C(1-u, 1-v), sigma1 v - C(1-u, v), sigma2 u - C(u, 1-v)."""
+
+    def __init__(self, inner: Copula, flips: tuple[bool, bool]):
+        if flips not in _FLIP_NAMES:
+            raise ValueError(f"flips must be one of {sorted(_FLIP_NAMES)}, got {flips!r}")
         self.inner = inner
+        self.flips = flips
 
     def _eval(self, u, v):
-        return u + v - 1.0 + self.inner._eval(1.0 - u, 1.0 - v)
+        flip_u, flip_v = self.flips
+        c = self.inner._eval(1.0 - u if flip_u else u, 1.0 - v if flip_v else v)
+        if flip_u and flip_v:
+            return u + v - 1.0 + c
+        return (v if flip_u else u) - c
 
     def describe(self) -> str:
-        return f"survival({self.inner.describe()})"
+        return f"{_FLIP_NAMES[self.flips]}({self.inner.describe()})"
 
 
-class Sigma1Copula(Copula):
-    """v - C(1-u, v): reflection in the first argument."""
-
-    def __init__(self, inner: Copula):
-        self.inner = inner
-
-    def _eval(self, u, v):
-        return v - self.inner._eval(1.0 - u, v)
-
-    def describe(self) -> str:
-        return f"sigma1({self.inner.describe()})"
+def survival(c: Copula) -> FlippedCopula:
+    return FlippedCopula(c, FLIPS["survival"])
 
 
-class Sigma2Copula(Copula):
-    """u - C(u, 1-v): reflection in the second argument."""
-
-    def __init__(self, inner: Copula):
-        self.inner = inner
-
-    def _eval(self, u, v):
-        return u - self.inner._eval(u, 1.0 - v)
-
-    def describe(self) -> str:
-        return f"sigma2({self.inner.describe()})"
+def reflect(c: Copula, which: str) -> FlippedCopula:
+    if which not in ("sigma1", "sigma2"):
+        raise ValueError(f"reflection must be 'sigma1' or 'sigma2', got {which!r}")
+    return FlippedCopula(c, FLIPS[which])
 
 
-def survival(c: Copula) -> SurvivalCopula:
-    return SurvivalCopula(c)
+def _xor(a: tuple[bool, bool], b: tuple[bool, bool]) -> tuple[bool, bool]:
+    return (a[0] != b[0], a[1] != b[1])
 
 
-def reflect(c: Copula, which: str) -> Copula:
-    if which == "sigma1":
-        return Sigma1Copula(c)
-    if which == "sigma2":
-        return Sigma2Copula(c)
-    raise ValueError(f"reflection must be 'sigma1' or 'sigma2', got {which!r}")
+#: maxmin's orbit under the flips: each family's place is the flip that carries maxmin onto it
+_PLACE = {MaxminCopula: (False, False), RmmCopula: (False, True), SmmCopula: (True, False)}
+_LANDS_ON = {(False, True): RmmCopula, (True, False): SmmCopula}
 
 
 def normalize(c: Copula) -> Copula:
-    """Rewrite transform wrappers into explicit families where an identity applies.
+    """Compose a stack of flips into one and rewrite it by the orbit rule.
 
-    survival(RMM) -> SMM with reflected generators, survival(SMM) -> RMM,
-    sigma2(maxmin) -> RMM with f = phi - id and g = reflect(id - psi),
-    sigma1(maxmin) -> SMM with h = reflect(phi - id) and k = id - psi.
-    Anything without a rewrite rule is returned unchanged.
+    The flips of the stack compose by XOR, so two flips of one coordinate
+    cancel and a stack that flips nothing gives its base itself.  maxmin sits
+    at no flip, RMM at a flip of V and SMM at a flip of U: a flip that carries
+    one of these onto RMM or SMM gives that family, the generator of each
+    flipped coordinate reflected.  maxmin's generators enter as phi - id (an
+    RMM generator) and id - psi (an SMM one).  Anything else, a Marshall
+    copula, survival(maxmin) or a non-shock copula, keeps one composed flip.
     """
-    if isinstance(c, SurvivalCopula):
-        inner = normalize(c.inner)
-        if isinstance(inner, RmmCopula):
-            return SmmCopula(
-                ReflectedGenerator(inner.f, GeneratorClass.SMM),
-                ReflectedGenerator(inner.g, GeneratorClass.SMM),
-            )
-        if isinstance(inner, SmmCopula):
-            return RmmCopula(
-                ReflectedGenerator(inner.h, GeneratorClass.RMM),
-                ReflectedGenerator(inner.k, GeneratorClass.RMM),
-            )
-        if isinstance(inner, SurvivalCopula):
-            return normalize(inner.inner)
-        return SurvivalCopula(inner)
-    if isinstance(c, Sigma2Copula) and isinstance(c.inner, MaxminCopula):
-        phi, psi = c.inner.phi, c.inner.psi
-        f = IdentityOffsetGenerator(phi, "minus-id", GeneratorClass.RMM)
-        g = ReflectedGenerator(
-            IdentityOffsetGenerator(psi, "id-minus", GeneratorClass.RMM), GeneratorClass.RMM
-        )
-        return RmmCopula(f, g)
-    if isinstance(c, Sigma1Copula) and isinstance(c.inner, MaxminCopula):
-        phi, psi = c.inner.phi, c.inner.psi
-        h = ReflectedGenerator(
-            IdentityOffsetGenerator(phi, "minus-id", GeneratorClass.SMM), GeneratorClass.SMM
-        )
-        k = IdentityOffsetGenerator(psi, "id-minus", GeneratorClass.SMM)
-        return SmmCopula(h, k)
-    return c
+    flips = (False, False)
+    while isinstance(c, FlippedCopula):
+        flips, c = _xor(flips, c.flips), c.inner
+    if flips == (False, False):
+        return c
+    target = _LANDS_ON.get(_xor(_PLACE[type(c)], flips)) if type(c) in _PLACE else None
+    if target is None:
+        return FlippedCopula(c, flips)
+    gens = [getattr(c, slot) for slot, _ in c.slots]
+    if isinstance(c, MaxminCopula):
+        gens = [
+            IdentityOffsetGenerator(c.phi, "minus-id", GeneratorClass.RMM),
+            IdentityOffsetGenerator(c.psi, "id-minus", GeneratorClass.SMM),
+        ]
+    return target(*(ReflectedGenerator(g) if flip else g for g, flip in zip(gens, flips)))
 
 
 # ---------------------------------------------------------------------------

@@ -272,11 +272,9 @@ def parse_copula(text: str) -> cop.Copula:
     wrapped = _WRAPPER.match(text)
     if wrapped:
         name, inner = wrapped.group(1), wrapped.group(2)
-        if name == "survival":
-            return cop.survival(parse_copula(inner))
-        if name in ("sigma1", "sigma2"):
-            return cop.reflect(parse_copula(inner), name)
-        raise DescriptorError(f"unknown copula wrapper {name!r}")
+        if name not in cop.FLIPS:
+            raise DescriptorError(f"unknown copula wrapper {name!r}")
+        return cop.FlippedCopula(parse_copula(inner), cop.FLIPS[name])
 
     head, body = _split_head(text)
     try:

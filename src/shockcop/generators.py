@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import DistributionFunction, _in_query_order
+from .distributions import DistributionFunction, _at, _in_query_order
 from .errors import (
     GeneratorKindError,
     GeneratorValidationError,
@@ -64,7 +64,7 @@ class Generator(ABC):
     def value(self, u: float) -> float:
         if not 0.0 <= u <= 1.0:
             raise ValueError(f"generator argument must lie in [0,1], got {u}")
-        return float(self._eval(u))
+        return _at(self.value_array, u)
 
     def value_array(self, us: np.ndarray) -> np.ndarray:
         return np.asarray(self._eval(np.asarray(us, dtype=float)), dtype=float)
@@ -445,9 +445,7 @@ def derived_value(gen: Generator, kind: str, u: float) -> float:
     m = DERIVED_MAPS[kind]
     if m.limit and u == m.end:
         return _one_sided_limit(lambda p: gen.value(abs(m.end - p)) / p)
-    # the scalar value, not value_array: float and array powers may differ in the last bit
-    out = m.fn(gen.value(u), u)
-    return float(out)
+    return float(m.fn(gen.value(u), u))
 
 
 def _one_sided_limit(ratio) -> float:

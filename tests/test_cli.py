@@ -228,6 +228,26 @@ def test_reconstruct_smm_reduction(capsys):
     assert "pass" in out
 
 
+def test_roundtrip_of_a_sigma_stack_reconstructs_its_survival_copula(capsys):
+    code, out, _ = run(
+        capsys, "roundtrip", "sigma1(sigma2(efgm:a=0.5))", "--fu", "uniform", "--fv", "uniform"
+    )
+    assert code == 0
+    assert "[pass]" in out
+
+
+def test_two_survival_flips_reconstruct_their_base_exactly(tmp_path, capsys):
+    rows = []
+    for copula in ("survival(survival(efgm:a=0.4))", "efgm:a=0.4"):
+        path = tmp_path / "recon.csv"
+        code, _, _ = run(
+            capsys, "reconstruct", copula, "--fu", "uniform", "--fv", "uniform", "--out", str(path)
+        )
+        assert code == 0
+        rows.append(path.read_text().splitlines()[1:])  # all but the descriptor comment
+    assert rows[0] == rows[1]
+
+
 def test_roundtrip_efgm(capsys):
     code, out, _ = run(
         capsys,

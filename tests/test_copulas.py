@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shockcop.copulas import (
+    FLIPS,
     FrechetM,
     FrechetW,
     Independence,
@@ -103,6 +104,26 @@ def test_marshall_neutral_edge_uses_identity_domination():
         assert c.value(float(u), 1.0) == pytest.approx(u, abs=1e-15)
 
 
+def _value_copulas():
+    rmm_base = exprmm_ab(0.37, 0.61)
+    return [
+        marshall(capped2(), closed_form("efgmhat", GeneratorClass.MARSHALL, a=0.61)),
+        maxmin(capped2(), square_psi()),
+        rmm_base,
+        smm(rmm_to_smm(rmm_base.f), rmm_to_smm(rmm_base.g)),
+        survival(rmm_base),
+        reflect(rmm_base, "sigma1"),
+        reflect(rmm_base, "sigma2"),
+    ]
+
+
+@pytest.mark.parametrize("c", _value_copulas(), ids=lambda c: c.describe())
+def test_scalar_value_is_value_array_to_the_bit(c):
+    us, vs = np.random.default_rng(11).random((2, 10_000))
+    scalar = np.array([c.value(float(u), float(v)) for u, v in zip(us, vs)])
+    assert scalar.tobytes() == c.value_array(us, vs).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # volumes
 # ---------------------------------------------------------------------------
@@ -198,6 +219,51 @@ def test_sigma_rewrites_of_maxmin_with_induced_psi(phi, l1, l2, m):
         rewritten = normalize(wrapped)
         assert isinstance(rewritten, family)
         assert grid_max_diff(wrapped, rewritten, 41) <= 1e-15
+
+
+_SMM_GENS = st.floats(0.0, 1.0, exclude_min=True).map(
+    lambda a: rmm_to_smm(closed_form("power", GeneratorClass.RMM, alpha=a))
+)
+_WEIGHTS = st.floats(0.0, 1.0, exclude_min=True)
+
+
+@st.composite
+def _maxmin_bases(draw):
+    psi = draw(st.one_of(
+        st.just(square_psi()),
+        st.tuples(_RATES, _RATES, _RATES).map(
+            lambda r: induced_copula(maxmin_model(*map(Exponential, r)), resolution=512).psi
+        ),
+    ))
+    return maxmin(draw(_PHIS), psi)
+
+
+_FLIP_BASES = st.one_of(
+    _WEIGHTS.map(efgm),
+    st.tuples(_WEIGHTS, _WEIGHTS).map(lambda ab: exprmm_ab(*ab)),
+    st.tuples(_SMM_GENS, _SMM_GENS).map(lambda hk: smm(*hk)),
+    _maxmin_bases(),
+)
+#: where each family sits on maxmin's orbit: the flip that carries maxmin onto it
+_PLACES = {MaxminCopula: (False, False), RmmCopula: (False, True), SmmCopula: (True, False)}
+
+
+@given(_FLIP_BASES, st.lists(st.sampled_from(sorted(FLIPS)), max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_normalize_composes_flip_stacks_onto_the_orbit(base, names):
+    stack, composed = base, (False, False)
+    for name in names:
+        stack = survival(stack) if name == "survival" else reflect(stack, name)
+        composed = (composed[0] != FLIPS[name][0], composed[1] != FLIPS[name][1])
+    out = normalize(stack)
+    assert grid_max_diff(out, stack, 41) <= 1e-15
+    place = _PLACES[type(base)]
+    landing = {(False, True): RmmCopula, (True, False): SmmCopula}.get(
+        (place[0] != composed[0], place[1] != composed[1])
+    )
+    assert type(out) is landing if landing else not isinstance(out, (RmmCopula, SmmCopula))
+    if composed == (False, False):
+        assert out is base
 
 
 def test_smm_equals_survival_of_rmm():

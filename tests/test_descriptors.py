@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shockcop.copulas import MaxminCopula, RmmCopula, SmmCopula, SurvivalCopula
+from shockcop.copulas import FlippedCopula, MaxminCopula, RmmCopula, SmmCopula
 from shockcop.descriptors import (
     parse_copula,
     parse_distribution,
@@ -171,7 +171,7 @@ def test_nested_generator_commas_survive_in_copula_descriptor():
 
 def test_survival_wrapper_parses():
     c = parse_copula("survival(efgm:a=0.5)")
-    assert isinstance(c, SurvivalCopula)
+    assert isinstance(c, FlippedCopula) and c.flips == (True, True)
 
 
 def test_copula_parse_errors():

@@ -33,6 +33,8 @@ from shockcop.generators import (
     DERIVED_MAPS,
     Generator,
     GeneratorClass,
+    IdentityOffsetGenerator,
+    ReflectedGenerator,
     TabulatedGenerator,
     _ladder,
     closed_form,
@@ -128,6 +130,40 @@ def test_tabulated_value_array_is_plain_interp(case):
     want = np.interp(points, gen.us, gen.values)
     assert got.shape == np.shape(want)
     assert got.tobytes() == np.asarray(want).tobytes()
+
+
+#: one parameter set for each named family and ``poly``
+_SCALAR_PARAMS = {
+    "power": {"alpha": 0.37},
+    "twoparam": {"alpha": 0.37, "beta": 0.8},
+    "efgmhat": {"a": 0.61},
+    "efgmf": {"a": 0.61},
+    "identity": {},
+    "zero": {},
+    "fullshock": {},
+    "capped": {"slope": 2.5},
+    "poly": {"c0": 0.0, "c1": 0.3, "c2": -0.7, "c3": 0.4},
+}
+SCALAR_POINTS = np.concatenate(([0.0, 1.0], np.random.default_rng(7).random(10_000)))
+
+
+def _value_generators():
+    named = [closed_form(name, RMM, **params) for name, params in _SCALAR_PARAMS.items()]
+    return named + [
+        ReflectedGenerator(power(0.37)),
+        IdentityOffsetGenerator(power(0.37), "minus-id", RMM),
+        TabulatedGenerator([0.0, 0.3, 1.0], [0.0, 0.2, 1.0], MARSHALL),
+    ]
+
+
+def test_scalar_params_cover_every_family():
+    assert set(_SCALAR_PARAMS) == set(_FAMILIES) | {"poly"}
+
+
+@pytest.mark.parametrize("gen", _value_generators(), ids=lambda g: g.describe())
+def test_scalar_value_is_value_array_to_the_bit(gen):
+    scalar = np.array([gen.value(float(u)) for u in SCALAR_POINTS])
+    assert scalar.tobytes() == gen.value_array(SCALAR_POINTS).tobytes()
 
 
 def test_value_rejects_out_of_range():
