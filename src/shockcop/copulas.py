@@ -26,7 +26,7 @@ from .generators import (
     Generator,
     GeneratorClass,
     IdentityOffsetGenerator,
-    ReflectedGenerator,
+    _reflected,
     closed_form,
     validate,
 )
@@ -262,7 +262,7 @@ def normalize(c: Copula) -> Copula:
             IdentityOffsetGenerator(c.phi, "minus-id", GeneratorClass.RMM),
             IdentityOffsetGenerator(c.psi, "id-minus", GeneratorClass.SMM),
         ]
-    return target(*(ReflectedGenerator(g) if flip else g for g, flip in zip(gens, flips)))
+    return target(*(_reflected(g) if flip else g for g, flip in zip(gens, flips)))
 
 
 # ---------------------------------------------------------------------------

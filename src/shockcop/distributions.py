@@ -31,7 +31,13 @@ exactly; a level that no probe reaches below or above inverts to -inf or +inf.
 The other brackets shrink, in blocks of levels, by a few Illinois (secant)
 steps and then by bisection, until hi - lo <= 1e-14 + 1e-14 * max(|lo|, |hi|)
 or no float lies between them.  The result is hi, so F(quantile(u)) >= u
-holds exactly and F stays below u a stopping width to the left.  Knot placement
+holds exactly and F stays below u a stopping width to the left.  Each block of
+4096 levels is sorted before the table lookup, so the lookup sweeps the table
+and F sees nearly ascending points, and is scattered back once.  A level's
+result is recorded the step its bracket closes; closed levels stay in the
+working arrays, ignored, until half of them have closed, and only then are the
+arrays compacted.  Every step is elementwise, so a level's result does not
+depend on the other levels or their order.  Knot placement
 (``_place_array``) only reads the table: it interpolates x linearly between the
 points where the running maximum rises, with no probe of F beyond the table.
 """
@@ -81,8 +87,9 @@ def _in_query_order(lookup, xs, knots: int):
     if np.all(tail >= head) or np.all(tail <= head):  # NaN fails both
         return lookup(xs)
     order = np.argsort(flat)
+    found = lookup(flat[order])  # the sorted copy is freed before the output is allocated
     out = np.empty(flat.shape)
-    out[order] = lookup(flat[order])
+    out[order] = found
     return out.reshape(xs.shape)
 
 
@@ -165,8 +172,10 @@ class DistributionFunction(ABC):
         if us.size:
             table = self._quantile_table(float(us.min()), float(us.max()))
             for start in range(0, us.size, _QUANTILE_BLOCK):
-                block = slice(start, start + _QUANTILE_BLOCK)
-                out[block] = self._quantile_block(us[block], *table)
+                block = us[start : start + _QUANTILE_BLOCK]
+                # in ascending order the lookups sweep the table and F sees near-sorted points
+                order = np.argsort(block)
+                out[start : start + order.size][order] = self._quantile_block(block[order], *table)
         return out.reshape(shape)
 
     def _quantile_table(self, u_min: float, u_max: float):
@@ -224,24 +233,31 @@ class DistributionFunction(ABC):
         The first steps are Illinois steps (Dowell & Jarratt 1971): secant
         probes, where an end that stays put twice in a row has its ordinate
         halved, clamped at least half the stopping width inside the bracket so
-        that it closes from both sides. Bisection follows. Converged levels
-        leave the working arrays.
+        that it closes from both sides. Bisection follows. A converged level's
+        hi is recorded at once; the working arrays drop the converged levels
+        once they make up half of them.
         """
         out = np.empty_like(us)
         at = np.arange(us.size)
+        live, n_live = np.ones(us.size, dtype=bool), us.size
         g_lo, g_hi = f_lo - us, f_hi - us  # g_lo < 0 <= g_hi
         moved = np.zeros(us.size)  # +1 where the last step moved hi, -1 where it moved lo
         for step in itertools.count():
             tol = _QUANTILE_ABS_TOL + _QUANTILE_REL_TOL * np.maximum(np.abs(lo), np.abs(hi))
             mid = 0.5 * (lo + hi)
             # stop once the bracket is narrow or float midpoints can no longer split it
-            open_ = (hi - lo > tol) & (mid > lo) & (mid < hi)
-            if not open_.all():
-                out[at[~open_]] = hi[~open_]
-                at, us, lo, hi, g_lo, g_hi, moved, tol, mid = (
-                    a[open_] for a in (at, us, lo, hi, g_lo, g_hi, moved, tol, mid)
-                )
-            if not at.size:
+            open_ = live & (hi - lo > tol) & (mid > lo) & (mid < hi)
+            left = np.count_nonzero(open_)
+            if left < n_live:
+                closed = live & ~open_
+                out[at[closed]] = hi[closed]
+                live, n_live = open_, left
+                # closed levels ride along, ignored, until half the working arrays are closed
+                if 2 * left <= at.size:
+                    at, us, lo, hi, g_lo, g_hi, moved, tol, mid, live = (
+                        a[live] for a in (at, us, lo, hi, g_lo, g_hi, moved, tol, mid, live)
+                    )
+            if not left:
                 return out
             if step < _QUANTILE_SECANT_STEPS:
                 with np.errstate(all="ignore"):
@@ -301,7 +317,11 @@ class Exponential(DistributionFunction):
         return np.where(xs <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(xs, 0.0)))
 
     def _quantile_array(self, us):
-        return -np.log1p(-us) / self.rate
+        # log1p(-u) / -rate is -log1p(-u) / rate to the bit, in one buffer
+        q = np.negative(us, out=np.empty(us.shape))
+        np.log1p(q, out=q)
+        q /= -self.rate
+        return q
 
     def support_hint(self):
         return (0.0, 40.0 / self.rate)

@@ -329,14 +329,19 @@ def smm_to_rmm(h: Generator) -> Generator:
 
 def _reflect_valid(gen: Generator, source: GeneratorClass) -> Generator:
     """gen(1-u) in the reflected class, unwrapping a reflection; both ends validated."""
-    target = CLASS_SPECS[source].reflected
     _require_valid(gen, source)
-    if isinstance(gen, ReflectedGenerator) and gen.inner.declared_class is target:
-        out = gen.inner
-    else:
-        out = ReflectedGenerator(gen, target)
-    _require_valid(out, target)
+    out = _reflected(gen)
+    _require_valid(out, CLASS_SPECS[source].reflected)
     return out
+
+
+def _reflected(gen: Generator) -> Generator:
+    """gen(1-u) in the reflected class, unvalidated; the reflection of a generator
+    of that class unwraps to it, so reflecting twice gives gen itself."""
+    target = CLASS_SPECS[gen.declared_class].reflected
+    if isinstance(gen, ReflectedGenerator) and gen.inner.declared_class is target:
+        return gen.inner
+    return ReflectedGenerator(gen, target)
 
 
 def _require_valid(gen: Generator, expected: GeneratorClass) -> None:
@@ -627,8 +632,12 @@ def generator_from_shocks(
     )
 
 
+@functools.lru_cache(maxsize=4)
 def _ladder(resolution: int) -> np.ndarray:
-    """Ascending interior knot levels; graded tails keep hat maps ~ u**beta O(resolution**-2)."""
+    """Ascending interior knot levels; graded tails keep hat maps ~ u**beta O(resolution**-2).
+    Built once per resolution and shared, so the array is read-only."""
     ladder = (np.arange(1, resolution, dtype=float) / resolution) ** 6
     levels = np.unique(np.concatenate((np.linspace(0.0, 1.0, resolution + 1), ladder, 1.0 - ladder)))
-    return levels[(levels > 0.0) & (levels < 1.0)]
+    levels = levels[(levels > 0.0) & (levels < 1.0)]
+    levels.flags.writeable = False
+    return levels

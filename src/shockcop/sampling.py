@@ -6,6 +6,17 @@ single seed, so identical (model, n, seed) triples yield bit-identical output.
 The coupling is applied on the uniform scale: the comonotonic pair shares the
 systemic uniform Z (a shared shock is inverted once), the countermonotonic
 pair uses Z and 1-Z.
+
+Each stream is its own generator, so the order of the draws does not change a
+bit.  The systemic stream comes first: its shocks Z1, Z2 are written into the
+two columns of the preallocated (n, 2) output.  Then each idiosyncratic
+coordinate is drawn, inverted and combined into its column in place, so no
+more than the output and one coordinate's uniforms and quantiles are alive at
+a time: with exponential shocks about 33 bytes per pair at the peak, 16 of
+them the output itself.  The empirical copula likewise frees each column's
+sorted copy before it builds the tie-group indices and the average ranks,
+another 33 bytes per pair at the peak, and keeps its indices and each
+evaluation's buckets in int32 below 2**31 pairs.
 """
 
 from __future__ import annotations
@@ -39,26 +50,24 @@ def sample_model(m: ShockModel, n: int, seed: int) -> SamplePairs:
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
     stream_x, stream_y, stream_z = np.random.SeedSequence(seed).spawn(3)
-    ux = _open_uniforms(np.random.Generator(np.random.Philox(stream_x)), n)
-    uy = _open_uniforms(np.random.Generator(np.random.Philox(stream_y)), n)
-    uz = _open_uniforms(np.random.Generator(np.random.Philox(stream_z)), n)
-
-    x = m.f_x.quantile_array(ux)
-    y = m.f_y.quantile_array(uy)
+    pairs = np.empty((n, 2))
+    uz = _open_uniforms(stream_z, n)
     g1, g2 = m.coupling.g1, m.coupling.g2
-    z1 = g1.quantile_array(uz)
+    pairs[:, 0] = g1.quantile_array(uz)
     if isinstance(m.coupling, Countermonotonic):
-        z2 = g2.quantile_array(1.0 - uz)
+        pairs[:, 1] = g2.quantile_array(np.subtract(1.0, uz, out=uz))
     else:
-        z2 = z1 if g2 is g1 else g2.quantile_array(uz)
+        pairs[:, 1] = pairs[:, 0] if g2 is g1 else g2.quantile_array(uz)
+    del uz
+    coordinates = ((m.f_x, stream_x), (m.f_y, stream_y))
+    for column, (margin, stream), is_max in zip(pairs.T, coordinates, m.combiner.maxes):
+        combine = np.maximum if is_max else np.minimum
+        combine(margin.quantile_array(_open_uniforms(stream, n)), column, out=column)
+    return SamplePairs(pairs, seed=seed, descriptor=m.describe())
 
-    u_op, v_op = (np.maximum if is_max else np.minimum for is_max in m.combiner.maxes)
-    u, v = u_op(x, z1), v_op(y, z2)
-    return SamplePairs(np.column_stack((u, v)), seed=seed, descriptor=m.describe())
 
-
-def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
-    us = rng.random(n)
+def _open_uniforms(stream: np.random.SeedSequence, n: int) -> np.ndarray:
+    us = np.random.Generator(np.random.Philox(stream)).random(n)
     us[us == 0.0] = _TINY  # keep quantile transforms off the -oo convention
     return us
 
@@ -73,18 +82,34 @@ def _tie_groups(x) -> tuple[np.ndarray, np.ndarray]:
     """The average rank of each distinct value of x, ascending, and each element's
     index into them; NaNs sort last and, as in ``np.unique``, form one group."""
     x = np.asarray(x)
+    n = x.size
     order = np.argsort(x)
     xs = x[order]
-    new = np.empty(x.size, dtype=bool)
+    new = np.empty(n, dtype=bool)
     new[:1] = True
     np.not_equal(xs[1:], xs[:-1], out=new[1:])
-    if x.size and xs[-1] != xs[-1]:
+    if n and xs[-1] != xs[-1]:
         new[np.searchsorted(xs, xs[-1]) + 1 :] = False
+    del xs  # peak memory: the sorted copy goes before the index arrays are built
+    rank = np.cumsum(new, dtype=_index_dtype(n))
+    rank -= 1
+    group = np.empty_like(rank)
+    group[order] = rank
+    del order, rank
+    # a group spans positions start+1 .. end: its average rank is (start + 1 + end) / 2
     starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], x.size)
-    group = np.empty(x.size, dtype=np.intp)
-    group[order] = np.cumsum(new) - 1
-    return (starts + 1 + ends) / 2.0, group
+    avg = np.empty(starts.size)
+    np.add(starts[1:], starts[:-1], out=avg[:-1])
+    avg[-1:] = starts[-1:] + n
+    avg += 1.0
+    avg /= 2.0
+    return avg, group
+
+
+def _index_dtype(count: int) -> type:
+    """int32 for indices up to ``count`` below 2**31: half the bytes of intp, and fancy
+    indexing through them casts in small buffers rather than in a full copy."""
+    return np.int32 if count < 2**31 else np.intp
 
 
 def _buckets(ranks: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -92,7 +117,7 @@ def _buckets(ranks: np.ndarray, levels: np.ndarray) -> np.ndarray:
     levels: each level's edge in the ranks, expanded by run length."""
     edges = np.searchsorted(ranks, levels, "right")
     runs = np.diff(edges, prepend=0, append=ranks.size)
-    return np.repeat(np.arange(levels.size + 1), runs)
+    return np.repeat(np.arange(levels.size + 1, dtype=_index_dtype(levels.size)), runs)
 
 
 class EmpiricalCopula(Copula):
@@ -115,9 +140,10 @@ class EmpiricalCopula(Copula):
             raise ValueError("empirical copula needs at least two (u, v) pairs")
         n = pairs.shape[0]
         # (distinct normalized ranks ascending, each pair's index into them) per column
-        avg_u, self._group_u = _tie_groups(pairs[:, 0])
-        avg_v, self._group_v = _tie_groups(pairs[:, 1])
-        self._ranks_u, self._ranks_v = avg_u / n, avg_v / n
+        self._ranks_u, self._group_u = _tie_groups(pairs[:, 0])
+        self._ranks_v, self._group_v = _tie_groups(pairs[:, 1])
+        self._ranks_u /= n
+        self._ranks_v /= n
         self.n = n
 
     @property
@@ -155,10 +181,10 @@ class EmpiricalCopula(Copula):
         """#{i : ru_i <= uq[ui_j] and rv_i <= vq[vi_j]} for each query j, where uq
         and vq are sorted and distinct."""
         # bucket k holds the ranks in (q[k-1], q[k]], so r <= q[k] exactly when bucket <= k
-        bu = _buckets(self._ranks_u, uq)[self._group_u]
-        bv = _buckets(self._ranks_v, vq)[self._group_v]
         shape = (uq.size + 1, vq.size + 1)
-        table = np.bincount(bu * shape[1] + bv, minlength=shape[0] * shape[1]).reshape(shape)
+        cell = np.multiply(_buckets(self._ranks_u, uq)[self._group_u], shape[1], dtype=np.intp)
+        cell += _buckets(self._ranks_v, vq)[self._group_v]
+        table = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
         np.cumsum(table, axis=0, out=table)
         np.cumsum(table, axis=1, out=table)
         return table[ui, vi]

@@ -284,6 +284,20 @@ def test_normalize_survival_round_trip():
     assert grid_max_diff(back, base, 21) <= 1e-15
 
 
+def test_normalize_unwraps_reflections_over_repeated_survival_rounds():
+    # each flipped generator that is already a reflection unwraps to its inner one,
+    # so survival rounds alternate between two descriptors instead of nesting reflect(...)
+    f = closed_form("power", GeneratorClass.RMM, alpha=0.37)
+    g = closed_form("power", GeneratorClass.RMM, alpha=0.61)
+    c = smm(rmm_to_smm(f), rmm_to_smm(g))
+    for _ in range(3):
+        c = normalize(survival(c))
+        assert c.describe() == "rmm:f=power:alpha=0.37,g=power:alpha=0.61"
+        assert c.f is f and c.g is g
+        c = normalize(survival(c))
+        assert c.describe() == "smm:h=reflect(power:alpha=0.37),k=reflect(power:alpha=0.61)"
+
+
 # ---------------------------------------------------------------------------
 # joins
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import tracemalloc
 
@@ -609,6 +610,33 @@ def test_level_inside_a_jump_inverts_to_the_jump_point(d, t):
         if 0.0 < u < 1.0:
             assert d.quantile_array(np.array([u]))[0] == j
             assert d.quantile(u) == j
+
+
+def test_generic_inverse_commutes_with_permuting_the_levels():
+    # each block of levels is sorted for the table lookup and scattered back, and the
+    # working arrays compact lazily: a level's quantile depends on the level alone, at a
+    # jump and past the reach of F too.  The digest was recorded before blocks were sorted.
+    d = Product(SHORT_STEP, Uniform(-1.0, 3.0))  # F(1-) = 0.1, F(1) = 0.3; levels above 0.6 unreached
+    rng = np.random.default_rng(8)
+    us = rng.uniform(1e-9, 1.0 - 1e-9, 10_000)
+    us[:1000] = rng.uniform(0.1, 0.3, 1000)
+    qs = d._bisect_quantile_array(us)
+    assert (np.count_nonzero(qs == 1.0), np.count_nonzero(qs == np.inf)) == (2760, 3667)
+    assert hashlib.sha256(qs.tobytes()).hexdigest() == (
+        "128996fad62121f3b83d14b6c4249d364f7ebe916cdc9140929f4099618025d3"
+    )
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(us.size)
+        assert d._bisect_quantile_array(us[perm]).tobytes() == qs[perm].tobytes()
+    assert d._bisect_quantile_array(us.reshape(100, 100)).tobytes() == qs.tobytes()
+
+
+def test_exponential_quantile_is_the_textbook_formula_to_the_bit():
+    rng = np.random.default_rng(4)
+    tiny, near_one = 10.0 ** -rng.uniform(0.0, 300.0, 1000), 1.0 - 10.0 ** -rng.uniform(1.0, 16.0, 1000)
+    us = np.concatenate((rng.random(10_000), tiny, near_one))
+    for rate in (0.3, 1.0, 2.7, 1e-5):
+        assert Exponential(rate).quantile_array(us).tobytes() == (-np.log1p(-us) / rate).tobytes()
 
 
 def test_generic_quantile_memory_stays_bounded():

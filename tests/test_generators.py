@@ -468,6 +468,20 @@ def test_a_generic_margin_costs_its_table_and_one_cdf_point_per_knot():
     assert sum(points) <= 2**14 + 1 + sum(probes) + _ladder(4096).size + 2 * jumps
 
 
+@pytest.mark.parametrize("resolution", [8, 4096, 32768])
+def test_ladder_is_built_once_per_resolution_and_read_only(resolution):
+    # evenly spaced levels and graded tails, built afresh
+    tail = (np.arange(1, resolution, dtype=float) / resolution) ** 6
+    want = np.unique(np.concatenate((np.linspace(0.0, 1.0, resolution + 1), tail, 1.0 - tail)))
+    want = want[(want > 0.0) & (want < 1.0)]
+    levels = _ladder(resolution)
+    assert levels.tobytes() == want.tobytes()
+    assert _ladder(resolution) is levels
+    assert not levels.flags.writeable
+    with pytest.raises(ValueError):
+        levels[0] = 0.5
+
+
 def exact_curve(margin):
     """Points (F_U(x), F_C(x)) of the curve u -> F_C(F_U^-1(u)) with 0 < u < 1, F_C = Exp(1)."""
     x = np.geomspace(1e-16, 40.0, 42001)
