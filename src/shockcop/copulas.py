@@ -23,10 +23,11 @@ import numpy as np
 from .distributions import DistributionFunction
 from .errors import GeneratorValidationError
 from .generators import (
+    WRAPPERS,
     Generator,
     GeneratorClass,
-    IdentityOffsetGenerator,
-    _reflected,
+    ReflectedGenerator,
+    affine,
     closed_form,
     validate,
 )
@@ -259,10 +260,10 @@ def normalize(c: Copula) -> Copula:
     gens = [getattr(c, slot) for slot, _ in c.slots]
     if isinstance(c, MaxminCopula):
         gens = [
-            IdentityOffsetGenerator(c.phi, "minus-id", GeneratorClass.RMM),
-            IdentityOffsetGenerator(c.psi, "id-minus", GeneratorClass.SMM),
+            affine(c.phi, WRAPPERS["minus-id"], GeneratorClass.RMM),
+            affine(c.psi, WRAPPERS["id-minus"], GeneratorClass.SMM),
         ]
-    return target(*(_reflected(g) if flip else g for g, flip in zip(gens, flips)))
+    return target(*(ReflectedGenerator(g) if flip else g for g, flip in zip(gens, flips)))
 
 
 # ---------------------------------------------------------------------------

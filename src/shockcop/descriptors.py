@@ -53,12 +53,12 @@ from .errors import DescriptorError, ShockcopError, TableFormatError
 from .generators import (
     _FAMILIES as _GENERATOR_FAMILIES,
     CLASS_SPECS,
+    WRAPPERS,
     ClosedFormGenerator,
     Generator,
     GeneratorClass,
-    IdentityOffsetGenerator,
-    ReflectedGenerator,
     TabulatedGenerator,
+    affine,
 )
 from .tables import read_table, write_table
 
@@ -207,23 +207,17 @@ def parse_distribution(text: str) -> DistributionFunction:
 # generators
 # ---------------------------------------------------------------------------
 
-_OFFSET_MODES = {"minus-id", "id-minus", "plus-id"}
-
-
 def parse_generator(text: str, declared_class: GeneratorClass) -> Generator:
     text = text.strip()
     wrapped = _WRAPPER.match(text)
     if wrapped:
         name, inner = wrapped.group(1), wrapped.group(2)
-        if name == "reflect":
-            return ReflectedGenerator(
-                parse_generator(inner, CLASS_SPECS[declared_class].reflected), declared_class
-            )
-        if name in _OFFSET_MODES:
-            return IdentityOffsetGenerator(
-                parse_generator(inner, GeneratorClass.MARSHALL), name, declared_class
-            )
-        raise DescriptorError(f"unknown generator wrapper {name!r}")
+        if name not in WRAPPERS:
+            raise DescriptorError(f"unknown generator wrapper {name!r}")
+        # a reflection's argument has the reflected class, an offset's is a hat form
+        reflected = CLASS_SPECS[declared_class].reflected
+        inner = parse_generator(inner, reflected if name == "reflect" else GeneratorClass.MARSHALL)
+        return affine(inner, WRAPPERS[name], declared_class)
 
     head, body = _split_head(text)
     try:

@@ -240,55 +240,79 @@ class TabulatedGenerator(Generator):
 
 
 # ---------------------------------------------------------------------------
-# adapters
+# the affine adapter: a stack of wrappers is one map
 # ---------------------------------------------------------------------------
 
-class ReflectedGenerator(Generator):
-    """Evaluates the wrapped generator at 1-u."""
+#: wrapper name -> its map (s, flip, t, c), s = +-1 and t, c integers (see AffineGenerator)
+WRAPPERS = {"reflect": (1, True, 0, 0), "minus-id": (1, False, -1, 0),
+            "id-minus": (-1, False, 1, 0), "plus-id": (1, False, 1, 0)}
 
-    def __init__(self, inner: Generator, declared_class: GeneratorClass | None = None):
-        self.inner = inner
-        self.declared_class = declared_class or CLASS_SPECS[inner.declared_class].reflected
+
+def _affine(y, x, m):
+    """s*y + t*x + c of the map m, one array operation per nonzero term: g - x rounds as written."""
+    s, _, t, c = m
+    if t:
+        tx = x if abs(t) == 1 else abs(t) * x
+        y = (y + tx if t > 0 else y - tx) if s > 0 else (tx - y if t > 0 else -(y + tx))
+    elif s < 0:
+        y = -y
+    return y + c if c else y
+
+
+class AffineGenerator(Generator):
+    """u -> s*base(x) + t*x + c, x = 1-u if flip else u: a wrapper stack as one map, built
+    by :func:`affine`.  The affine part is on x: reflect(minus-id(g)) is g(1-u) - (1-u)."""
+
+    def __init__(self, base: Generator, m: tuple, declared_class: GeneratorClass):
+        self.base, self.map, self.declared_class = base, m, declared_class
 
     def _eval(self, u):
-        return self.inner._eval(1.0 - u)
+        x = 1.0 - u if self.map[1] else u
+        return _affine(self.base._eval(x), x, self.map)
 
     @property
     def grid_tol(self) -> float:
-        return self.inner.grid_tol
+        return self.base.grid_tol
 
     def param_domain_violations(self):
-        return self.inner.param_domain_violations()
+        s, _, t, c = self.map  # the base family's domain holds while its values are kept
+        return self.base.param_domain_violations() if (s, t, c) == (1, 0, 0) else []
 
     def describe(self) -> str:
-        return f"reflect({self.inner.describe()})"
+        return _stack(*self.map, self.base.describe())
 
 
-class IdentityOffsetGenerator(Generator):
-    """Combine a generator with the identity map: inner-id, id-inner, or inner+id."""
+def _stack(s, flip, t, c, text) -> str:
+    """text in the map's canonical stack: offsets; with a flip, the offsets that make c
+    over reflect(offsets); with c but no flip, reflect round that."""
+    if not flip:
+        if c:
+            return f"reflect({_stack(s, True, t, c, text)})"
+        if s < 0:
+            return f"id-minus({_stack(1, False, 1 - t, 0, text)})"
+        return ("plus-id(" if t > 0 else "minus-id(") * abs(t) + text + ")" * abs(t)
+    out = f"reflect({_stack(s, False, t + c, 0, text)})"
+    return ("plus-id(" if c > 0 else "minus-id(") * abs(c) + out + ")" * abs(c)
 
-    _MODES = {
-        "minus-id": lambda g, u: g - u,
-        "id-minus": lambda g, u: u - g,
-        "plus-id": lambda g, u: g + u,
-    }
 
-    def __init__(self, inner: Generator, mode: str, declared_class: GeneratorClass):
-        if mode not in self._MODES:
-            raise ValueError(f"unknown identity-offset mode {mode!r}")
-        self.inner = inner
-        self.mode = mode
-        self.declared_class = declared_class
+def affine(gen: Generator, m: tuple, declared_class: GeneratorClass) -> Generator:
+    """gen under the map m of ``WRAPPERS``, tagged ``declared_class``.  A wrapped gen
+    composes into one map over its base; the identity gives the base itself if it has
+    ``declared_class``; a map without a flip over a table gives the table s*values + t*us + c."""
+    if isinstance(gen, AffineGenerator):  # m after gen.map; if gen.map flips, m's x is 1 - x
+        (s, flip, t, c), (s2, flip2, t2, c2), gen = m, gen.map, gen.base
+        m = (s * s2, flip != flip2, s * t2 + (-t if flip2 else t), s * c2 + c + (t if flip2 else 0))
+    if m == (1, False, 0, 0) and gen.declared_class is declared_class:
+        return gen
+    if isinstance(gen, TabulatedGenerator) and not m[1]:
+        return TabulatedGenerator(gen.us, _affine(gen.values, gen.us, m), declared_class)
+    return AffineGenerator(gen, m, declared_class)
 
-    def _eval(self, u):
-        return self._MODES[self.mode](self.inner._eval(u), u)
 
-    @property
-    def grid_tol(self) -> float:
-        return self.inner.grid_tol
-
-    def describe(self) -> str:
-        return f"{self.mode}({self.inner.describe()})"
+def ReflectedGenerator(inner: Generator, declared_class: GeneratorClass | None = None) -> Generator:
+    """inner(1-u), by default in the reflected class of inner's."""
+    target = declared_class or CLASS_SPECS[inner.declared_class].reflected
+    return affine(inner, WRAPPERS["reflect"], target)
 
 
 def hat_to_f(hat: Generator, declared_class: GeneratorClass = GeneratorClass.RMM) -> Generator:
@@ -298,53 +322,32 @@ def hat_to_f(hat: Generator, declared_class: GeneratorClass = GeneratorClass.RMM
         raise GeneratorValidationError(
             f"hat form must satisfy hat(0)=0 and hat(1)=1, got {h0} and {h1}"
         )
-    if isinstance(hat, TabulatedGenerator):
-        return TabulatedGenerator(hat.us, hat.values - hat.us, declared_class)
-    return IdentityOffsetGenerator(hat, "minus-id", declared_class)
+    return affine(hat, WRAPPERS["minus-id"], declared_class)
 
 
 def hat_of(f: Generator) -> Generator:
     """Add the identity to a generator: the hat form used in shock reconstruction."""
-    if isinstance(f, TabulatedGenerator):
-        return TabulatedGenerator(f.us, f.values + f.us, f.declared_class)
-    return IdentityOffsetGenerator(f, "plus-id", f.declared_class)
+    return affine(f, WRAPPERS["plus-id"], f.declared_class)
 
 
 def identity_minus(g: Generator, declared_class: GeneratorClass) -> Generator:
     """u - g(u), tagged with the requested class."""
-    if isinstance(g, TabulatedGenerator):
-        return TabulatedGenerator(g.us, g.us - g.values, declared_class)
-    return IdentityOffsetGenerator(g, "id-minus", declared_class)
+    return affine(g, WRAPPERS["id-minus"], declared_class)
 
 
 def rmm_to_smm(f: Generator) -> Generator:
     """h(u) = f(1-u); requires a valid RMM generator, returns a valid SMM one."""
-    return _reflect_valid(f, GeneratorClass.RMM)
+    return _require_valid(ReflectedGenerator(_require_valid(f, GeneratorClass.RMM)))
 
 
 def smm_to_rmm(h: Generator) -> Generator:
     """f(u) = h(1-u); inverse of :func:`rmm_to_smm`, round-trip is exact."""
-    return _reflect_valid(h, GeneratorClass.SMM)
+    return _require_valid(ReflectedGenerator(_require_valid(h, GeneratorClass.SMM)))
 
 
-def _reflect_valid(gen: Generator, source: GeneratorClass) -> Generator:
-    """gen(1-u) in the reflected class, unwrapping a reflection; both ends validated."""
-    _require_valid(gen, source)
-    out = _reflected(gen)
-    _require_valid(out, CLASS_SPECS[source].reflected)
-    return out
-
-
-def _reflected(gen: Generator) -> Generator:
-    """gen(1-u) in the reflected class, unvalidated; the reflection of a generator
-    of that class unwraps to it, so reflecting twice gives gen itself."""
-    target = CLASS_SPECS[gen.declared_class].reflected
-    if isinstance(gen, ReflectedGenerator) and gen.inner.declared_class is target:
-        return gen.inner
-    return ReflectedGenerator(gen, target)
-
-
-def _require_valid(gen: Generator, expected: GeneratorClass) -> None:
+def _require_valid(gen: Generator, expected: GeneratorClass | None = None) -> Generator:
+    """gen, once it has the expected class (its own by default) and passes validation."""
+    expected = expected or gen.declared_class
     if gen.declared_class is not expected:
         raise GeneratorValidationError(
             f"expected a {expected.value} generator, got {gen.declared_class.value}"
@@ -355,6 +358,7 @@ def _require_valid(gen: Generator, expected: GeneratorClass) -> None:
         raise GeneratorValidationError(
             f"{gen.describe()} fails {expected.value} validation: {failed}", report=report
         )
+    return gen
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shockcop.copulas import FlippedCopula, MaxminCopula, RmmCopula, SmmCopula
 from shockcop.descriptors import (
@@ -11,7 +13,13 @@ from shockcop.descriptors import (
 )
 from shockcop.distributions import Product, Uniform
 from shockcop.errors import DescriptorError, IllegalModelError
-from shockcop.generators import GeneratorClass
+from shockcop.generators import (
+    WRAPPERS,
+    AffineGenerator,
+    ClosedFormGenerator,
+    GeneratorClass,
+    validate,
+)
 from shockcop.shock_models import Combiner, Comonotonic, SharedShock
 
 
@@ -109,6 +117,84 @@ def test_reflected_generator_descriptor():
     assert gen.declared_class is GeneratorClass.SMM
     assert gen.value(0.75) == pytest.approx(0.25, abs=1e-15)
     assert gen.describe() == "reflect(power:alpha=0.5)"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "reflect(power:alpha=0.5)",
+        "minus-id(efgmhat:a=0.95)",
+        "id-minus(efgmhat:a=0.95)",
+        "plus-id(power:alpha=0.5)",
+        "reflect(minus-id(efgmhat:a=0.95))",
+        "reflect(id-minus(efgmhat:a=0.95))",
+        "reflect(plus-id(power:alpha=0.5))",
+        "minus-id(reflect(efgmhat:a=0.95))",
+        "plus-id(reflect(efgmhat:a=0.95))",
+        "plus-id(reflect(id-minus(poly:c0=0.0,c1=0.0,c2=1.0)))",
+    ],
+)
+def test_one_layer_and_reflected_offset_descriptors_keep_their_text(text):
+    assert parse_generator(text, GeneratorClass.RMM).describe() == text
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        ("reflect(reflect(power:alpha=0.5))", "power:alpha=0.5"),
+        ("minus-id(plus-id(power:alpha=0.5))", "power:alpha=0.5"),
+        ("id-minus(id-minus(power:alpha=0.5))", "power:alpha=0.5"),
+        ("reflect(reflect(minus-id(power:alpha=0.5)))", "minus-id(power:alpha=0.5)"),
+        ("plus-id(plus-id(minus-id(power:alpha=0.5)))", "plus-id(power:alpha=0.5)"),
+        ("id-minus(reflect(minus-id(power:alpha=0.5)))", "plus-id(reflect(id-minus(power:alpha=0.5)))"),
+        ("id-minus(reflect(power:alpha=0.5))", "plus-id(reflect(id-minus(plus-id(power:alpha=0.5))))"),
+    ],
+)
+def test_stacks_print_their_composed_canonical_stack(text, canonical):
+    assert parse_generator(text, GeneratorClass.RMM).describe() == canonical
+
+
+def test_cancelling_wrappers_keep_the_requested_class():
+    # the offsets parse their argument as a Marshall hat form, so the bare base would
+    # carry the wrong class: the identity map stays, tagged RMM
+    gen = parse_generator("minus-id(plus-id(power:alpha=0.5))", GeneratorClass.RMM)
+    assert gen.declared_class is GeneratorClass.RMM
+    assert gen.base.declared_class is GeneratorClass.MARSHALL
+    # reflect parses its argument in the reflected class, so two give the base itself
+    base = parse_generator("reflect(reflect(power:alpha=0.5))", GeneratorClass.RMM)
+    assert type(base) is ClosedFormGenerator
+    assert base.declared_class is GeneratorClass.RMM and base.describe() == "power:alpha=0.5"
+
+
+def test_reflection_keeps_the_parameter_domain_and_an_offset_drops_it():
+    report = validate(parse_generator("reflect(power:alpha=2)", GeneratorClass.SMM))
+    assert [r.check_id for r in report.results if not r.passed][:1] == ["power-domain"]
+    # u - (u**2 - u) = 2u - u**2 is a valid Marshall generator whatever the base's domain
+    report = validate(parse_generator("id-minus(power:alpha=2)", GeneratorClass.MARSHALL))
+    assert report.passed
+    assert not any(r.check_id == "power-domain" for r in report.results)
+
+
+def _map_of(gen):
+    if isinstance(gen, AffineGenerator):
+        return gen.map, gen.base.describe()
+    return (1, False, 0, 0), gen.describe()
+
+
+@given(
+    st.sampled_from(["power:alpha=0.5", "efgmhat:a=0.95", "poly:c0=0.0,c1=0.0,c2=1.0", "zero"]),
+    st.lists(st.sampled_from(sorted(WRAPPERS)), max_size=6),
+    st.sampled_from(GeneratorClass),
+)
+@settings(max_examples=200, deadline=None)
+def test_describe_reads_back_to_the_same_map(base, names, cls):
+    text = base
+    for name in names:
+        text = f"{name}({text})"
+    gen = parse_generator(text, cls)
+    back = parse_generator(gen.describe(), cls)
+    assert _map_of(back) == _map_of(gen)
+    assert back.describe() == gen.describe()
 
 
 def test_generator_bad_params_rejected():

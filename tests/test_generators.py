@@ -31,12 +31,14 @@ from shockcop.generators import (
     _OWN_VALUES,
     CLASS_SPECS,
     DERIVED_MAPS,
+    WRAPPERS,
+    AffineGenerator,
     Generator,
     GeneratorClass,
-    IdentityOffsetGenerator,
     ReflectedGenerator,
     TabulatedGenerator,
     _ladder,
+    affine,
     closed_form,
     derived_value,
     generator_from_shocks,
@@ -151,7 +153,7 @@ def _value_generators():
     named = [closed_form(name, RMM, **params) for name, params in _SCALAR_PARAMS.items()]
     return named + [
         ReflectedGenerator(power(0.37)),
-        IdentityOffsetGenerator(power(0.37), "minus-id", RMM),
+        affine(power(0.37), WRAPPERS["minus-id"], RMM),
         TabulatedGenerator([0.0, 0.3, 1.0], [0.0, 0.2, 1.0], MARSHALL),
     ]
 
@@ -375,6 +377,130 @@ def test_hat_of_inverts_hat_to_f():
 def test_identity_minus():
     g = identity_minus(closed_form("zero", MARSHALL), SMM)
     assert g.value(0.4) == 0.4
+
+
+# ---------------------------------------------------------------------------
+# the affine adapter: wrapper stacks
+# ---------------------------------------------------------------------------
+
+#: each wrapper as the literal nested evaluation it stands for
+_LITERAL = {
+    "reflect": lambda g: lambda u: g(1.0 - u),
+    "minus-id": lambda g: lambda u: g(u) - u,
+    "id-minus": lambda g: lambda u: u - g(u),
+    "plus-id": lambda g: lambda u: g(u) + u,
+}
+#: each wrapper on (a, b, p, q), the map g -> a*g(u) + b*g(1-u) + p*u + q
+_ON_COEFFS = {
+    "reflect": lambda a, b, p, q: (b, a, -p, p + q),
+    "minus-id": lambda a, b, p, q: (a, b, p - 1, q),
+    "id-minus": lambda a, b, p, q: (-a, -b, 1 - p, -q),
+    "plus-id": lambda a, b, p, q: (a, b, p + 1, q),
+}
+_STACK_TABLE = TabulatedGenerator([0.0, 0.3, 0.55, 1.0], [0.0, 0.2, 0.7, 1.0], MARSHALL)
+_STACK_BASES = [closed_form(n, MARSHALL, **p) for n, p in _SCALAR_PARAMS.items()] + [_STACK_TABLE]
+#: dyadic points: 1 - u is exact, so a composed reflection moves no point and only
+#: the affine arithmetic differs from the literal nesting
+_DYADIC = np.arange(1025) / 1024.0
+#: |g| <= 1 on every base and a stack of four adds at most 4u + 4, so a few roundings
+#: at magnitudes below 10 stay far inside this
+_STACK_ATOL = 1e-13
+
+
+def _build_stack(names, base, classes):
+    """The generator and literal evaluation of names (innermost first) over base."""
+    gen, lit, coeffs = base, base.value_array, (1, 0, 0, 0)
+    for name, cls in zip(names, classes):
+        gen = affine(gen, WRAPPERS[name], cls)
+        lit, coeffs = _LITERAL[name](lit), _ON_COEFFS[name](*coeffs)
+    return gen, lit, coeffs
+
+
+@given(
+    st.sampled_from(range(len(_STACK_BASES))),
+    st.lists(st.tuples(st.sampled_from(sorted(WRAPPERS)), st.sampled_from(GeneratorClass)), max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_wrapper_stacks_compose_into_one_map(which, layers):
+    base = _STACK_BASES[which]
+    names = [name for name, _ in layers]
+    classes = [cls for _, cls in layers]
+    gen, lit, coeffs = _build_stack(names, base, classes)
+    np.testing.assert_allclose(gen.value_array(_DYADIC), lit(_DYADIC), rtol=0.0, atol=_STACK_ATOL)
+    if isinstance(gen, AffineGenerator):
+        assert not isinstance(gen.base, AffineGenerator)
+    if isinstance(base, TabulatedGenerator):
+        # a table absorbs the layers of a stack without a flip and is the base of a
+        # map with one
+        if coeffs[1] == 0:
+            assert isinstance(gen, TabulatedGenerator)
+        else:
+            assert isinstance(gen.base, TabulatedGenerator) and gen.map[1]
+        return
+    if isinstance(gen, AffineGenerator):
+        s, flip, t, c = gen.map
+        assert gen.base is base
+        assert coeffs == ((0, s, -t, t + c) if flip else (s, 0, t, c))
+    final_class = classes[-1] if classes else base.declared_class
+    if coeffs == (1, 0, 0, 0) and final_class is base.declared_class:
+        assert gen is base
+
+
+_SRC_STACKS = [  # the shapes normalize and reconstruction build, innermost first
+    ("reflect",),
+    ("minus-id",),
+    ("id-minus",),
+    ("plus-id",),
+    ("minus-id", "reflect"),
+    ("id-minus", "reflect"),
+]
+
+
+@pytest.mark.parametrize("names", _SRC_STACKS, ids=lambda n: "(".join(n[::-1]) + ")" * (len(n) - 1))
+def test_wrapper_stacks_keep_the_bits_of_the_nested_wrappers(names):
+    g = power(0.37, MARSHALL)
+    table = _STACK_TABLE
+    u = SCALAR_POINTS
+    x = 1.0 - u
+    # the nested wrappers: a closed form evaluates each layer in turn; an offset of a
+    # table is the table of s*values + t*us, reflected at the query
+    closed = {
+        ("reflect",): g.value_array(x),
+        ("minus-id",): g.value_array(u) - u,
+        ("id-minus",): u - g.value_array(u),
+        ("plus-id",): g.value_array(u) + u,
+        ("minus-id", "reflect"): g.value_array(x) - x,
+        ("id-minus", "reflect"): x - g.value_array(x),
+    }[names]
+    us, vs = table.us, table.values
+    tabulated = {
+        ("reflect",): np.interp(x, us, vs),
+        ("minus-id",): np.interp(u, us, vs - us),
+        ("id-minus",): np.interp(u, us, us - vs),
+        ("plus-id",): np.interp(u, us, vs + us),
+        ("minus-id", "reflect"): np.interp(x, us, vs - us),
+        ("id-minus", "reflect"): np.interp(x, us, us - vs),
+    }[names]
+    for base, want in ((g, closed), (table, tabulated)):
+        gen, _, _ = _build_stack(names, base, [RMM] * len(names))
+        assert gen.value_array(u).tobytes() == want.tobytes()
+
+
+def test_hat_of_a_reflected_maxmin_generator_is_one_minus_psi_reflected():
+    psi = closed_form("poly", GeneratorClass.MAXMIN_PSI, c0=0.0, c1=0.5, c2=0.5)
+    g = ReflectedGenerator(identity_minus(psi, SMM))
+    u = SCALAR_POINTS
+    assert hat_of(g).value_array(u).tobytes() == (1.0 - psi.value_array(1.0 - u)).tobytes()
+    assert hat_of(g).describe() == "plus-id(reflect(id-minus(poly:c0=0.0,c1=0.5,c2=0.5)))"
+
+
+def test_offsets_that_cancel_give_the_base_only_in_its_class():
+    hat = closed_form("efgmhat", MARSHALL, a=0.61)
+    assert hat_of(hat_to_f(hat, MARSHALL)) is hat
+    back = hat_of(hat_to_f(hat, RMM))  # hat_of keeps the class RMM
+    assert isinstance(back, AffineGenerator) and back.base is hat
+    assert back.declared_class is RMM and back.describe() == hat.describe()
+    assert back.value_array(SCALAR_POINTS).tobytes() == hat.value_array(SCALAR_POINTS).tobytes()
 
 
 # ---------------------------------------------------------------------------
