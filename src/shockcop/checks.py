@@ -6,7 +6,7 @@ direct evaluation: ``generators._worst``, the rule of every check in the
 package (``generators.validate`` included), takes the first largest gap in
 row-major order, reports a negative one as 0 and fails a NaN as the largest.
 Analytic grid identities default to 1e-12 with closed-form generators and
-1e-9 with tabulated ones; Monte Carlo bounds default to 4.4/sqrt(n).
+1e-9 with tabulated ones; Monte Carlo bounds default to ``monte_carlo_eps(n)``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,11 @@ from . import shock_models as sm
 from .distributions import DistributionFunction
 from .generators import CheckResult, CheckSuiteReport, _worst
 from .sampling import empirical_copula, sample_model, sup_distance_at
+
+
+def monte_carlo_eps(n: int) -> float:
+    """The default bound on the sup distance of an n-sample's empirical copula to its copula."""
+    return 4.4 / math.sqrt(n)
 
 
 def check_copula_axioms(
@@ -79,7 +84,7 @@ def check_model_theorem(
     copula in sup distance.
     """
     if eps is None:
-        eps = 4.4 / math.sqrt(n)
+        eps = monte_carlo_eps(n)
     induced = sm.induced_copula(m, resolution=resolution)
     margin_u, margin_v = sm.margins(m)
     join = cop.sklar_join(induced, margin_u, margin_v)
@@ -100,7 +105,7 @@ def check_reconstruction(
     c: cop.Copula,
     margin_u: DistributionFunction,
     margin_v: DistributionFunction,
-    grid_size: int = 1001,
+    grid_size: int = sm.RECONSTRUCTION_GRID,
     tol: float = sm.RECONSTRUCTION_TOL,
 ) -> CheckSuiteReport:
     """The report of ``shock_models.audited_reconstruction``, the one reconstruction:

@@ -28,7 +28,7 @@ from . import checks
 from . import shock_models as sm
 from .descriptors import parse_copula, parse_distribution, parse_generator, parse_model
 from .errors import IllegalModelError, ReconstructionError, ShockcopError
-from .generators import GeneratorClass, validate
+from .generators import DEFAULT_GRID, GeneratorClass, validate
 from .sampling import (
     empirical_copula,
     read_pairs_csv,
@@ -144,7 +144,7 @@ def cmd_check_empirical(args) -> int:
     pairs = read_pairs_csv(source)
     emp = empirical_copula(pairs)
     dist, (u, v) = sup_distance_at(emp, c, grid=args.grid)
-    eps = args.eps if args.eps is not None else 4.4 / np.sqrt(pairs.n)
+    eps = args.eps if args.eps is not None else checks.monte_carlo_eps(pairs.n)
     status = "pass" if dist <= eps else "FAIL"
     print(
         f"sup distance on {args.grid}-grid between {emp.describe()} and "
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-gen", help="validate a generator against a class")
     p.add_argument("generator")
     p.add_argument("--class", dest="cls", choices=sorted(c.value for c in GeneratorClass), required=True)
-    p.add_argument("--grid", type=int, default=1001)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(fn=cmd_validate_gen)
 
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("copula")
     p.add_argument("--fu", required=True)
     p.add_argument("--fv", required=True)
-    p.add_argument("--grid", type=int, default=1001)
+    p.add_argument("--grid", type=int, default=sm.RECONSTRUCTION_GRID)
     p.add_argument("--tol", type=float, default=sm.RECONSTRUCTION_TOL)
     p.add_argument("--points", type=int, default=41, help="rows in the emitted CDF table")
     p.add_argument("--out", default=None)
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("copula")
     p.add_argument("--fu", required=True)
     p.add_argument("--fv", required=True)
-    p.add_argument("--grid", type=int, default=1001)
+    p.add_argument("--grid", type=int, default=sm.RECONSTRUCTION_GRID)
     p.add_argument("--tol", type=float, default=sm.RECONSTRUCTION_TOL)
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--resolution", type=int, default=1 << 16)

@@ -11,11 +11,13 @@ constructions in :mod:`shockcop.generators` place a knot at each of the
 bracket values F(J-) and F(J) of a jump J, and at F(x) for a point x placed
 near each ladder level u (``_place_array``).
 
-Each law is written once, on arrays.  A family defines ``cdf_array``; it
-overrides ``cdf_left_array`` only when it has atoms (the default is
-``cdf_array`` itself) and ``_quantile_array`` only when a closed-form inverse
-exists (the default is the generic inverse below).  The base class derives
-the rest: the scalar ``cdf``, ``cdf_left`` and ``quantile`` evaluate the
+Each law is written once, on arrays.  A family defines one CDF method,
+``cdf_array(xs, left=False)``, which returns F(x-) when ``left`` is set: a law
+without atoms ignores the flag, and a composite passes it to its parts (a
+negation flips it).  A family overrides ``_quantile_array`` only when a
+closed-form inverse exists (the default is the generic inverse below).  The
+base class derives the rest: ``cdf_left_array`` is ``cdf_array(xs, True)``,
+and the scalar ``cdf``, ``cdf_left`` and ``quantile`` evaluate the
 array path at one point, so scalar and array values agree to the bit, at
 the IEEE infinities too: every law reads 0 at -inf and 1 at +inf, and
 ``quantile`` returns -inf at level 0 and +inf at a level never reached;
@@ -97,12 +99,13 @@ class DistributionFunction(ABC):
     """A univariate CDF: nondecreasing, right-continuous, limits 0 and 1."""
 
     @abstractmethod
-    def cdf_array(self, xs: np.ndarray) -> np.ndarray:
-        """F at every point of a float array."""
+    def cdf_array(self, xs: np.ndarray, left: bool = False) -> np.ndarray:
+        """F at every point of a float array, or the left limit F(x-) if ``left``;
+        a law without atoms ignores ``left``."""
 
     def cdf_left_array(self, xs: np.ndarray) -> np.ndarray:
-        """Left limit F(x-). Default is the continuous case; atom-bearing families override."""
-        return self.cdf_array(xs)
+        """The left limit F(x-) at every point."""
+        return self.cdf_array(xs, True)
 
     def cdf(self, x: float) -> float:
         return _at(self.cdf_array, x)
@@ -290,7 +293,7 @@ class Uniform(DistributionFunction):
         if not self.a < self.b:
             raise ValueError(f"uniform needs a < b, got a={self.a}, b={self.b}")
 
-    def cdf_array(self, xs):
+    def cdf_array(self, xs, left=False):
         xs = np.asarray(xs, dtype=float)
         return np.clip((xs - self.a) / (self.b - self.a), 0.0, 1.0)
 
@@ -312,7 +315,7 @@ class Exponential(DistributionFunction):
         if not self.rate > 0:
             raise ValueError(f"exponential rate must be positive, got {self.rate}")
 
-    def cdf_array(self, xs):
+    def cdf_array(self, xs, left=False):
         xs = np.asarray(xs, dtype=float)
         return np.where(xs <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(xs, 0.0)))
 
@@ -344,7 +347,7 @@ class NegExponential(DistributionFunction):
         if not self.rate > 0:
             raise ValueError(f"neg-exponential rate must be positive, got {self.rate}")
 
-    def cdf_array(self, xs):
+    def cdf_array(self, xs, left=False):
         xs = np.asarray(xs, dtype=float)
         return np.where(xs >= 0.0, 1.0, np.exp(self.rate * np.minimum(xs, 0.0)))
 
@@ -385,24 +388,16 @@ class TabulatedCdf(DistributionFunction):
         self.interpolation = interpolation
         self.source = source
 
-    def cdf_array(self, xs):
-        return self._table_cdf(xs, "right")
-
-    def cdf_left_array(self, xs):
-        return self._table_cdf(xs, "left")
-
-    def _table_cdf(self, xs, side: str):
-        """F (side "right") or F(x-) (side "left"); a linear table is continuous.
-
-        The ends of the line read 0 and 1 whatever the table's first and last
-        p: a table whose p stays below 1 leaves its missing mass at +inf.
-        """
+    def cdf_array(self, xs, left=False):
+        """A linear table is continuous.  The ends of the line read 0 and 1 whatever
+        the table's first and last p: a table whose p stays below 1 leaves its missing
+        mass at +inf."""
 
         def lookup(q):
             if self.interpolation == "linear":
                 inside = np.interp(q, self.xs, self.ps)
             else:
-                idx = np.searchsorted(self.xs, q, side=side) - 1
+                idx = np.searchsorted(self.xs, q, side="left" if left else "right") - 1
                 inside = np.where(idx < 0, 0.0, self.ps[np.maximum(idx, 0)])
             return np.where(np.isinf(q), q > 0.0, inside)
 
@@ -476,7 +471,7 @@ class EfgmMargin(DistributionFunction):
         if not 0.0 < self.a <= 1.0:
             raise ValueError(f"EFGM weight must lie in (0,1], got {self.a}")
 
-    def cdf_array(self, xs):
+    def cdf_array(self, xs, left=False):
         xs = np.asarray(xs, dtype=float)
         a = self.a
         inner = np.clip(xs, 0.0, 1.0)
@@ -503,7 +498,7 @@ class EfgmShock(DistributionFunction):
         if not 0.0 < self.a <= 1.0:
             raise ValueError(f"EFGM weight must lie in (0,1], got {self.a}")
 
-    def cdf_array(self, xs):
+    def cdf_array(self, xs, left=False):
         xs = np.asarray(xs, dtype=float)
         a = self.a
         inner = np.minimum(xs, 1.0)
@@ -533,11 +528,8 @@ class Product(DistributionFunction):
         self.d1 = d1
         self.d2 = d2
 
-    def cdf_array(self, xs):
-        return self.d1.cdf_array(xs) * self.d2.cdf_array(xs)
-
-    def cdf_left_array(self, xs):
-        return self.d1.cdf_left_array(xs) * self.d2.cdf_left_array(xs)
+    def cdf_array(self, xs, left=False):
+        return self.d1.cdf_array(xs, left) * self.d2.cdf_array(xs, left)
 
     def jump_points(self):
         return tuple(sorted(set(self.d1.jump_points()) | set(self.d2.jump_points())))
@@ -562,13 +554,9 @@ class SurvivalProduct(DistributionFunction):
         self.d1 = d1
         self.d2 = d2
 
-    def cdf_array(self, xs):
-        a = self.d1.cdf_array(xs)
-        return np.maximum(a, 1.0 - (1.0 - a) * (1.0 - self.d2.cdf_array(xs)))
-
-    def cdf_left_array(self, xs):
-        a = self.d1.cdf_left_array(xs)
-        return np.maximum(a, 1.0 - (1.0 - a) * (1.0 - self.d2.cdf_left_array(xs)))
+    def cdf_array(self, xs, left=False):
+        a = self.d1.cdf_array(xs, left)
+        return np.maximum(a, 1.0 - (1.0 - a) * (1.0 - self.d2.cdf_array(xs, left)))
 
     def jump_points(self):
         return tuple(sorted(set(self.d1.jump_points()) | set(self.d2.jump_points())))
@@ -588,11 +576,8 @@ class NegatedCdf(DistributionFunction):
     def __init__(self, inner: DistributionFunction):
         self.inner = inner
 
-    def cdf_array(self, xs):
-        return 1.0 - self.inner.cdf_left_array(-np.asarray(xs, dtype=float))
-
-    def cdf_left_array(self, xs):
-        return 1.0 - self.inner.cdf_array(-np.asarray(xs, dtype=float))
+    def cdf_array(self, xs, left=False):
+        return 1.0 - self.inner.cdf_array(-np.asarray(xs, dtype=float), not left)
 
     def jump_points(self):
         return tuple(sorted(-j for j in self.inner.jump_points()))

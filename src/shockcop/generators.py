@@ -39,9 +39,6 @@ from .errors import (
     TableFormatError,
 )
 
-STAR_LIMIT_PROBES = (1e-9, 1e-12)
-STAR_DIVERGENCE_CAP = 1e12
-_STAR_GROWTH_RATIO = 1.5
 DEFAULT_GRID = 1001
 CLOSED_FORM_TOL = 1e-12
 TABULATED_TOL = 1e-9
@@ -72,6 +69,11 @@ class Generator(ABC):
     def __call__(self, u: float) -> float:
         return self.value(u)
 
+    def ends(self) -> tuple[float, float, float]:
+        """(g(0+), lim (g(u) - g(0+))/u at 0+, lim (g(1) - g(u))/(1 - u) at 1-): the
+        limits ``derived_value`` and reconstruction read, declared, never probed."""
+        raise NotImplementedError(f"{self.describe()} declares no ends, so no limit is read")
+
     @property
     def grid_tol(self) -> float:
         """Monotonicity slack appropriate to the representation."""
@@ -100,6 +102,7 @@ class _Family:
     fn: object
     check: object = None  # construction-time evaluability constraints
     domain: object = None  # family parameter-domain constraints, reported by validate()
+    ends: object = None  # params -> the generator's ``ends()``
 
 
 def _power_domain(p):
@@ -144,20 +147,27 @@ def _poly_eval(p, t):
     return acc
 
 
+def _power_slope(alpha):
+    """The slope of t**alpha at 0+."""
+    return math.inf if alpha < 1.0 else float(alpha == 1.0)
+
+
 _FAMILIES: dict[str, _Family] = {
-    "power": _Family(("alpha",), lambda p, t: t ** p["alpha"] - t, _positive("alpha"), _power_domain),
-    "twoparam": _Family(
-        ("alpha", "beta"),
-        lambda p, t: t ** p["alpha"] * (1.0 - t ** p["beta"]),
-        _positive("alpha", "beta"),
-        _twoparam_domain,
-    ),
-    "efgmhat": _Family(("a",), lambda p, t: t + p["a"] * t * (1.0 - t), None, _efgm_domain),
-    "efgmf": _Family(("a",), lambda p, t: p["a"] * t * (1.0 - t), None, _efgm_domain),
-    "identity": _Family((), lambda p, t: t + 0.0),
-    "zero": _Family((), lambda p, t: t * 0.0),
-    "fullshock": _Family((), lambda p, t: np.where(np.asarray(t) > 0.0, 1.0, 0.0)),
-    "capped": _Family(("slope",), lambda p, t: np.minimum(p["slope"] * t, 1.0), _positive("slope")),
+    "power": _Family(("alpha",), lambda p, t: t ** p["alpha"] - t, _positive("alpha"), _power_domain,
+                     ends=lambda p: (0.0, _power_slope(p["alpha"]) - 1.0, p["alpha"] - 1.0)),
+    "twoparam": _Family(("alpha", "beta"), lambda p, t: t ** p["alpha"] * (1.0 - t ** p["beta"]),
+                        _positive("alpha", "beta"), _twoparam_domain,
+                        ends=lambda p: (0.0, _power_slope(p["alpha"]), -p["beta"])),
+    "efgmhat": _Family(("a",), lambda p, t: t + p["a"] * t * (1.0 - t), None, _efgm_domain,
+                       ends=lambda p: (0.0, 1.0 + p["a"], 1.0 - p["a"])),
+    "efgmf": _Family(("a",), lambda p, t: p["a"] * t * (1.0 - t), None, _efgm_domain,
+                     ends=lambda p: (0.0, p["a"], -p["a"])),
+    "identity": _Family((), lambda p, t: t + 0.0, ends=lambda p: (0.0, 1.0, 1.0)),
+    "zero": _Family((), lambda p, t: t * 0.0, ends=lambda p: (0.0, 0.0, 0.0)),
+    "fullshock": _Family((), lambda p, t: np.where(np.asarray(t) > 0.0, 1.0, 0.0),
+                         ends=lambda p: (1.0, 0.0, 0.0)),
+    "capped": _Family(("slope",), lambda p, t: np.minimum(p["slope"] * t, 1.0), _positive("slope"),
+                      ends=lambda p: (0.0, p["slope"], p["slope"] if p["slope"] <= 1.0 else 0.0)),
 }
 
 
@@ -188,6 +198,12 @@ class ClosedFormGenerator(Generator):
         if self.family == "poly":
             return _poly_eval(self.params, u)
         return _FAMILIES[self.family].fn(self.params, u)
+
+    def ends(self):
+        if self.family != "poly":
+            return _FAMILIES[self.family].ends(self.params)
+        c = [self.params[f"c{k}"] for k in range(len(self.params))]
+        return (c[0], c[1] if len(c) > 1 else 0.0, sum(k * ck for k, ck in enumerate(c)))
 
     def param_domain_violations(self):
         if self.family == "poly":
@@ -235,6 +251,10 @@ class TabulatedGenerator(Generator):
     def grid_tol(self) -> float:
         return TABULATED_TOL
 
+    def ends(self):
+        us, v = self.us, self.values
+        return (v[0], (v[1] - v[0]) / us[1], (v[-1] - v[-2]) / (1.0 - us[-2]))
+
     def describe(self) -> str:
         return f"tabulated:knots={self.us.size}"
 
@@ -273,6 +293,15 @@ class AffineGenerator(Generator):
     @property
     def grid_tol(self) -> float:
         return self.base.grid_tol
+
+    def ends(self):
+        s, flip, t, c = self.map
+        v, a, b = self.base.ends()
+        if not flip:
+            return (s * v + c, s * a + t, s * b + t)
+        jump = self.base.value(0.0) - v  # g(0) - g(0+): G jumps at 1 by s times it
+        at_1 = -(s * a + t) if jump == 0.0 else math.copysign(math.inf, s * jump)
+        return (s * self.base.value(1.0) + t + c, -(s * b + t), at_1)
 
     def param_domain_violations(self):
         s, _, t, c = self.map  # the base family's domain holds while its values are kept
@@ -377,8 +406,8 @@ class _DerivedMap:
     """u -> fn(f(u), u), one formula for floats and arrays.
 
     ``validate`` leaves out the grid point ``end``, where the map is undefined;
-    a ``limit`` map is f(u)/|u - end| and ``derived_value`` takes its one-sided
-    limit there.
+    a ``limit`` map is f(u)/|u - end| and ``derived_value`` reads its one-sided
+    limit there from the generator's ``ends()``.
     """
 
     fn: Callable
@@ -453,24 +482,11 @@ def derived_value(gen: Generator, kind: str, u: float) -> float:
         raise ValueError(f"argument must lie in [0,1], got {u}")
     m = DERIVED_MAPS[kind]
     if m.limit and u == m.end:
-        return _one_sided_limit(lambda p: gen.value(abs(m.end - p)) / p)
+        # f(u)/|u - end| tends to the slope into the end if f vanishes there, else diverges
+        v0, slope_0, slope_1 = gen.ends()
+        f, slope = (v0, slope_0) if m.end == 0.0 else (gen.value(1.0), -slope_1)
+        return float(slope) if f == 0.0 else math.copysign(math.inf, f)
     return float(m.fn(gen.value(u), u))
-
-
-def _one_sided_limit(ratio) -> float:
-    """Estimate a one-sided limit of a monotone ratio from two probe offsets.
-
-    Reported as +inf when the closer probe exceeds the divergence cap or keeps
-    growing markedly as the probe tightens (a power-law divergence too slow to
-    reach the cap at representable offsets).
-    """
-    far = ratio(STAR_LIMIT_PROBES[0])
-    near = ratio(STAR_LIMIT_PROBES[1])
-    if near > STAR_DIVERGENCE_CAP:
-        return math.inf
-    if near > _STAR_GROWTH_RATIO * max(far, 1e-300) and near > far + 1e-9:
-        return math.inf
-    return near
 
 
 # ---------------------------------------------------------------------------
@@ -590,21 +606,21 @@ def generator_from_shocks(
     *,
     declared_class: GeneratorClass = GeneratorClass.MARSHALL,
     resolution: int = DEFAULT_RESOLUTION,
-    margin_side: str = "below",
 ) -> TabulatedGenerator:
     """Tabulate u -> component(margin^{-1}(u)) on forward knots (margin(x), component(x)).
 
-    ``margin_side="below"`` asserts margin <= component (max-type models, where
-    the margin is the product of the component with a shock); ``"above"`` the
-    reverse (min-type models), checked within 1e-9 at every knot; ShockStructureError
+    A ``MARSHALL`` generator asserts margin <= component (max-type models, where
+    the margin is the product of the component with a shock); a ``MAXMIN_PSI`` one
+    the reverse (min-type models), checked within 1e-9 at every knot; ShockStructureError
     names the worst one, at its ladder level's exact quantile.  The knots lie at a
     point interpolated near each ladder level in the margin's quantile table
     (``_place_array``) and, for each jump J of the margin, at J- and at J, so the line
     between these two spans the gap.  Knots at u = 0 or 1 give way to the ends
     (0, 0) and (1, 1); of equal u the first is kept.
     """
-    if margin_side not in ("below", "above"):
-        raise ValueError(f"margin_side must be 'below' or 'above', got {margin_side!r}")
+    below = {GeneratorClass.MARSHALL: True, GeneratorClass.MAXMIN_PSI: False}.get(declared_class)
+    if below is None:
+        raise ValueError(f"shocks give a marshall or maxmin-psi generator, not {declared_class}")
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
 
@@ -613,11 +629,11 @@ def generator_from_shocks(
     xs = np.concatenate((margin._place_array(levels), jumps))
     us = np.concatenate((margin.cdf_array(xs), margin.cdf_left_array(jumps)))
     values = np.concatenate((component.cdf_array(xs), component.cdf_left_array(jumps)))
-    sign = 1.0 if margin_side == "below" else -1.0
+    sign = 1.0 if below else -1.0
     gap = sign * (us - values)
     worst = int(np.argmax(gap))
     if gap[worst] > _PRECHECK_TOL:
-        rel = "margin > component" if margin_side == "below" else "component > margin"
+        rel = "margin > component" if below else "component > margin"
         x, excess = float(np.concatenate((xs, jumps))[worst]), gap[worst]  # left limits: x = J
         if worst < levels.size:  # a placed knot: report at its level's exact quantile
             x = float(margin.quantile(levels[worst]))

@@ -52,6 +52,7 @@ from .distributions import (
 )
 from .errors import IllegalModelError, ReconstructionError
 from .generators import (
+    DEFAULT_RESOLUTION,
     CheckResult,
     CheckSuiteReport,
     Generator,
@@ -218,7 +219,7 @@ def joint_cdf(m: ShockModel, x, y):
     return out if np.ndim(out) else float(out)
 
 
-def induced_copula(m: ShockModel, resolution: int = 4096) -> cop.Copula:
+def induced_copula(m: ShockModel, resolution: int = DEFAULT_RESOLUTION) -> cop.Copula:
     """The copula of (U, V), built from tabulated generators and validated.
 
     Each coordinate gives the generator F_X(F_U^{-1}) (F_Y(F_V^{-1}) for V).
@@ -228,7 +229,6 @@ def induced_copula(m: ShockModel, resolution: int = 4096) -> cop.Copula:
     side_u, side_v = (
         generator_from_shocks(
             f, margin, resolution=resolution,
-            margin_side="below" if is_max else "above",
             declared_class=GeneratorClass.MARSHALL if is_max else GeneratorClass.MAXMIN_PSI,
         )
         for (is_max, f, _), margin in zip(_coordinates(m), margins(m))
@@ -277,11 +277,8 @@ class ComposedCdf(DistributionFunction):
         self.gen = gen
         self.base = base
 
-    def cdf_array(self, xs):
-        return self.gen.value_array(self.base.cdf_array(xs))
-
-    def cdf_left_array(self, xs):
-        return self.gen.value_array(self.base.cdf_left_array(xs))
+    def cdf_array(self, xs, left=False):
+        return self.gen.value_array(self.base.cdf_array(xs, left))
 
     def jump_points(self):
         return self.base.jump_points()
@@ -311,14 +308,10 @@ class _BranchShockCdf(DistributionFunction):
         """The points at which margin_u is read for the shock's points xs."""
         return xs
 
-    def cdf_array(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        return self._values(self.margin_u.cdf_array(self._u_at(xs)), self.margin_v.cdf_array(xs))
-
-    def cdf_left_array(self, xs):
+    def cdf_array(self, xs, left=False):
         xs = np.asarray(xs, dtype=float)
         return self._values(
-            self.margin_u.cdf_left_array(self._u_at(xs)), self.margin_v.cdf_left_array(xs)
+            self.margin_u.cdf_array(self._u_at(xs), left), self.margin_v.cdf_array(xs, left)
         )
 
     def jump_points(self):
@@ -413,11 +406,8 @@ class ChiShiftedCdf(DistributionFunction):
         self.inner = inner
         self.chi = chi
 
-    def cdf_array(self, xs):
-        return self.inner.cdf_array(self.chi.inverse(np.asarray(xs, dtype=float)))
-
-    def cdf_left_array(self, xs):
-        return self.inner.cdf_left_array(self.chi.inverse(np.asarray(xs, dtype=float)))
+    def cdf_array(self, xs, left=False):
+        return self.inner.cdf_array(self.chi.inverse(np.asarray(xs, dtype=float)), left)
 
     def jump_points(self):
         jumps = np.asarray(self.inner.jump_points(), dtype=float)
@@ -435,8 +425,11 @@ class ChiShiftedCdf(DistributionFunction):
 # grids
 # ---------------------------------------------------------------------------
 
+RECONSTRUCTION_TOL = 1e-10  # each reconstruction's default ``tol``: it decides verdicts, not models
+RECONSTRUCTION_GRID = 1001  # each reconstruction's default support-grid size
 
-def support_grid(dists, n: int = 1001) -> np.ndarray:
+
+def support_grid(dists, n: int = RECONSTRUCTION_GRID) -> np.ndarray:
     """Points spanning the union of effective supports (quantile 1e-6 .. 1-1e-6)."""
     levels = np.linspace(1e-6, 1.0 - 1e-6, n)
     pieces = [d.quantile_array(levels) for d in dists]
@@ -458,7 +451,6 @@ def _subsample(xs: np.ndarray, k: int) -> np.ndarray:
 # the reconstruction audit
 # ---------------------------------------------------------------------------
 
-RECONSTRUCTION_TOL = 1e-10  # each reconstruction's default ``tol``: it decides verdicts, not models
 _SHAPE_TOL = 1e-12  # slack of the monotonicity and envelope checks; ``tol`` does not loosen it
 
 
@@ -513,7 +505,7 @@ def audited_reconstruction(
     c: cop.Copula,
     margin_u: DistributionFunction,
     margin_v: DistributionFunction,
-    grid_size: int = 1001,
+    grid_size: int = RECONSTRUCTION_GRID,
     tol: float = RECONSTRUCTION_TOL,
     chi: ChiMap | None = None,
 ) -> tuple[ShockModel | None, CheckSuiteReport]:
@@ -579,10 +571,10 @@ def _marshall_shocks(c, margin_u, margin_v, xs, chi, tol) -> ShockModel:
 
 
 def _check_left_endpoint(label, gen, margin):
-    """Either the generator is continuous at 0 or the margin has an atom at a
-    finite left support endpoint: a jump J with F(J-) = 0 < F(J).  ``jump_points``
-    never under-reports, so reading its points decides this exactly."""
-    if gen.value(1e-9) <= 1e-6:
+    """Either the generator is continuous at 0 (its declared g(0+) is g(0)) or the margin
+    has an atom at a finite left support endpoint: a jump J with F(J-) = 0 < F(J).
+    ``jump_points`` never under-reports, so reading its points decides this exactly."""
+    if gen.ends()[0] == gen.value(0.0):
         return
     jumps = np.asarray(margin.jump_points(), dtype=float)
     if np.any((margin.cdf_left_array(jumps) == 0.0) & (margin.cdf_array(jumps) > 0.0)):
@@ -645,7 +637,7 @@ def reconstruct(
     c: cop.Copula,
     margin_u: DistributionFunction,
     margin_v: DistributionFunction,
-    grid_size: int = 1001,
+    grid_size: int = RECONSTRUCTION_GRID,
     tol: float = RECONSTRUCTION_TOL,
     chi: ChiMap | None = None,
 ) -> ShockModel:

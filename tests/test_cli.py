@@ -259,6 +259,26 @@ def test_roundtrip_efgm(capsys):
     assert "pass" in out
 
 
+@pytest.mark.parametrize("margin", ["uniform", "neg-exp:rate=1.0"])
+@pytest.mark.parametrize("alpha", ["0.3", "0.5", "0.66", "0.98", "0.999"])
+def test_roundtrip_of_a_marshall_copula_with_a_star_that_diverges_at_0(capsys, alpha, margin):
+    # phi(u) = u**alpha: continuous at 0 with an infinite slope there, for every alpha < 1
+    gen = f"plus-id(power:alpha={alpha})"
+    code, out, err = run(
+        capsys, "roundtrip", f"marshall:phi={gen},psi={gen}", "--fu", margin, "--fv", margin
+    )
+    assert code == 0, err
+    assert "[pass]" in out
+
+
+def test_roundtrip_of_a_generator_that_jumps_at_0_needs_a_left_endpoint_atom(capsys):
+    code, _, err = run(
+        capsys, "roundtrip", "marshall:phi=fullshock,psi=fullshock", "--fu", "uniform", "--fv", "uniform"
+    )
+    assert code == 1
+    assert "left-endpoint" in err
+
+
 def test_sample_ranks_mode(tmp_path, capsys):
     path = tmp_path / "r.csv"
     code, _, _ = run(capsys, "sample", MODEL, "-n", "100", "--seed", "2", "--ranks", "--out", str(path))

@@ -234,6 +234,23 @@ def reconstructed_laws():
     return [d for m in models for d in (m.f_x, m.f_y, *vars(m.coupling).values())]
 
 
+def reconstructed_laws_on_a_step_margin():
+    """The component laws of a reconstructed Marshall, RMM and SMM model with a step
+    margin: their composed, shifted, branch-shock and negated laws have atoms."""
+    from shockcop.copulas import efgm, marshall, survival
+    from shockcop.generators import GeneratorClass, closed_form
+    from shockcop.shock_models import reconstruct
+
+    cap = closed_form("capped", GeneratorClass.MARSHALL, slope=2.0)
+    step = TabulatedCdf([0.0, 1.0, 2.0], [0.25, 0.5, 1.0], "step")
+    models = [
+        reconstruct(marshall(cap, cap), step, step),  # the star ratios align on equal margins
+        reconstruct(efgm(0.8), step, Uniform(0.0, 3.0)),
+        reconstruct(survival(efgm(0.6)), step, Uniform(0.0, 3.0)),
+    ]
+    return [d for m in models for d in (m.f_x, m.f_y, *vars(m.coupling).values())]
+
+
 SCALAR_API_LAWS = {
     **{d.describe(): lambda d=d: [d] for d in ALL_DISTS},
     "exp-and-neg-exp-1.3": lambda: [Exponential(1.3), NegExponential(1.3)],
@@ -244,7 +261,24 @@ SCALAR_API_LAWS = {
         negated(TabulatedCdf([0.0, 1.0], [0.0, 0.6], "linear")),
     ],
     "reconstructed": reconstructed_laws,
+    "reconstructed-on-a-step-margin": reconstructed_laws_on_a_step_margin,
+    "negated-steps": lambda: [negated(STEP), negated(Product(STEP, Uniform(0.5, 1.5)))],
 }
+
+
+@pytest.mark.parametrize("case", sorted(SCALAR_API_LAWS))
+def test_left_limits_are_limits_from_the_left(case):
+    for d in SCALAR_API_LAWS[case]():
+        lo, hi = d.support_hint()
+        jumps = np.asarray(d.jump_points(), dtype=float)
+        xs = np.concatenate((np.linspace(lo - 1.0, hi + 1.0, 201), jumps))
+        f, f_left = d.cdf_array(xs), d.cdf_array(xs, True)
+        assert np.all(f_left <= f), d
+        away = ~np.isin(xs, jumps)
+        assert f_left[away].tobytes() == f[away].tobytes(), d
+        # F(J-) is F a float before J: the limit is taken from the left, not at J
+        before = d.cdf_array(np.nextafter(jumps, -np.inf))
+        assert np.all(np.abs(before - d.cdf_array(jumps, True)) <= 1e-12), d
 
 
 @pytest.mark.parametrize("case", sorted(SCALAR_API_LAWS))

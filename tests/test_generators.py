@@ -216,15 +216,44 @@ def test_hat_and_dagger_maps():
     assert derived_value(h, "dagger", 0.5) == pytest.approx(h.value(0.5) / 0.5, abs=1e-15)
 
 
-@pytest.mark.parametrize("gen, kind, u, probe, offset", [
-    (power(0.3), "star", 0.25, 0.25, 0.25),
-    (power(0.3), "star", 0.5, 0.5, 0.5),
-    (closed_form("efgmf", RMM, a=0.7), "star", 0.0, 1e-12, 1e-12),
-    (poly(SMM, 0, 3, -3), "dagger", 1.0, 1.0 - 1e-12, 1e-12),
+@pytest.mark.parametrize("gen, kind, u, want", [
+    (power(0.3), "star", 0.25, power(0.3).value(0.25) / 0.25),
+    (power(0.3), "star", 0.5, power(0.3).value(0.5) / 0.5),
+    (closed_form("efgmf", RMM, a=0.7), "star", 0.0, 0.7),  # a(1-u) at 0
+    (poly(SMM, 0, 3, -3), "dagger", 1.0, 3.0),  # 3u(1-u)/(1-u) at 1
 ], ids=["power-star-0.25", "power-star-0.5", "efgmf-star-at-0", "poly-dagger-at-1"])
-def test_derived_value_equals_its_scalar_definition(gen, kind, u, probe, offset):
-    # exact: the scalar value at the probe point over its distance to the map's pole
-    assert derived_value(gen, kind, u) == gen.value(probe) / offset
+def test_derived_value_equals_its_scalar_definition(gen, kind, u, want):
+    # exact: the scalar value over its distance to the map's pole, at the pole its exact limit
+    assert derived_value(gen, kind, u) == want
+
+
+@pytest.mark.parametrize("gen, want", [
+    (power(0.5), POS_INF),
+    (power(0.999), POS_INF),
+    (power(1.0), 0.0),
+    (power(1.5), -1.0),
+    (closed_form("twoparam", RMM, alpha=0.5, beta=0.7), POS_INF),
+    (closed_form("twoparam", RMM, alpha=1.0, beta=0.7), 1.0),
+    (closed_form("twoparam", RMM, alpha=2.0, beta=0.7), 0.0),
+    (closed_form("efgmhat", MARSHALL, a=0.61), 1.0 + 0.61),
+    (closed_form("efgmf", RMM, a=0.61), 0.61),
+    (closed_form("identity", MARSHALL), 1.0),
+    (closed_form("zero", RMM), 0.0),
+    (closed_form("fullshock", MARSHALL), POS_INF),  # g(0+) = 1
+    (closed_form("capped", MARSHALL, slope=2.5), 2.5),
+    (poly(RMM, 0.0, 0.3, -0.7, 0.4), 0.3),
+    (poly(RMM, 0.25, 0.3), POS_INF),
+    (poly(RMM, -0.25, 0.3), -POS_INF),
+], ids=lambda x: x.describe() if isinstance(x, Generator) else str(x))
+def test_star_at_0_is_the_exact_limit_of_every_closed_form(gen, want):
+    assert derived_value(gen, "star", 0.0) == want
+    if math.isfinite(want):  # the ratio approaches it; power(1.5) slowest, as sqrt(u)
+        assert gen.value(1e-9) / 1e-9 == pytest.approx(want, abs=1e-4)
+
+
+def test_a_generator_that_declares_no_ends_reads_no_limit():
+    with pytest.raises(NotImplementedError, match="declares no ends"):
+        derived_value(_NanAtHalf(), "star", 0.0)
 
 
 def test_incompatible_kind_rejected():
@@ -446,6 +475,31 @@ def test_wrapper_stacks_compose_into_one_map(which, layers):
         assert gen is base
 
 
+def _one_sided(fn, u, toward):
+    """The difference quotient of fn from u toward the point u + toward."""
+    return (fn(np.array([u + toward])) - fn(np.array([u])))[0] / toward
+
+
+@given(
+    st.sampled_from(range(len(_STACK_BASES))),
+    st.lists(st.tuples(st.sampled_from(sorted(WRAPPERS)), st.sampled_from(GeneratorClass)), max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_wrapper_stacks_map_the_ends_of_their_base(which, layers):
+    gen, lit, _ = _build_stack([n for n, _ in layers], _STACK_BASES[which], [c for _, c in layers])
+    v0, slope_0, slope_1 = gen.ends()
+    # g(0+) and the slopes against the literal nesting, at dyadic offsets that survive
+    # 1 - (1 - u): g(0+) within power(0.37)'s 2e-6 of g(2**-52); the secant h from an
+    # end within O(h) of a finite slope, and steep with its sign for an infinite one
+    assert v0 == pytest.approx(lit(np.array([2.0**-52]))[0], abs=1e-5)
+    h = 2.0**-23
+    for slope, secant in ((slope_0, _one_sided(lit, h, h)), (slope_1, _one_sided(lit, 1.0, -h))):
+        if math.isfinite(slope):
+            assert secant == pytest.approx(slope, abs=1e-5)
+        else:
+            assert secant * math.copysign(1.0, slope) > 1e3
+
+
 _SRC_STACKS = [  # the shapes normalize and reconstruction build, innermost first
     ("reflect",),
     ("minus-id",),
@@ -565,12 +619,20 @@ def test_margin_order_precondition_enforced():
     ],
 )
 def test_margin_order_witness_reproduces_the_reported_gap(component, margin, side, at):
+    # the class puts the margin below the component (Marshall) or above it (maxmin-psi)
     with pytest.raises(ShockStructureError) as err:
-        generator_from_shocks(component, margin, margin_side=side)
+        generator_from_shocks(component, margin, declared_class=MARSHALL if side == "below" else PSI)
     x = err.value.witness
     assert x == pytest.approx(at, abs=1e-12)  # the worst point of the tabulation
     gap = margin.cdf(x) - component.cdf(x) if side == "below" else component.cdf(x) - margin.cdf(x)
     assert f" by {gap:.3g} at x={x:.6g} " in str(err.value)
+
+
+@pytest.mark.parametrize("cls", [RMM, SMM])
+def test_shocks_give_only_the_two_one_sided_classes(cls):
+    # a Marshall generator has its margin below the component, a maxmin-psi one above
+    with pytest.raises(ValueError, match="marshall or maxmin-psi"):
+        generator_from_shocks(Uniform(), Uniform(), declared_class=cls)
 
 
 def test_a_generic_margin_costs_its_table_and_one_cdf_point_per_knot():
@@ -584,7 +646,12 @@ def test_a_generic_margin_costs_its_table_and_one_cdf_point_per_knot():
         probes.append(xs.size)
         return xs, fs
 
-    margin.cdf_array = lambda xs: points.append(np.size(xs)) or cdf(xs)
+    def counted_cdf(xs, left=False):
+        if not left:  # the points of F; its left limits at the jumps are not counted
+            points.append(np.size(xs))
+        return cdf(xs, left)
+
+    margin.cdf_array = counted_cdf
     margin._expand = counted_expand
     margin._refine = lambda *args: refined.append(args)
     generator_from_shocks(model.f_x, margin, resolution=4096)
@@ -641,7 +708,7 @@ def test_max_side_curve_error_shrinks_as_resolution_squared_at_both_ends(resolut
 def test_min_side_curve_error_shrinks_as_resolution_squared_between_float_limited_ends(resolution):
     margin = SurvivalProduct(Exponential(1.0), Exponential(2.0))
     u, v = exact_curve(margin)
-    gen = generator_from_shocks(Exponential(1.0), margin, resolution=resolution, margin_side="above")
+    gen = generator_from_shocks(Exponential(1.0), margin, resolution=resolution, declared_class=PSI)
     err = np.abs(gen.value_array(u) - v)
     near_0, near_1 = u < 1e-6, u >= 0.999
     # SurvivalProduct resolves F only to about 2**-53 near 0 (measured 8e-17 at both R)
@@ -669,14 +736,14 @@ def test_min_side_margin_order():
     from shockcop.distributions import SurvivalProduct
 
     margin = SurvivalProduct(Exponential(1.0), Exponential(1.0))
-    gen = generator_from_shocks(Exponential(1.0), margin, margin_side="above")
+    gen = generator_from_shocks(Exponential(1.0), margin, declared_class=PSI)
     # A(u) = 1 - (1-u)**0.5; id - A is the min-model generator
     us = np.arange(0.1, 0.95, 0.1)
     np.testing.assert_allclose(gen.value_array(us), 1.0 - (1.0 - us) ** 0.5, atol=1e-6)
     h = identity_minus(gen, SMM)
     assert validate(h).passed
     with pytest.raises(ShockStructureError):
-        generator_from_shocks(Exponential(1.0), margin, margin_side="below")
+        generator_from_shocks(Exponential(1.0), margin, declared_class=MARSHALL)
 
 
 def test_gap_interpolation_across_margin_jumps():

@@ -698,7 +698,8 @@ def side_generators(model, resolution=4096):
     """(takes the max, generator) for U and V, as ``induced_copula`` builds them."""
     return [
         (is_max, generator_from_shocks(
-            f, margin, resolution=resolution, margin_side="below" if is_max else "above"
+            f, margin, resolution=resolution,
+            declared_class=GeneratorClass.MARSHALL if is_max else GeneratorClass.MAXMIN_PSI,
         ))
         for is_max, f, margin in zip(model.combiner.maxes, (model.f_x, model.f_y), margins(model))
     ]
