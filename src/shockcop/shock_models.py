@@ -34,7 +34,6 @@ tolerance defaults to ``RECONSTRUCTION_TOL``.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -260,14 +259,13 @@ class ChiMap:
 
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
-    label: str = "identity"
 
 
 def _identity(xs: np.ndarray) -> np.ndarray:
     return xs
 
 
-IDENTITY_CHI = ChiMap(_identity, _identity, "identity")
+IDENTITY_CHI = ChiMap(_identity, _identity)
 
 
 class ComposedCdf(DistributionFunction):
@@ -291,32 +289,22 @@ class ComposedCdf(DistributionFunction):
 
 
 class _BranchShockCdf(DistributionFunction):
-    """Shock CDF defined pointwise from the two margin values at the same point.
-    ``starts()`` gives ``_support_starts``, solved once for the shocks that share it."""
+    """A shock CDF read from two laws at the same point; it jumps only where they do."""
 
-    def __init__(self, margin_u, margin_v, label: str, starts: Callable[[], frozenset[float]]):
+    def __init__(self, margin_u, margin_v, label: str):
         self.margin_u = margin_u
         self.margin_v = margin_v
         self._label = label
-        self._starts = starts
 
     def _values(self, fu: np.ndarray, fv: np.ndarray) -> np.ndarray:
-        """The shock CDF from the margin values read at the same points."""
+        """The shock CDF from the two laws' values read at the same points."""
         raise NotImplementedError
 
-    def _u_at(self, xs: np.ndarray) -> np.ndarray:
-        """The points at which margin_u is read for the shock's points xs."""
-        return xs
-
     def cdf_array(self, xs, left=False):
-        xs = np.asarray(xs, dtype=float)
-        return self._values(
-            self.margin_u.cdf_array(self._u_at(xs), left), self.margin_v.cdf_array(xs, left)
-        )
+        return self._values(self.margin_u.cdf_array(xs, left), self.margin_v.cdf_array(xs, left))
 
     def jump_points(self):
-        jumps = set(self.margin_u.jump_points()) | set(self.margin_v.jump_points())
-        return tuple(sorted(jumps | self._starts()))
+        return tuple(sorted(set(self.margin_u.jump_points()) | set(self.margin_v.jump_points())))
 
     def support_hint(self):
         lo1, hi1 = self.margin_u.support_hint()
@@ -336,12 +324,12 @@ class RmmShockCdf(_BranchShockCdf):
     one-sided limit at 0, and a divergent limit, +inf, gives 1.
     """
 
-    def __init__(self, f: Generator, g: Generator, margin_u, margin_v, side: str, starts):
+    def __init__(self, f: Generator, g: Generator, margin_u, margin_v, side: str):
         label = f"rmm-shock-{side}"
         if side == "v":
             margin_u, margin_v = margin_v, margin_u
             f, g = g, f
-        super().__init__(margin_u, margin_v, label, starts)
+        super().__init__(margin_u, margin_v, label)
         self.f = f
         self.g = g
 
@@ -365,18 +353,15 @@ class RmmShockCdf(_BranchShockCdf):
 class MarshallShockCdf(_BranchShockCdf):
     """Reconstructed second systemic shock of the comonotonic max/max model.
 
-    It is margin_u / phi(margin_u), with margin_u read at chi.forward(x); where
-    margin_u vanishes it is margin_v / psi(margin_v), and 0 where both vanish.
+    It is margin_u / phi(margin_u), with margin_u the U margin read on V's axis
+    (through chi); where margin_u vanishes it is margin_v / psi(margin_v), and 0
+    where both vanish.
     """
 
-    def __init__(self, phi: Generator, psi: Generator, margin_u, margin_v, chi: ChiMap, starts):
-        super().__init__(margin_u, margin_v, "marshall-shock", starts)
+    def __init__(self, phi: Generator, psi: Generator, margin_u, margin_v):
+        super().__init__(margin_u, margin_v, "marshall-shock")
         self.phi = phi
         self.psi = psi
-        self.chi = chi
-
-    def _u_at(self, xs):
-        return self.chi.forward(xs)
 
     def _values(self, fu, fv):
         on_v = fu == 0.0
@@ -393,14 +378,10 @@ class MarshallShockCdf(_BranchShockCdf):
         return np.where(num == 0.0, 0.0, num / np.where(den == 0.0, 1.0, den))
 
 
-def _support_starts(margin_u, margin_v) -> frozenset[float]:
-    """Where each margin's support starts; a ``_BranchShockCdf`` may switch branch there."""
-    starts = (margin.quantile(1e-12) for margin in (margin_u, margin_v))
-    return frozenset(s for s in starts if math.isfinite(s))
-
-
 class ChiShiftedCdf(DistributionFunction):
-    """inner.cdf(chi_inverse(x)): transports the second shock back to the first axis."""
+    """inner.cdf(chi.inverse(x)): a law read on the other margin's axis.  With ``chi``
+    it carries a law from V's axis to U's; with the swapped map (forward and inverse
+    exchanged) it carries one from U's axis to V's."""
 
     def __init__(self, inner: DistributionFunction, chi: ChiMap):
         self.inner = inner
@@ -544,8 +525,9 @@ def audited_reconstruction(
 def _marshall_shocks(c, margin_u, margin_v, xs, chi, tol) -> ShockModel:
     phi, psi = c.phi, c.psi
 
-    # alignment of the star ratios wherever both composed margins are positive
-    fu, fv = margin_u.cdf_array(chi.forward(xs)), margin_v.cdf_array(xs)
+    # alignment of the star ratios wherever both margins, read on V's axis, are positive
+    u_on_v = ChiShiftedCdf(margin_u, ChiMap(chi.inverse, chi.forward))
+    fu, fv = u_on_v.cdf_array(xs), margin_v.cdf_array(xs)
     both = (fu > 0.0) & (fv > 0.0)
     fu, fv, at = fu[both], fv[both], xs[both]
     left, right = phi.value_array(fu) / fu, psi.value_array(fv) / fv
@@ -563,8 +545,7 @@ def _marshall_shocks(c, margin_u, margin_v, xs, chi, tol) -> ShockModel:
     _check_star_divergence("margin-u", phi, margin_u, xs)
     _check_star_divergence("margin-v", psi, margin_v, xs)
 
-    starts = functools.cache(functools.partial(_support_starts, margin_u, margin_v))
-    g2 = MarshallShockCdf(phi, psi, margin_u, margin_v, chi, starts)
+    g2 = MarshallShockCdf(phi, psi, u_on_v, margin_v)
     return marshall_model(
         ComposedCdf(phi, margin_u), ComposedCdf(psi, margin_v), ChiShiftedCdf(g2, chi), g2
     )
@@ -603,12 +584,11 @@ def _check_star_divergence(label, gen, margin, xs):
 
 def _rmm_shocks(c, margin_u, margin_v) -> ShockModel:
     f, g = c.f, c.g
-    starts = functools.cache(functools.partial(_support_starts, margin_u, margin_v))
     return rmm_model(
         ComposedCdf(hat_of(f), margin_u),
         ComposedCdf(hat_of(g), margin_v),
-        RmmShockCdf(f, g, margin_u, margin_v, "u", starts),
-        RmmShockCdf(f, g, margin_u, margin_v, "v", starts),
+        RmmShockCdf(f, g, margin_u, margin_v, "u"),
+        RmmShockCdf(f, g, margin_u, margin_v, "v"),
     )
 
 

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -40,9 +39,8 @@ from shockcop.generators import (
     derived_value,
     generator_from_shocks,
 )
-from shockcop.sampling import sup_distance
+from shockcop.sampling import sample_model, sup_distance
 from shockcop.shock_models import (
-    IDENTITY_CHI,
     ChiMap,
     Combiner,
     Comonotonic,
@@ -65,7 +63,6 @@ from shockcop.shock_models import (
     rmm_model,
     smm_model,
     support_grid,
-    _support_starts,
 )
 
 U = Uniform()
@@ -427,7 +424,7 @@ def test_marshall_reconstruction_through_an_array_chi():
     model, report = audited_reconstruction(c, margin_u, U)
     assert model is None
     assert [r.check_id for r in report.results] == ["hypothesis:alignment"]
-    chi = ChiMap(lambda x: 2.0 * x + 1.0, lambda y: (y - 1.0) / 2.0, "affine")
+    chi = ChiMap(lambda x: 2.0 * x + 1.0, lambda y: (y - 1.0) / 2.0)
     model, report = audited_reconstruction(c, margin_u, U, chi=chi)
     assert report.passed and len(report.results) == 8
     # flat steps of the nondecreasing checks are +0.0, in the text and the CSV alike
@@ -513,7 +510,7 @@ def reference_rmm_shock(d, x):
 
 def reference_marshall_shock(d, x):
     """The Marshall shock CDF at one point: fu / phi(fu), or fv / psi(fv) where fu vanishes."""
-    fu, fv = d.margin_u.cdf(d.chi.forward(x)), d.margin_v.cdf(x)
+    fu, fv = d.margin_u.cdf(x), d.margin_v.cdf(x)
     if fu == 0.0 and fv == 0.0:
         return 0.0
     name, num, gen = ("psi", fv, d.psi) if fu == 0.0 else ("phi", fu, d.phi)
@@ -535,7 +532,7 @@ def test_rmm_shock_cdf_equals_scalar_reference(g):
     f = closed_form("efgmf", GeneratorClass.RMM, a=0.4)
     # margin_u vanishes up to 1, where margin_v already reaches 1: every branch is hit
     margins_uv = Uniform(1.0, 2.0), Uniform(0.0, 1.0)
-    d = RmmShockCdf(f, g, *margins_uv, "u", functools.partial(_support_starts, *margins_uv))
+    d = RmmShockCdf(f, g, *margins_uv, "u")
     ref = np.vectorize(lambda x: reference_rmm_shock(d, x))(SHOCK_XS)
     assert 1.0 in SHOCK_XS and d.margin_v.cdf(1.0) == 1.0 and d.margin_u.cdf(1.0) == 0.0
     np.testing.assert_array_equal(d.cdf_array(SHOCK_XS), ref)
@@ -543,10 +540,22 @@ def test_rmm_shock_cdf_equals_scalar_reference(g):
 
 
 def test_marshall_shock_cdf_equals_scalar_reference():
-    starts = functools.partial(_support_starts, Uniform(0.5, 1.5), U)
-    d = MarshallShockCdf(capped_gen(), identity_gen(), Uniform(0.5, 1.5), U, IDENTITY_CHI, starts)
+    d = MarshallShockCdf(capped_gen(), identity_gen(), Uniform(0.5, 1.5), U)
     ref = np.vectorize(lambda x: reference_marshall_shock(d, x))(SHOCK_XS)
     np.testing.assert_array_equal(d.cdf_array(SHOCK_XS), ref)
+
+
+def test_marshall_shock_jump_points_are_in_each_shocks_own_coordinates():
+    # U's steps sit at chi(x) = 2x + 1 of V's: g2 lives on V's axis, g1 on U's
+    p = [0.3, 0.6, 1.0]
+    margin_u = TabulatedCdf([1.5, 2.0, 3.0], p, "step")
+    margin_v = TabulatedCdf([0.25, 0.5, 1.0], p, "step")
+    chi = ChiMap(lambda x: 2.0 * x + 1.0, lambda y: (y - 1.0) / 2.0)
+    c = marshall(capped_gen(), capped_gen())
+    model, report = audited_reconstruction(c, margin_u, margin_v, chi=chi)
+    assert report.passed and len(report.results) == 8
+    assert model.coupling.g2.jump_points() == (0.25, 0.5, 1.0)
+    assert model.coupling.g1.jump_points() == (1.5, 2.0, 3.0)
 
 
 @pytest.mark.parametrize("side", ["phi", "psi"])
@@ -554,8 +563,7 @@ def test_marshall_shock_cdf_raises_at_first_vanishing_point(side):
     vanishing = TabulatedGenerator([0.0, 0.5, 1.0], [0.0, 0.0, 1.0], GeneratorClass.MARSHALL)
     gens = (vanishing, identity_gen()) if side == "phi" else (identity_gen(), vanishing)
     margin_u = U if side == "phi" else Uniform(1.0, 2.0)  # fu = 0 sends psi's side to work
-    starts = functools.partial(_support_starts, margin_u, U)
-    d = MarshallShockCdf(*gens, margin_u, U, IDENTITY_CHI, starts)
+    d = MarshallShockCdf(*gens, margin_u, U)
     xs = np.array([[0.9, 0.0], [0.3, 0.2]])  # first offending point in ravel order: 0.3
     with pytest.raises(ReconstructionError) as ref:
         for x in xs.ravel().tolist():
@@ -576,14 +584,25 @@ def test_rmm_reconstruction_requires_interior_point():
     assert err.value.assumption == "interior-point"
 
 
-def test_support_starts_are_solved_once_per_reconstruction_when_first_needed(monkeypatch):
+def test_reconstructed_shocks_jump_nowhere_on_continuous_margins():
+    model = reconstruct(efgm(0.5), U, U)
+    assert model.coupling.g1.jump_points() == ()
+    assert model.coupling.g2.jump_points() == ()
+
+
+@pytest.mark.parametrize("c", [
+    efgm(0.7),
+    survival(efgm(0.7)),  # SMM: shocks of negated uniform margins, so the generic inverse runs
+    marshall(capped_gen(), capped_gen()),
+], ids=["rmm", "smm", "marshall"])
+def test_reconstruction_induction_and_sampling_solve_no_scalar_quantile(monkeypatch, c):
     levels = []
     quantile = DistributionFunction.quantile
     monkeypatch.setattr(DistributionFunction, "quantile", lambda d, u: levels.append(u) or quantile(d, u))
-    model = reconstruct(survival(efgm(0.7)), U, U)  # SMM: shocks of negated uniform margins
-    assert levels == []
+    model = reconstruct(c, U, U)
     induced_copula(model, resolution=256)
-    assert levels == [1e-12, 1e-12]  # one per margin, shared by both shocks
+    sample_model(model, 1000, seed=1)
+    assert levels == []
 
 
 @pytest.mark.parametrize("grid_size", [0, -1])
