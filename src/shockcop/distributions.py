@@ -408,10 +408,15 @@ class TabulatedCdf(DistributionFunction):
 
     def _table_quantile(self, us):
         ps, xs = self.ps, self.xs
+        if self.interpolation == "step":
+            # the clipped take and the fill in place keep only the index, one mask and
+            # the output alive; atleast_1d because a 0-d level's index is a scalar
+            idx = np.atleast_1d(np.searchsorted(ps, us, side="left"))
+            out = xs.take(idx, mode="clip")
+            out[idx == ps.size] = np.inf  # levels above ps[-1] are never reached
+            return out.reshape(np.shape(us))
         idx = np.searchsorted(ps, us, side="left")
         reached = idx < ps.size  # levels above ps[-1] invert to +inf
-        if self.interpolation == "step":
-            return np.where(reached, xs[np.minimum(idx, ps.size - 1)], np.inf)
         # levels in (0, ps[0]] sit on the flat left tail and invert to -inf
         out = np.where(reached, -np.inf, np.inf)
         inner = reached & (us > ps[0])

@@ -100,6 +100,14 @@ def test_quantile_of_step_table_at_jump_level():
     assert STEP.quantile(1.0) == 1.0
 
 
+def test_step_table_quantile_of_a_0d_level_is_0d():
+    # np.searchsorted returns a scalar for a 0-d level, and the step lookup fills its
+    # output in place
+    got = STEP.quantile_array(np.array(0.41))
+    assert got.shape == () and got == 1.0
+    assert SHORT_STEP._quantile_array(np.array(0.7)) == np.inf  # above the table's top
+
+
 def test_quantile_beyond_reach_is_positive_infinity():
     assert Exponential(1.0).quantile(1.0) == POS_INF
 

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -109,25 +110,133 @@ def test_seeded_sample_bytes_match_their_recorded_digest(name):
     assert hashlib.sha256(s.pairs.tobytes()).hexdigest() == GOLDEN_SAMPLES[name]
 
 
+def empirical_queries(emp: EmpiricalCopula) -> dict:
+    """Two lattices, 2,000 scattered points (counted in blocks at n = 5000, a third of
+    them on ranks, every 97th NaN) and a thin 1 x 300 lattice, all IEEE arithmetic."""
+    g21, g101 = np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 101)
+    j = np.arange(2000)
+    us = np.modf(j * 0.6180339887498949)[0]
+    vs = np.modf(j * 0.41421356237309503)[0]
+    us[1::3] = emp.ru[(j[1::3] * 7) % emp.n]
+    vs[2::3] = emp.rv[(j[2::3] * 11) % emp.n]
+    us[::97] = np.nan
+    return {
+        "grid21": (g21[:, None], g21[None, :]),
+        "grid101": (g101[:, None], g101[None, :]),
+        "scattered": (us, vs),
+        "thin": (np.array([[0.5]]), np.linspace(0.0, 1.0, 300)[None, :]),
+    }
+
+
+#: sha256 of EmpiricalCopula(sample_model(model, 5000, seed=20).pairs) evaluated at each
+#: of empirical_queries, and of its ru and rv, recorded when each column had its own
+#: argsort and every query set was counted by a bincount of tie-group buckets
+GOLDEN_EMPIRICAL = {
+    "marshall": {
+        "grid21": "487fa650081f10f2b5839c1f97cdd097e9bf3af68df24728e0ca08a43e0a9279",
+        "grid101": "ba118cdac05a2b5c405624b73f6ce4dfed9ada8334d2ae7ef0b23dc799a2065e",
+        "scattered": "3a954e8d95a6073c80b5071477e9eb9a9eb65877986c602f3e26e69c78ed133e",
+        "thin": "654de14f3adea0c8a08ae0df494619bd237a5c5c81faa5880e60aebb0e54cc3d",
+        "ru": "e4ae3ce5d491953ba2b9fa89d2e65821432b2b2eadc6f3fdc53d11fe6d8b9923",
+        "rv": "a285219ec91d4d727faac5134aa0ce802ea2f823c0ff3f4aa46666eb83d95236",
+    },
+    "maxmin": {
+        "grid21": "c43a1d16e037503d5913a7d413ca9d399239891c3c2158c3d38a126fc162c1fd",
+        "grid101": "4e4bcf32a088728f5408d5ba85460fe780b8e7b33295e4423c850e047158cea6",
+        "scattered": "399f095957b3e9068017bf97abb5ee4e3eec4a2091fc5c562e678e28a1dba07c",
+        "thin": "42ea57f85111a4c74f6e6bb3e9e28cc5c188b73f9feb7d95c56fa9cdeb8cda73",
+        "ru": "fbe6dc4ced831eea0d148ad2b901f25bc651ffd301fe46fd95c4a4ea31a3abaf",
+        "rv": "cdd27ff5672e9cdfd9a2953a1003755f82bfc0f6f8f7add597bc30978c47ec8c",
+    },
+    "reconstructed": {
+        "grid21": "a6907b72f29aef078197bea3b74136071b4ad1db7e368eb523195f8a054e6d3c",
+        "grid101": "28aed1467b6022faa515bba57bae1df357e108837bb34fe5a9119fcccd63c29d",
+        "scattered": "566addb0e91c4ceaed18e8fd78a9c9508923e6d9266e8d319ade97b5c6a2c0a8",
+        "thin": "d60d7821edc0e347e81f5acfd6ee252fa0fde9bb3901ddaf52ef76fb8bda21e2",
+        "ru": "5d54571b04db48ffb0e310e9c97cb953d5693f9d9a2d133e22d197e282c04dda",
+        "rv": "e71bcc0ada3d47518834f14703ceeda390861cef5f32a020df236db85e3da28c",
+    },
+    "rmm": {
+        "grid21": "5612e6921cb0c68b528313d334f7ceffdbec6ad1fba594bb2ab30b5bbf756c85",
+        "grid101": "238f5dde8314ee7f874a8d62a4e2f3f90c0119b6c8fec7825b013d3e3d2c4332",
+        "scattered": "be03307a871e630014de91da74c1dfbb2b5a5342471267750507f29902788ff6",
+        "thin": "c12b5d09844892ee3d21a3a605ad0a66f86a9ca7f5f08b0da87e8622f6906c02",
+        "ru": "79e775615f04aa4ede5ccf021ad8f6859040ad06d1e68644a3bf87b954902f83",
+        "rv": "8fbf0608696a1dab8eb14c316a7a5f2e192c335d37a6e7bcf2b269cb04868b8a",
+    },
+    "smm": {
+        "grid21": "ad598df33822b43d6d2f9a9c2806d872ea2175f028ae1ccc0e6c1da939138213",
+        "grid101": "f5307e0a574bdd73d52cc01ae55de1101091ee40058745becc2b5fbbe99873ac",
+        "scattered": "e6c90ad70731f9771740f752f0931f79a558a155faba4655f45500f74fe3ad38",
+        "thin": "95b64f5de1823fc9a69b252a8db33db8a6b44277ed9b1956a699c48393699d6e",
+        "ru": "d0e07ee341e9faa5f5b2f94a1ecfac31dd184670235eeb5be2b507d626ec1aca",
+        "rv": "0f72f60dca7292b92cbae13f474ffc10f05e0462b95d48edbc2618c703d2ffea",
+    },
+    "step_rmm": {
+        "grid21": "4ccfe5082e545c90c1c6dc150f9e1a4373a3fa43b1255be4d4d626c004e82931",
+        "grid101": "5eb86081a66afd1211fb2be00c8becaad2a1dcc88dc6c3d6ac5138380c6af0a0",
+        "scattered": "456a341c47e4906928d20aa6f0b60e1c02222557a8168f0dcd632a46c605437d",
+        "thin": "5ac64000397f7c16c24171023512a98bd72ba9691a683d25c0b56ac8bc3396df",
+        "ru": "94a7925df726206ffccfc04771179a80250f200c7a172824953e86f2cedf40d8",
+        "rv": "e9d657099c1989f0207959c71fc99671e471605c172d18ebb0c38a3446dcf691",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EMPIRICAL))
+def test_empirical_copula_bytes_match_their_recorded_digest(name):
+    emp = EmpiricalCopula(sample_model(golden_models()[name], 5000, seed=20).pairs)
+    got = {k: np.ascontiguousarray(emp.value_array(*q)) for k, q in empirical_queries(emp).items()}
+    got["ru"], got["rv"] = emp.ru, emp.rv
+    assert {k: hashlib.sha256(a.tobytes()).hexdigest() for k, a in got.items()} == GOLDEN_EMPIRICAL[name]
+
+
 def test_monte_carlo_path_memory_stays_bounded():
     # bytes per pair at n = 200k: sample_model peaked at 88 and EmpiricalCopula at 73 above
     # the live pairs while every stream, coordinate and sorted copy lived to the end of its
-    # function; with the shocks written into the output, one coordinate alive at a time and
-    # int32 tie-group indices both measure 33 (Python 3.11, numpy 2.4)
+    # function; with the shocks written into the output and one coordinate alive at a time
+    # sampling measures 33.  Construction measured 33 with a tie-group pass per column and
+    # measures 28 with one argsort of u, one sort of v and the u order kept in int32; a
+    # 21 x 21 lattice measured 16 with a bucket per pair and measures under 1 with one
+    # sorted u segment of v at a time (Python 3.11, numpy 2.4)
     m = rmm_model(Exponential(0.7), Exponential(1.3), Exponential(1.1), Exponential(0.9))
     n = 200_000
+    grid = np.linspace(0.0, 1.0, 21)
     tracemalloc.start()
     try:
         s = sample_model(m, n, seed=4)
         sampled = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         live = tracemalloc.get_traced_memory()[0]
-        EmpiricalCopula(s.pairs)
+        emp = EmpiricalCopula(s.pairs)
         built = tracemalloc.get_traced_memory()[1] - live
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        emp.value_array(grid[:, None], grid[None, :])
+        evaluated = tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
     assert sampled / n <= 60.0
-    assert built / n <= 55.0
+    assert built / n <= 40.0
+    assert evaluated / n <= 8.0
+
+
+def test_step_table_sampling_memory_stays_bounded():
+    # bytes per pair at n = 200k above the 16 of the output: the step-table quantile of
+    # the idiosyncratic X coordinate held its levels, their argsort order and sorted
+    # copy, the search index, the gathered knots and the np.where output at once (49);
+    # the clipped take, filled in place, holds one output where those two were (41)
+    step = TabulatedCdf(np.arange(1, 2001) / 1000.0, np.arange(1, 2001) / 2000.0, "step")
+    m = rmm_model(step, Exponential(1.3), Exponential(1.1), Exponential(0.9))
+    n = 200_000
+    sample_model(m, 10, seed=4)  # the modules numpy imports on first use stay out of the count
+    tracemalloc.start()
+    try:
+        s = sample_model(m, n, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - s.pairs.nbytes) / n <= 45.0
 
 
 def test_average_ranks_handles_ties():
@@ -198,32 +307,65 @@ def mask_definition(emp, us, vs):
 
 @st.composite
 def tied_sample_and_queries(draw):
-    # integer-valued pairs make heavy ties; levels j/(2n) hit average ranks exactly
-    pairs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=60))
+    # integer-valued pairs make heavy ties, NaN data form one last tie group, and a
+    # column may be constant; levels j/(2n) hit average ranks exactly and their float
+    # neighbours sit just off them
+    value = st.one_of(st.integers(0, 4).map(float), st.sampled_from([np.nan, np.inf, -np.inf]))
+    pairs = np.array(draw(st.lists(st.tuples(value, value), min_size=2, max_size=60)))
+    if draw(st.booleans()):
+        pairs[:, draw(st.integers(0, 1))] = draw(value)
     n = len(pairs)
+    on_rank = st.integers(0, 2 * n).map(lambda j: j / (2 * n))
     level = st.one_of(
         st.sampled_from([0.0, 1.0, np.nan]),
-        st.integers(0, 2 * n).map(lambda j: j / (2 * n)),
+        on_rank,
+        st.tuples(on_rank, st.sampled_from([-1.0, 2.0])).map(lambda t: np.nextafter(*t)),
         st.floats(0.0, 1.0),
     )
     us = draw(st.lists(level, min_size=1, max_size=30))
     vs = draw(st.lists(level, min_size=len(us), max_size=len(us)))
-    return EmpiricalCopula(np.array(pairs, dtype=float)), np.array(us), np.array(vs)
+    # the side of a thin lattice: more than sqrt(n) levels, of which few or many distinct
+    thin = draw(st.lists(level, min_size=math.isqrt(n) + 1, max_size=2 * n + 2))
+    return EmpiricalCopula(pairs), np.array(us), np.array(vs), np.array(thin)
 
 
 @given(tied_sample_and_queries())
 @settings(max_examples=200, deadline=None)
 def test_empirical_count_equals_mask_definition(case):
-    emp, us, vs = case
+    emp, us, vs, thin = case
     # unsorted, repeated 1-D queries; beyond (n + m + 1)^(1/2) distinct levels a side
     # they are counted in blocks
     np.testing.assert_array_equal(emp.value_array(us, vs), mask_definition(emp, us, vs))
-    # a broadcast lattice
-    lattice = emp.value_array(us[:, None], vs[None, :])
-    np.testing.assert_array_equal(lattice, mask_definition(emp, us[:, None], vs[None, :]))
-    # scalar queries (the scalar API refuses NaN)
-    if not np.isnan(us[0] + vs[0]):
+    # a broadcast lattice, then thin k x 1 and 1 x k lattices: up to sqrt(n) - 1 distinct
+    # u levels are counted by u segment, more by cell
+    for uu, vv in (
+        (us[:, None], vs[None, :]),
+        (thin[:, None], vs[:1, None]),
+        (us[:1, None], thin[None, :]),
+    ):
+        np.testing.assert_array_equal(emp.value_array(uu, vv), mask_definition(emp, uu, vv))
+    # scalar queries (the scalar API refuses NaN and levels off [0, 1])
+    if 0.0 <= us[0] <= 1.0 and 0.0 <= vs[0] <= 1.0:
         assert emp.value(us[0], vs[0]) == mask_definition(emp, us[0], vs[0])
+
+
+def test_empirical_margins_count_ranks_at_large_n():
+    # with u = 1 every pair passes the u test, so C(1, v) * n counts the rv at or below v;
+    # levels on each distinct rank and one float either side, at an n where k / 2n rounds
+    rng = np.random.default_rng(8)
+    n = 20_011
+    pairs = np.column_stack([rng.random(n), rng.integers(0, 3000, n) + (rng.random(n) < 0.5) * rng.random(n)])
+    pairs[rng.random(n) < 0.01, 1] = np.nan
+    emp, mirrored = EmpiricalCopula(pairs), EmpiricalCopula(pairs[:, ::-1])
+    ranks = np.unique(emp.rv)
+    levels = np.concatenate([ranks, np.nextafter(ranks, -1.0), np.nextafter(ranks, 2.0)])
+    want = np.searchsorted(np.sort(emp.rv), levels, "right") / n
+    # n - 2 levels fit one table and go by u segment, all of them go in blocks by cell;
+    # on the mirrored sample the levels are u levels, counted by cell
+    for part in (slice(0, n - 2), slice(None)):
+        ones = np.ones_like(levels[part])
+        np.testing.assert_array_equal(emp.value_array(ones, levels[part]), want[part])
+        np.testing.assert_array_equal(mirrored.value_array(levels[part], ones), want[part])
 
 
 def test_empirical_count_of_scattered_queries_stays_small():
