@@ -5,10 +5,10 @@ Usage: python .github/diff_cli.py BASE_TREE HEAD_TREE
 
 The commands are every ``shockcop`` line of the README's Command line block, as
 ``tests/test_readme.py``'s ``readme_commands()`` reads it from HEAD_TREE, then
-``reconstruct --out`` for ``EXTRA_COMMANDS``.  Each tree runs them in order with its
-own ``src`` on PYTHONPATH, in its own scratch directory, so a file one line writes is
-read by the next as in the README.  The script exits 0 whatever differs: the list is
-information, not a gate.
+``EXTRA_COMMANDS``, file-writing runs that no README line reaches.  Each tree runs
+them in order with its own ``src`` on PYTHONPATH, in its own scratch directory, so a
+file one line writes is read by the next as in the README.  The script exits 0
+whatever differs: the list is information, not a gate.
 """
 
 import difflib
@@ -24,6 +24,12 @@ UNIFORM_MARGINS = ["--fu", "uniform", "--fv", "uniform"]
 EXTRA_COMMANDS = [
     ["reconstruct", "efgm:a=0.7", *UNIFORM_MARGINS, "--out", "efgm.csv"],
     ["reconstruct", "survival(efgm:a=0.7)", *UNIFORM_MARGINS, "--out", "survival.csv"],
+    ["sample", "rmm-max:fx=neg-exp:rate=0.7,fy=neg-exp:rate=1.3,g1=neg-exp:rate=1.1,"
+     "g2=neg-exp:rate=0.9", "-n", "2000", "--seed", "1", "--out", "negexp.csv"],
+    ["reconstruct", "survival(exprmm-ab:alpha=0.5,beta=0.5)", "--fu", "exp:rate=1.0",
+     "--fv", "exp:rate=2.0", "--out", "smm_exp.csv"],
+    ["reconstruct", "marshall:phi=capped:slope=2.0,psi=capped:slope=2.0", *UNIFORM_MARGINS,
+     "--out", "marshall.csv"],
 ]
 
 

@@ -20,7 +20,6 @@ _EXPORTS = {
     "distributions": "DistributionFunction EfgmMargin EfgmShock Exponential NegExponential"
     " Product SurvivalProduct TabulatedCdf Uniform load_tabulated_csv negated point_mass"
     " product_cdf",
-    "extreal": "NEG_INF POS_INF",
     "generators": "CheckSuiteReport ClosedFormGenerator Generator GeneratorClass"
     " ReflectedGenerator TabulatedGenerator closed_form derived_value generator_from_shocks"
     " hat_of hat_to_f identity_minus rmm_to_smm smm_to_rmm validate",

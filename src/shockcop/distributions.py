@@ -14,15 +14,16 @@ near each ladder level u (``_place_array``).
 Each law is written once, on arrays.  A family defines one CDF method,
 ``cdf_array(xs, left=False)``, which returns F(x-) when ``left`` is set: a law
 without atoms ignores the flag, and a composite passes it to its parts (a
-negation flips it).  A family overrides ``_quantile_array`` only when a
-closed-form inverse exists (the default is the generic inverse below).  The
-base class derives the rest: ``cdf_left_array`` is ``cdf_array(xs, True)``,
-and the scalar ``cdf``, ``cdf_left`` and ``quantile`` evaluate the
-array path at one point, so scalar and array values agree to the bit, at
-the IEEE infinities too: every law reads 0 at -inf and 1 at +inf, and
-``quantile`` returns -inf at level 0 and +inf at a level never reached;
-``quantile_array`` refuses levels that are not strictly inside (0,1), NaN
-included, and infinite results.
+negation flips it).  A family overrides ``sf_array``, the upper tail 1 - F,
+only where a closed form keeps the bits that the subtraction loses, which a
+negation then reads, and ``_quantile_array`` only when a closed-form inverse
+exists (the default is the generic inverse below).  The base class derives the
+rest: ``cdf_left_array`` is ``cdf_array(xs, True)``, and the scalar ``cdf``,
+``cdf_left`` and ``quantile`` evaluate the array path at one point, so scalar
+and array values agree to the bit, at the IEEE infinities too: every law reads
+0 at -inf and 1 at +inf, and ``quantile`` returns -inf at level 0 and +inf at
+a level never reached; ``quantile_array`` refuses levels that are not strictly
+inside (0,1), NaN included, and infinite results.
 
 The generic inverse evaluates F once per call on one shared table: the jump
 points, 2**14 + 1 even points on ``support_hint`` and, for levels the hint
@@ -106,6 +107,10 @@ class DistributionFunction(ABC):
     def cdf_left_array(self, xs: np.ndarray) -> np.ndarray:
         """The left limit F(x-) at every point."""
         return self.cdf_array(xs, True)
+
+    def sf_array(self, xs: np.ndarray, left: bool = False) -> np.ndarray:
+        """The upper tail 1 - F(x), or 1 - F(x-) if ``left``, by subtraction by default."""
+        return 1.0 - self.cdf_array(xs, left)
 
     def cdf(self, x: float) -> float:
         return _at(self.cdf_array, x)
@@ -319,6 +324,10 @@ class Exponential(DistributionFunction):
         xs = np.asarray(xs, dtype=float)
         return np.where(xs <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(xs, 0.0)))
 
+    def sf_array(self, xs, left=False):
+        xs = np.asarray(xs, dtype=float)
+        return np.where(xs <= 0.0, 1.0, np.exp(-self.rate * np.maximum(xs, 0.0)))
+
     def _quantile_array(self, us):
         # log1p(-u) / -rate is -log1p(-u) / rate to the bit, in one buffer
         q = np.negative(us, out=np.empty(us.shape))
@@ -331,34 +340,6 @@ class Exponential(DistributionFunction):
 
     def describe(self) -> str:
         return f"exp:rate={self.rate!r}"
-
-
-@dataclass(frozen=True, repr=False)
-class NegExponential(DistributionFunction):
-    """Law of -E for an exponential lifetime E: F(x) = exp(rate*x) on x <= 0.
-
-    Max models built from these mirror exponential min models exactly, so the
-    composed map F(Q_margin(u)) is a pure power of u for any rate pair.
-    """
-
-    rate: float
-
-    def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"neg-exponential rate must be positive, got {self.rate}")
-
-    def cdf_array(self, xs, left=False):
-        xs = np.asarray(xs, dtype=float)
-        return np.where(xs >= 0.0, 1.0, np.exp(self.rate * np.minimum(xs, 0.0)))
-
-    def _quantile_array(self, us):
-        return np.log(us) / self.rate
-
-    def support_hint(self):
-        return (-40.0 / self.rate, 0.0)
-
-    def describe(self) -> str:
-        return f"neg-exp:rate={self.rate!r}"
 
 
 class TabulatedCdf(DistributionFunction):
@@ -576,13 +557,13 @@ class SurvivalProduct(DistributionFunction):
 
 
 class NegatedCdf(DistributionFunction):
-    """Law of -A when A has the wrapped CDF: F(x) = 1 - F_A((-x)-)."""
+    """Law of -A when A has the wrapped CDF: F(x) = 1 - F_A((-x)-), A's ``sf_array``."""
 
     def __init__(self, inner: DistributionFunction):
         self.inner = inner
 
     def cdf_array(self, xs, left=False):
-        return 1.0 - self.inner.cdf_array(-np.asarray(xs, dtype=float), not left)
+        return self.inner.sf_array(-np.asarray(xs, dtype=float), not left)
 
     def jump_points(self):
         return tuple(sorted(-j for j in self.inner.jump_points()))
@@ -593,6 +574,24 @@ class NegatedCdf(DistributionFunction):
 
     def describe(self) -> str:
         return f"negated({self.inner.describe()})"
+
+
+class NegExponential(NegatedCdf):
+    """Law of -E for an exponential lifetime E: F(x) = exp(rate*x) on x <= 0, the
+    negated exponential with its closed-form quantile log(u)/rate.
+
+    Max models built from these mirror exponential min models exactly, so the
+    composed map F(Q_margin(u)) is a pure power of u for any rate pair.
+    """
+
+    def __init__(self, rate: float):
+        super().__init__(Exponential(rate))
+
+    def _quantile_array(self, us):
+        return np.log(us) / self.inner.rate
+
+    def describe(self) -> str:
+        return f"neg-exp:rate={self.inner.rate!r}"
 
 
 def negated(d: DistributionFunction) -> DistributionFunction:

@@ -24,7 +24,6 @@ from shockcop.distributions import (
     product_cdf,
 )
 from shockcop.errors import MalformedCdfError, TableFormatError
-from shockcop.extreal import NEG_INF, POS_INF
 
 STEP = TabulatedCdf([0.0, 1.0], [0.4, 1.0], "step")
 
@@ -64,8 +63,8 @@ def test_efgm_margin_closed_form_value():
 
 def test_cdf_at_sentinels():
     for d in ALL_DISTS:
-        assert d.cdf(NEG_INF) == 0.0
-        assert d.cdf(POS_INF) == 1.0
+        assert d.cdf(-math.inf) == 0.0
+        assert d.cdf(math.inf) == 1.0
 
 
 def test_cdf_left_of_continuous_families_equals_cdf():
@@ -90,8 +89,8 @@ def test_quantile_identity_for_uniform():
 
 def test_quantile_at_zero_is_negative_infinity():
     # inf over the whole line: F >= 0 everywhere
-    assert Exponential(3.0).quantile(0.0) == NEG_INF
-    assert Uniform().quantile(0.0) == NEG_INF
+    assert Exponential(3.0).quantile(0.0) == -math.inf
+    assert Uniform().quantile(0.0) == -math.inf
 
 
 def test_quantile_of_step_table_at_jump_level():
@@ -109,7 +108,7 @@ def test_step_table_quantile_of_a_0d_level_is_0d():
 
 
 def test_quantile_beyond_reach_is_positive_infinity():
-    assert Exponential(1.0).quantile(1.0) == POS_INF
+    assert Exponential(1.0).quantile(1.0) == math.inf
 
 
 def test_quantile_at_one_is_the_right_endpoint():
@@ -172,6 +171,28 @@ def test_neg_exponential_quantile_closed_form():
     assert d.quantile(1.0) == 0.0
 
 
+_NEG_EXP_POINTS = st.one_of(
+    st.floats(-800.0, 5.0), st.sampled_from([0.0, -0.0, math.inf, -math.inf, -5e-324])
+)
+
+
+@given(
+    st.floats(math.exp(-5.0), math.exp(5.0)),
+    st.lists(_NEG_EXP_POINTS, min_size=1, max_size=20),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=20),
+)
+@settings(max_examples=300, deadline=None)
+def test_negated_exponential_reads_the_upper_tail_to_the_bit(rate, xs, us):
+    # 1 - F(-x) by subtraction read 0 at x = -40 where exp(-40) is 4.25e-18
+    xs, us = np.array(xs), np.array(us)
+    want = np.where(xs >= 0.0, 1.0, np.exp(rate * np.minimum(xs, 0.0)))
+    for d in (negated(Exponential(rate)), NegExponential(rate)):
+        for left in (False, True):
+            assert d.cdf_array(xs, left).tobytes() == want.tobytes()
+    assert NegExponential(rate).quantile_array(us).tobytes() == (np.log(us) / rate).tobytes()
+    assert negated(NegExponential(rate)).describe() == f"exp:rate={rate!r}"
+
+
 @pytest.mark.parametrize("d", ALL_DISTS, ids=lambda d: d.describe())
 def test_quantile_inverse_properties(d):
     rng = np.random.default_rng(7)
@@ -179,10 +200,10 @@ def test_quantile_inverse_properties(d):
         if u == 0.0:
             continue
         q = d.quantile(float(u))
-        if q == POS_INF:
+        if q == math.inf:
             assert d.cdf(1e12) < u
             continue
-        assert q != NEG_INF
+        assert q != -math.inf
         assert d.cdf(q) >= u - 1e-12
 
 
@@ -191,7 +212,7 @@ def test_quantile_of_cdf_stays_left(d):
     xs = d.quantile_array(np.linspace(1e-6, 1.0 - 1e-6, 41))
     for x in xs:
         q = d.quantile(d.cdf(float(x)))
-        if q in (NEG_INF, POS_INF):
+        if q in (-math.inf, math.inf):
             continue
         # levels u = 1-eps lose relative precision in eps; allow for it
         assert q <= x + 1e-9 + 1e-7 * abs(x)
@@ -299,8 +320,8 @@ def test_scalar_api_equals_array_path(case):
         for x, f, f_left in zip(xs.tolist(), d.cdf_array(xs), d.cdf_left_array(xs)):
             assert type(d.cdf(x)) is float and d.cdf(x) == f, (d, x)
             assert type(d.cdf_left(x)) is float and d.cdf_left(x) == f_left, (d, x)
-        assert (d.cdf(NEG_INF), d.cdf(POS_INF)) == (0.0, 1.0)
-        assert (d.cdf_left(NEG_INF), d.cdf_left(POS_INF)) == (0.0, 1.0)
+        assert (d.cdf(-math.inf), d.cdf(math.inf)) == (0.0, 1.0)
+        assert (d.cdf_left(-math.inf), d.cdf_left(math.inf)) == (0.0, 1.0)
         # the ends of the line read 0 and 1 on the array path too, to the bit
         ends = np.array([-np.inf, np.inf])
         for f in (d.cdf_array(ends), d.cdf_left_array(ends)):
@@ -311,7 +332,7 @@ def test_scalar_api_equals_array_path(case):
             qs = d._quantile_array(us)
         scalar = [d.quantile(u) for u in us.tolist()]
         assert all(type(q) is float for q in scalar) and scalar == qs.tolist(), d
-        assert type(d.quantile(0.0)) is float and d.quantile(0.0) == NEG_INF
+        assert type(d.quantile(0.0)) is float and d.quantile(0.0) == -math.inf
         for u in (-0.1, 1.5):
             with pytest.raises(ValueError):
                 d.quantile(u)
@@ -320,10 +341,10 @@ def test_scalar_api_equals_array_path(case):
 def test_unreached_levels_invert_to_the_sentinels():
     bisected_top = Product(SHORT_STEP, Exponential(1.0))
     bisected_floor = negated(TabulatedCdf([0.0, 1.0], [0.0, 0.6], "linear"))  # F >= 0.4 everywhere
-    assert SHORT_STEP.quantile(0.7) == SHORT_LINEAR.quantile(0.7) == POS_INF
-    assert bisected_top.quantile(0.7) == POS_INF
-    assert SHORT_LINEAR.quantile(0.1) == NEG_INF
-    assert bisected_floor.quantile(0.3) == NEG_INF
+    assert SHORT_STEP.quantile(0.7) == SHORT_LINEAR.quantile(0.7) == math.inf
+    assert bisected_top.quantile(0.7) == math.inf
+    assert SHORT_LINEAR.quantile(0.1) == -math.inf
+    assert bisected_floor.quantile(0.3) == -math.inf
     assert bisected_floor.quantile(0.5) == pytest.approx(-0.5 / 0.6, abs=1e-12)
     for d, u in ((SHORT_STEP, 0.7), (bisected_top, 0.7), (SHORT_LINEAR, 0.1), (bisected_floor, 0.3)):
         with pytest.raises(MalformedCdfError):
@@ -356,10 +377,10 @@ def test_galois_inequalities_for_products_of_steps_and_exponentials(case):
     d, levels = case
     for u in levels:
         q = d.quantile(u)
-        if q == POS_INF:
+        if q == math.inf:
             assert d.cdf(1e12) < u  # never reached
             continue
-        assert q != NEG_INF
+        assert q != -math.inf
         # F(Q(u)) >= u exactly; F(Q(u)-) <= u up to the bisection's stopping width
         assert d.cdf(q) >= u
         assert d.cdf_left(q - bisection_width(q)) <= u
@@ -373,13 +394,13 @@ def float_or_nan(q) -> float:
 def reference_tabulated_quantile(d: TabulatedCdf, u: float):
     """inf{x : F(x) >= u} of a table at a level u in (0,1], one level at a time."""
     if u > d.ps[-1]:
-        return POS_INF
+        return math.inf
     if d.interpolation == "step":
         idx = int(np.searchsorted(d.ps, u, side="left"))
         return float(d.xs[idx])
     if u <= d.ps[0]:
         # flat extension to the left sits at level ps[0] on the whole tail
-        return NEG_INF if d.ps[0] > 0.0 else float(d.xs[0])
+        return -math.inf if d.ps[0] > 0.0 else float(d.xs[0])
     idx = int(np.searchsorted(d.ps, u, side="left"))
     p0, p1 = d.ps[idx - 1], d.ps[idx]
     x0, x1 = d.xs[idx - 1], d.xs[idx]

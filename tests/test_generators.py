@@ -25,7 +25,6 @@ from shockcop.errors import (
     ShockStructureError,
     TableFormatError,
 )
-from shockcop.extreal import POS_INF
 from shockcop.generators import (
     _FAMILIES,
     _OWN_VALUES,
@@ -193,13 +192,13 @@ def test_star_of_efgm_generator():
 
 def test_star_divergence_reported_as_infinity():
     gen = power(0.25)  # f(u)/u = u**(-0.75) - 1 diverges
-    assert derived_value(gen, "star", 0.0) == POS_INF
+    assert derived_value(gen, "star", 0.0) == math.inf
 
 
 def test_psi_star_of_identity_is_infinite():
     gen = closed_form("identity", PSI)
     for v in (0.0, 0.4, 0.9):
-        assert derived_value(gen, "psi_star", v) == POS_INF
+        assert derived_value(gen, "psi_star", v) == math.inf
 
 
 def test_psi_star_of_square():
@@ -228,22 +227,22 @@ def test_derived_value_equals_its_scalar_definition(gen, kind, u, want):
 
 
 @pytest.mark.parametrize("gen, want", [
-    (power(0.5), POS_INF),
-    (power(0.999), POS_INF),
+    (power(0.5), math.inf),
+    (power(0.999), math.inf),
     (power(1.0), 0.0),
     (power(1.5), -1.0),
-    (closed_form("twoparam", RMM, alpha=0.5, beta=0.7), POS_INF),
+    (closed_form("twoparam", RMM, alpha=0.5, beta=0.7), math.inf),
     (closed_form("twoparam", RMM, alpha=1.0, beta=0.7), 1.0),
     (closed_form("twoparam", RMM, alpha=2.0, beta=0.7), 0.0),
     (closed_form("efgmhat", MARSHALL, a=0.61), 1.0 + 0.61),
     (closed_form("efgmf", RMM, a=0.61), 0.61),
     (closed_form("identity", MARSHALL), 1.0),
     (closed_form("zero", RMM), 0.0),
-    (closed_form("fullshock", MARSHALL), POS_INF),  # g(0+) = 1
+    (closed_form("fullshock", MARSHALL), math.inf),  # g(0+) = 1
     (closed_form("capped", MARSHALL, slope=2.5), 2.5),
     (poly(RMM, 0.0, 0.3, -0.7, 0.4), 0.3),
-    (poly(RMM, 0.25, 0.3), POS_INF),
-    (poly(RMM, -0.25, 0.3), -POS_INF),
+    (poly(RMM, 0.25, 0.3), math.inf),
+    (poly(RMM, -0.25, 0.3), -math.inf),
 ], ids=lambda x: x.describe() if isinstance(x, Generator) else str(x))
 def test_star_at_0_is_the_exact_limit_of_every_closed_form(gen, want):
     assert derived_value(gen, "star", 0.0) == want
@@ -278,6 +277,13 @@ def test_twoparam_below_boundary_fails():
     report = validate(gen)
     assert not report.passed
     assert any("twoparam-domain" in r.check_id and not r.passed for r in report.results)
+
+
+def test_twoparam_alpha_above_one_fails_its_domain():
+    report = validate(closed_form("twoparam", RMM, alpha=1.5, beta=0.5))
+    domain = report.results[0]
+    assert not report.passed and not domain.passed
+    assert (domain.check_id, domain.detail) == ("twoparam-domain", "alpha=1.5 must lie in (0,1]")
 
 
 def test_twoparam_on_boundary_passes():
@@ -380,6 +386,13 @@ def test_conversion_round_trip_is_exact():
 def test_conversion_rejects_wrong_class():
     with pytest.raises(GeneratorValidationError):
         smm_to_rmm(power(0.5))
+
+
+def test_conversion_rejects_a_generator_failing_its_own_class():
+    with pytest.raises(GeneratorValidationError, match="twoparam-domain") as err:
+        rmm_to_smm(closed_form("twoparam", RMM, alpha=0.5, beta=0.3))
+    report = err.value.report
+    assert [r.check_id for r in report.results if not r.passed] == ["twoparam-domain"]
 
 
 def test_hat_to_f_of_identity_is_zero():
@@ -842,7 +855,8 @@ def reference_violations(gen):
 
 _FAMILY_PARAMS = {
     "power": [{"alpha": 0.5}, {"alpha": 1.5}],
-    "twoparam": [{"alpha": 0.5, "beta": 0.5}, {"alpha": 0.5, "beta": 0.3}, {"alpha": 1.0, "beta": 2.0}],
+    "twoparam": [{"alpha": 0.5, "beta": 0.5}, {"alpha": 0.5, "beta": 0.3}, {"alpha": 1.0, "beta": 2.0},
+                 {"alpha": 1.5, "beta": 0.5}],
     "efgmhat": [{"a": 0.95}, {"a": 1.5}],
     "efgmf": [{"a": 0.8}],
     "identity": [{}],

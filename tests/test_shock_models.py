@@ -29,7 +29,6 @@ from shockcop.distributions import (
     point_mass,
 )
 from shockcop.errors import IllegalModelError, ReconstructionError
-from shockcop.extreal import POS_INF
 from shockcop.generators import (
     CLASS_SPECS,
     DERIVED_MAPS,
@@ -132,13 +131,11 @@ def test_joint_cdf_countermonotonic_min():
 
 
 def test_joint_cdf_shared_shock_margins():
-    from shockcop.extreal import POS_INF
-
     m = maxmin_model(U, U, U)
     f_u, f_v = margins(m)
     for x in np.linspace(0.05, 0.95, 13):
-        assert joint_cdf(m, float(x), POS_INF) == pytest.approx(f_u.cdf(x), abs=1e-14)
-        assert joint_cdf(m, POS_INF, float(x)) == pytest.approx(f_v.cdf(x), abs=1e-14)
+        assert joint_cdf(m, float(x), math.inf) == pytest.approx(f_u.cdf(x), abs=1e-14)
+        assert joint_cdf(m, math.inf, float(x)) == pytest.approx(f_v.cdf(x), abs=1e-14)
 
 
 def scalar_joint_cdf(m, x, y):
@@ -176,8 +173,6 @@ FOUR_FAMILIES = {
 
 @pytest.mark.parametrize("family", sorted(FOUR_FAMILIES))
 def test_array_joint_cdf_equals_scalar_formula(family):
-    from shockcop.extreal import NEG_INF, POS_INF
-
     model = FOUR_FAMILIES[family]()
     xs = np.array([-1.0, 0.0, 0.05, 0.3, 0.5, 0.77, 1.0, 2.5])
     ys = np.array([-0.5, 0.1, 0.5, 0.9, 1.0, 3.0])
@@ -195,29 +190,26 @@ def test_array_joint_cdf_equals_scalar_formula(family):
     # the infinities give the margins, and the corners, as the scalar formula does
     f_u, f_v = margins(model)
     for x in xs:
-        assert joint_cdf(model, float(x), POS_INF) == pytest.approx(f_u.cdf(float(x)), abs=1e-14)
-        assert joint_cdf(model, POS_INF, float(x)) == pytest.approx(f_v.cdf(float(x)), abs=1e-14)
-        for args in ((NEG_INF, float(x)), (float(x), NEG_INF)):
+        assert joint_cdf(model, float(x), math.inf) == pytest.approx(f_u.cdf(float(x)), abs=1e-14)
+        assert joint_cdf(model, math.inf, float(x)) == pytest.approx(f_v.cdf(float(x)), abs=1e-14)
+        for args in ((-math.inf, float(x)), (float(x), -math.inf)):
             ref = scalar_joint_cdf(model, *args)
             assert joint_cdf(model, *args) == pytest.approx(ref, abs=1e-15)
-    assert joint_cdf(model, POS_INF, POS_INF) == 1.0
-    assert joint_cdf(model, NEG_INF, NEG_INF) == 0.0
+    assert joint_cdf(model, math.inf, math.inf) == 1.0
+    assert joint_cdf(model, -math.inf, -math.inf) == 0.0
 
 
 def test_scalar_joint_formula_equals_lattice_entry_exactly():
-    from shockcop.extreal import NEG_INF
-
     # a scalar call is the array path at one point, so it reproduces each lattice
     # entry to the bit; the joint law is a sum of nonnegative terms, so it is exactly
     # 0 where the per-family formula cancels to a tiny negative number
     model = FOUR_FAMILIES["smm"]()
     xs, ys = np.array([0.3, 2.5]), np.array([-np.inf, 0.0, 0.7, 3.0])
     lattice = joint_cdf(model, xs[:, None], ys[None, :])
-    assert scalar_joint_cdf(model, 2.5, NEG_INF) < 0.0
-    assert joint_cdf(model, 2.5, NEG_INF) == lattice[1, 0] == 0.0
+    assert scalar_joint_cdf(model, 2.5, -math.inf) < 0.0
+    assert joint_cdf(model, 2.5, -math.inf) == lattice[1, 0] == 0.0
     for i, x in enumerate(xs.tolist()):
         for j, y in enumerate(ys.tolist()):
-            y = NEG_INF if y == -np.inf else y
             assert joint_cdf(model, x, y) == lattice[i, j]
             assert lattice[i, j] == pytest.approx(scalar_joint_cdf(model, x, y), abs=1e-15)
 
@@ -233,7 +225,7 @@ def test_sub_stochastic_shock_gives_the_margins_at_infinity_on_arrays():
     np.testing.assert_allclose(joint_cdf(model, pts, inf), f_u.cdf_array(pts), rtol=0.0, atol=1e-15)
     f_v1 = (1.0 - math.exp(-2.0)) * (1.0 - math.exp(-1.5))
     assert joint_cdf(model, np.array([np.inf]), np.array([1.0]))[0] == pytest.approx(f_v1, abs=1e-15)
-    assert joint_cdf(model, POS_INF, 1.0) == joint_cdf(model, np.array([np.inf]), np.array([1.0]))[0]
+    assert joint_cdf(model, math.inf, 1.0) == joint_cdf(model, np.array([np.inf]), np.array([1.0]))[0]
 
 
 _LAWS = st.one_of(
@@ -266,7 +258,6 @@ def test_joint_law_lies_between_zero_and_both_margins(family, laws, points):
 
 
 def test_join_cdf_broadcasts_and_keeps_scalars():
-    from shockcop.extreal import POS_INF
 
     join = sklar_join(efgm(0.9), Exponential(1.0), Exponential(2.0))
     xs = np.array([0.0, 0.2, 1.0, 4.0])
@@ -277,7 +268,7 @@ def test_join_cdf_broadcasts_and_keeps_scalars():
             u, v = Exponential(1.0).cdf(float(x)), Exponential(2.0).cdf(float(y))
             assert lattice[i, j] == pytest.approx(efgm(0.9).value(u, v), abs=1e-16)
     assert type(join.cdf(0.2, 1.0)) is float
-    assert join.cdf(1.0, POS_INF) == pytest.approx(Exponential(1.0).cdf(1.0), abs=1e-16)
+    assert join.cdf(1.0, math.inf) == pytest.approx(Exponential(1.0).cdf(1.0), abs=1e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +457,17 @@ def test_left_endpoint_hypothesis_needs_an_atom_where_the_margin_starts(margin, 
         assert [r.check_id for r in report.results] == ["hypothesis:left-endpoint"]
 
 
+def test_star_divergence_hypothesis_needs_a_margin_that_vanishes():
+    # capped's star ratio stays at its slope as u -> 0+, and neg-exp is positive everywhere
+    c = marshall(capped_gen(), capped_gen())
+    model, report = audited_reconstruction(c, NegExponential(1.0), NegExponential(1.0))
+    assert model is None
+    [row] = report.results
+    assert row.check_id == "hypothesis:star-divergence" and not row.passed
+    assert row.witness == (pytest.approx(-15.506, abs=1e-3), 0.0)
+    assert "star ratio bounded at 0+ and margin never vanishes" in row.detail
+
+
 # ---------------------------------------------------------------------------
 # RMM reconstruction
 # ---------------------------------------------------------------------------
@@ -504,7 +506,7 @@ def reference_rmm_shock(d, x):
     fu, fv = d.margin_u.cdf(x), d.margin_v.cdf(x)
     if fu == 0.0:
         s = derived_value(d.g, "star", 1.0 - fv)
-        return 1.0 if s == POS_INF else s / (1.0 + s)
+        return 1.0 if s == math.inf else s / (1.0 + s)
     return fu / (d.f.value(fu) + fu)
 
 
