@@ -5,10 +5,12 @@ Usage: python .github/diff_cli.py BASE_TREE HEAD_TREE
 
 The commands are every ``shockcop`` line of the README's Command line block, as
 ``tests/test_readme.py``'s ``readme_commands()`` reads it from HEAD_TREE, then
-``EXTRA_COMMANDS``, file-writing runs that no README line reaches.  Each tree runs
-them in order with its own ``src`` on PYTHONPATH, in its own scratch directory, so a
-file one line writes is read by the next as in the README.  The script exits 0
-whatever differs: the list is information, not a gate.
+``EXTRA_COMMANDS``, runs that no README line reaches: file-writing runs and two
+``roundtrip`` runs on composite margins (the survival-product one prints a six-digit sup
+distance that moves with its margin's support hint).  Each tree runs them in order with
+its own ``src`` on PYTHONPATH, in its own scratch directory, so a file one line writes
+is read by the next as in the README.
+The script exits 0 whatever differs: the list is information, not a gate.
 """
 
 import difflib
@@ -30,6 +32,13 @@ EXTRA_COMMANDS = [
      "--fv", "exp:rate=2.0", "--out", "smm_exp.csv"],
     ["reconstruct", "marshall:phi=capped:slope=2.0,psi=capped:slope=2.0", *UNIFORM_MARGINS,
      "--out", "marshall.csv"],
+    ["reconstruct", "efgm:a=0.7", "--fu", "product(uniform;uniform)",
+     "--fv", "negated(uniform:a=-1.0,b=0.0)", "--out", "composite.csv"],
+    ["reconstruct", "survival(efgm:a=0.6)", "--fu", "survival-product(uniform;uniform:a=0.2,b=1.2)",
+     "--fv", "uniform", "--out", "survival_product.csv"],
+    ["roundtrip", "survival(efgm:a=0.6)", "--fu", "survival-product(exp:rate=1.0;exp:rate=2.0)",
+     "--fv", "exp:rate=1.5"],
+    ["roundtrip", "efgm:a=0.7", "--fu", "product(exp:rate=1.0;exp:rate=2.0)", "--fv", "exp:rate=1.5"],
 ]
 
 

@@ -18,8 +18,7 @@ _EXPORTS = {
     " MaxminCopula Rectangle RmmCopula SmmCopula efgm exponential_rmm exprmm_ab marshall"
     " maxmin normalize reflect rmm sklar_join smm survival volume",
     "distributions": "DistributionFunction EfgmMargin EfgmShock Exponential NegExponential"
-    " Product SurvivalProduct TabulatedCdf Uniform load_tabulated_csv negated point_mass"
-    " product_cdf",
+    " Product SurvivalProduct TabulatedCdf Uniform load_tabulated_csv negated point_mass",
     "generators": "CheckSuiteReport ClosedFormGenerator Generator GeneratorClass"
     " ReflectedGenerator TabulatedGenerator closed_form derived_value generator_from_shocks"
     " hat_of hat_to_f identity_minus rmm_to_smm smm_to_rmm validate",

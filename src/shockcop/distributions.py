@@ -13,8 +13,9 @@ near each ladder level u (``_place_array``).
 
 Each law is written once, on arrays.  A family defines one CDF method,
 ``cdf_array(xs, left=False)``, which returns F(x-) when ``left`` is set: a law
-without atoms ignores the flag, and a composite passes it to its parts (a
-negation flips it).  A family overrides ``sf_array``, the upper tail 1 - F,
+without atoms ignores the flag, a negation flips it, and a law made of parts (a
+``PointwiseCdf``) passes it to them and defines only ``_values``, how their values
+at a point combine.  A family overrides ``sf_array``, the upper tail 1 - F,
 only where a closed form keeps the bits that the subtraction loses, which a
 negation then reads, and ``_quantile_array`` only when a closed-form inverse
 exists (the default is the generic inverse below).  The base class derives the
@@ -295,8 +296,8 @@ class Uniform(DistributionFunction):
     b: float = 1.0
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"uniform needs a < b, got a={self.a}, b={self.b}")
+        if not 0.0 < self.b - self.a < math.inf:  # NaN fails too
+            raise ValueError(f"uniform needs a < b and a finite b - a, got a={self.a}, b={self.b}")
 
     def cdf_array(self, xs, left=False):
         xs = np.asarray(xs, dtype=float)
@@ -317,8 +318,8 @@ class Exponential(DistributionFunction):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"exponential rate must be positive, got {self.rate}")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError(f"exponential rate must be positive and finite, got {self.rate}")
 
     def cdf_array(self, xs, left=False):
         xs = np.asarray(xs, dtype=float)
@@ -507,53 +508,64 @@ class EfgmShock(DistributionFunction):
 # ---------------------------------------------------------------------------
 
 
-class Product(DistributionFunction):
-    """Pointwise product of two CDFs: the law of max{A, B} for independent A, B."""
+class PointwiseCdf(DistributionFunction):
+    """A law read from its parts at the same point: F(x) is ``_values`` of the parts'
+    F_i(x), F(x-) of their F_i(x-), the jump points are the union of theirs and the
+    support hint applies the pair ``hint`` to their lows and highs.  The left limits
+    and jump points are right only if ``_values`` is continuous in the parts' values;
+    a reconstructed RMM shock is not where margin_u leaves 0, at the start of a
+    continuous margin."""
 
-    def __init__(self, d1: DistributionFunction, d2: DistributionFunction):
-        self.d1 = d1
-        self.d2 = d2
+    hint = (min, max)
+
+    def __init__(self, *parts: DistributionFunction):
+        self.parts = parts
+
+    @abstractmethod
+    def _values(self, *fs: np.ndarray) -> np.ndarray:
+        """The law's values from its parts' values read at the same points."""
 
     def cdf_array(self, xs, left=False):
-        return self.d1.cdf_array(xs, left) * self.d2.cdf_array(xs, left)
+        # a list, not a generator: the unpacking of a generator costs microseconds a call
+        return self._values(*[p.cdf_array(xs, left) for p in self.parts])
 
     def jump_points(self):
-        return tuple(sorted(set(self.d1.jump_points()) | set(self.d2.jump_points())))
+        return tuple(sorted(set().union(*(p.jump_points() for p in self.parts))))
 
     def support_hint(self):
-        lo1, hi1 = self.d1.support_hint()
-        lo2, hi2 = self.d2.support_hint()
-        return (max(lo1, lo2), max(hi1, hi2))
+        lows, highs = zip(*(p.support_hint() for p in self.parts))
+        low, high = self.hint
+        return (low(lows), high(highs))
+
+
+class Product(PointwiseCdf):
+    """Pointwise product of two CDFs: the law of max{A, B} for independent A, B."""
+
+    hint = (max, max)
+
+    def _values(self, f1, f2):
+        return f1 * f2
 
     def describe(self) -> str:
-        return f"product({self.d1.describe()};{self.d2.describe()})"
+        d1, d2 = self.parts
+        return f"product({d1.describe()};{d2.describe()})"
 
 
-class SurvivalProduct(DistributionFunction):
+class SurvivalProduct(PointwiseCdf):
     """CDF of min{A, B} for independent A, B: max{F1, 1 - (1-F1)(1-F2)}.
 
     The product form is nondecreasing in floating point but can round to just below
     F1; F1 + F2(1-F1) cannot, yet wobbles by an ulp as F1 grows.  The max keeps both.
     """
 
-    def __init__(self, d1: DistributionFunction, d2: DistributionFunction):
-        self.d1 = d1
-        self.d2 = d2
+    hint = (min, min)
 
-    def cdf_array(self, xs, left=False):
-        a = self.d1.cdf_array(xs, left)
-        return np.maximum(a, 1.0 - (1.0 - a) * (1.0 - self.d2.cdf_array(xs, left)))
-
-    def jump_points(self):
-        return tuple(sorted(set(self.d1.jump_points()) | set(self.d2.jump_points())))
-
-    def support_hint(self):
-        lo1, hi1 = self.d1.support_hint()
-        lo2, hi2 = self.d2.support_hint()
-        return (min(lo1, lo2), min(hi1, hi2))
+    def _values(self, f1, f2):
+        return np.maximum(f1, 1.0 - (1.0 - f1) * (1.0 - f2))
 
     def describe(self) -> str:
-        return f"survival-product({self.d1.describe()};{self.d2.describe()})"
+        d1, d2 = self.parts
+        return f"survival-product({d1.describe()};{d2.describe()})"
 
 
 class NegatedCdf(DistributionFunction):
@@ -599,8 +611,4 @@ def negated(d: DistributionFunction) -> DistributionFunction:
     if isinstance(d, NegatedCdf):
         return d.inner
     return NegatedCdf(d)
-
-
-def product_cdf(d1: DistributionFunction, d2: DistributionFunction) -> Product:
-    return Product(d1, d2)
 

@@ -45,6 +45,7 @@ from .distributions import (
     DistributionFunction,
     Exponential,
     NegExponential,
+    PointwiseCdf,
     Product,
     SurvivalProduct,
     negated,
@@ -268,54 +269,21 @@ def _identity(xs: np.ndarray) -> np.ndarray:
 IDENTITY_CHI = ChiMap(_identity, _identity)
 
 
-class ComposedCdf(DistributionFunction):
+class ComposedCdf(PointwiseCdf):
     """gen(base.cdf(x)) for a continuous nondecreasing generator with gen(0)=0, gen(1)=1."""
 
     def __init__(self, gen: Generator, base: DistributionFunction):
+        super().__init__(base)
         self.gen = gen
-        self.base = base
 
-    def cdf_array(self, xs, left=False):
-        return self.gen.value_array(self.base.cdf_array(xs, left))
-
-    def jump_points(self):
-        return self.base.jump_points()
-
-    def support_hint(self):
-        return self.base.support_hint()
+    def _values(self, f):
+        return self.gen.value_array(f)
 
     def describe(self) -> str:
-        return f"composed({self.gen.describe()},{self.base.describe()})"
+        return f"composed({self.gen.describe()},{self.parts[0].describe()})"
 
 
-class _BranchShockCdf(DistributionFunction):
-    """A shock CDF read from two laws at the same point; it jumps only where they do."""
-
-    def __init__(self, margin_u, margin_v, label: str):
-        self.margin_u = margin_u
-        self.margin_v = margin_v
-        self._label = label
-
-    def _values(self, fu: np.ndarray, fv: np.ndarray) -> np.ndarray:
-        """The shock CDF from the two laws' values read at the same points."""
-        raise NotImplementedError
-
-    def cdf_array(self, xs, left=False):
-        return self._values(self.margin_u.cdf_array(xs, left), self.margin_v.cdf_array(xs, left))
-
-    def jump_points(self):
-        return tuple(sorted(set(self.margin_u.jump_points()) | set(self.margin_v.jump_points())))
-
-    def support_hint(self):
-        lo1, hi1 = self.margin_u.support_hint()
-        lo2, hi2 = self.margin_v.support_hint()
-        return (min(lo1, lo2), max(hi1, hi2))
-
-    def describe(self) -> str:
-        return self._label
-
-
-class RmmShockCdf(_BranchShockCdf):
+class RmmShockCdf(PointwiseCdf):
     """Reconstructed systemic-shock CDF of the countermonotonic max/max model.
 
     On {margin_u > 0} it is margin_u / hat_f(margin_u); where margin_u
@@ -325,13 +293,15 @@ class RmmShockCdf(_BranchShockCdf):
     """
 
     def __init__(self, f: Generator, g: Generator, margin_u, margin_v, side: str):
-        label = f"rmm-shock-{side}"
         if side == "v":
             margin_u, margin_v = margin_v, margin_u
             f, g = g, f
-        super().__init__(margin_u, margin_v, label)
+        super().__init__(margin_u, margin_v)
+        self.margin_u = margin_u
+        self.margin_v = margin_v
         self.f = f
         self.g = g
+        self.side = side
 
     def _values(self, fu, fv):
         out = np.empty_like(fu)
@@ -349,8 +319,11 @@ class RmmShockCdf(_BranchShockCdf):
         out[~pos] = vals
         return out
 
+    def describe(self) -> str:
+        return f"rmm-shock-{self.side}"
 
-class MarshallShockCdf(_BranchShockCdf):
+
+class MarshallShockCdf(PointwiseCdf):
     """Reconstructed second systemic shock of the comonotonic max/max model.
 
     It is margin_u / phi(margin_u), with margin_u the U margin read on V's axis
@@ -359,7 +332,9 @@ class MarshallShockCdf(_BranchShockCdf):
     """
 
     def __init__(self, phi: Generator, psi: Generator, margin_u, margin_v):
-        super().__init__(margin_u, margin_v, "marshall-shock")
+        super().__init__(margin_u, margin_v)
+        self.margin_u = margin_u
+        self.margin_v = margin_v
         self.phi = phi
         self.psi = psi
 
@@ -376,6 +351,9 @@ class MarshallShockCdf(_BranchShockCdf):
                 f"{name} vanishes at a point with margin value {float(num.ravel()[i])}",
             )
         return np.where(num == 0.0, 0.0, num / np.where(den == 0.0, 1.0, den))
+
+    def describe(self) -> str:
+        return "marshall-shock"
 
 
 class ChiShiftedCdf(DistributionFunction):

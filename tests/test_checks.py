@@ -49,6 +49,15 @@ def test_axiom_suite_passes_for_efgm_boundary_weight():
     assert report.passed
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"grid": 2}, "grid must be at least 3"),
+    ({"rectangles": 0}, "rectangles must be at least 1"),
+], ids=["grid", "rectangles"])
+def test_axiom_suite_arguments_are_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        check_copula_axioms(efgm(0.5), **kwargs)
+
+
 def test_axiom_suite_catches_negative_volume():
     report = check_copula_axioms(overweight_efgm(), seed=3)
     assert not report.passed

@@ -332,6 +332,18 @@ def test_unknown_descriptor_name_exits_2_with_one_error_line(capsys, copula):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("margin, message", [
+    ("exp:rate=inf", "exponential rate must be positive and finite, got inf"),
+    ("uniform:a=0,b=inf", "uniform needs a < b and a finite b - a, got a=0.0, b=inf"),
+])
+def test_non_finite_margin_parameter_exits_2(capsys, margin, message):
+    # an infinite rate used to reach the reconstruction and fail it with exit 1
+    code, out, err = run(capsys, "roundtrip", "efgm:a=0.5", "--fu", margin, "--fv", "uniform")
+    assert code == 2
+    assert err == f"error: bad distribution descriptor {margin!r}: {message}\n"
+    assert out == ""
+
+
 def test_missing_input_file_prints_no_traceback(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     missing = str(tmp_path / "missing.csv")

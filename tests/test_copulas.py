@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from shockcop.copulas import (
     FLIPS,
+    FlippedCopula,
     FrechetM,
     FrechetW,
     Independence,
@@ -326,6 +328,24 @@ def test_efgm_rejects_out_of_range_weight():
         efgm(0.0)
     with pytest.raises(ValueError):
         efgm(1.2)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: efgm(0.5).value(1.5, 0.5),
+                 "copula arguments must lie in [0,1]^2, got (1.5, 0.5)", id="value-argument"),
+    pytest.param(lambda: FlippedCopula(efgm(0.5), (False, False)),
+                 "flips must be one of [(False, True), (True, False), (True, True)], "
+                 "got (False, False)", id="no-flip"),
+    pytest.param(lambda: reflect(efgm(0.5), "sigma3"),
+                 "reflection must be 'sigma1' or 'sigma2', got 'sigma3'", id="reflection"),
+    pytest.param(lambda: exprmm_ab(0.0, 0.5),
+                 "exponents must lie in (0,1], got alpha=0.0, beta=0.5", id="exprmm-ab"),
+    pytest.param(lambda: exponential_rmm(1.0, 1.0, 0.0, 1.0),
+                 "rate m1 must be positive, got 0.0", id="exponential-rmm"),
+])
+def test_copula_arguments_are_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_exponential_rmm_rate_mapping():

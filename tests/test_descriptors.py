@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,33 @@ def test_split_top_level_respects_parens():
 def test_split_top_level_rejects_unbalanced():
     with pytest.raises(DescriptorError):
         split_top_level("a,b(c")
+
+
+RMM_MODEL = "rmm-max:fx=uniform,fy=uniform,g1=uniform,g2=uniform"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: split_top_level("a)b("), "unbalanced parentheses in 'a)b('",
+                 id="close-first"),
+    pytest.param(lambda: parse_model(RMM_MODEL + ",fx=uniform"),
+                 f"{RMM_MODEL},fx=uniform: duplicate field 'fx'", id="duplicate-field"),
+    pytest.param(lambda: parse_distribution("uniform:a"), "uniform:a: expected k=v, got 'a'",
+                 id="bare-key"),
+    pytest.param(lambda: parse_distribution("product(uniform)"),
+                 "product needs exactly two ';'-separated distributions, got 'product(uniform)'",
+                 id="product-arity"),
+    pytest.param(lambda: parse_distribution("mirror(uniform)"),
+                 "unknown distribution wrapper 'mirror'", id="distribution-wrapper"),
+    pytest.param(lambda: parse_generator("mirror(power:alpha=0.5)", GeneratorClass.RMM),
+                 "unknown generator wrapper 'mirror'", id="generator-wrapper"),
+    pytest.param(lambda: parse_copula("mirror(efgm:a=0.5)"), "unknown copula wrapper 'mirror'",
+                 id="copula-wrapper"),
+    pytest.param(lambda: parse_model(RMM_MODEL + ",combiner=sideways"),
+                 f"{RMM_MODEL},combiner=sideways: unknown combiner 'sideways'", id="combiner"),
+])
+def test_malformed_descriptors_are_rejected(call, message):
+    with pytest.raises(DescriptorError, match=re.escape(message)):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,6 @@ from shockcop.distributions import (
     load_tabulated_csv,
     negated,
     point_mass,
-    product_cdf,
 )
 from shockcop.errors import MalformedCdfError, TableFormatError
 
@@ -120,18 +120,18 @@ def test_quantile_at_one_is_the_right_endpoint():
 
 
 def test_product_of_uniforms():
-    assert product_cdf(Uniform(), Uniform()).cdf(0.5) == 0.25
+    assert Product(Uniform(), Uniform()).cdf(0.5) == 0.25
 
 
 def test_product_of_exponentials_spot_value():
-    d = product_cdf(Exponential(1.0), Exponential(1.0))
+    d = Product(Exponential(1.0), Exponential(1.0))
     assert d.cdf(1.0) == pytest.approx((1.0 - math.exp(-1.0)) ** 2, abs=1e-15)
 
 
 def test_product_reproduces_efgm_margin():
     # the closed-form margin factors exactly through the closed-form shock
     a = 1.0
-    prod = product_cdf(Uniform(), EfgmShock(a))
+    prod = Product(Uniform(), EfgmShock(a))
     margin = EfgmMargin(a)
     assert prod.cdf(0.5) == pytest.approx(0.5 * 2.0 / (2.0 + math.sqrt(2.0)), abs=1e-15)
     for x in np.linspace(-0.5, 1.5, 41):
@@ -140,7 +140,7 @@ def test_product_reproduces_efgm_margin():
 
 def test_product_is_same_floating_point_expression():
     d1, d2 = Exponential(1.0), Uniform(0.0, 2.0)
-    prod = product_cdf(d1, d2)
+    prod = Product(d1, d2)
     for x in np.linspace(-1.0, 3.0, 23):
         assert prod.cdf(x) == d1.cdf(x) * d2.cdf(x)
 
@@ -514,6 +514,33 @@ def test_tabulated_rejects_bad_tables():
                    ([0.0, np.inf], [0.5, 1.0])):
         with pytest.raises(TableFormatError, match="finite"):
             TabulatedCdf(xs, ps)
+    for xs, ps in (([], []), ([0.0, 1.0], [1.0]), ([[0.0, 1.0]], [[0.5, 1.0]])):
+        with pytest.raises(TableFormatError, match="matching, nonempty x and p columns"):
+            TabulatedCdf(xs, ps)
+    with pytest.raises(TableFormatError, match="unknown interpolation 'cubic'"):
+        TabulatedCdf([0.0, 1.0], [0.5, 1.0], "cubic")
+
+
+@pytest.mark.parametrize("law, args, message", [
+    (Uniform, (1.0, 1.0), "uniform needs a < b"),
+    (Uniform, (2.0, 1.0), "uniform needs a < b"),
+    (Uniform, (math.nan, 1.0), "uniform needs a < b"),
+    # an infinite end or width read NaN at the ends of the line and in the quantile
+    (Uniform, (0.0, math.inf), "finite b - a"),
+    (Uniform, (-math.inf, 0.0), "finite b - a"),
+    (Uniform, (-1e308, 1e308), "finite b - a"),
+    (Exponential, (0.0,), "rate must be positive"),
+    (Exponential, (-1.0,), "rate must be positive"),
+    (Exponential, (math.nan,), "rate must be positive"),
+    # a unit step at 0 that reported no jump and warned at x <= 0
+    (Exponential, (math.inf,), "positive and finite, got inf"),
+    (NegExponential, (math.inf,), "positive and finite, got inf"),
+    (EfgmMargin, (0.0,), "EFGM weight must lie in (0,1], got 0.0"),
+    (EfgmShock, (1.5,), "EFGM weight must lie in (0,1], got 1.5"),
+])
+def test_parametric_laws_reject_bad_parameters(law, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        law(*args)
 
 
 def test_csv_loader_round_trip(tmp_path):

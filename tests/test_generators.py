@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,34 @@ def test_tabulated_rejects_non_finite_knots_and_values():
     for us, values in (([0.0, np.nan, 1.0], [0.0, 0.4, 0.0]), ([0.0, 0.5, 1.0], [0.0, np.inf, 0.0])):
         with pytest.raises(TableFormatError, match="finite"):
             TabulatedGenerator(us, values, RMM)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: closed_form("power", RMM, alpha=0.0), ValueError,
+                 "parameter alpha must be positive, got 0.0", id="power-alpha-zero"),
+    pytest.param(lambda: closed_form("poly", RMM, c0=0.0, c2=1.0), ValueError,
+                 "poly parameters must be c0..c{n}, got ['c0', 'c2']", id="poly-gap"),
+    pytest.param(lambda: closed_form("poly", RMM), ValueError,
+                 "poly parameters must be c0..c{n}, got []", id="poly-empty"),
+    pytest.param(lambda: closed_form("nosuch", RMM), ValueError,
+                 "unknown generator family 'nosuch'", id="unknown-family"),
+    pytest.param(lambda: TabulatedGenerator([0.0, 1.0], [0.0], RMM), TableFormatError,
+                 "tabulated generator needs matching u/value knots", id="table-shapes"),
+    pytest.param(lambda: TabulatedGenerator([0.0, 0.5], [0.0, 0.0], RMM), TableFormatError,
+                 "tabulated generator knots must span [0,1]", id="table-span"),
+    pytest.param(lambda: TabulatedGenerator([0.0, 0.5, 0.5, 1.0], [0.0, 0.1, 0.1, 0.0], RMM),
+                 TableFormatError, "tabulated generator knots must be strictly increasing",
+                 id="table-order"),
+    pytest.param(lambda: derived_value(power(0.5), "star", 1.5), ValueError,
+                 "argument must lie in [0,1], got 1.5", id="derived-argument"),
+    pytest.param(lambda: validate(power(0.5), grid_size=2), ValueError,
+                 "grid_size must be at least 3", id="validate-grid"),
+    pytest.param(lambda: generator_from_shocks(Uniform(), Uniform(), resolution=7), ValueError,
+                 "resolution must be at least 8", id="shocks-resolution"),
+])
+def test_generator_arguments_are_rejected(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,18 @@ def test_sample_length_one():
 def test_sample_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         sample_model(marshall_model(U, U, U, U), 0, seed=3)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: sup_distance_at(efgm(0.5), efgm(0.5), grid=1),
+                 "grid must be at least 2", id="sup-distance-grid"),
+    pytest.param(lambda: write_pairs_csv(io.StringIO(), sample_model(marshall_model(U, U, U, U), 3,
+                                                                      seed=1), kind="sorted"),
+                 "kind must be 'raw' or 'ranks', got 'sorted'", id="csv-kind"),
+])
+def test_sampling_arguments_are_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_comonotonic_shocks_are_equal_in_every_pair():

@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,10 +24,14 @@ from shockcop.distributions import (
     EfgmMargin,
     EfgmShock,
     Exponential,
+    NegatedCdf,
     NegExponential,
+    PointwiseCdf,
     Product,
+    SurvivalProduct,
     TabulatedCdf,
     Uniform,
+    negated,
     point_mass,
 )
 from shockcop.errors import IllegalModelError, ReconstructionError
@@ -41,8 +47,10 @@ from shockcop.generators import (
 from shockcop.sampling import sample_model, sup_distance
 from shockcop.shock_models import (
     ChiMap,
+    ChiShiftedCdf,
     Combiner,
     Comonotonic,
+    ComposedCdf,
     Countermonotonic,
     MarshallShockCdf,
     RmmShockCdf,
@@ -90,6 +98,12 @@ def test_illegal_configuration_rejected():
         ShockModel(U, U, Comonotonic(U, U), Combiner.MIN_MIN)
     with pytest.raises(IllegalModelError):
         ShockModel(U, U, SharedShock(U), Combiner.MAX_MAX)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 0.5), (0.5, 0.0)])
+def test_exprmm_ab_model_rejects_exponents_outside_the_open_interval(alpha, beta):
+    with pytest.raises(ValueError, match=re.escape("model exponents must lie strictly inside (0,1)")):
+        exprmm_ab_model(alpha, beta)
 
 
 def test_max_model_margin_is_product():
@@ -501,9 +515,13 @@ def test_rmm_reconstruction_native_margins_recovers_exponentials():
 
 
 def reference_rmm_shock(d, x):
-    """The RMM shock CDF at one point: fu / hat_f(fu), or s / (1 + s) with s the
-    star value of g at 1 - fv where fu vanishes."""
-    fu, fv = d.margin_u.cdf(x), d.margin_v.cdf(x)
+    """The RMM shock CDF at one point."""
+    return rmm_shock_rule(d, d.margin_u.cdf(x), d.margin_v.cdf(x))
+
+
+def rmm_shock_rule(d, fu, fv):
+    """The RMM shock from its margins' values at one point: fu / hat_f(fu), or
+    s / (1 + s) with s the star value of g at 1 - fv where fu vanishes."""
     if fu == 0.0:
         s = derived_value(d.g, "star", 1.0 - fv)
         return 1.0 if s == math.inf else s / (1.0 + s)
@@ -511,8 +529,13 @@ def reference_rmm_shock(d, x):
 
 
 def reference_marshall_shock(d, x):
-    """The Marshall shock CDF at one point: fu / phi(fu), or fv / psi(fv) where fu vanishes."""
-    fu, fv = d.margin_u.cdf(x), d.margin_v.cdf(x)
+    """The Marshall shock CDF at one point."""
+    return marshall_shock_rule(d, d.margin_u.cdf(x), d.margin_v.cdf(x))
+
+
+def marshall_shock_rule(d, fu, fv):
+    """The Marshall shock from its margins' values at one point: fu / phi(fu), or
+    fv / psi(fv) where fu vanishes."""
     if fu == 0.0 and fv == 0.0:
         return 0.0
     name, num, gen = ("psi", fv, d.psi) if fu == 0.0 else ("phi", fu, d.phi)
@@ -577,6 +600,82 @@ def test_marshall_shock_cdf_raises_at_first_vanishing_point(side):
         f"generator-vanishes: {side} vanishes at a point with margin value 0.3"
     )
     assert err.value.witness is ref.value.witness is None
+
+
+# ---------------------------------------------------------------------------
+# composite laws: a law read from its parts at the same point
+# ---------------------------------------------------------------------------
+
+STEP_MARGIN = TabulatedCdf([0.0, 1.0, 2.0], [0.25, 0.5, 1.0], "step")
+COMPOSITE_KINDS = [Product, SurvivalProduct, ComposedCdf, RmmShockCdf, MarshallShockCdf]
+# (low, high) applied to the parts' support hints; every other composite takes the hull
+HINT_RULES = {Product: (max, max), SurvivalProduct: (min, min)}
+
+
+@functools.lru_cache(maxsize=1)
+def composite_laws():
+    """Every composite law, at any depth, of reconstructed Marshall, RMM and SMM
+    models on continuous and step margins, of their margins, and of products of
+    step tables and negated laws."""
+    cap = capped_gen()
+    linear = TabulatedCdf([0.0, 0.5, 2.0], [0.0, 0.25, 1.0], "linear")
+    stack = [
+        Product(STEP_MARGIN, negated(linear)),
+        SurvivalProduct(negated(STEP_MARGIN), Uniform(-1.0, 3.0)),
+        Product(SurvivalProduct(STEP_MARGIN, Exponential(0.5)), negated(Product(linear, STEP_MARGIN))),
+    ]
+    for c, fu, fv in [
+        (marshall(cap, cap), U, U),
+        (efgm(0.8), U, Exponential(2.0)),
+        (survival(efgm(0.6)), U, U),
+        (marshall(cap, cap), STEP_MARGIN, STEP_MARGIN),
+        (efgm(0.8), STEP_MARGIN, Uniform(0.0, 3.0)),
+        (survival(efgm(0.6)), STEP_MARGIN, Uniform(0.0, 3.0)),
+    ]:
+        m = reconstruct(c, fu, fv)
+        stack += [m.f_x, m.f_y, *vars(m.coupling).values(), *margins(m)]
+    found = []
+    while stack:
+        d = stack.pop()
+        if isinstance(d, PointwiseCdf):
+            found.append(d)
+            stack += d.parts
+        elif isinstance(d, (NegatedCdf, ChiShiftedCdf)):
+            stack.append(d.inner)
+    return found
+
+
+def composite_rule(d, fs):
+    """Each class's rule on its parts' values, written out point by point."""
+    points = zip(*(f.tolist() for f in fs))
+    if isinstance(d, Product):
+        return [f1 * f2 for f1, f2 in points]
+    if isinstance(d, SurvivalProduct):
+        return [max(f1, 1.0 - (1.0 - f1) * (1.0 - f2)) for f1, f2 in points]
+    if isinstance(d, ComposedCdf):
+        return [d.gen.value(f) for (f,) in points]
+    rule = rmm_shock_rule if isinstance(d, RmmShockCdf) else marshall_shock_rule
+    return [rule(d, fu, fv) for fu, fv in points]
+
+
+@pytest.mark.parametrize("kind", COMPOSITE_KINDS, ids=lambda k: k.__name__)
+def test_composite_laws_read_their_parts_at_the_same_point(kind):
+    laws = [d for d in composite_laws() if type(d) is kind]
+    # each kind is met on continuous parts and on parts with atoms
+    assert laws and any(d.jump_points() for d in laws) and not all(d.jump_points() for d in laws)
+    for d in laws:
+        jumps = sorted({j for p in d.parts for j in p.jump_points()})
+        assert d.jump_points() == tuple(jumps), d
+        low, high = HINT_RULES.get(kind, (min, max))
+        hints = [p.support_hint() for p in d.parts]
+        assert d.support_hint() == (low(h[0] for h in hints), high(h[1] for h in hints)), d
+        lo, hi = d.support_hint()
+        xs = np.concatenate((
+            np.linspace(lo - 1.0, hi + 1.0, 61), jumps, np.nextafter(jumps, -np.inf), [-np.inf, np.inf]
+        ))
+        for left in (False, True):
+            want = np.array(composite_rule(d, [p.cdf_array(xs, left) for p in d.parts]))
+            assert d.cdf_array(xs, left).tobytes() == want.tobytes(), (d, left)
 
 
 def test_rmm_reconstruction_requires_interior_point():
