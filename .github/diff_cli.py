@@ -5,9 +5,11 @@ Usage: python .github/diff_cli.py BASE_TREE HEAD_TREE
 
 The commands are every ``shockcop`` line of the README's Command line block, as
 ``tests/test_readme.py``'s ``readme_commands()`` reads it from HEAD_TREE, then
-``EXTRA_COMMANDS``, runs that no README line reaches: file-writing runs and two
-``roundtrip`` runs on composite margins (the survival-product one prints a six-digit sup
-distance that moves with its margin's support hint).  Each tree runs them in order with
+``EXTRA_COMMANDS``, runs that no README line reaches: eight file-writing runs (one
+writes a Marshall shock read through chi on a negated margin, so both kinds of mapped
+law are pinned byte for byte) and two ``roundtrip`` runs on composite margins (the
+survival-product one prints a six-digit sup distance that moves with its margin's
+support hint).  Each tree runs them in order with
 its own ``src`` on PYTHONPATH, in its own scratch directory, so a file one line writes
 is read by the next as in the README.
 The script exits 0 whatever differs: the list is information, not a gate.
@@ -32,6 +34,9 @@ EXTRA_COMMANDS = [
      "--fv", "exp:rate=2.0", "--out", "smm_exp.csv"],
     ["reconstruct", "marshall:phi=capped:slope=2.0,psi=capped:slope=2.0", *UNIFORM_MARGINS,
      "--out", "marshall.csv"],
+    # g1 is the Marshall shock read through chi, on a negated margin: both kinds of mapped law
+    ["reconstruct", "marshall:phi=capped:slope=2.0,psi=capped:slope=2.0",
+     "--fu", "negated(uniform:a=-1.0,b=0.0)", "--fv", "uniform", "--out", "marshall_negated.csv"],
     ["reconstruct", "efgm:a=0.7", "--fu", "product(uniform;uniform)",
      "--fv", "negated(uniform:a=-1.0,b=0.0)", "--out", "composite.csv"],
     ["reconstruct", "survival(efgm:a=0.6)", "--fu", "survival-product(uniform;uniform:a=0.2,b=1.2)",

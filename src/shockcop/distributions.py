@@ -13,25 +13,28 @@ near each ladder level u (``_place_array``).
 
 Each law is written once, on arrays.  A family defines one CDF method,
 ``cdf_array(xs, left=False)``, which returns F(x-) when ``left`` is set: a law
-without atoms ignores the flag, a negation flips it, and a law made of parts (a
-``PointwiseCdf``) passes it to them and defines only ``_values``, how their values
-at a point combine.  A family overrides ``sf_array``, the upper tail 1 - F,
-only where a closed form keeps the bits that the subtraction loses, which a
-negation then reads, and ``_quantile_array`` only when a closed-form inverse
-exists (the default is the generic inverse below).  The base class derives the
-rest: ``cdf_left_array`` is ``cdf_array(xs, True)``, and the scalar ``cdf``,
-``cdf_left`` and ``quantile`` evaluate the array path at one point, so scalar
-and array values agree to the bit, at the IEEE infinities too: every law reads
-0 at -inf and 1 at +inf, and ``quantile`` returns -inf at level 0 and +inf at
-a level never reached; ``quantile_array`` refuses levels that are not strictly
-inside (0,1), NaN included, and infinite results.
+without atoms ignores the flag, a law made of parts (a ``PointwiseCdf``) passes it
+to them and defines only ``_values``, how their values at a point combine, and the
+law of t(A) (a ``MappedCdf``: a negation or a law read through ``chi``) carries A's
+jump points and hint by t; a negation, being decreasing, flips ``left``.  A family
+overrides ``sf_array``, the upper tail 1 - F, only where a closed form keeps the
+bits that the subtraction loses, which a negation then reads, and
+``_quantile_array`` only when a closed-form inverse exists (the default is the
+generic inverse below).  The base class derives the rest: ``cdf_left_array`` is
+``cdf_array(xs, True)``, and the scalar ``cdf``, ``cdf_left`` and ``quantile``
+evaluate the array path at one point, so scalar and array values agree to the bit,
+at the IEEE infinities too: every law reads 0 at -inf and 1 at +inf, and
+``quantile`` returns -inf at level 0 and +inf at a level never reached;
+``quantile_array`` refuses levels that are not strictly inside (0,1), NaN
+included, and infinite results.
 
 The generic inverse evaluates F once per call on one shared table: the jump
-points, 2**14 + 1 even points on ``support_hint`` and, for levels the hint
-does not bracket, probes at doubling distances beyond it.  One
-``searchsorted`` on the table's running maximum gives every level a bracket
-F(lo) < u <= F(hi).  A level with F(J-) < u <= F(J) at a jump J inverts to J
-exactly; a level that no probe reaches below or above inverts to -inf or +inf.
+points, 2**14 + 1 even points on ``support_hint`` and, for levels the hint does
+not bracket, probes at doubling distances beyond it, read in one call up to the
+first that brackets them.  One ``searchsorted`` on the table's running maximum
+gives every level a bracket F(lo) < u <= F(hi).  A level with F(J-) < u <= F(J)
+at a jump J inverts to J exactly; a level that no probe reaches below or above
+inverts to -inf or +inf.
 The other brackets shrink, in blocks of levels, by a few Illinois (secant)
 steps and then by bisection, until hi - lo <= 1e-14 + 1e-14 * max(|lo|, |hi|)
 or no float lies between them.  The result is hi, so F(quantile(u)) >= u
@@ -41,9 +44,9 @@ and F sees nearly ascending points, and is scattered back once.  A level's
 result is recorded the step its bracket closes; closed levels stay in the
 working arrays, ignored, until half of them have closed, and only then are the
 arrays compacted.  Every step is elementwise, so a level's result does not
-depend on the other levels or their order.  Knot placement
-(``_place_array``) only reads the table: it interpolates x linearly between the
-points where the running maximum rises, with no probe of F beyond the table.
+depend on the other levels or their order.  Knot placement (``_place_array``)
+only reads the table: it interpolates x linearly between the points where the
+running maximum rises, with no probe of F beyond the table.
 """
 
 from __future__ import annotations
@@ -210,18 +213,16 @@ class DistributionFunction(ABC):
         return xs[order], fs, f_left[order], np.maximum.accumulate(fs)
 
     def _expand(self, x: float, span: float, f: float, short) -> tuple[np.ndarray, np.ndarray]:
-        """Probes x + span, then steps of twice the last, while ``short(F)``;
-        at most ``_QUANTILE_MAX_EXPAND`` points are probed counting x itself."""
-        xs, fs = [], []
-        for _ in range(_QUANTILE_MAX_EXPAND - 1):
-            if not short(f):
-                break
-            x += span
-            span *= 2.0
-            f = _at(self.cdf_array, x)
-            xs.append(x)
-            fs.append(f)
-        return np.array(xs), np.array(fs)
+        """Probes x + span, then steps of twice the last, while ``short(F)``; at most
+        ``_QUANTILE_MAX_EXPAND`` points are probed counting x itself, in one call."""
+        if not short(f):
+            return np.array([]), np.array([])
+        with np.errstate(over="ignore"):  # far probes may reach +-inf
+            # the running sum adds the steps in turn, as x += span would
+            xs = np.cumsum(np.concatenate(([x], span * 2.0 ** np.arange(_QUANTILE_MAX_EXPAND - 1))))[1:]
+        fs = self.cdf_array(xs)
+        n = np.argmin(np.append(short(fs), False)) + 1  # up to the first probe not short
+        return xs[:n], fs[:n]
 
     def _quantile_block(self, us, xs, fs, f_left, reach) -> np.ndarray:
         """The quantiles of some levels from the table: exact at a jump, ±inf past
@@ -320,6 +321,8 @@ class Exponential(DistributionFunction):
     def __post_init__(self):
         if not 0.0 < self.rate < math.inf:
             raise ValueError(f"exponential rate must be positive and finite, got {self.rate}")
+        if 40.0 / self.rate == math.inf:  # the support hint's upper end
+            raise ValueError(f"exponential rate is too small: 40 / rate overflows, got {self.rate}")
 
     def cdf_array(self, xs, left=False):
         xs = np.asarray(xs, dtype=float)
@@ -568,24 +571,40 @@ class SurvivalProduct(PointwiseCdf):
         return f"survival-product({d1.describe()};{d2.describe()})"
 
 
-class NegatedCdf(DistributionFunction):
-    """Law of -A when A has the wrapped CDF: F(x) = 1 - F_A((-x)-), A's ``sf_array``."""
+class MappedCdf(DistributionFunction):
+    """Law of t(A) for A of law ``inner``, t = ``forward`` and t^-1 = ``inverse`` on float
+    arrays: A's jump points and support hint carried by t and sorted, and F_A(t^-1(x))
+    for an increasing t.  A decreasing t reads A's upper tail, as ``NegatedCdf`` does."""
+
+    def __init__(self, inner: DistributionFunction, forward, inverse, label: str):
+        self.inner = inner
+        self.forward = forward
+        self.inverse = inverse
+        self.label = label
+
+    def cdf_array(self, xs, left=False):
+        return self.inner.cdf_array(self.inverse(np.asarray(xs, dtype=float)), left)
+
+    def jump_points(self):
+        jumps = np.asarray(self.inner.jump_points(), dtype=float)
+        return tuple(np.sort(self.forward(jumps)).tolist())
+
+    def support_hint(self):
+        lo, hi = np.sort(self.forward(np.array(self.inner.support_hint(), dtype=float)))
+        return float(lo), float(hi)
+
+    def describe(self) -> str:
+        return f"{self.label}({self.inner.describe()})"
+
+
+class NegatedCdf(MappedCdf):
+    """Law of -A: the map is decreasing, so F(x) = 1 - F_A((-x)-), A's ``sf_array``."""
 
     def __init__(self, inner: DistributionFunction):
-        self.inner = inner
+        super().__init__(inner, np.negative, np.negative, "negated")
 
     def cdf_array(self, xs, left=False):
         return self.inner.sf_array(-np.asarray(xs, dtype=float), not left)
-
-    def jump_points(self):
-        return tuple(sorted(-j for j in self.inner.jump_points()))
-
-    def support_hint(self):
-        lo, hi = self.inner.support_hint()
-        return (-hi, -lo)
-
-    def describe(self) -> str:
-        return f"negated({self.inner.describe()})"
 
 
 class NegExponential(NegatedCdf):

@@ -44,6 +44,7 @@ from . import copulas as cop
 from .distributions import (
     DistributionFunction,
     Exponential,
+    MappedCdf,
     NegExponential,
     PointwiseCdf,
     Product,
@@ -262,11 +263,7 @@ class ChiMap:
     inverse: Callable[[np.ndarray], np.ndarray]
 
 
-def _identity(xs: np.ndarray) -> np.ndarray:
-    return xs
-
-
-IDENTITY_CHI = ChiMap(_identity, _identity)
+IDENTITY_CHI = ChiMap(np.asarray, np.asarray)  # returns a float array itself
 
 
 class ComposedCdf(PointwiseCdf):
@@ -354,30 +351,6 @@ class MarshallShockCdf(PointwiseCdf):
 
     def describe(self) -> str:
         return "marshall-shock"
-
-
-class ChiShiftedCdf(DistributionFunction):
-    """inner.cdf(chi.inverse(x)): a law read on the other margin's axis.  With ``chi``
-    it carries a law from V's axis to U's; with the swapped map (forward and inverse
-    exchanged) it carries one from U's axis to V's."""
-
-    def __init__(self, inner: DistributionFunction, chi: ChiMap):
-        self.inner = inner
-        self.chi = chi
-
-    def cdf_array(self, xs, left=False):
-        return self.inner.cdf_array(self.chi.inverse(np.asarray(xs, dtype=float)), left)
-
-    def jump_points(self):
-        jumps = np.asarray(self.inner.jump_points(), dtype=float)
-        return tuple(np.sort(self.chi.forward(jumps)).tolist())
-
-    def support_hint(self):
-        lo, hi = np.sort(self.chi.forward(np.array(self.inner.support_hint(), dtype=float)))
-        return float(lo), float(hi)
-
-    def describe(self) -> str:
-        return f"chi-shifted({self.inner.describe()})"
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +477,7 @@ def _marshall_shocks(c, margin_u, margin_v, xs, chi, tol) -> ShockModel:
     phi, psi = c.phi, c.psi
 
     # alignment of the star ratios wherever both margins, read on V's axis, are positive
-    u_on_v = ChiShiftedCdf(margin_u, ChiMap(chi.inverse, chi.forward))
+    u_on_v = MappedCdf(margin_u, chi.inverse, chi.forward, "chi-shifted")
     fu, fv = u_on_v.cdf_array(xs), margin_v.cdf_array(xs)
     both = (fu > 0.0) & (fv > 0.0)
     fu, fv, at = fu[both], fv[both], xs[both]
@@ -524,9 +497,8 @@ def _marshall_shocks(c, margin_u, margin_v, xs, chi, tol) -> ShockModel:
     _check_star_divergence("margin-v", psi, margin_v, xs)
 
     g2 = MarshallShockCdf(phi, psi, u_on_v, margin_v)
-    return marshall_model(
-        ComposedCdf(phi, margin_u), ComposedCdf(psi, margin_v), ChiShiftedCdf(g2, chi), g2
-    )
+    g1 = MappedCdf(g2, chi.forward, chi.inverse, "chi-shifted")  # g2 read on U's axis
+    return marshall_model(ComposedCdf(phi, margin_u), ComposedCdf(psi, margin_v), g1, g2)
 
 
 def _check_left_endpoint(label, gen, margin):

@@ -334,10 +334,12 @@ def test_unknown_descriptor_name_exits_2_with_one_error_line(capsys, copula):
 
 @pytest.mark.parametrize("margin, message", [
     ("exp:rate=inf", "exponential rate must be positive and finite, got inf"),
+    ("exp:rate=1e-320", "exponential rate is too small: 40 / rate overflows, got 1e-320"),
     ("uniform:a=0,b=inf", "uniform needs a < b and a finite b - a, got a=0.0, b=inf"),
 ])
 def test_non_finite_margin_parameter_exits_2(capsys, margin, message):
-    # an infinite rate used to reach the reconstruction and fail it with exit 1
+    # an infinite rate used to reach the reconstruction and fail it with exit 1, and a
+    # rate whose support hint overflows the inversion of its margin
     code, out, err = run(capsys, "roundtrip", "efgm:a=0.5", "--fu", margin, "--fv", "uniform")
     assert code == 2
     assert err == f"error: bad distribution descriptor {margin!r}: {message}\n"
@@ -355,23 +357,62 @@ def test_missing_input_file_prints_no_traceback(tmp_path):
     assert "Traceback" not in proc.stderr and missing in proc.stderr
 
 
-def test_closed_pipe_exits_1_without_traceback():
+def close_after_first_line(*argv):
+    """Run the CLI in a child whose reader closes stdout after the first line; return
+    that line, the exit code and stderr."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "shockcop.cli", "grid", "indep", "--n", "300"],
+        [sys.executable, "-m", "shockcop.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     try:
         first = proc.stdout.readline()
-        proc.stdout.close()  # the reader goes away with ~3.6 MB of rows still to come
+        proc.stdout.close()  # the reader goes away with rows still to come
         err = proc.stderr.read().decode()
         code = proc.wait(timeout=60)
     finally:
         proc.kill()
         proc.stderr.close()
+    return first, code, err
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # about 3.6 MB of rows are still to come when the reader goes away
+    first, code, err = close_after_first_line("grid", "indep", "--n", "300")
     assert first.startswith(b"# shockcop=")
     assert code == 1
     assert "Traceback" not in err
+
+
+def test_closed_pipe_on_a_large_grid_writes_nothing_to_stderr():
+    # the exit flush goes to devnull, so not even an "Exception ignored" line is left
+    first, code, err = close_after_first_line("grid", "indep", "--n", "2000")
+    assert first.startswith(b"# shockcop=")
+    assert code == 1
+    assert err == ""
+
+
+REPORT_RUNS = {
+    "check": ["check", "efgm:a=0.95", "--rectangles", "500"],
+    "reconstruct": ["reconstruct", "efgm:a=0.5", "--fu", "uniform", "--fv", "uniform"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_RUNS))
+def test_report_out_holds_the_csv_rows(tmp_path, capsys, command):
+    path = tmp_path / "report.csv"
+    code, text, _ = run(capsys, *REPORT_RUNS[command], "--report-out", str(path))
+    assert code == 0 and not text.startswith("check_id,")  # the text report goes to stdout
+    code, rows, _ = run(capsys, *REPORT_RUNS[command], "--format", "csv")
+    assert code == 0 and rows.startswith("check_id,status,magnitude,u,v\n")
+    assert path.read_bytes() == rows.encode()  # the rows and one final newline
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_RUNS))
+def test_unwritable_report_out_exits_1_with_one_error_line(capsys, command):
+    code, _, err = run(capsys, *REPORT_RUNS[command], "--report-out", "/nonexistent/dir/report.csv")
+    assert code == 1
+    assert err.startswith("error: cannot write /nonexistent/dir/report.csv") and err.count("\n") == 1
 
 
 def test_check_with_no_rectangles_exits_2(capsys):

@@ -535,6 +535,11 @@ def test_tabulated_rejects_bad_tables():
     # a unit step at 0 that reported no jump and warned at x <= 0
     (Exponential, (math.inf,), "positive and finite, got inf"),
     (NegExponential, (math.inf,), "positive and finite, got inf"),
+    # a support hint 40 / rate of inf gave the generic inverse a NaN grid
+    (Exponential, (1e-307,), "too small: 40 / rate overflows, got 1e-307"),
+    (Exponential, (1e-320,), "too small: 40 / rate overflows, got 1e-320"),
+    (NegExponential, (1e-307,), "too small: 40 / rate overflows, got 1e-307"),
+    (NegExponential, (1e-320,), "too small: 40 / rate overflows, got 1e-320"),
     (EfgmMargin, (0.0,), "EFGM weight must lie in (0,1], got 0.0"),
     (EfgmShock, (1.5,), "EFGM weight must lie in (0,1], got 1.5"),
 ])

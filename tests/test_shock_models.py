@@ -24,6 +24,7 @@ from shockcop.distributions import (
     EfgmMargin,
     EfgmShock,
     Exponential,
+    MappedCdf,
     NegatedCdf,
     NegExponential,
     PointwiseCdf,
@@ -47,7 +48,6 @@ from shockcop.generators import (
 from shockcop.sampling import sample_model, sup_distance
 from shockcop.shock_models import (
     ChiMap,
-    ChiShiftedCdf,
     Combiner,
     Comonotonic,
     ComposedCdf,
@@ -422,6 +422,9 @@ def test_marshall_alignment_witness_is_first_violating_grid_point():
     )
 
 
+AFFINE_CHI = ChiMap(lambda x: 2.0 * x + 1.0, lambda y: (y - 1.0) / 2.0)
+
+
 def test_marshall_reconstruction_through_an_array_chi():
     # U on [1, 3] and V on [0, 1] align only through chi(x) = 2x + 1
     c = marshall(capped_gen(), capped_gen())
@@ -429,8 +432,7 @@ def test_marshall_reconstruction_through_an_array_chi():
     model, report = audited_reconstruction(c, margin_u, U)
     assert model is None
     assert [r.check_id for r in report.results] == ["hypothesis:alignment"]
-    chi = ChiMap(lambda x: 2.0 * x + 1.0, lambda y: (y - 1.0) / 2.0)
-    model, report = audited_reconstruction(c, margin_u, U, chi=chi)
+    model, report = audited_reconstruction(c, margin_u, U, chi=AFFINE_CHI)
     assert report.passed and len(report.results) == 8
     # flat steps of the nondecreasing checks are +0.0, in the text and the CSV alike
     assert not any(np.signbit(r.magnitude) for r in report.results)
@@ -570,14 +572,17 @@ def test_marshall_shock_cdf_equals_scalar_reference():
     np.testing.assert_array_equal(d.cdf_array(SHOCK_XS), ref)
 
 
+CHI_STEP_MARGINS = (
+    TabulatedCdf([1.5, 2.0, 3.0], [0.3, 0.6, 1.0], "step"),
+    TabulatedCdf([0.25, 0.5, 1.0], [0.3, 0.6, 1.0], "step"),
+)
+
+
 def test_marshall_shock_jump_points_are_in_each_shocks_own_coordinates():
     # U's steps sit at chi(x) = 2x + 1 of V's: g2 lives on V's axis, g1 on U's
-    p = [0.3, 0.6, 1.0]
-    margin_u = TabulatedCdf([1.5, 2.0, 3.0], p, "step")
-    margin_v = TabulatedCdf([0.25, 0.5, 1.0], p, "step")
-    chi = ChiMap(lambda x: 2.0 * x + 1.0, lambda y: (y - 1.0) / 2.0)
+    margin_u, margin_v = CHI_STEP_MARGINS
     c = marshall(capped_gen(), capped_gen())
-    model, report = audited_reconstruction(c, margin_u, margin_v, chi=chi)
+    model, report = audited_reconstruction(c, margin_u, margin_v, chi=AFFINE_CHI)
     assert report.passed and len(report.results) == 8
     assert model.coupling.g2.jump_points() == (0.25, 0.5, 1.0)
     assert model.coupling.g1.jump_points() == (1.5, 2.0, 3.0)
@@ -613,10 +618,10 @@ HINT_RULES = {Product: (max, max), SurvivalProduct: (min, min)}
 
 
 @functools.lru_cache(maxsize=1)
-def composite_laws():
-    """Every composite law, at any depth, of reconstructed Marshall, RMM and SMM
-    models on continuous and step margins, of their margins, and of products of
-    step tables and negated laws."""
+def laws_at_any_depth():
+    """Every law, at any depth, of reconstructed Marshall (also through the affine
+    chi), RMM and SMM models on continuous and step margins, of their margins, and
+    of products of step tables and negated laws."""
     cap = capped_gen()
     linear = TabulatedCdf([0.0, 0.5, 2.0], [0.0, 0.25, 1.0], "linear")
     stack = [
@@ -624,25 +629,40 @@ def composite_laws():
         SurvivalProduct(negated(STEP_MARGIN), Uniform(-1.0, 3.0)),
         Product(SurvivalProduct(STEP_MARGIN, Exponential(0.5)), negated(Product(linear, STEP_MARGIN))),
     ]
-    for c, fu, fv in [
-        (marshall(cap, cap), U, U),
-        (efgm(0.8), U, Exponential(2.0)),
-        (survival(efgm(0.6)), U, U),
-        (marshall(cap, cap), STEP_MARGIN, STEP_MARGIN),
-        (efgm(0.8), STEP_MARGIN, Uniform(0.0, 3.0)),
-        (survival(efgm(0.6)), STEP_MARGIN, Uniform(0.0, 3.0)),
+    for c, fu, fv, chi in [
+        (marshall(cap, cap), U, U, None),
+        (efgm(0.8), U, Exponential(2.0), None),
+        (survival(efgm(0.6)), U, U, None),
+        (marshall(cap, cap), STEP_MARGIN, STEP_MARGIN, None),
+        (efgm(0.8), STEP_MARGIN, Uniform(0.0, 3.0), None),
+        (survival(efgm(0.6)), STEP_MARGIN, Uniform(0.0, 3.0), None),
+        (marshall(cap, cap), Uniform(1.0, 3.0), U, AFFINE_CHI),
+        (marshall(cap, cap), *CHI_STEP_MARGINS, AFFINE_CHI),
     ]:
-        m = reconstruct(c, fu, fv)
+        m = reconstruct(c, fu, fv, chi=chi)
         stack += [m.f_x, m.f_y, *vars(m.coupling).values(), *margins(m)]
     found = []
     while stack:
         d = stack.pop()
+        found.append(d)
         if isinstance(d, PointwiseCdf):
-            found.append(d)
             stack += d.parts
-        elif isinstance(d, (NegatedCdf, ChiShiftedCdf)):
+        elif isinstance(d, MappedCdf):
             stack.append(d.inner)
     return found
+
+
+def composite_laws():
+    return [d for d in laws_at_any_depth() if isinstance(d, PointwiseCdf)]
+
+
+def probe_points(d):
+    """Points across a law's support hint, at and just below its jumps, and at +-inf."""
+    jumps = list(d.jump_points())
+    lo, hi = d.support_hint()
+    return np.concatenate((
+        np.linspace(lo - 1.0, hi + 1.0, 61), jumps, np.nextafter(jumps, -np.inf), [-np.inf, np.inf]
+    ))
 
 
 def composite_rule(d, fs):
@@ -669,12 +689,37 @@ def test_composite_laws_read_their_parts_at_the_same_point(kind):
         low, high = HINT_RULES.get(kind, (min, max))
         hints = [p.support_hint() for p in d.parts]
         assert d.support_hint() == (low(h[0] for h in hints), high(h[1] for h in hints)), d
-        lo, hi = d.support_hint()
-        xs = np.concatenate((
-            np.linspace(lo - 1.0, hi + 1.0, 61), jumps, np.nextafter(jumps, -np.inf), [-np.inf, np.inf]
-        ))
+        xs = probe_points(d)
         for left in (False, True):
             want = np.array(composite_rule(d, [p.cdf_array(xs, left) for p in d.parts]))
+            assert d.cdf_array(xs, left).tobytes() == want.tobytes(), (d, left)
+
+
+def mapped_at(d, x: float) -> float:
+    """A mapped law's map at one point: -x for a negation, else its own forward map."""
+    return -x if isinstance(d, NegatedCdf) else float(d.forward(np.array([x]))[0])
+
+
+def mapped_rule(d, x: float, left: bool) -> float:
+    """A mapped law's F(x), or F(x-) with ``left``, read from its law at one point:
+    a negation reads the upper tail at -x, an increasing map the CDF at t^-1(x)."""
+    if isinstance(d, NegatedCdf):
+        return float(d.inner.sf_array(np.array([-x]), not left)[0])
+    return float(d.inner.cdf_array(d.inverse(np.array([x])), left)[0])
+
+
+@pytest.mark.parametrize("kind", [NegatedCdf, MappedCdf], ids=lambda k: k.__name__)
+def test_mapped_laws_carry_their_law_through_the_map(kind):
+    laws = [d for d in laws_at_any_depth() if type(d) is kind]
+    # each kind is met on a law with atoms and on one without
+    assert laws and any(d.jump_points() for d in laws) and not all(d.jump_points() for d in laws)
+    for d in laws:
+        jumps = sorted(mapped_at(d, j) for j in d.inner.jump_points())
+        assert d.jump_points() == tuple(jumps), d
+        assert d.support_hint() == tuple(sorted(mapped_at(d, h) for h in d.inner.support_hint())), d
+        xs = probe_points(d)
+        for left in (False, True):
+            want = np.array([mapped_rule(d, x, left) for x in xs.tolist()])
             assert d.cdf_array(xs, left).tobytes() == want.tobytes(), (d, left)
 
 
