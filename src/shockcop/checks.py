@@ -83,6 +83,10 @@ def check_model_theorem(
     empirical copula of an n-sample stays within ``eps`` of the induced
     copula in sup distance.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if grid < 2:
+        raise ValueError("grid must be at least 2")
     if eps is None:
         eps = monte_carlo_eps(n)
     induced = sm.induced_copula(m, resolution=resolution)

@@ -15,17 +15,16 @@ more than the output and one coordinate's uniforms and quantiles are alive at
 a time: with exponential shocks about 33 bytes per pair at the peak, 16 of
 them the output itself.  The empirical copula keeps u sorted, v sorted, v in
 u order and the u order in int32 below 2**31 pairs: 28 bytes per pair, which
-is also its peak while it is built.  A lattice with few u levels is counted
-one sorted u segment of v at a time (under 1 byte per pair for a 21 x 21
-lattice at n = 200k); any other query set first keeps the v order in int32
-(4 bytes per pair) and then holds an 8-byte cell per pair for each block.
+is also its peak while it is built.  An evaluation adds no state and holds one
+sorted u segment of v at a time beside its own query arrays: under 1 byte per
+pair for a 21 x 21 lattice at n = 200k, and about 10 for 20,000 queries, most
+of it the queries' own level tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -132,15 +131,6 @@ def _bounds(xs: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return np.where((start + end + 1) / (2.0 * n) <= q, end, start)
 
 
-def _runs(bounds: np.ndarray, n: int) -> np.ndarray:
-    """The lengths of the n positions' runs between consecutive count boundaries;
-    ``np.diff`` with prepend and append costs about ten times as much on a block's
-    few hundred levels, and the blocked path makes two calls per block."""
-    edges = np.empty(bounds.size + 2, dtype=bounds.dtype)
-    edges[0], edges[1:-1], edges[-1] = 0, bounds, n
-    return edges[1:] - edges[:-1]
-
-
 class EmpiricalCopula(Copula):
     """Rank-based copula estimate of a paired sample.
 
@@ -149,25 +139,19 @@ class EmpiricalCopula(Copula):
     argsorts the u column once, sorts the v column once and keeps v in u
     order.  A query level admits whole tie groups, so on a sorted column it
     is a count boundary that two searches find.  An evaluation takes the U
-    distinct u levels and V distinct v levels of its m queries and counts
-    with one of two kernels, which give the same integers:
-
-    - segment, when (U + 1)^2 <= n and the U x V table fits in n + m cells
-      (every lattice up to 446 a side at n = 200k): the u boundaries cut v
-      in u order into U segments, each segment is sorted and searched for
-      the V thresholds, and the rows are summed.  O(n log(n/U) + U V
-      log(n/U)) with one Python step per segment.
-    - cell, for every other query set (scattered points, many u levels): a
-      bincount of each pair's (u bucket, v bucket) cell and a 2-D cumulative
-      sum, O(n + U V) for each block of about sqrt(n + m) queries.  The pairs
-      are counted in v order, which the first such evaluation finds with one
-      argsort of v in u order and keeps.
+    distinct u levels and V distinct v levels of its queries and counts them
+    by u segment: the u boundaries cut v in u order into U segments, each
+    segment is sorted and searched for the V thresholds, and the rows are
+    summed.  That is O(n log(n/U) + U V log(n/U)) with one Python step per
+    distinct u level.  The U x V table may hold no more cells than n + m for
+    m queries, so a lattice that fits is counted at once and any other query
+    set in blocks of about sqrt(n + m) queries, each block a full pass.
 
     At n = 200k on a 2-core VM construction takes about 7 ms, a 21 x 21
-    lattice 2 ms and a 101 x 101 lattice 3.5 ms by segment; the v order
-    takes about 5 ms once and each block by cell about 3 ms.  Values equal
-    ``np.mean((ru <= u) & (rv <= v))`` bit for bit; a NaN coordinate gives
-    NaN.
+    lattice 2 ms and a 101 x 101 lattice 3.5 ms; 20,000 scattered points take
+    about 0.3 s, as each of their 43 blocks sorts every segment of v.  Values
+    equal ``np.mean((ru <= u) & (rv <= v))`` bit for bit; a NaN coordinate
+    gives NaN.
     """
 
     def __init__(self, pairs: np.ndarray):
@@ -198,30 +182,23 @@ class EmpiricalCopula(Copula):
         out[self._order] = average_ranks(by_u) / self.n
         return out
 
-    @cached_property
-    def _v_order(self) -> np.ndarray:
-        """The pairs in v order, as positions in u order: one argsort, on first need."""
-        return np.argsort(self._v_by_u).astype(_index_dtype(self.n))
-
     def _eval(self, u, v):
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         us, vs = u.ravel(), v.ravel()
         m = us.size
         uq, ui = np.unique(us, return_inverse=True)
         vq, vi = np.unique(vs, return_inverse=True)
-        # the count table may hold no more cells than the inputs (n + m):
-        # a lattice fits at once, scattered queries go in blocks of b with (b+1)^2 <= n + m
-        if (uq.size + 1) * (vq.size + 1) <= self.n + m:
-            few = (uq.size + 1) ** 2 <= self.n
-            counts = (self._segment_table if few else self._cell_table)(uq, vq)[ui, vi]
-        else:
-            block = max(math.isqrt(self.n + m) - 1, 1)
-            counts = np.empty(m, dtype=np.int64)
-            for start in range(0, m, block):
-                part = slice(start, start + block)
+        # the count table may hold no more cells than the inputs (n + m): a lattice that
+        # fits is one block, other query sets go in blocks of b with (b+1)^2 <= n + m
+        fits = (uq.size + 1) * (vq.size + 1) <= self.n + m
+        block = max(m if fits else math.isqrt(self.n + m) - 1, 1)
+        counts = np.empty(m, dtype=np.intp)
+        for start in range(0, m, block):
+            part = slice(start, start + block)
+            if not fits:
                 uq, ui = np.unique(us[part], return_inverse=True)
                 vq, vi = np.unique(vs[part], return_inverse=True)
-                counts[part] = self._cell_table(uq, vq)[ui, vi]
+            counts[part] = self._segment_table(uq, vq)[ui, vi]
         out = counts / self.n
         out[np.isnan(us) | np.isnan(vs)] = np.nan
         return out.reshape(u.shape)
@@ -241,23 +218,6 @@ class EmpiricalCopula(Copula):
                 below += np.searchsorted(np.sort(self._v_by_u[start:stop]), thresholds, "right")
                 start = stop
             row[first:] = below
-        return table
-
-    def _cell_table(self, uq, vq) -> np.ndarray:
-        """:meth:`_segment_table`'s counts (and a last row and column for the pairs above
-        every level) from a bincount of each pair's (u bucket, v bucket) cell."""
-        n = self.n
-        shape = (uq.size + 1, vq.size + 1)
-        # a pair's u bucket counts the u boundaries at or below its position in u order,
-        # its v bucket those at or below its position in v order; the cells are counted
-        # in v order
-        rows = np.arange(0, shape[0] * shape[1], shape[1])
-        cell = rows.repeat(_runs(_bounds(self._u, uq), n))[self._v_order]
-        buckets = np.arange(shape[1], dtype=_index_dtype(shape[1]))
-        cell += buckets.repeat(_runs(_bounds(self._v, vq), n))
-        table = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
-        table.cumsum(axis=0, out=table)
-        table.cumsum(axis=1, out=table)
         return table
 
     def describe(self) -> str:

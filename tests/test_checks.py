@@ -92,6 +92,22 @@ def test_axiom_report_renders_text_and_csv():
     assert len(rows) == 1 + len(report.results)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n": 0}, "n must be at least 1"),
+    ({"n": -1}, "n must be at least 1"),
+    ({"grid": 0}, "grid must be at least 2"),
+    ({"grid": 1}, "grid must be at least 2"),
+], ids=["n0", "n-1", "grid0", "grid1"])
+def test_model_theorem_arguments_are_rejected_before_any_work(kwargs, message, monkeypatch):
+    def no_work(*args, **kw):
+        raise AssertionError("the induced copula was built before the arguments were checked")
+
+    monkeypatch.setattr(sm, "induced_copula", no_work)
+    m = rmm_model(Exponential(1.0), Exponential(1.0), Exponential(1.0), Exponential(1.0))
+    with pytest.raises(ValueError, match=message):
+        check_model_theorem(m, **kwargs)
+
+
 def test_axiom_reports_deterministic_given_seed():
     a = check_copula_axioms(efgm(0.5), seed=12)
     b = check_copula_axioms(efgm(0.5), seed=12)
