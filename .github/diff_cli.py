@@ -5,13 +5,14 @@ Usage: python .github/diff_cli.py BASE_TREE HEAD_TREE
 
 The commands are every ``shockcop`` line of the README's Command line block, as
 ``tests/test_readme.py``'s ``readme_commands()`` reads it from HEAD_TREE, then
-``EXTRA_COMMANDS``, runs that no README line reaches: eight file-writing runs (one
+``EXTRA_COMMANDS``, runs that no README line reaches: nine file-writing runs (one
 writes a Marshall shock read through chi on a negated margin, so both kinds of mapped
-law are pinned byte for byte) and two ``roundtrip`` runs on composite margins (the
-survival-product one prints a six-digit sup distance that moves with its margin's
-support hint).  Each tree runs them in order with
-its own ``src`` on PYTHONPATH, in its own scratch directory, so a file one line writes
-is read by the next as in the README.
+law are pinned byte for byte, and two sample one exponential RMM model, spelled with
+``neg-exp`` and with ``negated(exp:...)``, into files that hold the same bytes) and two
+``roundtrip`` runs on composite margins (the survival-product one prints a six-digit
+sup distance that moves with its margin's support hint).  Each tree runs them in order
+with its own ``src`` on PYTHONPATH, in its own scratch directory, so a file one line
+writes is read by the next as in the README.
 The script exits 0 whatever differs: the list is information, not a gate.
 """
 
@@ -30,6 +31,8 @@ EXTRA_COMMANDS = [
     ["reconstruct", "survival(efgm:a=0.7)", *UNIFORM_MARGINS, "--out", "survival.csv"],
     ["sample", "rmm-max:fx=neg-exp:rate=0.7,fy=neg-exp:rate=1.3,g1=neg-exp:rate=1.1,"
      "g2=neg-exp:rate=0.9", "-n", "2000", "--seed", "1", "--out", "negexp.csv"],
+    ["sample", "rmm-max:fx=negated(exp:rate=0.7),fy=negated(exp:rate=1.3),g1=negated(exp:rate=1.1),"
+     "g2=negated(exp:rate=0.9)", "-n", "2000", "--seed", "1", "--out", "negexp_spelled.csv"],
     ["reconstruct", "survival(exprmm-ab:alpha=0.5,beta=0.5)", "--fu", "exp:rate=1.0",
      "--fv", "exp:rate=2.0", "--out", "smm_exp.csv"],
     ["reconstruct", "marshall:phi=capped:slope=2.0,psi=capped:slope=2.0", *UNIFORM_MARGINS,

@@ -17,8 +17,8 @@ _EXPORTS = {
     "copulas": "Copula FrechetM FrechetW Independence JointDistribution MarshallCopula"
     " MaxminCopula Rectangle RmmCopula SmmCopula efgm exponential_rmm exprmm_ab marshall"
     " maxmin normalize reflect rmm sklar_join smm survival volume",
-    "distributions": "DistributionFunction EfgmMargin EfgmShock Exponential NegExponential"
-    " Product SurvivalProduct TabulatedCdf Uniform load_tabulated_csv negated point_mass",
+    "distributions": "DistributionFunction EfgmMargin EfgmShock Exponential Product"
+    " SurvivalProduct TabulatedCdf Uniform load_tabulated_csv negated point_mass",
     "generators": "CheckSuiteReport ClosedFormGenerator Generator GeneratorClass"
     " ReflectedGenerator TabulatedGenerator closed_form derived_value generator_from_shocks"
     " hat_of hat_to_f identity_minus rmm_to_smm smm_to_rmm validate",

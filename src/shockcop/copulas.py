@@ -27,9 +27,9 @@ from .generators import (
     Generator,
     GeneratorClass,
     ReflectedGenerator,
+    _require_valid,
     affine,
     closed_form,
-    validate,
 )
 
 
@@ -129,15 +129,7 @@ class ShockCopula(Copula):
     @classmethod
     def build(cls, first: Generator, second: Generator) -> "ShockCopula":
         """The copula, after each generator passes ``validate`` for its declared class."""
-        for (slot, _), gen in zip(cls.slots, (first, second)):
-            report = validate(gen)
-            if not report.passed:
-                raise GeneratorValidationError(
-                    f"generator for slot {slot} ({gen.describe()}) failed validation: "
-                    + "; ".join(r.render() for r in report.results if not r.passed),
-                    report=report,
-                )
-        return cls(first, second)
+        return cls(_require_valid(first), _require_valid(second))
 
     def describe(self) -> str:
         args = ",".join(f"{slot}={getattr(self, slot).describe()}" for slot, _ in self.slots)

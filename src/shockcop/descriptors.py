@@ -32,6 +32,7 @@ missing one, is an error that names it.
 
 from __future__ import annotations
 
+import contextlib
 import re
 
 from . import copulas as cop
@@ -41,7 +42,6 @@ from .distributions import (
     EfgmMargin,
     EfgmShock,
     Exponential,
-    NegExponential,
     Product,
     SurvivalProduct,
     Uniform,
@@ -146,6 +146,18 @@ def _float_params(body: str, context: str) -> dict[str, float]:
     return params
 
 
+@contextlib.contextmanager
+def _bad_descriptor(kind: str, text: str):
+    """Re-raise a failure to build the ``kind`` that ``text`` names as a
+    ``DescriptorError`` that quotes ``text``; a ``DescriptorError`` passes as it is."""
+    try:
+        yield
+    except DescriptorError:
+        raise
+    except (KeyError, ShockcopError, ValueError) as exc:
+        raise DescriptorError(f"bad {kind} descriptor {text!r}: {exc}") from exc
+
+
 def _build(family: str, make, defaults: dict, body: str, context: str):
     """``make`` of a ``k=v`` body's values, each key one of ``defaults`` (name ->
     default in call order, None if the body must give it)."""
@@ -166,7 +178,7 @@ _DISTRIBUTION_FAMILIES = {
     "uniform": (Uniform, {"a": 0.0, "b": 1.0}),
     "exp": (Exponential, {"rate": None}),
     "exponential": (Exponential, {"rate": None}),
-    "neg-exp": (NegExponential, {"rate": None}),
+    "neg-exp": (lambda rate: negated(Exponential(rate)), {"rate": None}),
     "efgm-margin": (EfgmMargin, {"a": None}),
     "efgm-shock": (EfgmShock, {"a": None}),
     "pointmass": (point_mass, {"x": None}),
@@ -191,15 +203,11 @@ def parse_distribution(text: str) -> DistributionFunction:
         raise DescriptorError(f"unknown distribution wrapper {name!r}")
 
     head, body = _split_head(text)
-    try:
+    with _bad_descriptor("distribution", text):
         if head in _DISTRIBUTION_FAMILIES:
             return _build(head, *_DISTRIBUTION_FAMILIES[head], body, text)
         if head in ("step", "linear"):
             return load_tabulated_csv(_parse_fields(body, ("file",), text)["file"], head)
-    except DescriptorError:
-        raise
-    except (KeyError, ShockcopError, ValueError) as exc:
-        raise DescriptorError(f"bad distribution descriptor {text!r}: {exc}") from exc
     raise DescriptorError(f"unknown distribution family {head!r} in {text!r}")
 
 
@@ -220,15 +228,11 @@ def parse_generator(text: str, declared_class: GeneratorClass) -> Generator:
         return affine(inner, WRAPPERS[name], declared_class)
 
     head, body = _split_head(text)
-    try:
+    with _bad_descriptor("generator", text):
         if head == "tabulated":
             path = _parse_fields(body, ("file",), text)["file"]
             return load_tabulated_generator(path, declared_class)
         return ClosedFormGenerator(head, _float_params(body, text), declared_class)
-    except DescriptorError:
-        raise
-    except (KeyError, ShockcopError, ValueError) as exc:
-        raise DescriptorError(f"bad generator descriptor {text!r}: {exc}") from exc
 
 
 def load_tabulated_generator(path, declared_class: GeneratorClass) -> TabulatedGenerator:
@@ -271,17 +275,13 @@ def parse_copula(text: str) -> cop.Copula:
         return cop.FlippedCopula(parse_copula(inner), cop.FLIPS[name])
 
     head, body = _split_head(text)
-    try:
+    with _bad_descriptor("copula", text):
         if head in _COPULA_FAMILIES:
             return _build(head, *_COPULA_FAMILIES[head], body, text)
         if head in cop.SHOCK_FAMILIES:
             family = cop.SHOCK_FAMILIES[head]
             fields = _parse_fields(body, [slot for slot, _ in family.slots], text)
             return family.build(*(parse_generator(fields[s], c) for s, c in family.slots))
-    except DescriptorError:
-        raise
-    except (KeyError, ShockcopError, ValueError) as exc:
-        raise DescriptorError(f"bad copula descriptor {text!r}: {exc}") from exc
     raise DescriptorError(f"unknown copula family {head!r} in {text!r}")
 
 

@@ -18,15 +18,18 @@ to them and defines only ``_values``, how their values at a point combine, and t
 law of t(A) (a ``MappedCdf``: a negation or a law read through ``chi``) carries A's
 jump points and hint by t; a negation, being decreasing, flips ``left``.  A family
 overrides ``sf_array``, the upper tail 1 - F, only where a closed form keeps the
-bits that the subtraction loses, which a negation then reads, and
-``_quantile_array`` only when a closed-form inverse exists (the default is the
-generic inverse below).  The base class derives the rest: ``cdf_left_array`` is
-``cdf_array(xs, True)``, and the scalar ``cdf``, ``cdf_left`` and ``quantile``
-evaluate the array path at one point, so scalar and array values agree to the bit,
-at the IEEE infinities too: every law reads 0 at -inf and 1 at +inf, and
-``quantile`` returns -inf at level 0 and +inf at a level never reached;
-``quantile_array`` refuses levels that are not strictly inside (0,1), NaN
-included, and infinite results.
+bits that the subtraction loses, ``_quantile_array`` only when a closed-form
+inverse exists (the default is the generic inverse below), and
+``_upper_quantile_array``, sup{x : P[A >= x] >= u}, likewise (the default is the
+generic inverse of the negated law, negated).  A negation reads its law's upper
+tail for both F and Q, so a negated exponential, spelled ``neg-exp``, has
+F(x) = exp(rate*x) and Q(u) = log(u)/rate to the bit.  The base class derives
+the rest: ``cdf_left_array`` is ``cdf_array(xs, True)``, and the scalar ``cdf``,
+``cdf_left`` and ``quantile`` evaluate the array path at one point, so scalar and
+array values agree to the bit, at the IEEE infinities too: every law reads 0 at
+-inf and 1 at +inf, and ``quantile`` returns -inf at level 0 and +inf at a level
+never reached; ``quantile_array`` refuses levels that are not strictly inside
+(0,1), NaN included, and infinite results.
 
 The generic inverse evaluates F once per call on one shared table: the jump
 points, 2**14 + 1 even points on ``support_hint`` and, for levels the hint does
@@ -157,6 +160,11 @@ class DistributionFunction(ABC):
         """Quantiles of levels in (0,1]: +inf where a level is never reached, -inf
         where F stays at or above it on the whole line."""
         return self._bisect_quantile_array(us)
+
+    def _upper_quantile_array(self, us: np.ndarray) -> np.ndarray:
+        """sup{x : P[A >= x] >= u} for levels in (0,1], which a negation reads as its
+        quantile: the generic inverse of the negated law, negated, by default."""
+        return -NegatedCdf(self)._bisect_quantile_array(us)
 
     def jump_points(self) -> tuple[float, ...]:
         """Candidate discontinuity locations (may over-report; never under-reports)."""
@@ -338,6 +346,9 @@ class Exponential(DistributionFunction):
         np.log1p(q, out=q)
         q /= -self.rate
         return q
+
+    def _upper_quantile_array(self, us):
+        return np.log(us) / -self.rate
 
     def support_hint(self):
         return (0.0, 40.0 / self.rate)
@@ -598,7 +609,8 @@ class MappedCdf(DistributionFunction):
 
 
 class NegatedCdf(MappedCdf):
-    """Law of -A: the map is decreasing, so F(x) = 1 - F_A((-x)-), A's ``sf_array``."""
+    """Law of -A: the map is decreasing, so F(x) = 1 - F_A((-x)-), A's ``sf_array``,
+    and Q(u) is minus A's upper quantile.  A negated exponential is spelled ``neg-exp``."""
 
     def __init__(self, inner: DistributionFunction):
         super().__init__(inner, np.negative, np.negative, "negated")
@@ -606,23 +618,13 @@ class NegatedCdf(MappedCdf):
     def cdf_array(self, xs, left=False):
         return self.inner.sf_array(-np.asarray(xs, dtype=float), not left)
 
-
-class NegExponential(NegatedCdf):
-    """Law of -E for an exponential lifetime E: F(x) = exp(rate*x) on x <= 0, the
-    negated exponential with its closed-form quantile log(u)/rate.
-
-    Max models built from these mirror exponential min models exactly, so the
-    composed map F(Q_margin(u)) is a pure power of u for any rate pair.
-    """
-
-    def __init__(self, rate: float):
-        super().__init__(Exponential(rate))
-
     def _quantile_array(self, us):
-        return np.log(us) / self.inner.rate
+        return -self.inner._upper_quantile_array(us)
 
     def describe(self) -> str:
-        return f"neg-exp:rate={self.inner.rate!r}"
+        if isinstance(self.inner, Exponential):
+            return f"neg-exp:rate={self.inner.rate!r}"
+        return super().describe()
 
 
 def negated(d: DistributionFunction) -> DistributionFunction:

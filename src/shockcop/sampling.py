@@ -33,7 +33,7 @@ from .shock_models import Countermonotonic, ShockModel, _worst
 from .errors import TableFormatError
 from .tables import read_table, source_name, write_table
 
-_TINY = np.nextafter(0.0, 1.0)
+_TINY = 2.0**-53  # the smallest positive draw of Generator.random
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def sample_model(m: ShockModel, n: int, seed: int) -> SamplePairs:
 
 def _open_uniforms(stream: np.random.SeedSequence, n: int) -> np.ndarray:
     us = np.random.Generator(np.random.Philox(stream)).random(n)
-    us[us == 0.0] = _TINY  # keep quantile transforms off the -oo convention
+    us[us == 0.0] = _TINY  # keep quantile transforms off the -oo convention, 1 - u below 1
     return us
 
 

@@ -45,7 +45,6 @@ from .distributions import (
     DistributionFunction,
     Exponential,
     MappedCdf,
-    NegExponential,
     PointwiseCdf,
     Product,
     SurvivalProduct,
@@ -165,7 +164,7 @@ def exponential_rmm_model(l1: float, l2: float, m1: float, m2: float) -> ShockMo
     other, which makes the composed generator u ** (l/(l+m)) exact for every
     rate pair.  (Positive exponentials achieve this only at equal rates.)
     """
-    return rmm_model(NegExponential(l1), NegExponential(l2), NegExponential(m1), NegExponential(m2))
+    return rmm_model(*(negated(Exponential(rate)) for rate in (l1, l2, m1, m2)))
 
 
 def exponential_smm_model(l1: float, l2: float, m1: float, m2: float) -> ShockModel:

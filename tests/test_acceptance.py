@@ -26,6 +26,7 @@ from shockcop.distributions import (
     Exponential,
     Product,
     Uniform,
+    negated,
 )
 from shockcop.generators import (
     GeneratorClass,
@@ -241,11 +242,9 @@ def test_criterion_6_exponential_generator_and_boundary():
     f = hat_to_f(generator_from_shocks(Exponential(1.0), margin))
     worst = max(worst, float(np.max(np.abs(f.value_array(us) - (us**0.5 - us)))))
 
-    from shockcop.distributions import NegExponential
-
     lam, mu = 1.0, 3.0
-    margin = Product(NegExponential(lam), NegExponential(mu))
-    f = hat_to_f(generator_from_shocks(NegExponential(lam), margin))
+    margin = Product(negated(Exponential(lam)), negated(Exponential(mu)))
+    f = hat_to_f(generator_from_shocks(negated(Exponential(lam)), margin))
     alpha = lam / (lam + mu)
     worst = max(worst, float(np.max(np.abs(f.value_array(us) - (us**alpha - us)))))
 

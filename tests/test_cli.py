@@ -138,6 +138,18 @@ def test_sample_deterministic(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_sample_of_a_negated_exponential_does_not_depend_on_its_spelling(tmp_path, capsys):
+    # the negated(exp:...) spelling took the generic inverse and printed its own descriptor
+    path, written = tmp_path / "pairs.csv", []
+    for spelling in ("neg-exp:rate={}", "negated(exp:rate={})"):
+        rates = {"fx": 0.7, "fy": 1.3, "g1": 1.1, "g2": 0.9}
+        model = "rmm-max:" + ",".join(f"{k}={spelling.format(r)}" for k, r in rates.items())
+        code, _, _ = run(capsys, "sample", model, "-n", "2000", "--seed", "1", "--out", str(path))
+        assert code == 0
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_sample_illegal_configuration_exits_2(capsys):
     bad = "marshall-max:fx=uniform,fy=uniform,g1=uniform,g2=uniform,combiner=min-min"
     code, _, err = run(capsys, "sample", bad, "-n", "10", "--seed", "1")

@@ -356,8 +356,9 @@ def test_exponential_rmm_rate_mapping():
 
 def test_constructor_rejects_invalid_generator():
     bad = closed_form("twoparam", GeneratorClass.RMM, alpha=0.5, beta=0.3)
-    with pytest.raises(GeneratorValidationError):
+    with pytest.raises(GeneratorValidationError, match=r"^twoparam:.* fails rmm validation: ") as err:
         rmm(bad, bad)
+    assert [r.check_id for r in err.value.report.results if not r.passed] == ["twoparam-domain"]
 
 
 def test_validating_an_identity_psi_warns_nothing():

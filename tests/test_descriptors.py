@@ -76,7 +76,7 @@ def test_malformed_descriptors_are_rejected(call, message):
         "efgm-shock:a=0.95",
         "product(uniform:a=0.0,b=1.0;exp:rate=1.0)",
         "survival-product(exp:rate=1.0;exp:rate=3.0)",
-        "negated(exp:rate=1.0)",
+        "negated(uniform:a=-1.0,b=0.0)",
     ],
 )
 def test_distribution_descriptors_round_trip(text):
@@ -84,6 +84,13 @@ def test_distribution_descriptors_round_trip(text):
     assert d.describe() == text
     again = parse_distribution(d.describe())
     assert again.describe() == text
+
+
+@pytest.mark.parametrize("rate", ["0.5", "1.0", "2.5e-07"])
+def test_a_negated_exponential_is_spelled_neg_exp(rate):
+    for text in (f"negated(exp:rate={rate})", f"neg-exp:rate={rate}"):
+        assert parse_distribution(text).describe() == f"neg-exp:rate={rate}"
+        assert parse_distribution(f"negated({text})").describe() == f"exp:rate={rate}"
 
 
 def test_bare_uniform_defaults():

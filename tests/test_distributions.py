@@ -14,7 +14,6 @@ from shockcop.distributions import (
     EfgmMargin,
     EfgmShock,
     Exponential,
-    NegExponential,
     Product,
     SurvivalProduct,
     TabulatedCdf,
@@ -31,7 +30,7 @@ ALL_DISTS = [
     Uniform(),
     Uniform(-2.0, 3.0),
     Exponential(2.0),
-    NegExponential(1.5),
+    negated(Exponential(1.5)),
     EfgmMargin(0.95),
     EfgmShock(0.95),
     STEP,
@@ -165,7 +164,7 @@ def test_negated_cdf_matches_reflection():
 
 
 def test_neg_exponential_quantile_closed_form():
-    d = NegExponential(2.0)
+    d = negated(Exponential(2.0))
     for u in (0.1, 0.5, 0.9):
         assert d.cdf(d.quantile(u)) == pytest.approx(u, abs=1e-12)
     assert d.quantile(1.0) == 0.0
@@ -184,13 +183,18 @@ _NEG_EXP_POINTS = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_negated_exponential_reads_the_upper_tail_to_the_bit(rate, xs, us):
     # 1 - F(-x) by subtraction read 0 at x = -40 where exp(-40) is 4.25e-18
+    # and its quantile is the closed form log(u)/rate, where the generic inverse was
+    # up to 4.2e-14 off
     xs, us = np.array(xs), np.array(us)
     want = np.where(xs >= 0.0, 1.0, np.exp(rate * np.minimum(xs, 0.0)))
-    for d in (negated(Exponential(rate)), NegExponential(rate)):
-        for left in (False, True):
-            assert d.cdf_array(xs, left).tobytes() == want.tobytes()
-    assert NegExponential(rate).quantile_array(us).tobytes() == (np.log(us) / rate).tobytes()
-    assert negated(NegExponential(rate)).describe() == f"exp:rate={rate!r}"
+    d = negated(Exponential(rate))
+    for left in (False, True):
+        assert d.cdf_array(xs, left).tobytes() == want.tobytes()
+    want = np.log(us) / rate
+    assert d.quantile_array(us).tobytes() == want.tobytes()
+    assert np.array([d.quantile(u) for u in us.tolist()]).tobytes() == want.tobytes()
+    assert d.describe() == f"neg-exp:rate={rate!r}"
+    assert negated(d).describe() == f"exp:rate={rate!r}"
 
 
 @pytest.mark.parametrize("d", ALL_DISTS, ids=lambda d: d.describe())
@@ -282,7 +286,7 @@ def reconstructed_laws_on_a_step_margin():
 
 SCALAR_API_LAWS = {
     **{d.describe(): lambda d=d: [d] for d in ALL_DISTS},
-    "exp-and-neg-exp-1.3": lambda: [Exponential(1.3), NegExponential(1.3)],
+    "exp-and-neg-exp-1.3": lambda: [Exponential(1.3), negated(Exponential(1.3))],
     "unreached-levels": lambda: [
         SHORT_STEP,
         SHORT_LINEAR,
@@ -521,6 +525,10 @@ def test_tabulated_rejects_bad_tables():
         TabulatedCdf([0.0, 1.0], [0.5, 1.0], "cubic")
 
 
+def neg_exp(rate):
+    return negated(Exponential(rate))
+
+
 @pytest.mark.parametrize("law, args, message", [
     (Uniform, (1.0, 1.0), "uniform needs a < b"),
     (Uniform, (2.0, 1.0), "uniform needs a < b"),
@@ -534,12 +542,12 @@ def test_tabulated_rejects_bad_tables():
     (Exponential, (math.nan,), "rate must be positive"),
     # a unit step at 0 that reported no jump and warned at x <= 0
     (Exponential, (math.inf,), "positive and finite, got inf"),
-    (NegExponential, (math.inf,), "positive and finite, got inf"),
+    (neg_exp, (math.inf,), "positive and finite, got inf"),
     # a support hint 40 / rate of inf gave the generic inverse a NaN grid
     (Exponential, (1e-307,), "too small: 40 / rate overflows, got 1e-307"),
     (Exponential, (1e-320,), "too small: 40 / rate overflows, got 1e-320"),
-    (NegExponential, (1e-307,), "too small: 40 / rate overflows, got 1e-307"),
-    (NegExponential, (1e-320,), "too small: 40 / rate overflows, got 1e-320"),
+    (neg_exp, (1e-307,), "too small: 40 / rate overflows, got 1e-307"),
+    (neg_exp, (1e-320,), "too small: 40 / rate overflows, got 1e-320"),
     (EfgmMargin, (0.0,), "EFGM weight must lie in (0,1], got 0.0"),
     (EfgmShock, (1.5,), "EFGM weight must lie in (0,1], got 1.5"),
 ])

@@ -11,7 +11,6 @@ from shockcop.distributions import (
     _SORTED_LOOKUP_KNOTS,
     EfgmMargin,
     Exponential,
-    NegExponential,
     Product,
     SurvivalProduct,
     TabulatedCdf,
@@ -638,8 +637,8 @@ def test_equal_rate_exponentials_give_power_hat():
 
 def test_negated_exponentials_give_exact_power_for_any_rates():
     lam, mu = 1.0, 3.0
-    margin = Product(NegExponential(lam), NegExponential(mu))
-    hat = generator_from_shocks(NegExponential(lam), margin)
+    margin = Product(negated(Exponential(lam)), negated(Exponential(mu)))
+    hat = generator_from_shocks(negated(Exponential(lam)), margin)
     alpha = lam / (lam + mu)
     us = np.arange(0.1, 0.95, 0.1)
     np.testing.assert_allclose(hat.value_array(us), us**alpha, atol=1e-6)

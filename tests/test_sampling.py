@@ -89,6 +89,28 @@ def test_determinism_bit_identical():
     assert not np.array_equal(s1.pairs, s3.pairs)
 
 
+@pytest.mark.parametrize("make", [rmm_model, smm_model], ids=["rmm", "smm"])
+def test_a_zero_draw_keeps_the_countermonotone_partner_below_one(monkeypatch, make):
+    # Generator.random returns 0.0 with probability 2**-53; mapped to 5e-324, the
+    # partner level 1 - u rounded to 1.0, which quantile_array refuses
+    m = make(Exponential(1.0), Exponential(2.0), Exponential(1.0), Exponential(2.0))
+    clean = sample_model(m, 5, seed=1).pairs
+    generator = np.random.Generator
+
+    class FirstDrawZero:
+        def __init__(self, bit_generator):
+            self.inner = generator(bit_generator)
+
+        def random(self, n):
+            us = self.inner.random(n)
+            us[0] = 0.0
+            return us
+
+    monkeypatch.setattr(np.random, "Generator", FirstDrawZero)
+    pairs = sample_model(m, 5, seed=1).pairs
+    assert np.all(np.isfinite(pairs)) and np.array_equal(pairs[1:], clean[1:])
+
+
 def golden_models() -> dict:
     """Models whose quantiles are IEEE arithmetic or table lookups, so the digests below
     do not depend on the platform's log; the reconstructed one runs the generic inverse."""

@@ -26,7 +26,6 @@ from shockcop.distributions import (
     Exponential,
     MappedCdf,
     NegatedCdf,
-    NegExponential,
     PointwiseCdf,
     Product,
     SurvivalProduct,
@@ -476,7 +475,7 @@ def test_left_endpoint_hypothesis_needs_an_atom_where_the_margin_starts(margin, 
 def test_star_divergence_hypothesis_needs_a_margin_that_vanishes():
     # capped's star ratio stays at its slope as u -> 0+, and neg-exp is positive everywhere
     c = marshall(capped_gen(), capped_gen())
-    model, report = audited_reconstruction(c, NegExponential(1.0), NegExponential(1.0))
+    model, report = audited_reconstruction(c, negated(Exponential(1.0)), negated(Exponential(1.0)))
     assert model is None
     [row] = report.results
     assert row.check_id == "hypothesis:star-divergence" and not row.passed
@@ -721,6 +720,19 @@ def test_mapped_laws_carry_their_law_through_the_map(kind):
         for left in (False, True):
             want = np.array([mapped_rule(d, x, left) for x in xs.tolist()])
             assert d.cdf_array(xs, left).tobytes() == want.tobytes(), (d, left)
+
+
+def test_negations_without_a_closed_form_invert_by_the_generic_inverse():
+    # a negation reads its law's upper quantile, whose default is the generic inverse of
+    # the negated law, negated: it must land on that inverse to the bit
+    laws = [d for d in laws_at_any_depth() if type(d) is NegatedCdf]
+    kinds = {type(d.inner) for d in laws}
+    assert {Uniform, TabulatedCdf, Product, ComposedCdf, RmmShockCdf} <= kinds
+    assert {d.inner.interpolation for d in laws if type(d.inner) is TabulatedCdf} == {"step", "linear"}
+    assert Exponential not in kinds
+    us = np.concatenate((np.random.default_rng(3).random(3000), [2.0**-53, 0.5, 1.0 - 2.0**-53]))
+    for d in laws:
+        assert d.quantile_array(us).tobytes() == d._bisect_quantile_array(us).tobytes(), d
 
 
 def test_rmm_reconstruction_requires_interior_point():
