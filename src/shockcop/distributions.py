@@ -16,10 +16,13 @@ Each law is written once, on arrays.  A family defines one CDF method,
 without atoms ignores the flag, a law made of parts (a ``PointwiseCdf``) passes it
 to them and defines only ``_values``, how their values at a point combine, and the
 law of t(A) (a ``MappedCdf``: a negation or a law read through ``chi``) carries A's
-jump points and hint by t; a negation, being decreasing, flips ``left``.  A family
-overrides ``sf_array``, the upper tail 1 - F, only where a closed form keeps the
-bits that the subtraction loses, ``_quantile_array`` only when a closed-form
-inverse exists (the default is the generic inverse below), and
+jump points and hint by t; a negation, being decreasing, flips ``left``.  Every
+law declares its support, ``support()`` = (inf{x : F(x) > 0}, sup{x : F(x) < 1}):
+a leaf in closed form, a ``PointwiseCdf`` by its ``hint`` rule on the parts' ends
+and a ``MappedCdf`` by t; a finite end is exact, and an end the law does not know
+is infinite.  A family overrides ``sf_array``, the upper tail 1 - F, only where a
+closed form keeps the bits that the subtraction loses, ``_quantile_array`` only
+when a closed-form inverse exists (the default is the generic inverse below), and
 ``_upper_quantile_array``, sup{x : P[A >= x] >= u}, likewise (the default is the
 generic inverse of the negated law, negated).  A negation reads its law's upper
 tail for both F and Q, so a negated exponential, spelled ``neg-exp``, has
@@ -174,6 +177,17 @@ class DistributionFunction(ABC):
         """A finite interval from which quantile bracketing starts."""
         return (-1.0, 1.0)
 
+    def support(self) -> tuple[float, float]:
+        """(inf{x : F(x) > 0}, sup{x : F(x) < 1}).  A finite end is exact; an end is
+        -inf or +inf where the support is unbounded there or the law does not know it."""
+        lo, hi = self._support()
+        return (-math.inf if math.isnan(lo) else lo, math.inf if math.isnan(hi) else hi)
+
+    def _support(self) -> tuple[float, float]:
+        """``support`` with NaN for an end the law does not know, so that a law made of
+        parts never takes a part's unknown end for an unbounded one."""
+        return (math.nan, math.nan)
+
     @abstractmethod
     def describe(self) -> str:
         """Canonical descriptor string (see shockcop.descriptors)."""
@@ -318,6 +332,8 @@ class Uniform(DistributionFunction):
     def support_hint(self):
         return (self.a, self.b)
 
+    _support = support_hint
+
     def describe(self) -> str:
         return f"uniform:a={self.a!r},b={self.b!r}"
 
@@ -352,6 +368,9 @@ class Exponential(DistributionFunction):
 
     def support_hint(self):
         return (0.0, 40.0 / self.rate)
+
+    def _support(self):
+        return (0.0, math.inf)
 
     def describe(self) -> str:
         return f"exp:rate={self.rate!r}"
@@ -430,6 +449,18 @@ class TabulatedCdf(DistributionFunction):
     def support_hint(self):
         return (float(self.xs[0]) - 1.0, float(self.xs[-1]) + 1.0)
 
+    def _support(self):
+        """Read from the knots: a step table leaves 0 at its first positive p, a linear
+        one after its last zero p, and both reach 1 at the first p = 1.  F is p[0] and
+        p[-1] on a linear table's flat tails, so they bound neither end."""
+        ps = self.ps
+        zeros = int(np.searchsorted(ps, 0.0, "right"))  # the leading p = 0
+        below = int(np.searchsorted(ps, 1.0, "left"))  # the p below 1
+        x = np.concatenate(([-np.inf], self.xs, [np.inf]))
+        if self.interpolation == "step":
+            return float(x[zeros + 1]), float(x[below + 1])
+        return (float(x[zeros]) if zeros < ps.size else math.inf, float(x[below + 1]) if below else -math.inf)
+
     def describe(self) -> str:
         if self.source is not None:
             return f"{self.interpolation}:file={self.source}"
@@ -485,6 +516,8 @@ class EfgmMargin(DistributionFunction):
     def support_hint(self):
         return (0.0, 1.0)
 
+    _support = support_hint
+
     def describe(self) -> str:
         return f"efgm-margin:a={self.a!r}"
 
@@ -513,6 +546,9 @@ class EfgmShock(DistributionFunction):
     def support_hint(self):
         return (-50.0, 1.0)
 
+    def _support(self):
+        return (-math.inf, 1.0)
+
     def describe(self) -> str:
         return f"efgm-shock:a={self.a!r}"
 
@@ -524,13 +560,15 @@ class EfgmShock(DistributionFunction):
 
 class PointwiseCdf(DistributionFunction):
     """A law read from its parts at the same point: F(x) is ``_values`` of the parts'
-    F_i(x), F(x-) of their F_i(x-), the jump points are the union of theirs and the
-    support hint applies the pair ``hint`` to their lows and highs.  The left limits
-    and jump points are right only if ``_values`` is continuous in the parts' values;
-    a reconstructed RMM shock is not where margin_u leaves 0, at the start of a
-    continuous margin."""
+    F_i(x), F(x-) of their F_i(x-) and the jump points are the union of theirs.  The
+    left limits and jump points are right where ``_values`` is continuous in the parts'
+    values; a law whose rule is not (a reconstructed shock) reads its own.
 
-    hint = (min, max)
+    ``hint`` is the pair (low, high) that takes the parts' lows and highs to the law's,
+    for a rule that has one: both the support hint and the support apply it.  A law
+    without one (``hint`` None) hints the hull of its parts' hints and knows no support."""
+
+    hint = None
 
     def __init__(self, *parts: DistributionFunction):
         self.parts = parts
@@ -546,10 +584,17 @@ class PointwiseCdf(DistributionFunction):
     def jump_points(self):
         return tuple(sorted(set().union(*(p.jump_points() for p in self.parts))))
 
+    def _ends(self, name: str, rule) -> tuple[float, float]:
+        """``rule`` applied to the parts' lows and highs, read by their method ``name``;
+        an end that a part does not know (NaN) leaves the law's end unknown too."""
+        sides = zip(*(getattr(p, name)() for p in self.parts))
+        return tuple(math.nan if any(map(math.isnan, e)) else pick(e) for pick, e in zip(rule, sides))
+
     def support_hint(self):
-        lows, highs = zip(*(p.support_hint() for p in self.parts))
-        low, high = self.hint
-        return (low(lows), high(highs))
+        return self._ends("support_hint", self.hint or (min, max))
+
+    def _support(self):
+        return self._ends("_support", self.hint) if self.hint else super()._support()
 
 
 class Product(PointwiseCdf):
@@ -600,9 +645,15 @@ class MappedCdf(DistributionFunction):
         jumps = np.asarray(self.inner.jump_points(), dtype=float)
         return tuple(np.sort(self.forward(jumps)).tolist())
 
-    def support_hint(self):
-        lo, hi = np.sort(self.forward(np.array(self.inner.support_hint(), dtype=float)))
+    def _mapped(self, ends) -> tuple[float, float]:
+        lo, hi = np.sort(self.forward(np.array(ends, dtype=float)))
         return float(lo), float(hi)
+
+    def support_hint(self):
+        return self._mapped(self.inner.support_hint())
+
+    def _support(self):
+        return self._mapped(self.inner._support())
 
     def describe(self) -> str:
         return f"{self.label}({self.inner.describe()})"

@@ -279,12 +279,41 @@ class ComposedCdf(PointwiseCdf):
         return f"composed({self.gen.describe()},{self.parts[0].describe()})"
 
 
-class RmmShockCdf(PointwiseCdf):
+class _ShockCdf(PointwiseCdf):
+    """A reconstructed shock read from margin_u and margin_v, whose rule takes another
+    branch where margin_u vanishes.  At margin_u's declared start, where margin_u still
+    reads 0, F is the u branch's right limit ``limit``, and the start is a jump point.
+    In floats the margin can read 0 a little beyond its start; F is the limit there too."""
+
+    def __init__(self, margin_u, margin_v, limit: float):
+        super().__init__(margin_u, margin_v)
+        self.margin_u = margin_u
+        self.margin_v = margin_v
+        self.limit = limit
+        lo = margin_u.support()[0]
+        self.start = lo if math.isfinite(lo) else None  # no start: the branches alone
+
+    def cdf_array(self, xs, left=False):
+        xs = np.asarray(xs, dtype=float)
+        fu = self.margin_u.cdf_array(xs, left)
+        out = self._values(fu, self.margin_v.cdf_array(xs, left))
+        if self.start is not None:
+            # F(start-) is the other branch's; F is the limit from the start on
+            out[((xs > self.start) if left else (xs >= self.start)) & (fu == 0.0)] = self.limit
+        return out
+
+    def jump_points(self):
+        jumps = super().jump_points()
+        return jumps if self.start is None else tuple(sorted({*jumps, self.start}))
+
+
+class RmmShockCdf(_ShockCdf):
     """Reconstructed systemic-shock CDF of the countermonotonic max/max model.
 
-    On {margin_u > 0} it is margin_u / hat_f(margin_u); where margin_u
-    vanishes it continues as s/(1+s) with s the star value of the opposite
-    generator at 1 - margin_v.  Where margin_v is 1, s is the star's
+    On {margin_u > 0} it is margin_u / hat_f(margin_u), whose right limit at
+    margin_u's start is 1/(1 + f*(0+)) with f* the star ratio f(t)/t; where
+    margin_u vanishes it continues as s/(1+s) with s the star value of the
+    opposite generator at 1 - margin_v.  Where margin_v is 1, s is the star's
     one-sided limit at 0, and a divergent limit, +inf, gives 1.
     """
 
@@ -292,9 +321,7 @@ class RmmShockCdf(PointwiseCdf):
         if side == "v":
             margin_u, margin_v = margin_v, margin_u
             f, g = g, f
-        super().__init__(margin_u, margin_v)
-        self.margin_u = margin_u
-        self.margin_v = margin_v
+        super().__init__(margin_u, margin_v, 1.0 / (1.0 + derived_value(f, "star", 0.0)))
         self.f = f
         self.g = g
         self.side = side
@@ -319,18 +346,17 @@ class RmmShockCdf(PointwiseCdf):
         return f"rmm-shock-{self.side}"
 
 
-class MarshallShockCdf(PointwiseCdf):
+class MarshallShockCdf(_ShockCdf):
     """Reconstructed second systemic shock of the comonotonic max/max model.
 
     It is margin_u / phi(margin_u), with margin_u the U margin read on V's axis
-    (through chi); where margin_u vanishes it is margin_v / psi(margin_v), and 0
-    where both vanish.
+    (through chi), whose right limit at margin_u's start is 1/phi*(0+); where
+    margin_u vanishes it is margin_v / psi(margin_v), and 0 where both vanish.
     """
 
     def __init__(self, phi: Generator, psi: Generator, margin_u, margin_v):
-        super().__init__(margin_u, margin_v)
-        self.margin_u = margin_u
-        self.margin_v = margin_v
+        star0 = derived_value(phi, "star", 0.0)  # 0 only where phi vanishes, which _values refuses
+        super().__init__(margin_u, margin_v, 1.0 / star0 if star0 else math.inf)
         self.phi = phi
         self.psi = psi
 
@@ -516,18 +542,15 @@ def _check_left_endpoint(label, gen, margin):
 
 
 def _check_star_divergence(label, gen, margin, xs):
-    """Either the star ratio diverges at 0+ or the margin vanishes somewhere."""
-    star0 = derived_value(gen, "star", 0.0)
-    if star0 == math.inf:
-        return
-    span = xs[-1] - xs[0] if xs[-1] > xs[0] else 1.0
-    probe = xs[0] - 0.05 * span - 1.0
-    if margin.cdf(probe) == 0.0:
+    """Either the star ratio diverges at 0+ or the margin vanishes somewhere: it declares
+    a start above -inf.  A failure is witnessed at the grid's first point, where the
+    margin is positive."""
+    if derived_value(gen, "star", 0.0) == math.inf or margin.support()[0] > -math.inf:
         return
     raise ReconstructionError(
         "star-divergence",
         f"{label}: star ratio bounded at 0+ and margin never vanishes",
-        witness=float(probe),
+        witness=float(xs[0]),
     )
 
 

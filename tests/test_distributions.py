@@ -1,8 +1,10 @@
+import bisect
 import functools
 import hashlib
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from shockcop.distributions import (
     EfgmMargin,
     EfgmShock,
     Exponential,
+    MappedCdf,
+    NegatedCdf,
     Product,
     SurvivalProduct,
     TabulatedCdf,
@@ -653,6 +657,67 @@ def generic_laws(draw, depth: int = 2):
     return law(draw(generic_laws(depth - 1)), draw(generic_laws(depth - 1)))
 
 
+
+def exact_cdf(d, x: float, left: bool = False) -> Fraction:
+    """F(x), or F(x-) if ``left``, in exact arithmetic from the leaves' values, so that a
+    mass below float resolution, which F's float value rounds away, still reads strictly
+    inside (0, 1).  Products, min-laws, mapped laws, exponentials, uniforms and tables
+    are exact; another law gives its float value."""
+    if isinstance(d, (Product, SurvivalProduct)):
+        f1, f2 = (exact_cdf(p, x, left) for p in d.parts)
+        return f1 * f2 if isinstance(d, Product) else 1 - (1 - f1) * (1 - f2)
+    if isinstance(d, NegatedCdf):
+        return 1 - exact_cdf(d.inner, -x, not left)
+    if isinstance(d, MappedCdf):
+        return exact_cdf(d.inner, float(d.inverse(np.array([x]))[0]), left)
+    if isinstance(d, Exponential):
+        # 1 - exp(-rate x) from whichever of its float forms keeps its bits
+        t = d.rate * x
+        return Fraction(0) if t <= 0.0 else Fraction(-math.expm1(-t)) if t < 1.0 else 1 - Fraction(math.exp(-t))
+    if isinstance(d, Uniform):
+        return min(max((Fraction(x) - Fraction(d.a)) / (Fraction(d.b) - Fraction(d.a)), Fraction(0)), Fraction(1))
+    if not isinstance(d, TabulatedCdf):
+        return Fraction(float(d.cdf_array(np.array([x]), left)[0]))
+    xs, ps, at = [Fraction(v) for v in d.xs.tolist()], [Fraction(p) for p in d.ps.tolist()], Fraction(x)
+    if d.interpolation == "step":
+        k = (bisect.bisect_left if left else bisect.bisect_right)(xs, at)
+        return ps[k - 1] if k else Fraction(0)
+    k = min(max(bisect.bisect_right(xs, at), 1), len(xs) - 1)
+    if len(xs) == 1 or at <= xs[0] or at >= xs[-1]:
+        return ps[0] if at <= xs[0] else ps[-1]
+    return ps[k - 1] + (at - xs[k - 1]) / (xs[k] - xs[k - 1]) * (ps[k] - ps[k - 1])
+
+
+@given(generic_laws())
+@settings(max_examples=150, deadline=None)
+def test_declared_support_ends_are_exact(d):
+    # F reads 0 one float left of a finite lo and 1 from a finite hi on; the law is
+    # inside (0, 1) a relative 1e-12 within each, read exactly, as F may round its
+    # value there to 0 or 1 (a product of two exponentials near 0, a 1e-300 step)
+    lo, hi = d.support()
+    assert lo <= hi, d
+    if math.isfinite(lo):
+        assert d.cdf(np.nextafter(lo, -np.inf)) == 0.0, (d, lo)
+        assert exact_cdf(d, lo + 1e-12 * max(1.0, abs(lo))) > 0, (d, lo)
+    if math.isfinite(hi):
+        assert exact_cdf(d, hi - 1e-12 * max(1.0, abs(hi))) < 1, (d, hi)
+        assert d.cdf(hi) == d.cdf(np.nextafter(hi, np.inf)) == d.cdf(hi + 1.0) == 1.0, (d, hi)
+
+
+def test_leaf_laws_declare_their_support():
+    assert Uniform(-2.0, 3.0).support() == (-2.0, 3.0)
+    assert Exponential(2.0).support() == (0.0, math.inf)
+    assert EfgmMargin(0.5).support() == (0.0, 1.0)
+    assert EfgmShock(0.5).support() == (-math.inf, 1.0)
+    assert negated(Exponential(2.0)).support() == (-math.inf, -0.0)
+    # a table whose p stops below 1 never ends; a linear one with p[0] > 0 never starts
+    assert TabulatedCdf([0.0, 1.0, 2.0], [0.0, 0.5, 0.75]).support() == (1.0, math.inf)
+    assert TabulatedCdf([0.0, 1.0, 2.0], [0.0, 0.5, 1.0], "linear").support() == (0.0, 2.0)
+    assert TabulatedCdf([0.0, 1.0, 2.0], [0.25, 0.5, 1.0], "linear").support() == (-math.inf, 2.0)
+    # a product starts at its later part's start, a min-law at its earlier part's
+    assert Product(Uniform(1.0, 2.0), Exponential(1.0)).support() == (1.0, math.inf)
+    assert SurvivalProduct(Uniform(1.0, 2.0), Uniform(-1.0, 3.0)).support() == (-1.0, 2.0)
+
 @functools.cache
 def reconstructed_margins() -> tuple:
     """Margins and shocks of reconstructed models: ComposedCdf, RmmShockCdf and their products."""
@@ -754,3 +819,17 @@ def test_generic_quantile_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak / (8 * us.size) < 3.0
+
+
+def test_levels_inside_a_reconstructed_shocks_atom_invert_at_the_table():
+    # the Marshall, RMM and SMM shocks (each model's g1 and g2, after its f_x and f_y)
+    # jump where a continuous margin starts
+    shocks = [d for i, d in enumerate(reconstructed_laws()) if i % 4 >= 2]
+    atoms = [(d, j) for d in shocks for j in d.jump_points() if d.cdf_left(j) < d.cdf(j)]
+    assert len(shocks) == 6 and len(atoms) == 6
+    for d, j in atoms:
+        a, b = d.cdf_left(j), d.cdf(j)
+        us = np.array([u for u in a + (b - a) * np.array([1e-6, 0.25, 0.5, 1.0]) if 0.0 < u < 1.0])
+        assert us.size >= 3
+        check_generic_inverse(d, us)
+        assert np.all(d.quantile_array(us) == j), (d, j)

@@ -19,6 +19,7 @@ from shockcop.copulas import (
     sklar_join,
     survival,
 )
+from shockcop.descriptors import parse_generator
 from shockcop.distributions import (
     DistributionFunction,
     EfgmMargin,
@@ -70,6 +71,7 @@ from shockcop.shock_models import (
     smm_model,
     support_grid,
 )
+from test_distributions import exact_cdf
 
 U = Uniform()
 
@@ -376,6 +378,10 @@ def capped_gen():
     return closed_form("capped", GeneratorClass.MARSHALL, slope=2.0)
 
 
+# sqrt(u): a Marshall generator whose star ratio diverges at 0+, so its margins need not start
+SQRT = parse_generator("plus-id(power:alpha=0.5)", GeneratorClass.MARSHALL)
+
+
 def test_marshall_reconstruction_identity_generators():
     c = marshall(identity_gen(), identity_gen())
     model = reconstruct(c, U, U)
@@ -479,8 +485,15 @@ def test_star_divergence_hypothesis_needs_a_margin_that_vanishes():
     assert model is None
     [row] = report.results
     assert row.check_id == "hypothesis:star-divergence" and not row.passed
-    assert row.witness == (pytest.approx(-15.506, abs=1e-3), 0.0)
+    # witnessed at the grid's first point, the margins' 1e-6 quantile log(1e-6)
+    assert row.witness == (pytest.approx(-13.816, abs=1e-3), 0.0)
     assert "star ratio bounded at 0+ and margin never vanishes" in row.detail
+    # the verdict reads the declared start, so a margin whose F underflows to 0 left of
+    # the grid (exp(1000 x) below x = -0.75) still never vanishes
+    steep = negated(Exponential(1000.0))
+    assert steep.cdf(-1.0) == 0.0 and steep.support()[0] == -math.inf
+    model, report = audited_reconstruction(c, steep, steep)
+    assert model is None and report.results[0].check_id == "hypothesis:star-divergence"
 
 
 # ---------------------------------------------------------------------------
@@ -515,28 +528,46 @@ def test_rmm_reconstruction_native_margins_recovers_exponentials():
         assert model.f_x.cdf(x) == pytest.approx(ref.cdf(x), abs=1e-6)
 
 
-def reference_rmm_shock(d, x):
-    """The RMM shock CDF at one point."""
-    return rmm_shock_rule(d, d.margin_u.cdf(x), d.margin_v.cdf(x))
+def from_start(d, x, left=False):
+    """Whether x lies at or past the start of a shock's margin_u (past it, for a left
+    limit), where a margin_u that reads 0 gives the u branch's right limit."""
+    start = d.margin_u.support()[0]
+    return math.isfinite(start) and (x > start if left else x >= start)
 
 
-def rmm_shock_rule(d, fu, fv):
-    """The RMM shock from its margins' values at one point: fu / hat_f(fu), or
-    s / (1 + s) with s the star value of g at 1 - fv where fu vanishes."""
+def margin_values(d, x, left=False):
+    read = "cdf_left" if left else "cdf"
+    return getattr(d.margin_u, read)(x), getattr(d.margin_v, read)(x)
+
+
+def reference_rmm_shock(d, x, left=False):
+    """The RMM shock CDF, or its left limit, at one point."""
+    return rmm_shock_rule(d, *margin_values(d, x, left), from_start(d, x, left))
+
+
+def rmm_shock_rule(d, fu, fv, past_start):
+    """The RMM shock from its margins' values at one point: fu / hat_f(fu); where fu
+    vanishes, 1 / (1 + f*(0+)) from margin_u's start on, else s / (1 + s) with s the
+    star value of g at 1 - fv."""
+    if fu == 0.0 and past_start:
+        return 1.0 / (1.0 + derived_value(d.f, "star", 0.0))
     if fu == 0.0:
         s = derived_value(d.g, "star", 1.0 - fv)
         return 1.0 if s == math.inf else s / (1.0 + s)
     return fu / (d.f.value(fu) + fu)
 
 
-def reference_marshall_shock(d, x):
-    """The Marshall shock CDF at one point."""
-    return marshall_shock_rule(d, d.margin_u.cdf(x), d.margin_v.cdf(x))
+def reference_marshall_shock(d, x, left=False):
+    """The Marshall shock CDF, or its left limit, at one point."""
+    return marshall_shock_rule(d, *margin_values(d, x, left), from_start(d, x, left))
 
 
-def marshall_shock_rule(d, fu, fv):
-    """The Marshall shock from its margins' values at one point: fu / phi(fu), or
-    fv / psi(fv) where fu vanishes."""
+def marshall_shock_rule(d, fu, fv, past_start=False):
+    """The Marshall shock from its margins' values at one point: fu / phi(fu); where fu
+    vanishes, 1 / phi*(0+) from margin_u's start on, else fv / psi(fv), 0 if fv vanishes."""
+    if fu == 0.0 and past_start:
+        star = derived_value(d.phi, "star", 0.0)
+        return 1.0 / star if star else math.inf  # phi*(0+) = 0 only where phi vanishes
     if fu == 0.0 and fv == 0.0:
         return 0.0
     name, num, gen = ("psi", fv, d.psi) if fu == 0.0 else ("phi", fu, d.phi)
@@ -559,16 +590,20 @@ def test_rmm_shock_cdf_equals_scalar_reference(g):
     # margin_u vanishes up to 1, where margin_v already reaches 1: every branch is hit
     margins_uv = Uniform(1.0, 2.0), Uniform(0.0, 1.0)
     d = RmmShockCdf(f, g, *margins_uv, "u")
-    ref = np.vectorize(lambda x: reference_rmm_shock(d, x))(SHOCK_XS)
+    ref, ref_left = (np.vectorize(lambda x: reference_rmm_shock(d, x, left))(SHOCK_XS) for left in (False, True))
     assert 1.0 in SHOCK_XS and d.margin_v.cdf(1.0) == 1.0 and d.margin_u.cdf(1.0) == 0.0
     np.testing.assert_array_equal(d.cdf_array(SHOCK_XS), ref)
-    np.testing.assert_array_equal(d.cdf_left_array(SHOCK_XS), ref)
+    np.testing.assert_array_equal(d.cdf_left_array(SHOCK_XS), ref_left)
+    # margin_u starts at 1: F(1) is the u branch's limit 1/(1 + 0.4), F(1-) the star limit of g
+    assert ref[SHOCK_XS == 1.0] == [1.0 / 1.4] and d.jump_points() == (1.0,)
+    assert np.array_equal(ref != ref_left, SHOCK_XS == 1.0)
 
 
 def test_marshall_shock_cdf_equals_scalar_reference():
     d = MarshallShockCdf(capped_gen(), identity_gen(), Uniform(0.5, 1.5), U)
-    ref = np.vectorize(lambda x: reference_marshall_shock(d, x))(SHOCK_XS)
-    np.testing.assert_array_equal(d.cdf_array(SHOCK_XS), ref)
+    for left in (False, True):
+        ref = np.vectorize(lambda x: reference_marshall_shock(d, x, left))(SHOCK_XS)
+        np.testing.assert_array_equal(d.cdf_array(SHOCK_XS, left), ref)
 
 
 CHI_STEP_MARGINS = (
@@ -619,8 +654,8 @@ HINT_RULES = {Product: (max, max), SurvivalProduct: (min, min)}
 @functools.lru_cache(maxsize=1)
 def laws_at_any_depth():
     """Every law, at any depth, of reconstructed Marshall (also through the affine
-    chi), RMM and SMM models on continuous and step margins, of their margins, and
-    of products of step tables and negated laws."""
+    chi), RMM and SMM models on continuous and step margins, some of which never
+    start, of their margins, and of products of step tables and negated laws."""
     cap = capped_gen()
     linear = TabulatedCdf([0.0, 0.5, 2.0], [0.0, 0.25, 1.0], "linear")
     stack = [
@@ -637,6 +672,10 @@ def laws_at_any_depth():
         (survival(efgm(0.6)), STEP_MARGIN, Uniform(0.0, 3.0), None),
         (marshall(cap, cap), Uniform(1.0, 3.0), U, AFFINE_CHI),
         (marshall(cap, cap), *CHI_STEP_MARGINS, AFFINE_CHI),
+        # margins that never start (of U; of -U for SMM): shocks without a jump
+        (marshall(SQRT, SQRT), EfgmShock(0.5), EfgmShock(0.5), None),
+        (efgm(0.8), EfgmShock(0.5), Uniform(-2.0, 0.0), None),
+        (survival(efgm(0.6)), Product(U, Exponential(1.0)), Product(U, Exponential(2.0)), None),
     ]:
         m = reconstruct(c, fu, fv, chi=chi)
         stack += [m.f_x, m.f_y, *vars(m.coupling).values(), *margins(m)]
@@ -664,8 +703,9 @@ def probe_points(d):
     ))
 
 
-def composite_rule(d, fs):
-    """Each class's rule on its parts' values, written out point by point."""
+def composite_rule(d, xs, left, fs):
+    """Each class's rule on its parts' values, written out point by point; a shock's
+    rule also asks whether the point lies past its margin_u's start."""
     points = zip(*(f.tolist() for f in fs))
     if isinstance(d, Product):
         return [f1 * f2 for f1, f2 in points]
@@ -674,7 +714,7 @@ def composite_rule(d, fs):
     if isinstance(d, ComposedCdf):
         return [d.gen.value(f) for (f,) in points]
     rule = rmm_shock_rule if isinstance(d, RmmShockCdf) else marshall_shock_rule
-    return [rule(d, fu, fv) for fu, fv in points]
+    return [rule(d, fu, fv, from_start(d, x, left)) for x, (fu, fv) in zip(xs.tolist(), points)]
 
 
 @pytest.mark.parametrize("kind", COMPOSITE_KINDS, ids=lambda k: k.__name__)
@@ -683,14 +723,16 @@ def test_composite_laws_read_their_parts_at_the_same_point(kind):
     # each kind is met on continuous parts and on parts with atoms
     assert laws and any(d.jump_points() for d in laws) and not all(d.jump_points() for d in laws)
     for d in laws:
-        jumps = sorted({j for p in d.parts for j in p.jump_points()})
-        assert d.jump_points() == tuple(jumps), d
+        jumps = {j for p in d.parts for j in p.jump_points()}
+        if isinstance(d, (RmmShockCdf, MarshallShockCdf)) and math.isfinite(d.margin_u.support()[0]):
+            jumps.add(d.margin_u.support()[0])  # a shock jumps where its margin_u starts
+        assert d.jump_points() == tuple(sorted(jumps)), d
         low, high = HINT_RULES.get(kind, (min, max))
         hints = [p.support_hint() for p in d.parts]
         assert d.support_hint() == (low(h[0] for h in hints), high(h[1] for h in hints)), d
         xs = probe_points(d)
         for left in (False, True):
-            want = np.array(composite_rule(d, [p.cdf_array(xs, left) for p in d.parts]))
+            want = np.array(composite_rule(d, xs, left, [p.cdf_array(xs, left) for p in d.parts]))
             assert d.cdf_array(xs, left).tobytes() == want.tobytes(), (d, left)
 
 
@@ -722,6 +764,29 @@ def test_mapped_laws_carry_their_law_through_the_map(kind):
             assert d.cdf_array(xs, left).tobytes() == want.tobytes(), (d, left)
 
 
+
+def test_declared_support_ends_are_exact_at_any_depth():
+    # as on random laws: F reads 0 one float left of a finite lo and 1 from a finite hi
+    # on, and the law, read exactly, is inside (0, 1) a relative 1e-12 within each.  A
+    # law that does not know an end (a composed margin, a shock, a product with either)
+    # declares it infinite.  The affine chi rounds, so a law read through it may leave 0
+    # an ulp of chi's output before the mapped end: there F is 0 a relative 1e-12 out.
+    laws = laws_at_any_depth()
+    assert sum(math.isfinite(end) for d in laws for end in d.support()) > 300
+    for d in laws:
+        lo, hi = d.support()
+        out = 1e-12 if type(d) is MappedCdf else 0.0
+        if math.isfinite(lo):
+            assert d.cdf(np.nextafter(lo - out * max(1.0, abs(lo)), -np.inf)) == 0.0, d
+            assert exact_cdf(d, lo + 1e-12 * max(1.0, abs(lo))) > 0, d
+        if math.isfinite(hi):
+            assert exact_cdf(d, hi - 1e-12 * max(1.0, abs(hi))) < 1, d
+            assert d.cdf(hi) == d.cdf(np.nextafter(hi, np.inf)) == 1.0, d
+    shock = reconstruct(efgm(0.5), U, U).coupling.g1
+    assert shock.support() == Product(Uniform(1.0, 2.0), shock).support() == (-math.inf, math.inf)
+    assert SurvivalProduct(Uniform(1.0, 2.0), shock).support() == (-math.inf, math.inf)
+
+
 def test_negations_without_a_closed_form_invert_by_the_generic_inverse():
     # a negation reads its law's upper quantile, whose default is the generic inverse of
     # the negated law, negated: it must land on that inverse to the bit
@@ -742,10 +807,42 @@ def test_rmm_reconstruction_requires_interior_point():
     assert err.value.assumption == "interior-point"
 
 
-def test_reconstructed_shocks_jump_nowhere_on_continuous_margins():
+def assert_atom_at(g, x, level):
+    """g jumps at x, reads its right limit there and inverts ``level`` to x exactly."""
+    assert x in g.jump_points()
+    assert g.cdf(x) == g.cdf(x + 1e-300) and g.cdf_left(x) < level <= g.cdf(x)
+    assert g.quantile(level) == x and g.quantile_array(np.array([level]))[0] == x
+
+
+def test_reconstructed_shocks_jump_at_a_continuous_margins_start():
+    # the RMM shocks read 1/(1 + f*(0+)) = 2/3 at 0, where the uniform margins start
     model = reconstruct(efgm(0.5), U, U)
-    assert model.coupling.g1.jump_points() == ()
-    assert model.coupling.g2.jump_points() == ()
+    for g in (model.coupling.g1, model.coupling.g2):
+        assert g.cdf(0.0) == g.cdf(1e-300) == pytest.approx(2.0 / 3.0)
+        assert_atom_at(g, 0.0, 0.3)
+    # the capped Marshall shock reads 1/phi*(0+) = 1/2 there, and so does its chi-mapped g1
+    model = reconstruct(marshall(capped_gen(), capped_gen()), U, U)
+    for g in (model.coupling.g1, model.coupling.g2):
+        assert g.cdf(0.0) == 0.5
+        assert_atom_at(g, 0.0, 0.3)
+    # the SMM shock is a negated RMM shock on -U, which starts at -1: it jumps at 1 from 1/3
+    g1 = reconstruct(survival(efgm(0.5)), U, U).coupling.g1
+    assert 1.0 in g1.jump_points()
+    assert g1.cdf_left(1.0) == pytest.approx(g1.cdf(np.nextafter(1.0, 0.0)), abs=1e-12)
+    assert g1.cdf_left(1.0) == pytest.approx(1.0 / 3.0) and g1.cdf(1.0) == 1.0
+
+
+def test_inverting_a_reconstructed_shock_reads_its_atom_from_the_table(monkeypatch):
+    # a level inside the atom at 0 inverts at the table lookup, with no refinement; with
+    # the atom unmarked, its levels bisected toward 0 and F was called 198 times here
+    g1 = reconstruct(efgm(0.8), U, U).coupling.g1
+    calls = []
+    values = RmmShockCdf._values
+    monkeypatch.setattr(RmmShockCdf, "_values", lambda d, *fs: calls.append(fs[0].size) or values(d, *fs))
+    us = np.random.Generator(np.random.Philox(5)).random(20_000)
+    qs = g1.quantile_array(us)
+    assert len(calls) <= 40, (len(calls), sum(calls))
+    assert np.count_nonzero(qs == 0.0) == np.count_nonzero(us <= g1.cdf(0.0)) > 10_000
 
 
 @pytest.mark.parametrize("c", [
