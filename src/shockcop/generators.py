@@ -83,6 +83,14 @@ class Generator(ABC):
         """(condition id, detail) pairs for named-family parameter constraints."""
         return []
 
+    def _inverse_array(self, ws: np.ndarray, ratio: bool = False) -> np.ndarray:
+        """inf{t in [0,1] : h(t) >= w} at levels w in (0,1] for this generator h, nondecreasing
+        from 0 to 1, or with ``ratio`` inf{t in (0,1] : t/h(t) >= w}, nondecreasing where h is
+        a Marshall generator or the hat form f + id of an RMM one, and 0 at levels up to
+        its limit at 0+.  A closed form or a table solves it and may round an ulp short;
+        by default it is the generic inverse of the level law t -> h(t) or t/h(t)."""
+        return _LevelLaw(self, ratio)._bisect_quantile_array(ws)
+
     @abstractmethod
     def describe(self) -> str:
         """Canonical descriptor string."""
@@ -171,6 +179,42 @@ _FAMILIES: dict[str, _Family] = {
 }
 
 
+def _efgmhat_inverse(p, w, ratio):
+    """(1 + a)t - a t**2 = w, or t / that = 1/(1 + a(1 - t)) = w, solved for t.  The root
+    is 2w / ((1 + a) + sqrt(D)) with D = (1 + a)**2 - 4aw written (1 - a)**2 + 4a(1 - w),
+    a sum that keeps its bits as w nears 1, where the difference loses them."""
+    a = p["a"]
+    if ratio:
+        with np.errstate(over="ignore"):  # 1/w of a subnormal level
+            return np.maximum((1.0 + a - 1.0 / w) / a, 0.0)
+    return 2.0 * w / ((1.0 + a) + np.sqrt((1.0 - a) ** 2 + 4.0 * a * (1.0 - w)))
+
+
+def _power_hat_inverse(p, w, ratio):
+    """t**alpha = w, or t**(1 - alpha) = w (constant 1 at alpha = 1)."""
+    alpha = p["alpha"]
+    if not ratio:
+        return w ** (1.0 / alpha)
+    return w ** (1.0 / (1.0 - alpha)) if alpha < 1.0 else np.zeros_like(w)
+
+
+def _identity_inverse(p, w, ratio):
+    return np.zeros_like(w) if ratio else w.copy()
+
+
+#: the closed-form ``_inverse_array`` (params, levels, ratio) of a family whose values rise
+#: from 0 to 1, and of a family under plus-id (its hat form f + id) by that stack's name
+_INVERSES = {
+    "identity": _identity_inverse,
+    "plus-id(zero)": _identity_inverse,
+    # min(s t, 1) and t / min(s t, 1) = max(1/s, t)
+    "capped": lambda p, w, ratio: np.where(w > 1.0 / p["slope"], w, 0.0) if ratio else w / p["slope"],
+    "efgmhat": _efgmhat_inverse,
+    "plus-id(efgmf)": _efgmhat_inverse,
+    "plus-id(power)": _power_hat_inverse,
+}
+
+
 class ClosedFormGenerator(Generator):
     """Named closed-form generator; ``poly`` takes coefficients c0, c1, ..."""
 
@@ -210,6 +254,10 @@ class ClosedFormGenerator(Generator):
             return []
         domain = _FAMILIES[self.family].domain
         return list(domain(self.params)) if domain else []
+
+    def _inverse_array(self, ws, ratio=False):
+        inverse = _INVERSES.get(self.family)
+        return inverse(self.params, ws, ratio) if inverse else super()._inverse_array(ws, ratio)
 
     def describe(self) -> str:
         if not self.params:
@@ -255,8 +303,56 @@ class TabulatedGenerator(Generator):
         us, v = self.us, self.values
         return (v[0], (v[1] - v[0]) / us[1], (v[-1] - v[-2]) / (1.0 - us[-2]))
 
+    def _inverse_array(self, ws, ratio=False):
+        """Solved on the segment [u0, u1] where the running maximum of h, or of t/h(t), at
+        the knots first reaches w: with h = v0 + beta (t - u0) there, h(t) = w at
+        t = u0 + (w - v0)/beta and t/h(t) = w at t = u0 + (w v0 - u0)/(1 - w beta)."""
+        us, v = self.us, self.values
+        ys = v
+        if ratio:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ys = us / v
+            # t/h(t) at 0+: 0 if h(0) > 0, else its value on the first segment, through 0
+            ys[0] = 0.0 if v[0] > 0.0 else ys[1]
+        reach = np.maximum.accumulate(ys)
+        j = np.searchsorted(reach, ws, side="left")  # reach[j-1] < w <= reach[j]
+        k = np.clip(j, 1, us.size - 1)
+        u0, u1, v0, v1 = us[k - 1], us[k], v[k - 1], v[k]
+        with np.errstate(all="ignore"):
+            if ratio:
+                t = u0 + (ws * v0 - u0) / (1.0 - ws * (v1 - v0) / (u1 - u0))
+            else:
+                t = u0 + (ws - v0) / (v1 - v0) * (u1 - u0)
+        return np.where(j == 0, 0.0, np.where(j == us.size, 1.0, np.clip(t, u0, u1)))
+
     def describe(self) -> str:
         return f"tabulated:knots={self.us.size}"
+
+
+class _LevelLaw(DistributionFunction):
+    """The law on [0,1] whose CDF is a generator's h(t), or t/h(t) with ``ratio``: what the
+    generic inverse reads for the default ``Generator._inverse_array``."""
+
+    def __init__(self, gen: Generator, ratio: bool):
+        self.gen, self.ratio = gen, ratio
+
+    def cdf_array(self, xs, left=False):
+        xs = np.asarray(xs, dtype=float)
+        ts = np.clip(xs, 0.0, 1.0)
+        hs = self.gen.value_array(ts)
+        if self.ratio:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                hs = ts / hs
+        return np.where(xs <= 0.0, 0.0, np.where(xs >= 1.0, 1.0, hs))
+
+    def jump_points(self):
+        return (0.0,)
+
+    def support_hint(self):
+        return (0.0, 1.0)
+
+    def describe(self) -> str:
+        return f"{'ratio' if self.ratio else 'level'}({self.gen.describe()})"
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +402,11 @@ class AffineGenerator(Generator):
     def param_domain_violations(self):
         s, _, t, c = self.map  # the base family's domain holds while its values are kept
         return self.base.param_domain_violations() if (s, t, c) == (1, 0, 0) else []
+
+    def _inverse_array(self, ws, ratio=False):
+        closed = isinstance(self.base, ClosedFormGenerator)
+        inverse = closed and _INVERSES.get(_stack(*self.map, self.base.family))
+        return inverse(self.base.params, ws, ratio) if inverse else super()._inverse_array(ws, ratio)
 
     def describe(self) -> str:
         return _stack(*self.map, self.base.describe())

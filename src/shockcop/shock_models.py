@@ -265,8 +265,19 @@ class ChiMap:
 IDENTITY_CHI = ChiMap(np.asarray, np.asarray)  # returns a float array itself
 
 
+def _quantile_where(d: DistributionFunction, ts, on) -> np.ndarray:
+    """d's quantiles of the levels ts where ``on``, NaN elsewhere: the last step of an
+    inverse through parts, which keeps levels that round to 0, which no quantile takes,
+    off ``on``."""
+    return np.where(on, d._quantile_array(np.where(on, ts, 0.5)), np.nan)
+
+
 class ComposedCdf(PointwiseCdf):
-    """gen(base.cdf(x)) for a continuous nondecreasing generator with gen(0)=0, gen(1)=1."""
+    """gen(base.cdf(x)) for a continuous nondecreasing generator with gen(0)=0, gen(1)=1.
+
+    It inverts through its parts, Q(w) = Q_base(gen^-1(w)): gen(G(x)) >= w exactly where
+    G(x) >= gen^-1(w), as gen is continuous.  The rounding of gen^-1 is guarded as in
+    ``DistributionFunction._parts_quantile_array``."""
 
     def __init__(self, gen: Generator, base: DistributionFunction):
         super().__init__(base)
@@ -275,23 +286,42 @@ class ComposedCdf(PointwiseCdf):
     def _values(self, f):
         return self.gen.value_array(f)
 
+    def _quantile_array(self, us):
+        def inverse(w):
+            ts = self.gen._inverse_array(w)
+            return _quantile_where(self.parts[0], ts, ts > 0.0)
+
+        return self._parts_quantile_array(us, inverse)
+
     def describe(self) -> str:
         return f"composed({self.gen.describe()},{self.parts[0].describe()})"
 
 
 class _ShockCdf(PointwiseCdf):
-    """A reconstructed shock read from margin_u and margin_v, whose rule takes another
-    branch where margin_u vanishes.  At margin_u's declared start, where margin_u still
-    reads 0, F is the u branch's right limit ``limit``, and the start is a jump point.
-    In floats the margin can read 0 a little beyond its start; F is the limit there too."""
+    """A reconstructed shock read from margin_u and margin_v: the u branch t/h(t) of
+    t = margin_u(x), for the generator ``ratio``, and another branch where margin_u
+    vanishes.  At margin_u's declared start, where margin_u still reads 0, F is the u
+    branch's right limit ``limit``, and the start is a jump point.  In floats the margin
+    can read 0, or a subnormal in which the branch rounds wildly, a little beyond its
+    start; F is the limit there too, unless the limit is 0 (a divergent star ratio),
+    where the branch's own small values stay.
 
-    def __init__(self, margin_u, margin_v, limit: float):
+    It inverts through its parts: a level inside an atom, the start's included, is its
+    jump point; a level above ``limit`` is margin_u's quantile of the inverse of
+    t -> t/h(t) (``Generator._inverse_array``), as F >= w > limit exactly where
+    margin_u >= that inverse; a level at or below F(start-), on the other branch, takes
+    the generic inverse."""
+
+    def __init__(self, margin_u, margin_v, limit: float, ratio: Generator):
         super().__init__(margin_u, margin_v)
         self.margin_u = margin_u
         self.margin_v = margin_v
         self.limit = limit
+        self.ratio = ratio
         lo = margin_u.support()[0]
         self.start = lo if math.isfinite(lo) else None  # no start: the branches alone
+        # margin_u's values that read as its start: 0, and the subnormals under a positive limit
+        self._floor = np.nextafter(np.finfo(float).tiny, 0.0) if limit > 0.0 else 0.0
 
     def cdf_array(self, xs, left=False):
         xs = np.asarray(xs, dtype=float)
@@ -299,8 +329,16 @@ class _ShockCdf(PointwiseCdf):
         out = self._values(fu, self.margin_v.cdf_array(xs, left))
         if self.start is not None:
             # F(start-) is the other branch's; F is the limit from the start on
-            out[((xs > self.start) if left else (xs >= self.start)) & (fu == 0.0)] = self.limit
+            out[((xs > self.start) if left else (xs >= self.start)) & (fu <= self._floor)] = self.limit
         return out
+
+    def _quantile_array(self, us):
+        return self._parts_quantile_array(us, self._u_branch_quantile)
+
+    def _u_branch_quantile(self, us):
+        """margin_u's quantile of the ratio inverse at levels above ``limit``, NaN below."""
+        ts = self.ratio._inverse_array(us, ratio=True)
+        return _quantile_where(self.margin_u, ts, (us > self.limit) & (ts > 0.0))
 
     def jump_points(self):
         jumps = super().jump_points()
@@ -321,7 +359,8 @@ class RmmShockCdf(_ShockCdf):
         if side == "v":
             margin_u, margin_v = margin_v, margin_u
             f, g = g, f
-        super().__init__(margin_u, margin_v, 1.0 / (1.0 + derived_value(f, "star", 0.0)))
+        limit = 1.0 / (1.0 + derived_value(f, "star", 0.0))
+        super().__init__(margin_u, margin_v, limit, hat_of(f))
         self.f = f
         self.g = g
         self.side = side
@@ -356,7 +395,7 @@ class MarshallShockCdf(_ShockCdf):
 
     def __init__(self, phi: Generator, psi: Generator, margin_u, margin_v):
         star0 = derived_value(phi, "star", 0.0)  # 0 only where phi vanishes, which _values refuses
-        super().__init__(margin_u, margin_v, 1.0 / star0 if star0 else math.inf)
+        super().__init__(margin_u, margin_v, 1.0 / star0 if star0 else math.inf, phi)
         self.phi = phi
         self.psi = psi
 

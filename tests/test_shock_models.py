@@ -19,7 +19,7 @@ from shockcop.copulas import (
     sklar_join,
     survival,
 )
-from shockcop.descriptors import parse_generator
+from shockcop.descriptors import parse_copula, parse_generator
 from shockcop.distributions import (
     DistributionFunction,
     EfgmMargin,
@@ -71,7 +71,7 @@ from shockcop.shock_models import (
     smm_model,
     support_grid,
 )
-from test_distributions import exact_cdf
+from test_distributions import LEVELS, bisection_width, exact_cdf
 
 U = Uniform()
 
@@ -676,6 +676,10 @@ def laws_at_any_depth():
         (marshall(SQRT, SQRT), EfgmShock(0.5), EfgmShock(0.5), None),
         (efgm(0.8), EfgmShock(0.5), Uniform(-2.0, 0.0), None),
         (survival(efgm(0.6)), Product(U, Exponential(1.0)), Product(U, Exponential(2.0)), None),
+        # power, twoparam and tabulated RMM generators, the last two without a closed inverse
+        (exprmm_ab(0.5, 0.7), U, Exponential(1.0), None),
+        (parse_copula("rmm:f=twoparam:alpha=0.5,beta=0.6,g=efgmf:a=0.5"), STEP_MARGIN, U, None),
+        (induced_copula(exponential_rmm_model(1.0, 2.0, 1.5, 0.7), resolution=256), U, Uniform(0.0, 2.0), None),
     ]:
         m = reconstruct(c, fu, fv, chi=chi)
         stack += [m.f_x, m.f_y, *vars(m.coupling).values(), *margins(m)]
@@ -800,6 +804,64 @@ def test_negations_without_a_closed_form_invert_by_the_generic_inverse():
         assert d.quantile_array(us).tobytes() == d._bisect_quantile_array(us).tobytes(), d
 
 
+def parts_laws():
+    """The laws of ``laws_at_any_depth`` that invert through their parts."""
+    return [d for d in laws_at_any_depth() if type(d) in (ComposedCdf, RmmShockCdf, MarshallShockCdf, MappedCdf)]
+
+
+def test_parts_laws_cover_every_margin_and_generator_kind():
+    laws = parts_laws()
+    bases = {type(d.parts[0]).__name__ for d in laws if type(d) is ComposedCdf}
+    assert {"Uniform", "TabulatedCdf", "Exponential"} <= bases
+    gens = {d.gen.describe().split(":")[0] for d in laws if type(d) is ComposedCdf}
+    ratios = {d.ratio.describe().split(":")[0] for d in laws if isinstance(d, (RmmShockCdf, MarshallShockCdf))}
+    for kind in ("plus-id(efgmf", "plus-id(power", "plus-id(twoparam", "capped", "tabulated"):
+        assert any(g.startswith(kind) for g in gens) and any(r.startswith(kind) for r in ratios), kind
+    assert {type(d) for d in laws} == {ComposedCdf, RmmShockCdf, MarshallShockCdf, MappedCdf}
+
+
+#: F's own rounding, in ulps of the level: a parts answer is the exact quantile of its
+#: parts' rounded values, so where F's floats resolve a level coarser than the bisection
+#: width (the far tail of an exponential or an EFGM shock, a negated product near 1) it
+#: reads up to this much above the level a width to its left, and it may sit anywhere on
+#: the flat or ulp-noisy stretch whose start, or one of its starts, the bisection finds
+F_ROUNDING_ULPS = 4
+
+
+@given(st.integers(0, 10**6), st.lists(LEVELS, min_size=1, max_size=12), st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_parts_inverse_agrees_with_the_generic_inverse(i, levels, t):
+    laws = parts_laws()
+    d = laws[i % len(laws)]
+    # a level inside each atom, F(J-) < u <= F(J), inverts to its jump point exactly
+    jumps = np.asarray(d.jump_points(), dtype=float)
+    under, over = d.cdf_left_array(jumps), d.cdf_array(jumps)
+    inside = np.minimum(np.maximum(under + t * (over - under), np.nextafter(under, 1.0)), over)
+    atoms = (over > under) & (inside > 0.0) & (inside < 1.0)
+    us = np.concatenate((levels, inside[atoms]))
+    qs = d._quantile_array(us)
+    assert np.array_equal(qs[len(levels):], jumps[atoms]), d
+    # a scalar is the array path at one point, to the bit
+    assert [d.quantile(u) for u in us.tolist()] == qs.tolist(), d
+    # +inf where the level is never reached; the bisection's probes may stop short of a
+    # finite far-left answer, which it then reads as -inf
+    ref = d._bisect_quantile_array(us)
+    assert np.array_equal(qs == np.inf, ref == np.inf), d
+    assert np.all(qs[ref > -np.inf] > -np.inf), d
+    finite = np.isfinite(qs)
+    us, qs, ref = us[finite], qs[finite], ref[finite]
+    width = np.array([bisection_width(q) for q in qs])
+    slack = F_ROUNDING_ULPS * np.spacing(us)
+    # F(Q(u)) >= u exactly, and F(Q(u) - width) <= u up to F's own rounding
+    assert np.all(d.cdf_array(qs) >= us), d
+    assert np.all(d.cdf_array(qs - width) <= us + slack), d
+    # within a width of the generic inverse, or at the level F reads there, up to rounding
+    known = np.isfinite(ref)
+    qs, ref, us, width, slack = qs[known], ref[known], us[known], width[known], slack[known]
+    apart = np.abs(qs - ref) > np.maximum(width, [bisection_width(r) for r in ref])
+    assert np.all(np.abs(d.cdf_array(qs) - d.cdf_array(ref))[apart] <= slack[apart]), d
+
+
 def test_rmm_reconstruction_requires_interior_point():
     degenerate = point_mass(0.0)
     with pytest.raises(ReconstructionError) as err:
@@ -832,17 +894,68 @@ def test_reconstructed_shocks_jump_at_a_continuous_margins_start():
     assert g1.cdf_left(1.0) == pytest.approx(1.0 / 3.0) and g1.cdf(1.0) == 1.0
 
 
-def test_inverting_a_reconstructed_shock_reads_its_atom_from_the_table(monkeypatch):
-    # a level inside the atom at 0 inverts at the table lookup, with no refinement; with
-    # the atom unmarked, its levels bisected toward 0 and F was called 198 times here
-    g1 = reconstruct(efgm(0.8), U, U).coupling.g1
-    calls = []
-    values = RmmShockCdf._values
-    monkeypatch.setattr(RmmShockCdf, "_values", lambda d, *fs: calls.append(fs[0].size) or values(d, *fs))
+def count_parts_work(monkeypatch, d, base):
+    """Counters of F's rule (``_values``), of ``base``'s own inverse and of the generic
+    inverse while d inverts 20,000 seeded levels; returns the levels and quantiles too."""
+    counts = {"values": 0, "base": 0, "bisect": 0}
+    values, quantile, bisect = type(d)._values, type(base)._quantile_array, DistributionFunction._bisect_quantile_array
+
+    def counted(key, fn, only=None):
+        def wrapper(self, *args):
+            counts[key] += only is None or self is only
+            return fn(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(type(d), "_values", counted("values", values))
+    monkeypatch.setattr(type(base), "_quantile_array", counted("base", quantile, base))
+    monkeypatch.setattr(DistributionFunction, "_bisect_quantile_array", counted("bisect", bisect))
     us = np.random.Generator(np.random.Philox(5)).random(20_000)
-    qs = g1.quantile_array(us)
-    assert len(calls) <= 40, (len(calls), sum(calls))
+    return counts, us, d.quantile_array(us)
+
+
+def test_inverting_a_reconstructed_shock_reads_its_atom_from_the_table(monkeypatch):
+    # a level inside the atom at 0 is its jump point; the others are margin_u's quantiles
+    # of the star inverse, read once, with F read at the atom's two ends, at the answers
+    # and at most once more.  Bisecting into the atom called F 198 times here, and a
+    # generic inverse outside it 29 times
+    g1 = reconstruct(efgm(0.8), U, U).coupling.g1
+    counts, us, qs = count_parts_work(monkeypatch, g1, g1.margin_u)
+    assert (counts["base"], counts["bisect"]) == (1, 0) and counts["values"] <= 5, counts
     assert np.count_nonzero(qs == 0.0) == np.count_nonzero(us <= g1.cdf(0.0)) > 10_000
+
+
+def test_inverting_a_composed_margin_reads_its_base_once(monkeypatch):
+    # Q_base(h^-1(w)): the base's quantile once and F at the answers, at most once more
+    f_x = reconstruct(efgm(0.8), U, U).f_x
+    counts, us, qs = count_parts_work(monkeypatch, f_x, f_x.parts[0])
+    assert (counts["base"], counts["bisect"]) == (1, 0) and counts["values"] <= 2, counts
+    assert np.all(f_x.cdf_array(qs) >= us)
+
+
+SUBNORMAL_XS = np.array([0.0, 5e-324, 1e-320, 1e-310, 2.3e-308])  # the last one normal
+
+
+@pytest.mark.parametrize("a", [0.5, 0.8])
+def test_reconstructed_shocks_read_their_limit_where_the_margin_is_subnormal(a):
+    # margin_u = U reads its own subnormal argument just right of its start at 0, where
+    # the u branch rounded to 1.0 (a = 0.5) or 0.5 (a = 0.8): F is the limit up to the
+    # smallest normal and nondecreasing on
+    model = reconstruct(efgm(a), U, U)
+    for g in (model.coupling.g1, model.coupling.g2):
+        fs = g.cdf_array(SUBNORMAL_XS)
+        assert np.all(fs[:4] == g.limit) and fs[4] >= g.limit, (a, fs)
+        assert [g.cdf(x) for x in SUBNORMAL_XS.tolist()] == fs.tolist()
+
+
+def test_a_divergent_star_keeps_its_branch_values_where_the_margin_is_subnormal():
+    # f = t**0.5 - t has f*(0+) = +inf, so the limit is 0 and F = t/t**0.5 = sqrt(t) is
+    # representable at a subnormal t: it stays, rising from F(0) = 0
+    g1 = reconstruct(exprmm_ab(0.5, 0.7), U, U).coupling.g1
+    fs = g1.cdf_array(SUBNORMAL_XS)
+    assert g1.limit == 0.0 and fs[0] == 0.0
+    assert np.all((fs[1:] > 0.0) & (np.diff(fs) > 0.0)), fs
+    np.testing.assert_allclose(fs[2:], np.sqrt(SUBNORMAL_XS[2:]), rtol=1e-3)
 
 
 @pytest.mark.parametrize("c", [
