@@ -88,8 +88,9 @@ class Generator(ABC):
         from 0 to 1, or with ``ratio`` inf{t in (0,1] : t/h(t) >= w}, nondecreasing where h is
         a Marshall generator or the hat form f + id of an RMM one, and 0 at levels up to
         its limit at 0+.  A closed form or a table solves it and may round an ulp short;
-        by default it is the generic inverse of the level law t -> h(t) or t/h(t)."""
-        return _LevelLaw(self, ratio)._bisect_quantile_array(ws)
+        a generator without one answers NaN, and a law built on it takes its own generic
+        inverse at those levels."""
+        return np.full(np.shape(ws), np.nan)
 
     @abstractmethod
     def describe(self) -> str:
@@ -190,14 +191,6 @@ def _efgmhat_inverse(p, w, ratio):
     return 2.0 * w / ((1.0 + a) + np.sqrt((1.0 - a) ** 2 + 4.0 * a * (1.0 - w)))
 
 
-def _power_hat_inverse(p, w, ratio):
-    """t**alpha = w, or t**(1 - alpha) = w (constant 1 at alpha = 1)."""
-    alpha = p["alpha"]
-    if not ratio:
-        return w ** (1.0 / alpha)
-    return w ** (1.0 / (1.0 - alpha)) if alpha < 1.0 else np.zeros_like(w)
-
-
 def _identity_inverse(p, w, ratio):
     return np.zeros_like(w) if ratio else w.copy()
 
@@ -206,12 +199,10 @@ def _identity_inverse(p, w, ratio):
 #: from 0 to 1, and of a family under plus-id (its hat form f + id) by that stack's name
 _INVERSES = {
     "identity": _identity_inverse,
-    "plus-id(zero)": _identity_inverse,
     # min(s t, 1) and t / min(s t, 1) = max(1/s, t)
     "capped": lambda p, w, ratio: np.where(w > 1.0 / p["slope"], w, 0.0) if ratio else w / p["slope"],
     "efgmhat": _efgmhat_inverse,
     "plus-id(efgmf)": _efgmhat_inverse,
-    "plus-id(power)": _power_hat_inverse,
 }
 
 
@@ -327,32 +318,6 @@ class TabulatedGenerator(Generator):
 
     def describe(self) -> str:
         return f"tabulated:knots={self.us.size}"
-
-
-class _LevelLaw(DistributionFunction):
-    """The law on [0,1] whose CDF is a generator's h(t), or t/h(t) with ``ratio``: what the
-    generic inverse reads for the default ``Generator._inverse_array``."""
-
-    def __init__(self, gen: Generator, ratio: bool):
-        self.gen, self.ratio = gen, ratio
-
-    def cdf_array(self, xs, left=False):
-        xs = np.asarray(xs, dtype=float)
-        ts = np.clip(xs, 0.0, 1.0)
-        hs = self.gen.value_array(ts)
-        if self.ratio:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                hs = ts / hs
-        return np.where(xs <= 0.0, 0.0, np.where(xs >= 1.0, 1.0, hs))
-
-    def jump_points(self):
-        return (0.0,)
-
-    def support_hint(self):
-        return (0.0, 1.0)
-
-    def describe(self) -> str:
-        return f"{'ratio' if self.ratio else 'level'}({self.gen.describe()})"
 
 
 # ---------------------------------------------------------------------------

@@ -268,8 +268,11 @@ IDENTITY_CHI = ChiMap(np.asarray, np.asarray)  # returns a float array itself
 def _quantile_where(d: DistributionFunction, ts, on) -> np.ndarray:
     """d's quantiles of the levels ts where ``on``, NaN elsewhere: the last step of an
     inverse through parts, which keeps levels that round to 0, which no quantile takes,
-    off ``on``."""
-    return np.where(on, d._quantile_array(np.where(on, ts, 0.5)), np.nan)
+    and levels the parts do not answer off ``on``."""
+    out = np.full(ts.shape, np.nan)
+    if on.any():
+        out[on] = d._quantile_array(ts[on])
+    return out
 
 
 class ComposedCdf(PointwiseCdf):
@@ -277,7 +280,8 @@ class ComposedCdf(PointwiseCdf):
 
     It inverts through its parts, Q(w) = Q_base(gen^-1(w)): gen(G(x)) >= w exactly where
     G(x) >= gen^-1(w), as gen is continuous.  The rounding of gen^-1 is guarded as in
-    ``DistributionFunction._parts_quantile_array``."""
+    ``DistributionFunction._parts_quantile_array``; a generator without an inverse of its
+    own leaves every level to the generic inverse."""
 
     def __init__(self, gen: Generator, base: DistributionFunction):
         super().__init__(base)
@@ -309,8 +313,9 @@ class _ShockCdf(PointwiseCdf):
     It inverts through its parts: a level inside an atom, the start's included, is its
     jump point; a level above ``limit`` is margin_u's quantile of the inverse of
     t -> t/h(t) (``Generator._inverse_array``), as F >= w > limit exactly where
-    margin_u >= that inverse; a level at or below F(start-), on the other branch, takes
-    the generic inverse."""
+    margin_u >= that inverse; a level at or below F(start-), on the other branch, or
+    above ``limit`` for a generator without an inverse of its own, takes the generic
+    inverse."""
 
     def __init__(self, margin_u, margin_v, limit: float, ratio: Generator):
         super().__init__(margin_u, margin_v)
@@ -336,7 +341,8 @@ class _ShockCdf(PointwiseCdf):
         return self._parts_quantile_array(us, self._u_branch_quantile)
 
     def _u_branch_quantile(self, us):
-        """margin_u's quantile of the ratio inverse at levels above ``limit``, NaN below."""
+        """margin_u's quantile of the ratio inverse at levels above ``limit``, NaN below and
+        where the generator has no inverse."""
         ts = self.ratio._inverse_array(us, ratio=True)
         return _quantile_where(self.margin_u, ts, (us > self.limit) & (ts > 0.0))
 

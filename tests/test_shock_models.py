@@ -933,6 +933,18 @@ def test_inverting_a_composed_margin_reads_its_base_once(monkeypatch):
     assert np.all(f_x.cdf_array(qs) >= us)
 
 
+def test_a_generator_without_an_inverse_leaves_its_composed_margin_to_the_generic_inverse():
+    # power and twoparam have no closed-form inverse: they answer NaN, and the margins
+    # built on them invert every level exactly as their own generic inverse does
+    us = np.random.Generator(np.random.Philox(5)).random(2000)
+    laws = [d for d in parts_laws() if type(d) is ComposedCdf
+            and d.gen.describe().startswith(("plus-id(power", "plus-id(twoparam"))]
+    assert len(laws) >= 3
+    for d in laws:
+        assert np.isnan(d.gen._inverse_array(us)).all() and np.isnan(d.gen._inverse_array(us, True)).all()
+        assert d.quantile_array(us).tobytes() == d._bisect_quantile_array(us).tobytes(), d
+
+
 SUBNORMAL_XS = np.array([0.0, 5e-324, 1e-320, 1e-310, 2.3e-308])  # the last one normal
 
 
