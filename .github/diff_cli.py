@@ -5,10 +5,12 @@ Usage: python .github/diff_cli.py BASE_TREE HEAD_TREE
 
 The commands are every ``shockcop`` line of the README's Command line block, as
 ``tests/test_readme.py``'s ``readme_commands()`` reads it from HEAD_TREE, then
-``EXTRA_COMMANDS``, runs that no README line reaches: nine file-writing runs (one
+``EXTRA_COMMANDS``, runs that no README line reaches: twelve file-writing runs (one
 writes a Marshall shock read through chi on a negated margin, so both kinds of mapped
-law are pinned byte for byte, and two sample one exponential RMM model, spelled with
-``neg-exp`` and with ``negated(exp:...)``, into files that hold the same bytes) and two
+law are pinned byte for byte, two sample one exponential RMM model, spelled with
+``neg-exp`` and with ``negated(exp:...)``, into files that hold the same bytes, and
+three sample a Marshall, an SMM and a maxmin model, so every family's ``describe()``
+header and sampling path is pinned) and two
 ``roundtrip`` runs on composite margins (the survival-product one prints a six-digit
 sup distance that moves with its margin's support hint).  Each tree runs them in order
 with its own ``src`` on PYTHONPATH, in its own scratch directory, so a file one line
@@ -33,6 +35,12 @@ EXTRA_COMMANDS = [
      "g2=neg-exp:rate=0.9", "-n", "2000", "--seed", "1", "--out", "negexp.csv"],
     ["sample", "rmm-max:fx=negated(exp:rate=0.7),fy=negated(exp:rate=1.3),g1=negated(exp:rate=1.1),"
      "g2=negated(exp:rate=0.9)", "-n", "2000", "--seed", "1", "--out", "negexp_spelled.csv"],
+    ["sample", "marshall-max:fx=exp:rate=1.0,fy=exp:rate=2.0,g1=exp:rate=1.5,g2=exp:rate=0.5",
+     "-n", "2000", "--seed", "1", "--out", "marshall_sample.csv"],
+    ["sample", "smm-min:fx=exp:rate=1.0,fy=exp:rate=2.0,g1=exp:rate=3.0,g2=exp:rate=0.5",
+     "-n", "2000", "--seed", "1", "--out", "smm_sample.csv"],
+    ["sample", "maxmin-shared:fx=exp:rate=1.0,fy=exp:rate=2.0,g=exp:rate=1.5",
+     "-n", "2000", "--seed", "1", "--out", "maxmin_sample.csv"],
     ["reconstruct", "survival(exprmm-ab:alpha=0.5,beta=0.5)", "--fu", "exp:rate=1.0",
      "--fv", "exp:rate=2.0", "--out", "smm_exp.csv"],
     ["reconstruct", "marshall:phi=capped:slope=2.0,psi=capped:slope=2.0", *UNIFORM_MARGINS,

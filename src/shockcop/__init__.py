@@ -16,17 +16,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "copulas": "Copula FrechetM FrechetW Independence JointDistribution MarshallCopula"
     " MaxminCopula Rectangle RmmCopula SmmCopula efgm exponential_rmm exprmm_ab marshall"
-    " maxmin normalize reflect rmm sklar_join smm survival volume",
+    " maxmin normalize reflect rmm sklar_join smm survival",
     "distributions": "DistributionFunction EfgmMargin EfgmShock Exponential Product"
     " SurvivalProduct TabulatedCdf Uniform load_tabulated_csv negated point_mass",
     "generators": "CheckSuiteReport ClosedFormGenerator Generator GeneratorClass"
     " ReflectedGenerator TabulatedGenerator closed_form derived_value generator_from_shocks"
     " hat_of hat_to_f identity_minus rmm_to_smm smm_to_rmm validate",
     "sampling": "EmpiricalCopula SamplePairs empirical_copula sample_model sup_distance",
-    "shock_models": "ChiMap Combiner Comonotonic Countermonotonic ShockModel SharedShock"
-    " exponential_marshall_model exponential_rmm_model exponential_smm_model exprmm_ab_model"
-    " induced_copula joint_cdf margins marshall_model maxmin_model reconstruct rmm_model"
-    " smm_model",
+    "shock_models": "ChiMap Combiner ShockModel exponential_marshall_model"
+    " exponential_rmm_model exponential_smm_model exprmm_ab_model induced_copula joint_cdf"
+    " margins marshall_model maxmin_model reconstruct rmm_model smm_model",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 # submodules that the former eager imports bound as attributes of the package

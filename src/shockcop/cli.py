@@ -27,7 +27,7 @@ from . import __version__
 from . import checks
 from . import shock_models as sm
 from .descriptors import parse_copula, parse_distribution, parse_generator, parse_model
-from .errors import IllegalModelError, ReconstructionError, ShockcopError
+from .errors import ReconstructionError, ShockcopError
 from .generators import DEFAULT_GRID, GeneratorClass, validate
 from .sampling import (
     empirical_copula,
@@ -165,7 +165,7 @@ def cmd_reconstruct(args) -> int:
         return EXIT_CHECK_FAILED
     if args.out:
         xs = sm.support_grid([margin_u, margin_v], args.points)
-        laws = (model.f_x, model.f_y, model.coupling.g1, model.coupling.g2)
+        laws = (model.f_x, model.f_y, model.g1, model.g2)
         with _open_out(args.out) as fh:
             comment = f"shockcop={__version__} descriptor={c.describe()} reconstruction"
             write_table(fh, comment, "x,f_x,f_y,g1,g2", [xs, *(law.cdf_array(xs) for law in laws)])
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     except ReconstructionError as exc:
         print(f"reconstruction failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (IllegalModelError, ShockcopError, ValueError) as exc:
+    except (ShockcopError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,8 +1,7 @@
 """Evaluable copula families, rectangle volumes, the survival and sigma flips, joins.
 
 Raw evaluation is deliberately unclamped so that axiom violations stay
-observable to the check suites; ``value_clamped`` clips into [0,1] for callers
-that want a guaranteed probability.
+observable to the check suites.
 
 The wrappers ``survival``, ``sigma1`` and ``sigma2`` flip U and V, U, or V
 (u -> 1-u); with the identity they form the group Z2 x Z2, and ``FlippedCopula``
@@ -10,7 +9,9 @@ is the one wrapper for all three.  maxmin, RMM = sigma2(maxmin) and
 SMM = sigma1(maxmin) = survival(RMM) lie on one orbit of this group:
 ``normalize`` composes a stack of flips and, where it carries one of these
 families onto RMM or SMM, returns that family with the generators of the
-flipped coordinates reflected.
+flipped coordinates reflected.  The bounds M and W form an orbit of their own
+(a flip of one coordinate swaps them, a flip of both fixes each), and every
+flip fixes independence.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ class Copula(ABC):
     def value_array(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         return np.asarray(self._eval(np.asarray(us, dtype=float), np.asarray(vs, dtype=float)))
 
-    def value_clamped(self, u: float, v: float) -> float:
-        return min(1.0, max(0.0, self.value(u, v)))
-
     def volume(self, rect: "Rectangle") -> float:
         c = self.value_array([rect.u2, rect.u1, rect.u2, rect.u1], [rect.v2, rect.v2, rect.v1, rect.v1])
         return float(c[0] - c[1] - c[2] + c[3])
@@ -73,10 +71,6 @@ class Rectangle:
             raise ValueError(f"rectangle corners must be ordered inside the unit square: {self}")
 
 
-def volume(c: Copula, rect: Rectangle) -> float:
-    return c.volume(rect)
-
-
 # ---------------------------------------------------------------------------
 # base families
 # ---------------------------------------------------------------------------
@@ -88,6 +82,10 @@ class FrechetW(Copula):
     def _eval(self, u, v):
         return np.maximum(0.0, u + v - 1.0)
 
+    def _partner(self, w):
+        """The level V takes where U takes w on W's support, 1 - w, written over w."""
+        return np.subtract(1.0, w, out=w)
+
     def describe(self) -> str:
         return "frechet-w"
 
@@ -97,6 +95,10 @@ class FrechetM(Copula):
 
     def _eval(self, u, v):
         return np.minimum(u, v)
+
+    def _partner(self, w):
+        """The level V takes where U takes w on M's support: w itself."""
+        return w
 
     def describe(self) -> str:
         return "frechet-m"
@@ -225,6 +227,8 @@ def _xor(a: tuple[bool, bool], b: tuple[bool, bool]) -> tuple[bool, bool]:
     return (a[0] != b[0], a[1] != b[1])
 
 
+#: the base each of M, W and independence becomes under a flip of one coordinate
+_SWAPPED = {FrechetM: FrechetW, FrechetW: FrechetM, Independence: Independence}
 #: maxmin's orbit under the flips: each family's place is the flip that carries maxmin onto it
 _PLACE = {MaxminCopula: (False, False), RmmCopula: (False, True), SmmCopula: (True, False)}
 _LANDS_ON = {(False, True): RmmCopula, (True, False): SmmCopula}
@@ -238,14 +242,18 @@ def normalize(c: Copula) -> Copula:
     at no flip, RMM at a flip of V and SMM at a flip of U: a flip that carries
     one of these onto RMM or SMM gives that family, the generator of each
     flipped coordinate reflected.  maxmin's generators enter as phi - id (an
-    RMM generator) and id - psi (an SMM one).  Anything else, a Marshall
-    copula, survival(maxmin) or a non-shock copula, keeps one composed flip.
+    RMM generator) and id - psi (an SMM one).  A flip of one coordinate swaps
+    M and W and a flip of both fixes each; every flip fixes independence.
+    Anything else, a Marshall copula, survival(maxmin) or another copula,
+    keeps one composed flip.
     """
     flips = (False, False)
     while isinstance(c, FlippedCopula):
         flips, c = _xor(flips, c.flips), c.inner
     if flips == (False, False):
         return c
+    if type(c) in _SWAPPED:
+        return _SWAPPED[type(c)]() if flips[0] != flips[1] else c
     target = _LANDS_ON.get(_xor(_PLACE[type(c)], flips)) if type(c) in _PLACE else None
     if target is None:
         return FlippedCopula(c, flips)

@@ -19,8 +19,7 @@ Grammar sketch::
               | product(DIST;DIST) | survival-product(DIST;DIST) | negated(DIST)
     model    := marshall-max:fx=DIST,fy=DIST,g1=DIST,g2=DIST
               | rmm-max:... | smm-min:... | maxmin-shared:fx=,fy=,g=
-              (an optional combiner=max-max|min-min|max-min field overrides the
-               prefix's combiner, which can make the configuration illegal)
+              (the prefix names the combiner and the shocks' Frechet bound)
 
 Commas nested inside parentheses never split fields.  A comma-separated token
 that does not introduce a known field name continues the previous field if it
@@ -89,9 +88,9 @@ def _split_head(text: str) -> tuple[str, str]:
     return head.strip(), body if sep else ""
 
 
-def _parse_fields(body: str, names, context: str, optional=()) -> dict[str, str]:
-    """Group comma-separated tokens into the named fields, all required but the
-    ``optional``; the module docstring says where a token naming none goes."""
+def _parse_fields(body: str, names, context: str) -> dict[str, str]:
+    """Group comma-separated tokens into the named fields, all required; the module
+    docstring says where a token naming none goes."""
     fields: dict[str, str] = {}
     current = None
     for token in split_top_level(body):
@@ -108,7 +107,7 @@ def _parse_fields(body: str, names, context: str, optional=()) -> dict[str, str]
             raise DescriptorError(
                 f"{context}: unknown field {key.strip()!r}, expected one of {sorted(names)}"
             )
-    missing = [n for n in names if n not in fields and n not in optional]
+    missing = [n for n in names if n not in fields]
     if missing:
         raise DescriptorError(f"{context}: missing field(s) {missing}")
     return fields
@@ -291,23 +290,15 @@ def parse_copula(text: str) -> cop.Copula:
 
 _MODEL_KINDS = {prefix: family for family, prefix in sm.MODEL_PREFIXES.items()}
 
-_COMBINER_NAMES = {c.value: c for c in sm.Combiner}
-
 
 def parse_model(text: str) -> sm.ShockModel:
     text = text.strip()
     head, body = _split_head(text)
     if head not in _MODEL_KINDS:
         raise DescriptorError(f"unknown model kind {head!r} in {text!r}")
-    combiner, coupling_type = _MODEL_KINDS[head]
-    shock_names = ("g",) if coupling_type is sm.SharedShock else ("g1", "g2")
-    names = ("fx", "fy", *shock_names, "combiner")
-    fields = _parse_fields(body, names, text, optional=("combiner",))
+    combiner, coupling = _MODEL_KINDS[head]
+    shock_names = ("g",) if combiner is sm.Combiner.MAX_MIN else ("g1", "g2")
+    fields = _parse_fields(body, ("fx", "fy", *shock_names), text)
     f_x, f_y = parse_distribution(fields["fx"]), parse_distribution(fields["fy"])
-    coupling = coupling_type(*(parse_distribution(fields[n]) for n in shock_names))
-    if "combiner" in fields:
-        override = fields["combiner"].strip().lower()
-        if override not in _COMBINER_NAMES:
-            raise DescriptorError(f"{text}: unknown combiner {override!r}")
-        combiner = _COMBINER_NAMES[override]
-    return sm.ShockModel(f_x, f_y, coupling, combiner)
+    shocks = [parse_distribution(fields[n]) for n in shock_names]  # a shared shock is g1 and g2
+    return sm.ShockModel(f_x, f_y, shocks[0], shocks[-1], combiner, coupling())

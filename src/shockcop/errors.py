@@ -31,7 +31,8 @@ class GeneratorKindError(ShockcopError, ValueError):
 
 
 class IllegalModelError(ShockcopError, ValueError):
-    """A shock model combines a coupling and combiner with no supported copula family."""
+    """A shock model pairs a combiner with a shock copula K (a Frechet bound) that makes no
+    supported family, or a max-min model reads two shock laws where it shares one."""
 
 
 class ShockStructureError(ShockcopError):

@@ -3,9 +3,9 @@
 Sampling draws three uniform streams per run (one each for the X, Y, and
 systemic-shock coordinates) from counter-based Philox generators spawned off a
 single seed, so identical (model, n, seed) triples yield bit-identical output.
-The coupling is applied on the uniform scale: the comonotonic pair shares the
-systemic uniform Z (a shared shock is inverted once), the countermonotonic
-pair uses Z and 1-Z.
+The shocks' copula K, a Frechet bound, is applied on the uniform scale: M pairs
+the systemic uniform Z with itself (a shared shock is inverted once), W pairs
+it with 1-Z.
 
 Each stream is its own generator, so the order of the draws does not change a
 bit.  The systemic stream comes first: its shocks Z1, Z2 are written into the
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copulas import Copula
-from .shock_models import Countermonotonic, ShockModel, _worst
+from .shock_models import Combiner, ShockModel, _worst
 from .errors import TableFormatError
 from .tables import read_table, source_name, write_table
 
@@ -54,13 +54,12 @@ def sample_model(m: ShockModel, n: int, seed: int) -> SamplePairs:
     stream_x, stream_y, stream_z = np.random.SeedSequence(seed).spawn(3)
     pairs = np.empty((n, 2))
     uz = _open_uniforms(stream_z, n)
-    g1, g2 = m.coupling.g1, m.coupling.g2
-    pairs[:, 0] = g1.quantile_array(uz)
-    if isinstance(m.coupling, Countermonotonic):
-        pairs[:, 1] = g2.quantile_array(np.subtract(1.0, uz, out=uz))
+    pairs[:, 0] = m.g1.quantile_array(uz)
+    if m.combiner is Combiner.MAX_MIN:  # one shared shock
+        pairs[:, 1] = pairs[:, 0]
     else:
-        pairs[:, 1] = pairs[:, 0] if g2 is g1 else g2.quantile_array(uz)
-    del uz
+        pairs[:, 1] = m.g2.quantile_array(m.coupling._partner(uz))
+    del uz  # peak memory: no name keeps the shock levels through the idiosyncratic draws
     coordinates = ((m.f_x, stream_x), (m.f_y, stream_y))
     for column, (margin, stream), is_max in zip(pairs.T, coordinates, m.combiner.maxes):
         combine = np.maximum if is_max else np.minimum

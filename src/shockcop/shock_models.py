@@ -2,20 +2,21 @@
 
 One mechanism covers the four families.  Each coordinate takes the max or
 the min of its idiosyncratic shock and a systemic one, U = max-or-min(X, Z1)
-and V = max-or-min(Y, Z2), and the systemic pair (Z1, Z2) is comonotone or
-countermonotone.  A shared shock is the comonotone pair with equal laws.
+and V = max-or-min(Y, Z2), and the copula K of the systemic pair (Z1, Z2) is
+a Frechet bound: M (comonotone) or W (countermonotone).  A shared shock is M
+with one law object for both shocks, g1 is g2.
 
-========  ======================  ============================================
-U, V      systemic pair           induced family
-========  ======================  ============================================
-max, max  comonotone              Marshall: min{u psi(v), v phi(u)}
-max, max  countermonotone         RMM: max{0, uv - f(u)g(v)}
-min, min  countermonotone         SMM: max{u+v-1, uv - h(u)k(v)}
-max, min  one shared shock        maxmin: min{u, phi(u)(v-psi(v)) + u psi(v)}
-========  ======================  ============================================
+========  ==========================  ========================================
+U, V      K of the systemic pair      induced family
+========  ==========================  ========================================
+max, max  ``FrechetM``                Marshall: min{u psi(v), v phi(u)}
+max, max  ``FrechetW``                RMM: max{0, uv - f(u)g(v)}
+min, min  ``FrechetW``                SMM: max{u+v-1, uv - h(u)k(v)}
+max, min  ``FrechetM``, g1 is g2      maxmin: min{u, phi(u)(v-psi(v)) + u psi(v)}
+========  ==========================  ========================================
 
-``MODEL_PREFIXES`` holds these four (combiner, coupling type) pairs; no
-other pair is legal.
+``MODEL_PREFIXES`` holds these four (combiner, type of K) pairs; no other
+pair is legal.
 
 ``induced_copula`` realizes the forward direction by composing each component
 CDF with the generalized inverse of its margin.  ``audited_reconstruction`` is
@@ -36,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -78,78 +79,63 @@ class Combiner(enum.Enum):
         return tuple(op == "max" for op in self.value.split("-"))
 
 
-@dataclass(frozen=True)
-class Comonotonic:
-    g1: DistributionFunction
-    g2: DistributionFunction
-
-
-@dataclass(frozen=True)
-class Countermonotonic:
-    g1: DistributionFunction
-    g2: DistributionFunction
-
-
-class SharedShock(Comonotonic):
-    """One systemic shock read by both coordinates: the comonotone pair with g1 = g2 = g."""
-
-    def __init__(self, g: DistributionFunction):
-        super().__init__(g, g)
-
-    @property
-    def g(self) -> DistributionFunction:
-        return self.g1
-
-
-Coupling = Union[Comonotonic, Countermonotonic]
-
-# the four families: (combiner, coupling type) -> descriptor prefix
+# the four families: (combiner, type of K) -> descriptor prefix
 MODEL_PREFIXES = {
-    (Combiner.MAX_MAX, Comonotonic): "marshall-max",
-    (Combiner.MAX_MAX, Countermonotonic): "rmm-max",
-    (Combiner.MIN_MIN, Countermonotonic): "smm-min",
-    (Combiner.MAX_MIN, SharedShock): "maxmin-shared",
+    (Combiner.MAX_MAX, cop.FrechetM): "marshall-max",
+    (Combiner.MAX_MAX, cop.FrechetW): "rmm-max",
+    (Combiner.MIN_MIN, cop.FrechetW): "smm-min",
+    (Combiner.MAX_MIN, cop.FrechetM): "maxmin-shared",
 }
 
 
 @dataclass(frozen=True)
 class ShockModel:
+    """U = max-or-min(X, Z1), V = max-or-min(Y, Z2): X ~ f_x, Y ~ f_y, Z1 ~ g1, Z2 ~ g2,
+    and (Z1, Z2) has the copula ``coupling``, a ``FrechetM`` or a ``FrechetW``."""
+
     f_x: DistributionFunction
     f_y: DistributionFunction
-    coupling: Coupling
+    g1: DistributionFunction
+    g2: DistributionFunction
     combiner: Combiner
+    coupling: cop.Copula
 
     def __post_init__(self):
         if (self.combiner, type(self.coupling)) not in MODEL_PREFIXES:
             raise IllegalModelError(
                 f"no supported family for combiner {self.combiner.value} with "
-                f"{type(self.coupling).__name__} coupling"
+                f"{self.coupling.describe()} shocks"
             )
+        if self.combiner is Combiner.MAX_MIN and self.g1 is not self.g2:
+            raise IllegalModelError("a max-min model reads one shared shock: g1 must be g2")
+
+    @property
+    def family(self) -> str:
+        """The descriptor prefix of the model's family."""
+        return MODEL_PREFIXES[(self.combiner, type(self.coupling))]
 
     def describe(self) -> str:
-        c = self.coupling
-        if isinstance(c, SharedShock):
-            shocks = f"g={c.g.describe()}"
+        if self.combiner is Combiner.MAX_MIN:
+            shocks = f"g={self.g1.describe()}"
         else:
-            shocks = f"g1={c.g1.describe()},g2={c.g2.describe()}"
-        prefix = MODEL_PREFIXES[(self.combiner, type(c))]
-        return f"{prefix}:fx={self.f_x.describe()},fy={self.f_y.describe()},{shocks}"
+            shocks = f"g1={self.g1.describe()},g2={self.g2.describe()}"
+        return f"{self.family}:fx={self.f_x.describe()},fy={self.f_y.describe()},{shocks}"
 
 
 def marshall_model(f_x, f_y, g1, g2) -> ShockModel:
-    return ShockModel(f_x, f_y, Comonotonic(g1, g2), Combiner.MAX_MAX)
+    return ShockModel(f_x, f_y, g1, g2, Combiner.MAX_MAX, cop.FrechetM())
 
 
 def rmm_model(f_x, f_y, g1, g2) -> ShockModel:
-    return ShockModel(f_x, f_y, Countermonotonic(g1, g2), Combiner.MAX_MAX)
+    return ShockModel(f_x, f_y, g1, g2, Combiner.MAX_MAX, cop.FrechetW())
 
 
 def smm_model(f_x, f_y, g1, g2) -> ShockModel:
-    return ShockModel(f_x, f_y, Countermonotonic(g1, g2), Combiner.MIN_MIN)
+    return ShockModel(f_x, f_y, g1, g2, Combiner.MIN_MIN, cop.FrechetW())
 
 
 def maxmin_model(f_x, f_y, g) -> ShockModel:
-    return ShockModel(f_x, f_y, SharedShock(g), Combiner.MAX_MIN)
+    return ShockModel(f_x, f_y, g, g, Combiner.MAX_MIN, cop.FrechetM())
 
 
 def exponential_marshall_model(l1: float, l2: float, m1: float, m2: float) -> ShockModel:
@@ -186,7 +172,7 @@ def exprmm_ab_model(alpha: float, beta: float) -> ShockModel:
 
 def _coordinates(m: ShockModel):
     """Per coordinate, U's first: whether it takes the max, its own law and its shock's law."""
-    return zip(m.combiner.maxes, (m.f_x, m.f_y), (m.coupling.g1, m.coupling.g2))
+    return zip(m.combiner.maxes, (m.f_x, m.f_y), (m.g1, m.g2))
 
 
 def margins(m: ShockModel) -> tuple[DistributionFunction, DistributionFunction]:
@@ -203,19 +189,17 @@ def joint_cdf(m: ShockModel, x, y):
     """P[U <= x, V <= y] in closed form, broadcast over array arguments.
 
     With ``_given_shock``'s (a, b) for each coordinate, H = a_u a_v + a_u b_v
-    G2 + b_u a_v G1 + b_u b_v C(G1, G2), where C is min for a comonotone pair
-    and max(0, G1 + G2 - 1) for a countermonotone one: a sum of nonnegative
-    terms.  Scalars, +-inf included, give a float; every CDF reads 0 at -inf
-    and 1 at +inf, so H(x, +inf) = F_U(x) and H(+inf, y) = F_V(y).
+    G2 + b_u a_v G1 + b_u b_v K(G1, G2), where K is the shocks' copula, min for
+    M and max(0, G1 + G2 - 1) for W: a sum of nonnegative terms.  Scalars,
+    +-inf included, give a float; every CDF reads 0 at -inf and 1 at +inf, so
+    H(x, +inf) = F_U(x) and H(+inf, y) = F_V(y).
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     u_max, v_max = m.combiner.maxes
     a_u, b_u = _given_shock(u_max, m.f_x.cdf_array(x))
     a_v, b_v = _given_shock(v_max, m.f_y.cdf_array(y))
-    g1, g2 = m.coupling.g1.cdf_array(x), m.coupling.g2.cdf_array(y)
-    comonotone = isinstance(m.coupling, Comonotonic)
-    shocks = np.minimum(g1, g2) if comonotone else np.maximum(0.0, g1 + g2 - 1.0)
-    out = a_u * a_v + a_u * b_v * g2 + b_u * a_v * g1 + b_u * b_v * shocks
+    g1, g2 = m.g1.cdf_array(x), m.g2.cdf_array(y)
+    out = a_u * a_v + a_u * b_v * g2 + b_u * a_v * g1 + b_u * b_v * m.coupling._eval(g1, g2)
     return out if np.ndim(out) else float(out)
 
 
@@ -241,7 +225,7 @@ def induced_copula(m: ShockModel, resolution: int = DEFAULT_RESOLUTION) -> cop.C
         return cop.smm(
             identity_minus(side_u, GeneratorClass.SMM), identity_minus(side_v, GeneratorClass.SMM)
         )
-    if isinstance(m.coupling, Countermonotonic):
+    if m.family == "rmm-max":
         return cop.rmm(
             hat_to_f(side_u, GeneratorClass.RMM), hat_to_f(side_v, GeneratorClass.RMM)
         )
@@ -481,7 +465,7 @@ def audit_reconstruction(
         _worst("margin-v-factorization", np.abs(got_v.cdf_array(xs) - fv), xs, zeros, tol),
     ]
 
-    components = [("f-x", model.f_x), ("f-y", model.f_y), *vars(model.coupling).items()]
+    components = [("f-x", model.f_x), ("f-y", model.f_y), ("g1", model.g1), ("g2", model.g2)]
     values = {label: dist.cdf_array(xs) for label, dist in components}
     for label, vals in values.items():
         # v[i] - v[i+1], not -(v[i+1] - v[i]): a flat step gives +0.0, never -0.0
@@ -626,8 +610,7 @@ def _smm_shocks(c, margin_u, margin_v) -> ShockModel:
     negate every shock back."""
     rmm_copula = cop.RmmCopula(smm_to_rmm(c.h), smm_to_rmm(c.k))
     neg = _rmm_shocks(rmm_copula, negated(margin_u), negated(margin_v))
-    g1, g2 = neg.coupling.g1, neg.coupling.g2
-    return smm_model(negated(neg.f_x), negated(neg.f_y), negated(g1), negated(g2))
+    return smm_model(*(negated(d) for d in (neg.f_x, neg.f_y, neg.g1, neg.g2)))
 
 
 def reconstruct(

@@ -150,11 +150,11 @@ def test_sample_of_a_negated_exponential_does_not_depend_on_its_spelling(tmp_pat
     assert written[0] == written[1]
 
 
-def test_sample_illegal_configuration_exits_2(capsys):
+def test_sample_with_a_combiner_field_exits_2(capsys):
     bad = "marshall-max:fx=uniform,fy=uniform,g1=uniform,g2=uniform,combiner=min-min"
     code, _, err = run(capsys, "sample", bad, "-n", "10", "--seed", "1")
     assert code == 2
-    assert "no supported family" in err
+    assert "unknown field 'combiner'" in err
 
 
 def test_check_empirical_against_analytic(tmp_path, capsys):

@@ -32,7 +32,6 @@ from shockcop.copulas import (
     sklar_join,
     smm,
     survival,
-    volume,
 )
 from shockcop.distributions import Exponential, Uniform
 from shockcop.errors import GeneratorValidationError
@@ -142,7 +141,7 @@ def test_independence_quadrant_volume():
 
 def test_efgm_band_volume():
     c = efgm(1.0)
-    assert volume(c, Rectangle(0.0, 0.5, 0.5, 1.0)) == pytest.approx(0.3125, abs=1e-15)
+    assert c.volume(Rectangle(0.0, 0.5, 0.5, 1.0)) == pytest.approx(0.3125, abs=1e-15)
 
 
 def test_rectangle_ordering_enforced():
@@ -266,6 +265,22 @@ def test_normalize_composes_flip_stacks_onto_the_orbit(base, names):
     assert type(out) is landing if landing else not isinstance(out, (RmmCopula, SmmCopula))
     if composed == (False, False):
         assert out is base
+
+
+@given(st.sampled_from([FrechetM, FrechetW, Independence]),
+       st.lists(st.sampled_from(sorted(FLIPS)), max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_normalize_takes_every_flip_stack_of_a_bound_or_independence_to_a_bare_base(base, names):
+    # a flip of one coordinate swaps M and W, a flip of both fixes each; every flip fixes Π
+    stack = base()
+    for name in names:
+        stack = FlippedCopula(stack, FLIPS[name])
+    out = normalize(stack)
+    assert type(out) in (FrechetM, FrechetW, Independence)
+    assert grid_max_diff(out, stack, 41) <= 1e-15
+    swapped = sum(FLIPS[name][0] != FLIPS[name][1] for name in names) % 2 == 1
+    other = {FrechetM: FrechetW, FrechetW: FrechetM}.get(base, base)
+    assert type(out) is (other if swapped else base)
 
 
 def test_smm_equals_survival_of_rmm():
@@ -407,11 +422,10 @@ def test_random_rectangles_have_nonnegative_volume(c):
     assert vols.min() >= -1e-12
 
 
-def test_raw_eval_is_unclamped_but_clamped_variant_clips():
+def test_raw_eval_is_unclamped():
     class Broken(Independence):
         def _eval(self, u, v):
             return u * v - 0.5
 
     b = Broken()
     assert b.value(0.1, 0.1) < 0.0
-    assert b.value_clamped(0.1, 0.1) == 0.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shockcop.copulas import FlippedCopula, MaxminCopula, RmmCopula, SmmCopula
+from shockcop.copulas import FlippedCopula, FrechetM, FrechetW, MaxminCopula, RmmCopula, SmmCopula
 from shockcop.descriptors import (
     parse_copula,
     parse_distribution,
@@ -14,7 +14,7 @@ from shockcop.descriptors import (
     split_top_level,
 )
 from shockcop.distributions import Product, Uniform
-from shockcop.errors import DescriptorError, IllegalModelError
+from shockcop.errors import DescriptorError
 from shockcop.generators import (
     WRAPPERS,
     AffineGenerator,
@@ -22,7 +22,7 @@ from shockcop.generators import (
     GeneratorClass,
     validate,
 )
-from shockcop.shock_models import Combiner, Comonotonic, SharedShock
+from shockcop.shock_models import Combiner
 
 
 def test_split_top_level_respects_parens():
@@ -53,8 +53,9 @@ RMM_MODEL = "rmm-max:fx=uniform,fy=uniform,g1=uniform,g2=uniform"
                  "unknown generator wrapper 'mirror'", id="generator-wrapper"),
     pytest.param(lambda: parse_copula("mirror(efgm:a=0.5)"), "unknown copula wrapper 'mirror'",
                  id="copula-wrapper"),
-    pytest.param(lambda: parse_model(RMM_MODEL + ",combiner=sideways"),
-                 f"{RMM_MODEL},combiner=sideways: unknown combiner 'sideways'", id="combiner"),
+    pytest.param(lambda: parse_model(RMM_MODEL + ",combiner=min-min"),
+                 f"{RMM_MODEL},combiner=min-min: unknown field 'combiner', "
+                 "expected one of ['fx', 'fy', 'g1', 'g2']", id="combiner"),
 ])
 def test_malformed_descriptors_are_rejected(call, message):
     with pytest.raises(DescriptorError, match=re.escape(message)):
@@ -319,7 +320,7 @@ def test_copula_parse_errors():
         (parse_copula, "rmm:f=zero,g=zero,x=1", ["'x'", "['f', 'g']"]),
         (parse_copula, "rmm:f=reflect(zero),x=1,g=zero", ["'x'", "['f', 'g']"]),
         (parse_model, "rmm-max:fx=uniform,fy=uniform,g1=uniform,g2=uniform,gg=uniform",
-         ["'gg'", "['combiner', 'fx', 'fy', 'g1', 'g2']"]),
+         ["'gg'", "['fx', 'fy', 'g1', 'g2']"]),
     ],
 )
 def test_unknown_and_missing_names_are_reported(parse, text, names):
@@ -335,7 +336,7 @@ def test_unknown_and_missing_names_are_reported(parse, text, names):
         (parse_copula, "rmm:g=zero,f=power:alpha=0.5,x=1", "'x'", "['f', 'g']"),
         (parse_copula, "maxmin:phi=twoparam:alpha=0.5,beta=0.5,ps=identity", "'ps'", "['phi', 'psi']"),
         (parse_model, "rmm-max:fx=uniform:a=0,b=2,fy=uniform,g1=exp:rate=1,g=uniform",
-         "'g'", "['combiner', 'fx', 'fy', 'g1', 'g2']"),
+         "'g'", "['fx', 'fy', 'g1', 'g2']"),
     ],
 )
 def test_a_misspelt_slot_after_a_field_with_parameters_is_named(parse, text, name, slots):
@@ -361,12 +362,20 @@ def test_parameters_of_a_nested_descriptor_stay_with_their_field(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_model_descriptor_round_trip():
-    text = "marshall-max:fx=uniform:a=0.0,b=1.0,fy=uniform:a=0.0,b=1.0,g1=exp:rate=1.0,g2=exp:rate=1.0"
+@pytest.mark.parametrize("text, combiner, coupling", [
+    ("marshall-max:fx=uniform:a=0.0,b=1.0,fy=uniform:a=0.0,b=1.0,g1=exp:rate=1.0,g2=exp:rate=2.0",
+     Combiner.MAX_MAX, FrechetM),
+    ("rmm-max:fx=neg-exp:rate=0.7,fy=uniform:a=0.0,b=1.0,g1=negated(exp:rate=1.1),g2=uniform:a=0.0,b=1.0",
+     Combiner.MAX_MAX, FrechetW),
+    ("smm-min:fx=exp:rate=1.0,fy=exp:rate=2.0,g1=exp:rate=3.0,g2=product(uniform:a=0.0,b=1.0;exp:rate=0.5)",
+     Combiner.MIN_MIN, FrechetW),
+    ("maxmin-shared:fx=exp:rate=1.0,fy=exp:rate=2.0,g=exp:rate=1.5", Combiner.MAX_MIN, FrechetM),
+])
+def test_model_descriptor_round_trip(text, combiner, coupling):
     m = parse_model(text)
-    assert m.combiner is Combiner.MAX_MAX
-    assert isinstance(m.coupling, Comonotonic)
-    assert parse_model(m.describe()).describe() == m.describe()
+    assert (m.combiner, type(m.coupling)) == (combiner, coupling)
+    assert m.describe() == parse_model(m.describe()).describe()
+    assert m.describe().split(":")[0] == text.split(":")[0]
 
 
 def test_model_descriptor_case_insensitive_fields():
@@ -376,13 +385,17 @@ def test_model_descriptor_case_insensitive_fields():
 
 def test_shared_shock_model_descriptor():
     m = parse_model("maxmin-shared:fx=uniform,fy=uniform,g=uniform")
-    assert isinstance(m.coupling, SharedShock)
+    assert isinstance(m.coupling, FrechetM) and m.g1 is m.g2
     assert parse_model(m.describe()).describe() == m.describe()
 
 
-def test_combiner_override_can_make_model_illegal():
-    with pytest.raises(IllegalModelError):
-        parse_model("marshall-max:fx=uniform,fy=uniform,g1=uniform,g2=uniform,combiner=min-min")
+@pytest.mark.parametrize("text", [
+    "marshall-max:fx=uniform,fy=uniform,g1=uniform,g2=uniform,combiner=min-min",
+    "maxmin-shared:fx=uniform,fy=uniform,g=uniform,combiner=max-max",
+])
+def test_a_combiner_field_is_an_unknown_field(text):
+    with pytest.raises(DescriptorError, match="unknown field 'combiner'"):
+        parse_model(text)
 
 
 def test_model_with_nested_product_margins():

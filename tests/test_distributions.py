@@ -268,7 +268,7 @@ def reconstructed_laws():
         reconstruct(efgm(0.8), Uniform(), Exponential(2.0)),  # composed, RMM shocks
         reconstruct(survival(efgm(0.6)), Uniform(), Uniform()),  # negated composed and RMM shocks
     ]
-    return [d for m in models for d in (m.f_x, m.f_y, *vars(m.coupling).values())]
+    return [d for m in models for d in (m.f_x, m.f_y, m.g1, m.g2)]
 
 
 def reconstructed_laws_on_a_step_margin():
@@ -285,7 +285,7 @@ def reconstructed_laws_on_a_step_margin():
         reconstruct(efgm(0.8), step, Uniform(0.0, 3.0)),
         reconstruct(survival(efgm(0.6)), step, Uniform(0.0, 3.0)),
     ]
-    return [d for m in models for d in (m.f_x, m.f_y, *vars(m.coupling).values())]
+    return [d for m in models for d in (m.f_x, m.f_y, m.g1, m.g2)]
 
 
 SCALAR_API_LAWS = {
@@ -729,7 +729,7 @@ def reconstructed_margins() -> tuple:
         reconstruct(survival(efgm(0.6)), Uniform(), Uniform()),
         reconstruct(efgm(0.5), TabulatedCdf([0.0, 1.0, 2.0], [0.25, 0.5, 1.0]), Uniform()),
     )
-    return tuple(d for m in models for d in (m.f_x, m.f_y, *vars(m.coupling).values(), *margins(m)))
+    return tuple(d for m in models for d in (m.f_x, m.f_y, m.g1, m.g2, *margins(m)))
 
 
 LEVELS = st.floats(0.0, 1.0).filter(lambda u: 0.0 < u < 1.0) | st.sampled_from([1e-12, 1e-6, 0.5, 1.0 - 1e-6])

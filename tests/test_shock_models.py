@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shockcop.copulas import (
+    FrechetM,
+    FrechetW,
     MarshallCopula,
     MaxminCopula,
     RmmCopula,
@@ -49,13 +51,10 @@ from shockcop.sampling import sample_model, sup_distance
 from shockcop.shock_models import (
     ChiMap,
     Combiner,
-    Comonotonic,
     ComposedCdf,
-    Countermonotonic,
     MarshallShockCdf,
     RmmShockCdf,
     ShockModel,
-    SharedShock,
     audited_reconstruction,
     exponential_marshall_model,
     exponential_rmm_model,
@@ -94,11 +93,17 @@ def grid_joint_gap(model, copula, n=21):
 # ---------------------------------------------------------------------------
 
 
-def test_illegal_configuration_rejected():
-    with pytest.raises(IllegalModelError):
-        ShockModel(U, U, Comonotonic(U, U), Combiner.MIN_MIN)
-    with pytest.raises(IllegalModelError):
-        ShockModel(U, U, SharedShock(U), Combiner.MAX_MAX)
+@pytest.mark.parametrize("g1, g2, combiner, coupling, message", [
+    pytest.param(U, U, Combiner.MIN_MIN, FrechetM(), "combiner min-min with frechet-m shocks",
+                 id="M-under-min-min"),
+    pytest.param(U, U, Combiner.MAX_MIN, FrechetW(), "combiner max-min with frechet-w shocks",
+                 id="W-under-max-min"),
+    pytest.param(U, Uniform(), Combiner.MAX_MIN, FrechetM(), "g1 must be g2",
+                 id="max-min-two-shocks"),
+])
+def test_illegal_configuration_rejected(g1, g2, combiner, coupling, message):
+    with pytest.raises(IllegalModelError, match=message):
+        ShockModel(U, U, g1, g2, combiner, coupling)
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 0.5), (0.5, 0.0)])
@@ -156,15 +161,17 @@ def test_joint_cdf_shared_shock_margins():
 def scalar_joint_cdf(m, x, y):
     """The closed-form joint CDF from scalar component CDFs, one point at a time."""
     fx, fy = m.f_x.cdf(x), m.f_y.cdf(y)
-    if isinstance(m.coupling, SharedShock):
-        gx, gy = m.coupling.g.cdf(x), m.coupling.g.cdf(y)
-        return fx * (gx - (1.0 - fy) * max(0.0, gx - gy))
-    g1, g2 = m.coupling.g1.cdf(x), m.coupling.g2.cdf(y)
+    g1, g2 = m.g1.cdf(x), m.g2.cdf(y)
+    comonotone = isinstance(m.coupling, FrechetM)
+    if m.combiner is Combiner.MAX_MIN:
+        assert comonotone and m.g1 is m.g2
+        return fx * (g1 - (1.0 - fy) * max(0.0, g1 - g2))
     if m.combiner is Combiner.MIN_MIN:
+        assert not comonotone
         fu = 1.0 - (1.0 - fx) * (1.0 - g1)
         fv = 1.0 - (1.0 - fy) * (1.0 - g2)
         return fu + fv - 1.0 + (1.0 - fx) * (1.0 - fy) * max(0.0, 1.0 - g1 - g2)
-    if isinstance(m.coupling, Comonotonic):
+    if comonotone:
         return fx * fy * min(g1, g2)
     return fx * fy * max(0.0, g1 + g2 - 1.0)
 
@@ -386,7 +393,7 @@ def test_marshall_reconstruction_identity_generators():
     c = marshall(identity_gen(), identity_gen())
     model = reconstruct(c, U, U)
     assert model.combiner is Combiner.MAX_MAX
-    g2 = model.coupling.g2
+    g2 = model.g2
     for x in (0.25, 0.5, 1.0):
         assert g2.cdf(x) == pytest.approx(1.0, abs=1e-12)
     assert model.f_x.cdf(0.37) == pytest.approx(0.37, abs=1e-12)
@@ -395,10 +402,10 @@ def test_marshall_reconstruction_identity_generators():
 def test_marshall_reconstruction_capped_generators():
     c = marshall(capped_gen(), capped_gen())
     model = reconstruct(c, U, U)
-    assert model.coupling.g2.cdf(0.25) == pytest.approx(0.5, abs=1e-12)
+    assert model.g2.cdf(0.25) == pytest.approx(0.5, abs=1e-12)
     # factorization F_X * G1 = F_U on a grid
     xs = np.linspace(0.01, 0.99, 37)
-    prod = model.f_x.cdf_array(xs) * model.coupling.g1.cdf_array(xs)
+    prod = model.f_x.cdf_array(xs) * model.g1.cdf_array(xs)
     np.testing.assert_allclose(prod, xs, atol=1e-10)
 
 
@@ -456,7 +463,7 @@ def test_marshall_reconstruction_margin_envelope():
     model = reconstruct(c, U, U)
     xs = support_grid([U, U], 201)
     f_u, _ = margins(model)
-    env = np.minimum(model.f_x.cdf_array(xs), model.coupling.g1.cdf_array(xs))
+    env = np.minimum(model.f_x.cdf_array(xs), model.g1.cdf_array(xs))
     assert np.all(f_u.cdf_array(xs) <= env + 1e-12)
 
 
@@ -507,7 +514,7 @@ def test_rmm_reconstruction_independence():
     )
     model = reconstruct(c, U, U)
     assert model.f_x.cdf(0.3) == pytest.approx(0.3, abs=1e-12)
-    assert model.coupling.g1.cdf(0.5) == pytest.approx(1.0, abs=1e-12)
+    assert model.g1.cdf(0.5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rmm_reconstruction_efgm_closed_forms():
@@ -515,8 +522,8 @@ def test_rmm_reconstruction_efgm_closed_forms():
     model = reconstruct(efgm(a), U, U)
     # F_X(x) = (a+1)x - a x^2 and G1(x) = 1/(a+1-ax) on (0,1]
     assert model.f_x.cdf(0.5) == pytest.approx(0.75, abs=1e-12)
-    assert model.coupling.g1.cdf(0.5) == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert model.f_x.cdf(0.5) * model.coupling.g1.cdf(0.5) == pytest.approx(0.5, abs=1e-12)
+    assert model.g1.cdf(0.5) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert model.f_x.cdf(0.5) * model.g1.cdf(0.5) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_rmm_reconstruction_native_margins_recovers_exponentials():
@@ -618,8 +625,8 @@ def test_marshall_shock_jump_points_are_in_each_shocks_own_coordinates():
     c = marshall(capped_gen(), capped_gen())
     model, report = audited_reconstruction(c, margin_u, margin_v, chi=AFFINE_CHI)
     assert report.passed and len(report.results) == 8
-    assert model.coupling.g2.jump_points() == (0.25, 0.5, 1.0)
-    assert model.coupling.g1.jump_points() == (1.5, 2.0, 3.0)
+    assert model.g2.jump_points() == (0.25, 0.5, 1.0)
+    assert model.g1.jump_points() == (1.5, 2.0, 3.0)
 
 
 @pytest.mark.parametrize("side", ["phi", "psi"])
@@ -682,7 +689,7 @@ def laws_at_any_depth():
         (induced_copula(exponential_rmm_model(1.0, 2.0, 1.5, 0.7), resolution=256), U, Uniform(0.0, 2.0), None),
     ]:
         m = reconstruct(c, fu, fv, chi=chi)
-        stack += [m.f_x, m.f_y, *vars(m.coupling).values(), *margins(m)]
+        stack += [m.f_x, m.f_y, m.g1, m.g2, *margins(m)]
     found = []
     while stack:
         d = stack.pop()
@@ -786,7 +793,7 @@ def test_declared_support_ends_are_exact_at_any_depth():
         if math.isfinite(hi):
             assert exact_cdf(d, hi - 1e-12 * max(1.0, abs(hi))) < 1, d
             assert d.cdf(hi) == d.cdf(np.nextafter(hi, np.inf)) == 1.0, d
-    shock = reconstruct(efgm(0.5), U, U).coupling.g1
+    shock = reconstruct(efgm(0.5), U, U).g1
     assert shock.support() == Product(Uniform(1.0, 2.0), shock).support() == (-math.inf, math.inf)
     assert SurvivalProduct(Uniform(1.0, 2.0), shock).support() == (-math.inf, math.inf)
 
@@ -879,16 +886,16 @@ def assert_atom_at(g, x, level):
 def test_reconstructed_shocks_jump_at_a_continuous_margins_start():
     # the RMM shocks read 1/(1 + f*(0+)) = 2/3 at 0, where the uniform margins start
     model = reconstruct(efgm(0.5), U, U)
-    for g in (model.coupling.g1, model.coupling.g2):
+    for g in (model.g1, model.g2):
         assert g.cdf(0.0) == g.cdf(1e-300) == pytest.approx(2.0 / 3.0)
         assert_atom_at(g, 0.0, 0.3)
     # the capped Marshall shock reads 1/phi*(0+) = 1/2 there, and so does its chi-mapped g1
     model = reconstruct(marshall(capped_gen(), capped_gen()), U, U)
-    for g in (model.coupling.g1, model.coupling.g2):
+    for g in (model.g1, model.g2):
         assert g.cdf(0.0) == 0.5
         assert_atom_at(g, 0.0, 0.3)
     # the SMM shock is a negated RMM shock on -U, which starts at -1: it jumps at 1 from 1/3
-    g1 = reconstruct(survival(efgm(0.5)), U, U).coupling.g1
+    g1 = reconstruct(survival(efgm(0.5)), U, U).g1
     assert 1.0 in g1.jump_points()
     assert g1.cdf_left(1.0) == pytest.approx(g1.cdf(np.nextafter(1.0, 0.0)), abs=1e-12)
     assert g1.cdf_left(1.0) == pytest.approx(1.0 / 3.0) and g1.cdf(1.0) == 1.0
@@ -919,7 +926,7 @@ def test_inverting_a_reconstructed_shock_reads_its_atom_from_the_table(monkeypat
     # of the star inverse, read once, with F read at the atom's two ends, at the answers
     # and at most once more.  Bisecting into the atom called F 198 times here, and a
     # generic inverse outside it 29 times
-    g1 = reconstruct(efgm(0.8), U, U).coupling.g1
+    g1 = reconstruct(efgm(0.8), U, U).g1
     counts, us, qs = count_parts_work(monkeypatch, g1, g1.margin_u)
     assert (counts["base"], counts["bisect"]) == (1, 0) and counts["values"] <= 5, counts
     assert np.count_nonzero(qs == 0.0) == np.count_nonzero(us <= g1.cdf(0.0)) > 10_000
@@ -954,7 +961,7 @@ def test_reconstructed_shocks_read_their_limit_where_the_margin_is_subnormal(a):
     # the u branch rounded to 1.0 (a = 0.5) or 0.5 (a = 0.8): F is the limit up to the
     # smallest normal and nondecreasing on
     model = reconstruct(efgm(a), U, U)
-    for g in (model.coupling.g1, model.coupling.g2):
+    for g in (model.g1, model.g2):
         fs = g.cdf_array(SUBNORMAL_XS)
         assert np.all(fs[:4] == g.limit) and fs[4] >= g.limit, (a, fs)
         assert [g.cdf(x) for x in SUBNORMAL_XS.tolist()] == fs.tolist()
@@ -963,7 +970,7 @@ def test_reconstructed_shocks_read_their_limit_where_the_margin_is_subnormal(a):
 def test_a_divergent_star_keeps_its_branch_values_where_the_margin_is_subnormal():
     # f = t**0.5 - t has f*(0+) = +inf, so the limit is 0 and F = t/t**0.5 = sqrt(t) is
     # representable at a subnormal t: it stays, rising from F(0) = 0
-    g1 = reconstruct(exprmm_ab(0.5, 0.7), U, U).coupling.g1
+    g1 = reconstruct(exprmm_ab(0.5, 0.7), U, U).g1
     fs = g1.cdf_array(SUBNORMAL_XS)
     assert g1.limit == 0.0 and fs[0] == 0.0
     assert np.all((fs[1:] > 0.0) & (np.diff(fs) > 0.0)), fs
