@@ -46,11 +46,12 @@ holds exactly on every path.
 
 The generic inverse evaluates F once per call on one shared table: the jump
 points, 2**14 + 1 even points on ``support_hint`` and, for levels the hint does
-not bracket, probes at doubling distances beyond it, read in one call up to the
-first that brackets them.  One ``searchsorted`` on the table's running maximum
-gives every level a bracket F(lo) < u <= F(hi).  A level with F(J-) < u <= F(J)
-at a jump J inverts to J exactly; a level that no probe reaches below or above
-inverts to -inf or +inf.
+not bracket, probes at doubling distances beyond it, read in one call, and the
+rest of their running sum up to half the largest float in a second if none
+brackets them, kept up to the first that does.  One ``searchsorted`` on the
+table's running maximum gives every level a bracket F(lo) < u <= F(hi).  A
+level with F(J-) < u <= F(J) at a jump J inverts to J exactly; a level that no
+probe reaches below or above inverts to -inf or +inf.
 The other brackets shrink, in blocks of levels, by a few Illinois (secant)
 steps and then by bisection, until hi - lo <= 1e-14 + 1e-14 * max(|lo|, |hi|)
 or no float lies between them.  The result is hi, so F(quantile(u)) >= u
@@ -63,6 +64,10 @@ arrays compacted.  Every step is elementwise, so a level's result does not
 depend on the other levels or their order.  Knot placement (``_place_array``)
 only reads the table: it interpolates x linearly between the points where the
 running maximum rises, with no probe of F beyond the table.
+
+Lookups of levels in a table read a guide table (``_level_index``), lookups of
+points run in ascending order (``_in_query_order``); both return the plain
+``searchsorted`` or ``interp`` result.
 """
 
 from __future__ import annotations
@@ -84,6 +89,7 @@ _QUANTILE_TABLE = 2**14  # intervals of the shared grid on support_hint
 _QUANTILE_SECANT_STEPS = 6
 _QUANTILE_BLOCK = 4096  # levels refined together
 _SORTED_LOOKUP_KNOTS = 64  # table size from which sorting scattered queries pays
+_PROBE_LIMIT = float(np.finfo(float).max) / 2.0  # the farthest probe: midpoints stay finite
 
 
 def _at(array_fn, x: float) -> float:
@@ -93,7 +99,8 @@ def _at(array_fn, x: float) -> float:
 
 def _in_query_order(lookup, xs, knots: int):
     """``lookup(xs)`` for a lookup into a sorted table of ``knots`` entries whose
-    result at a point does not depend on the other points, run in ascending order.
+    result at a point does not depend on the other points, run in ascending order;
+    levels, which lie in [0, 1], take the guide of ``_level_index`` instead.
 
     Binary searches of scattered points miss the cache on every step; one sort and
     a sweep in order cost less from about 20 knots at 10k points and 64 knots at
@@ -114,6 +121,32 @@ def _in_query_order(lookup, xs, knots: int):
     out = np.empty(flat.shape)
     out[order] = found
     return out.reshape(xs.shape)
+
+
+def _level_index(table: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(table, levels, "left")`` for a nondecreasing ``table``, to the
+    bit, through a guide table (Chen & Asau 1974) instead of a binary search.
+
+    K equal buckets of [0, 1], K the power of two at least the table's size, so u*K
+    and k/K are exact; ``starts[k]`` counts the entries below k/K, so a level in
+    bucket b has its index in [starts[b], starts[b+1]]: starts[b], plus one if the
+    bucket's single entry lies below the level.  A level in a bucket of more entries,
+    NaN or outside [0, 1] takes the binary search, as do tables under 64 entries and
+    calls with fewer levels than entries, where the guide costs more than it saves.
+    """
+    n = table.size
+    if n < _SORTED_LOOKUP_KNOTS or levels.size < n:
+        return np.searchsorted(table, levels, "left")
+    k = 1 << (n - 1).bit_length()
+    starts = np.searchsorted(table, np.arange(k + 2) / k, "left")
+    first = np.append(table, np.inf)[starts[:-1]]  # each bucket's first entry, inf if none
+    inside = (levels >= 0.0) & (levels <= 1.0)  # NaN fails both
+    bucket = (np.where(inside, levels, 0.0) * k).astype(np.intp)
+    idx = starts[bucket] + (first[bucket] < levels)
+    direct = (np.diff(starts) > 1)[bucket] | ~inside  # a bucket of several entries
+    if direct.any():
+        idx[direct] = np.searchsorted(table, levels[direct], "left")
+    return idx
 
 
 class DistributionFunction(ABC):
@@ -226,7 +259,7 @@ class DistributionFunction(ABC):
             # (F(J-), F(J)] of each jump in turn: a level inside one has an odd index
             edges = np.empty(2 * jumps.size)
             edges[0::2], edges[1::2] = self.cdf_left_array(jumps), self.cdf_array(jumps)
-            at = np.searchsorted(np.maximum.accumulate(edges), us, side="left")
+            at = _level_index(np.maximum.accumulate(edges), us)
             inside = (at & 1).astype(bool)
             if inside.any():
                 rest = ~inside
@@ -293,14 +326,19 @@ class DistributionFunction(ABC):
         return xs[order], fs, f_left[order], np.maximum.accumulate(fs)
 
     def _expand(self, x: float, span: float, f: float, short) -> tuple[np.ndarray, np.ndarray]:
-        """Probes x + span, then steps of twice the last, while ``short(F)``; at most
-        ``_QUANTILE_MAX_EXPAND`` points are probed counting x itself, in one call."""
+        """Probes x + span, then steps of twice the last, while ``short(F)``, up to
+        ``_PROBE_LIMIT``: the first ``_QUANTILE_MAX_EXPAND - 1`` in one call and, if all
+        fall short, the rest in a second."""
         if not short(f):
             return np.array([]), np.array([])
-        with np.errstate(over="ignore"):  # far probes may reach +-inf
+        with np.errstate(over="ignore"):  # the sum passes the limit, and F may overflow there
             # the running sum adds the steps in turn, as x += span would
-            xs = np.cumsum(np.concatenate(([x], span * 2.0 ** np.arange(_QUANTILE_MAX_EXPAND - 1))))[1:]
-        fs = self.cdf_array(xs)
+            xs = np.cumsum(np.concatenate(([x], span * 2.0 ** np.arange(1024))))[1:]
+            end = np.argmax(np.abs(xs) >= _PROBE_LIMIT)  # the last sum is infinite
+            xs = np.append(xs[:end], math.copysign(_PROBE_LIMIT, span))
+            fs = self.cdf_array(xs[: _QUANTILE_MAX_EXPAND - 1])
+            if short(fs[-1]) and xs.size > fs.size:
+                fs = np.concatenate((fs, self.cdf_array(xs[fs.size :])))
         n = np.argmin(np.append(short(fs), False)) + 1  # up to the first probe not short
         return xs[:n], fs[:n]
 
@@ -438,7 +476,8 @@ class TabulatedCdf(DistributionFunction):
     """CDF given by knots (x_i, p_i); right-continuous steps or piecewise linear.
 
     Step tables place all probability jumps at the knots; linear tables join
-    the knots with straight segments and extend flat outside the span.
+    the knots with straight segments and extend flat outside the span.  A
+    quantile finds its knot through a guide table (``_level_index``), unsorted.
     """
 
     def __init__(self, xs, ps, interpolation: str = "step", source: str | None = None):
@@ -477,18 +516,15 @@ class TabulatedCdf(DistributionFunction):
         return _in_query_order(lookup, xs, self.xs.size)
 
     def _quantile_array(self, us):
-        return _in_query_order(self._table_quantile, us, self.ps.size)
-
-    def _table_quantile(self, us):
         ps, xs = self.ps, self.xs
         if self.interpolation == "step":
             # the clipped take and the fill in place keep only the index, one mask and
             # the output alive; atleast_1d because a 0-d level's index is a scalar
-            idx = np.atleast_1d(np.searchsorted(ps, us, side="left"))
+            idx = np.atleast_1d(_level_index(ps, us))
             out = xs.take(idx, mode="clip")
             out[idx == ps.size] = np.inf  # levels above ps[-1] are never reached
             return out.reshape(np.shape(us))
-        idx = np.searchsorted(ps, us, side="left")
+        idx = _level_index(ps, us)
         reached = idx < ps.size  # levels above ps[-1] invert to +inf
         # levels in (0, ps[0]] sit on the flat left tail and invert to -inf
         out = np.where(reached, -np.inf, np.inf)

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import DistributionFunction, _at, _in_query_order
+from .distributions import DistributionFunction, _at, _in_query_order, _level_index
 from .errors import (
     GeneratorKindError,
     GeneratorValidationError,
@@ -265,7 +265,8 @@ class TabulatedGenerator(Generator):
     """Piecewise-linear generator on knots spanning [0,1].
 
     Evaluation interpolates the points in ascending order (see
-    ``distributions._in_query_order``); a value does not depend on that order.
+    ``distributions._in_query_order``) and inverts through a guide table
+    (``distributions._level_index``); neither changes a value.
     """
 
     def __init__(self, us, values, declared_class: GeneratorClass):
@@ -306,7 +307,7 @@ class TabulatedGenerator(Generator):
             # t/h(t) at 0+: 0 if h(0) > 0, else its value on the first segment, through 0
             ys[0] = 0.0 if v[0] > 0.0 else ys[1]
         reach = np.maximum.accumulate(ys)
-        j = np.searchsorted(reach, ws, side="left")  # reach[j-1] < w <= reach[j]
+        j = _level_index(reach, ws)  # reach[j-1] < w <= reach[j]
         k = np.clip(j, 1, us.size - 1)
         u0, u1, v0, v1 = us[k - 1], us[k], v[k - 1], v[k]
         with np.errstate(all="ignore"):

@@ -284,10 +284,11 @@ def test_every_reconstruction_entry_point_reads_one_report(case):
 
 class _LookupSpy:
     """numpy, except that ``interp`` and ``searchsorted`` record their table size
-    and whether their flattened queries are monotone."""
+    and whether their flattened queries are monotone, and ``argsort`` counts its calls."""
 
     def __init__(self):
         self.calls = []
+        self.argsorts = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -303,6 +304,10 @@ class _LookupSpy:
     def searchsorted(self, a, v, *args, **kwargs):
         self._record(a, v)
         return np.searchsorted(a, v, *args, **kwargs)
+
+    def argsort(self, *args, **kwargs):
+        self.argsorts += 1
+        return np.argsort(*args, **kwargs)
 
 
 def test_large_table_lookups_run_in_query_order(monkeypatch):
@@ -321,6 +326,29 @@ def test_large_table_lookups_run_in_query_order(monkeypatch):
     large = [monotone for knots, monotone in spy.calls if knots >= _SORTED_LOOKUP_KNOTS]
     assert len(large) >= 10 and (xs.size, True) in spy.calls
     assert all(large)
+
+
+def test_large_step_table_quantile_sorts_no_levels(monkeypatch):
+    # the levels find their knots through the guide: one ascending search of the bucket
+    # edges, and no sort or binary search of the scattered levels; the CDF still sorts
+    from shockcop import distributions
+    from shockcop.distributions import _SORTED_LOOKUP_KNOTS, TabulatedCdf
+
+    xs = np.arange(1000.0)
+    step = TabulatedCdf(xs, (xs + 1) / xs.size)
+    rng = np.random.default_rng(1)
+    levels, points = rng.random(200_000), rng.uniform(-1.0, 1001.0, 200_000)
+    spy = _LookupSpy()
+    monkeypatch.setattr(distributions, "np", spy)
+    step.quantile_array(levels)
+    assert spy.argsorts == 0 and spy.calls == [(xs.size, True)]
+    spy.calls = []
+    step.cdf_array(points)
+    step.cdf_left_array(points)
+    assert spy.argsorts == 2 and spy.calls == [(xs.size, True)] * 2
+    spy.calls = []
+    TabulatedCdf(xs[:_SORTED_LOOKUP_KNOTS], (xs[:_SORTED_LOOKUP_KNOTS] + 1) / 64).cdf_array(points)
+    assert spy.argsorts == 3 and spy.calls == [(_SORTED_LOOKUP_KNOTS, True)]
 
 
 # ---------------------------------------------------------------------------

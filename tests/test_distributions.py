@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shockcop.distributions import (
+    _PROBE_LIMIT,
     _SORTED_LOOKUP_KNOTS,
     EfgmMargin,
     EfgmShock,
@@ -22,6 +23,7 @@ from shockcop.distributions import (
     SurvivalProduct,
     TabulatedCdf,
     Uniform,
+    _level_index,
     load_tabulated_csv,
     negated,
     point_mass,
@@ -498,6 +500,41 @@ def test_sorted_table_lookup_takes_repeated_infinities():
         assert d.cdf_array(xs).tolist() == d.cdf_left_array(xs + 0.5).tolist() == want
 
 
+@st.composite
+def guide_tables_and_levels(draw):
+    """A nondecreasing table on either side of the guide's size threshold, spread over
+    [0, 1], with repeated values, crowded into one bucket, or beyond [0, 1] with +-inf
+    ends, and scattered levels: the edge floats of [0, 1], NaN, the table's values and
+    their neighbouring floats, at least as many as the table's entries."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 1000, 5000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["spread", "repeated", "crowded", "wide"]))
+    if shape == "spread":
+        table = rng.random(n)
+    elif shape == "repeated":
+        table = rng.choice(rng.random(max(1, n // 8)), n)
+    elif shape == "crowded":  # a bucket of any guide up to 2**14 buckets
+        table = np.where(rng.random(n) < 0.8, (rng.integers(2**14) + rng.random(n)) / 2**14, rng.random(n))
+    else:
+        table = rng.uniform(-0.5, 1.5, n)
+    table = np.sort(table)
+    if shape == "wide":
+        table[: draw(st.integers(0, min(n, 2)))] = -np.inf
+        table[n - draw(st.integers(0, min(n, 2))) :] = np.inf
+    edges = [5e-324, 2.0**-53, 1.0 - 2.0**-53, 1.0, 0.0, -0.0, np.nan]
+    pool = np.concatenate((table, np.nextafter(table, -np.inf), np.nextafter(table, np.inf), edges))
+    pool = np.concatenate((pool, rng.random(pool.size)))
+    return table, rng.permutation(rng.choice(pool, n + draw(st.integers(0, n))))
+
+
+@given(guide_tables_and_levels())
+@settings(max_examples=150, deadline=None)
+def test_guide_lookup_is_searchsorted_to_the_bit(case):
+    table, levels = case
+    got, want = _level_index(table, levels), np.searchsorted(table, levels, "left")
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_quantile_array_rejects_boundary_levels():
     with pytest.raises(ValueError):
         Uniform().quantile_array(np.array([0.0, 0.5]))
@@ -797,6 +834,29 @@ def test_generic_inverse_commutes_with_permuting_the_levels():
         perm = np.random.default_rng(seed).permutation(us.size)
         assert d._bisect_quantile_array(us[perm]).tobytes() == qs[perm].tobytes()
     assert d._bisect_quantile_array(us.reshape(100, 100)).tobytes() == qs.tobytes()
+
+
+def test_generic_inverse_probes_on_past_the_first_expansion():
+    # F reads 3.3e-98 only near -5.95e195, far beyond the first 199 probes below the hint
+    # (about -4e61): the running sum goes on until a probe brackets the level
+    from shockcop.copulas import efgm
+    from shockcop.shock_models import reconstruct
+
+    d = reconstruct(efgm(0.8), EfgmShock(0.5), Uniform(-2.0, 0.0)).f_x
+    us = np.array([3.3e-98])
+    qs = d._bisect_quantile_array(us)
+    assert -1e196 < qs[0] < -1e195 and np.all(d.cdf_array(qs) >= us)
+    assert d.quantile_array(us).tobytes() == qs.tobytes()
+
+
+def test_generic_inverse_probes_stop_at_half_the_largest_float():
+    # F stays at 0.25 on the whole left tail: the probes run out at half the largest
+    # float, no infinity enters the table, and a level below 0.25 inverts to -inf
+    d = TabulatedCdf([0.0, 1.0], [0.25, 1.0], "linear")
+    xs = d._quantile_table(0.1, 0.5)[0]
+    assert np.all(np.isfinite(xs)) and xs[0] == -_PROBE_LIMIT
+    qs = d._bisect_quantile_array(np.array([0.1, 0.5]))
+    assert qs[0] == -np.inf and 0.0 < qs[1] < 1.0 and d.cdf(qs[1]) >= 0.5
 
 
 def test_exponential_quantile_is_the_textbook_formula_to_the_bit():
