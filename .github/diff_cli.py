@@ -11,8 +11,8 @@ law are pinned byte for byte, two sample one exponential RMM model, spelled with
 ``neg-exp`` and with ``negated(exp:...)``, into files that hold the same bytes, and
 three sample a Marshall, an SMM and a maxmin model, so every family's ``describe()``
 header and sampling path is pinned) and two
-``roundtrip`` runs on composite margins (the survival-product one prints a six-digit
-sup distance that moves with its margin's support hint).  Each tree runs them in order
+``roundtrip`` runs on composite margins (each prints a sup distance of rounding size,
+as the compared levels' quantiles are knots).  Each tree runs them in order
 with its own ``src`` on PYTHONPATH, in its own scratch directory, so a file one line
 writes is read by the next as in the README.
 The script exits 0 whatever differs: the list is information, not a gate.

@@ -737,7 +737,11 @@ class MappedCdf(DistributionFunction):
         self.label = label
 
     def cdf_array(self, xs, left=False):
-        return self.inner.cdf_array(self.inverse(np.asarray(xs, dtype=float)), left)
+        """F_A(t^-1(x)), where t^-1 may round across an end: exactly 0 before the declared
+        start and 1 from the declared end on (F(x-): 0 at the start, 1 past the end)."""
+        xs, (lo, hi) = np.asarray(xs, dtype=float), self.support()
+        out = np.where((xs <= lo) if left else (xs < lo), 0.0, self.inner.cdf_array(self.inverse(xs), left))
+        return np.where((xs > hi) if left else (xs >= hi), 1.0, out)
 
     def _quantile_array(self, us):
         return self._parts_quantile_array(us, lambda w: self.forward(self.inner._quantile_array(w)))

@@ -673,17 +673,19 @@ def generator_from_shocks(
     *,
     declared_class: GeneratorClass = GeneratorClass.MARSHALL,
     resolution: int = DEFAULT_RESOLUTION,
+    points=(),
 ) -> TabulatedGenerator:
     """Tabulate u -> component(margin^{-1}(u)) on forward knots (margin(x), component(x)).
 
     A ``MARSHALL`` generator asserts margin <= component (max-type models, where
     the margin is the product of the component with a shock); a ``MAXMIN_PSI`` one
     the reverse (min-type models), checked within 1e-9 at every knot; ShockStructureError
-    names the worst one, at its ladder level's exact quantile.  The knots lie at a
-    point interpolated near each ladder level in the margin's quantile table
-    (``_place_array``) and, for each jump J of the margin, at J- and at J, so the line
+    names the worst one, at its ladder level's exact quantile.  The knots lie at each
+    x of ``points``, so the generator reads component(x) to the bit at margin(x); at
+    a point interpolated near each ladder level in the margin's quantile table
+    (``_place_array``); and, for each jump J of the margin, at J- and at J, so the line
     between these two spans the gap.  Knots at u = 0 or 1 give way to the ends
-    (0, 0) and (1, 1); of equal u the first is kept.
+    (0, 0) and (1, 1); of equal u the first is kept, a point's before the ladder's.
     """
     below = {GeneratorClass.MARSHALL: True, GeneratorClass.MAXMIN_PSI: False}.get(declared_class)
     if below is None:
@@ -693,7 +695,8 @@ def generator_from_shocks(
 
     levels = _ladder(resolution)
     jumps = np.asarray(margin.jump_points(), dtype=float)
-    xs = np.concatenate((margin._place_array(levels), jumps))
+    points = np.asarray(points, dtype=float)
+    xs = np.concatenate((points, margin._place_array(levels), jumps))
     us = np.concatenate((margin.cdf_array(xs), margin.cdf_left_array(jumps)))
     values = np.concatenate((component.cdf_array(xs), component.cdf_left_array(jumps)))
     sign = 1.0 if below else -1.0
@@ -702,8 +705,8 @@ def generator_from_shocks(
     if gap[worst] > _PRECHECK_TOL:
         rel = "margin > component" if below else "component > margin"
         x, excess = float(np.concatenate((xs, jumps))[worst]), gap[worst]  # left limits: x = J
-        if worst < levels.size:  # a placed knot: report at its level's exact quantile
-            x = float(margin.quantile(levels[worst]))
+        if 0 <= worst - points.size < levels.size:  # a placed knot: at its level's exact quantile
+            x = float(margin.quantile(levels[worst - points.size]))
             excess = sign * (margin.cdf(x) - component.cdf(x))
         raise ShockStructureError(
             f"{rel} by {excess:.3g} at x={x:.6g} "

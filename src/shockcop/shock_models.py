@@ -203,19 +203,20 @@ def joint_cdf(m: ShockModel, x, y):
     return out if np.ndim(out) else float(out)
 
 
-def induced_copula(m: ShockModel, resolution: int = DEFAULT_RESOLUTION) -> cop.Copula:
+def induced_copula(m: ShockModel, resolution: int = DEFAULT_RESOLUTION, points=((), ())) -> cop.Copula:
     """The copula of (U, V), built from tabulated generators and validated.
 
     Each coordinate gives the generator F_X(F_U^{-1}) (F_Y(F_V^{-1}) for V).
     A max puts the margin below its own law and gives a Marshall-class
-    generator; a min puts it above and gives a psi-class one.
+    generator; a min puts it above and gives a psi-class one.  ``points``, one array
+    per coordinate, become knots, so the copula reads F_U(x), F_V(y) uninterpolated.
     """
     side_u, side_v = (
         generator_from_shocks(
-            f, margin, resolution=resolution,
+            f, margin, resolution=resolution, points=at,
             declared_class=GeneratorClass.MARSHALL if is_max else GeneratorClass.MAXMIN_PSI,
         )
-        for (is_max, f, _), margin in zip(_coordinates(m), margins(m))
+        for (is_max, f, _), margin, at in zip(_coordinates(m), margins(m), points)
     )
     if m.combiner is Combiner.MAX_MIN:
         return cop.maxmin(side_u, side_v)

@@ -24,9 +24,16 @@ from shockcop.copulas import (
     survival,
 )
 from shockcop.descriptors import parse_copula
-from shockcop.distributions import EfgmMargin, Exponential, Product, Uniform, point_mass
+from shockcop.distributions import EfgmMargin, Exponential, Product, TabulatedCdf, Uniform, point_mass
 from shockcop.errors import ReconstructionError
-from shockcop.generators import GeneratorClass, closed_form, rmm_to_smm, smm_to_rmm, validate
+from shockcop.generators import (
+    DEFAULT_RESOLUTION,
+    GeneratorClass,
+    closed_form,
+    rmm_to_smm,
+    smm_to_rmm,
+    validate,
+)
 from shockcop.sampling import empirical_copula, sample_model, sup_distance
 from shockcop.shock_models import induced_copula, marshall_model, reconstruct, rmm_model
 
@@ -123,8 +130,49 @@ def test_model_theorem_exponential_rmm():
     assert mc.check_id == "empirical-vs-induced"
     u, v = mc.witness
     emp = empirical_copula(sample_model(m, 50_000, seed=5))
-    induced = induced_copula(m, resolution=1 << 15)
+    induced = induced_copula(m, points=theorem_points(m))
     assert abs(emp.value(u, v) - induced.value(u, v)) == mc.magnitude
+
+
+def theorem_points(m, grid=21):
+    """The knots ``check_model_theorem`` adds: the margins' quantiles at the joint
+    lattice's levels, then at the empirical grid's interior levels."""
+    levels = np.concatenate((np.linspace(1e-6, 1.0 - 1e-6, grid), np.linspace(0.0, 1.0, grid)[1:-1]))
+    return tuple(f.quantile_array(levels) for f in sm.margins(m))
+
+
+def _step_law(knots=1000, seed=11):
+    xs = np.unique(np.random.default_rng(seed).uniform(0.0, 3.0, knots))
+    return TabulatedCdf(xs, np.arange(1, xs.size + 1) / xs.size, "step")
+
+
+@pytest.mark.parametrize("laws", ["exp", "step"])
+@pytest.mark.parametrize("family", list(sm.MODEL_PREFIXES), ids=list(sm.MODEL_PREFIXES.values()))
+def test_model_theorem_joint_row_is_exact_at_knots_on_every_family(family, laws):
+    combiner, coupling = family
+    f_x = Exponential(1.0) if laws == "exp" else _step_law()
+    g = Exponential(1.5)
+    m = sm.ShockModel(f_x, Exponential(2.0), g, g if combiner is sm.Combiner.MAX_MIN else Exponential(0.7),
+                      combiner, coupling())
+    report = check_model_theorem(m)
+    assert report.passed, report.render_text()
+    joint = report.results[0]
+    assert joint.check_id == "joint-vs-join" and joint.detail == "exact at knots"
+    assert joint.magnitude <= 1e-15
+
+
+def test_model_theorem_asks_for_no_resolution_above_the_default(monkeypatch):
+    asked = []
+    build = sm.generator_from_shocks
+
+    def spy(*args, resolution, **kwargs):
+        asked.append(resolution)
+        return build(*args, resolution=resolution, **kwargs)
+
+    monkeypatch.setattr(sm, "generator_from_shocks", spy)
+    m = rmm_model(Exponential(1.0), Exponential(2.0), Exponential(1.5), Exponential(0.7))
+    assert check_model_theorem(m, n=2000).passed
+    assert asked == [DEFAULT_RESOLUTION] * 2 == [4096] * 2
 
 
 def test_model_theorem_detects_coupling_mismatch():
@@ -212,18 +260,20 @@ def test_joint_law_check_matches_row_major_loop_on_a_clear_gap():
     assert got.witness == witness
 
 
-def test_model_theorem_joint_vs_join_matches_row_major_loop():
-    # a coarse tabulation leaves an interpolation gap well above rounding noise
+def test_model_theorem_joint_vs_join_catches_a_perturbed_joint_law(monkeypatch):
+    # a joint law 1e-12 off its copula, far above the row's rounding tolerance
     m = marshall_model(Exponential(1.0), Exponential(2.0), Exponential(1.5), Exponential(0.5))
-    report = check_model_theorem(m, n=2000, seed=3, resolution=1 << 8)
+    exact = sm.joint_cdf
+    monkeypatch.setattr(sm, "joint_cdf", lambda model, x, y: exact(model, x, y) + 1e-12)
+    report = check_model_theorem(m, n=2000, seed=3)
     first = report.results[0]
-    assert first.check_id == "joint-vs-join"
+    assert first.check_id == "joint-vs-join" and not first.passed
     f_u, f_v = sm.margins(m)
-    join = sklar_join(induced_copula(m, resolution=1 << 8), f_u, f_v)
-    levels = np.linspace(1e-6, 1.0 - 1e-6, 21)
-    xs, ys = f_u.quantile_array(levels), f_v.quantile_array(levels)
+    points = theorem_points(m)
+    join = sklar_join(induced_copula(m, points=points), f_u, f_v)
+    xs, ys = (p[:21] for p in points)
     worst, witness = row_major_worst(m, join, xs, ys)
-    assert worst > 1e-9
+    assert abs(worst - 1e-12) <= 1e-15
     assert abs(first.magnitude - worst) <= 1e-15
     assert first.witness == witness
 

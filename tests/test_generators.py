@@ -702,6 +702,39 @@ def test_a_generic_margin_costs_its_table_and_one_cdf_point_per_knot():
     assert sum(points) <= 2**14 + 1 + sum(probes) + _ladder(4096).size + 2 * jumps
 
 
+@pytest.mark.parametrize("side", ["max", "min"])
+def test_points_become_knots_read_to_the_bit(side):
+    # each point x is a knot (F_U(x), F_C(x)) beside the ladder's, so the generator reads
+    # F_C(x) exactly at F_U(x); the table grows by at most the points given
+    rng = np.random.default_rng(5)
+    xs = np.unique(rng.uniform(0.0, 3.0, 1000))
+    step = TabulatedCdf(xs, np.arange(1, xs.size + 1) / xs.size, "step")
+    component, cls = step, MARSHALL
+    margin = Product(step, Exponential(2.0))
+    if side == "min":
+        component, cls = step, PSI
+        margin = SurvivalProduct(step, Exponential(0.5))
+    points = np.concatenate((rng.uniform(-2.0, 3.0, 200), margin.quantile_array(np.linspace(0.0, 1.0, 21)[1:-1])))
+    us = margin.cdf_array(points)
+    points = points[(us > 0.0) & (us < 1.0)]
+    gen = generator_from_shocks(component, margin, declared_class=cls, resolution=256, points=points)
+    assert gen.us.size - 2 <= _ladder(256).size + points.size + 2 * len(margin.jump_points())
+    assert gen.value_array(margin.cdf_array(points)).tobytes() == component.cdf_array(points).tobytes()
+    plain = generator_from_shocks(component, margin, declared_class=cls, resolution=256)
+    assert plain.us.size < gen.us.size
+
+
+@pytest.mark.parametrize("point, at", [(0.3, None), (1.0, 1.0)])
+def test_margin_order_witness_with_points(point, at):
+    # margin x above component x/2, worst as x -> 1: a ladder knot is reported at its
+    # level's exact quantile, a point that is worst at the point itself
+    with pytest.raises(ShockStructureError) as err:
+        generator_from_shocks(Uniform(0.0, 2.0), Uniform(), points=[point])
+    x = err.value.witness
+    assert x == at if at is not None else 1.0 - 1e-6 < x < 1.0
+    assert f" by {x - x / 2:.3g} at x={x:.6g} " in str(err.value)
+
+
 @pytest.mark.parametrize("resolution", [8, 4096, 32768])
 def test_ladder_is_built_once_per_resolution_and_read_only(resolution):
     # evenly spaced levels and graded tails, built afresh

@@ -38,3 +38,13 @@ def test_readme_library_tour_runs(capsys):
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, str(README), "exec"), {})
     assert "reconstruction[" in capsys.readouterr().out
+
+
+def test_readme_roundtrips_that_pass_read_no_interpolation(capsys):
+    # the compared levels' quantiles are knots of the re-induced generators
+    lines = [argv for argv, code in readme_commands() if argv[0] == "roundtrip" and code == 0]
+    assert len(lines) >= 2
+    for argv in lines:
+        assert main(argv) == 0
+        dist = float(re.search(r"re-induced sup distance (\S+) ", capsys.readouterr().out).group(1))
+        assert dist <= 1e-15, argv

@@ -754,9 +754,15 @@ def mapped_at(d, x: float) -> float:
 
 def mapped_rule(d, x: float, left: bool) -> float:
     """A mapped law's F(x), or F(x-) with ``left``, read from its law at one point:
-    a negation reads the upper tail at -x, an increasing map the CDF at t^-1(x)."""
+    a negation reads the upper tail at -x, an increasing map the CDF at t^-1(x), and
+    0 before its declared start and 1 from its declared end on, where t^-1 may round."""
     if isinstance(d, NegatedCdf):
         return float(d.inner.sf_array(np.array([-x]), not left)[0])
+    lo, hi = d.support()
+    if x < lo or (left and x == lo):
+        return 0.0
+    if x > hi or (not left and x == hi):
+        return 1.0
     return float(d.inner.cdf_array(d.inverse(np.array([x])), left)[0])
 
 
@@ -780,15 +786,13 @@ def test_declared_support_ends_are_exact_at_any_depth():
     # as on random laws: F reads 0 one float left of a finite lo and 1 from a finite hi
     # on, and the law, read exactly, is inside (0, 1) a relative 1e-12 within each.  A
     # law that does not know an end (a composed margin, a shock, a product with either)
-    # declares it infinite.  The affine chi rounds, so a law read through it may leave 0
-    # an ulp of chi's output before the mapped end: there F is 0 a relative 1e-12 out.
+    # declares it infinite.  A law read through the affine chi, which rounds, holds too.
     laws = laws_at_any_depth()
     assert sum(math.isfinite(end) for d in laws for end in d.support()) > 300
     for d in laws:
         lo, hi = d.support()
-        out = 1e-12 if type(d) is MappedCdf else 0.0
         if math.isfinite(lo):
-            assert d.cdf(np.nextafter(lo - out * max(1.0, abs(lo)), -np.inf)) == 0.0, d
+            assert d.cdf(np.nextafter(lo, -np.inf)) == 0.0, d
             assert exact_cdf(d, lo + 1e-12 * max(1.0, abs(lo))) > 0, d
         if math.isfinite(hi):
             assert exact_cdf(d, hi - 1e-12 * max(1.0, abs(hi))) < 1, d
