@@ -94,9 +94,14 @@ def cmd_grid(args) -> int:
     _at_least(1, args, "n")
     c = parse_copula(args.copula)
     us = np.linspace(0.0, 1.0, args.n + 1)
+    levels = list(map(repr, us.tolist()))  # each level's text, made once for its 2(n+1) rows
     blocks = (
-        (np.repeat(rows, us.size), np.tile(us, rows.size), c.value_array(rows[:, None], us).ravel())
-        for rows in (us[i : i + _GRID_ROWS] for i in range(0, us.size, _GRID_ROWS))
+        (
+            [text for text in levels[i : i + _GRID_ROWS] for _ in range(us.size)],
+            levels * len(levels[i : i + _GRID_ROWS]),
+            c.value_array(us[i : i + _GRID_ROWS, None], us).ravel(),
+        )
+        for i in range(0, us.size, _GRID_ROWS)
     )
     with _open_out(args.out) as fh:
         comment = f"shockcop={__version__} descriptor={c.describe()} n={args.n}"

@@ -17,7 +17,6 @@ flip fixes independence.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,16 +58,18 @@ class Copula(ABC):
         return f"<{type(self).__name__} {self.describe()}>"
 
 
-@dataclass(frozen=True)
 class Rectangle:
-    u1: float
-    u2: float
-    v1: float
-    v2: float
+    """The rectangle [u1, u2] x [v1, v2] of the unit square."""
 
-    def __post_init__(self):
-        if not (0.0 <= self.u1 <= self.u2 <= 1.0 and 0.0 <= self.v1 <= self.v2 <= 1.0):
-            raise ValueError(f"rectangle corners must be ordered inside the unit square: {self}")
+    __slots__ = ("u1", "u2", "v1", "v2")
+
+    def __init__(self, u1: float, u2: float, v1: float, v2: float):
+        if not (0.0 <= u1 <= u2 <= 1.0 and 0.0 <= v1 <= v2 <= 1.0):
+            raise ValueError(
+                "rectangle corners must be ordered inside the unit square: "
+                f"Rectangle(u1={u1!r}, u2={u2!r}, v1={v1!r}, v2={v2!r})"
+            )
+        self.u1, self.u2, self.v1, self.v2 = u1, u2, v1, v2
 
 
 # ---------------------------------------------------------------------------

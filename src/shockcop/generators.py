@@ -26,8 +26,7 @@ import enum
 import functools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -105,8 +104,7 @@ class Generator(ABC):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     params: tuple[str, ...]
     fn: object
     check: object = None  # construction-time evaluability constraints
@@ -468,8 +466,7 @@ def _psi_star(f, u):
         return np.where(den == 0.0, np.inf, np.divide(1.0 - f, den))
 
 
-@dataclass(frozen=True)
-class _DerivedMap:
+class _DerivedMap(NamedTuple):
     """u -> fn(f(u), u), one formula for floats and arrays.
 
     ``validate`` leaves out the grid point ``end``, where the map is undefined;
@@ -492,8 +489,7 @@ DERIVED_MAPS = {
 _OWN_VALUES = _DerivedMap(lambda f, u: f)
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(NamedTuple):
     """A generator class's condition set and its reflection.
 
     ``ends`` are the values required at 0 and at 1.  Each rule is (condition
@@ -507,7 +503,7 @@ class ClassSpec:
     reflected: GeneratorClass
     notes: tuple[str, ...] = ()
 
-    @functools.cached_property
+    @property
     def kinds(self) -> set[str]:
         """The derived maps defined for the class: those its rules read."""
         return {kind for _, kind, _ in self.rules if kind is not None}
@@ -561,8 +557,7 @@ def derived_value(gen: Generator, kind: str, u: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One condition's verdict: its worst magnitude, the point that shows it and,
     where no point can (a parameter domain, a failed hypothesis), a ``detail``."""
 
@@ -581,8 +576,7 @@ class CheckResult:
         return f"[{mark}] {self.check_id}: worst {self.magnitude:.3e}{where}{detail}"
 
 
-@dataclass(frozen=True)
-class CheckSuiteReport:
+class CheckSuiteReport(NamedTuple):
     """A suite's verdicts in order; ``notes`` name the conditions it does not check."""
 
     suite: str

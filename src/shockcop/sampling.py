@@ -24,7 +24,7 @@ of it the queries' own level tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ from .tables import read_table, source_name, write_table
 _TINY = 2.0**-53  # the smallest positive draw of Generator.random
 
 
-@dataclass(frozen=True)
-class SamplePairs:
+class SamplePairs(NamedTuple):
     pairs: np.ndarray  # shape (n, 2)
     seed: int
     descriptor: str

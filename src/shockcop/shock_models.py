@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,26 +87,24 @@ MODEL_PREFIXES = {
 }
 
 
-@dataclass(frozen=True)
 class ShockModel:
     """U = max-or-min(X, Z1), V = max-or-min(Y, Z2): X ~ f_x, Y ~ f_y, Z1 ~ g1, Z2 ~ g2,
     and (Z1, Z2) has the copula ``coupling``, a ``FrechetM`` or a ``FrechetW``."""
 
-    f_x: DistributionFunction
-    f_y: DistributionFunction
-    g1: DistributionFunction
-    g2: DistributionFunction
-    combiner: Combiner
-    coupling: cop.Copula
+    __slots__ = ("f_x", "f_y", "g1", "g2", "combiner", "coupling")
 
-    def __post_init__(self):
-        if (self.combiner, type(self.coupling)) not in MODEL_PREFIXES:
+    def __init__(self, f_x, f_y, g1, g2, combiner: Combiner, coupling: cop.Copula):
+        if (combiner, type(coupling)) not in MODEL_PREFIXES:
             raise IllegalModelError(
-                f"no supported family for combiner {self.combiner.value} with "
-                f"{self.coupling.describe()} shocks"
+                f"no supported family for combiner {combiner.value} with {coupling.describe()} shocks"
             )
-        if self.combiner is Combiner.MAX_MIN and self.g1 is not self.g2:
+        if combiner is Combiner.MAX_MIN and g1 is not g2:
             raise IllegalModelError("a max-min model reads one shared shock: g1 must be g2")
+        self.f_x, self.f_y, self.g1, self.g2 = f_x, f_y, g1, g2
+        self.combiner, self.coupling = combiner, coupling
+
+    def __repr__(self) -> str:
+        return f"<ShockModel {self.describe()}>"
 
     @property
     def family(self) -> str:
@@ -238,8 +235,7 @@ def induced_copula(m: ShockModel, resolution: int = DEFAULT_RESOLUTION, points=(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChiMap:
+class ChiMap(NamedTuple):
     """Increasing alignment map between the two margins' supports; ``forward``
     and ``inverse`` take and return float arrays."""
 

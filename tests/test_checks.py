@@ -334,10 +334,12 @@ def test_every_reconstruction_entry_point_reads_one_report(case):
 
 class _LookupSpy:
     """numpy, except that ``interp`` and ``searchsorted`` record their table size
-    and whether their flattened queries are monotone, and ``argsort`` counts its calls."""
+    and whether their flattened queries are monotone, and their query count in
+    ``points``, and ``argsort`` counts its calls."""
 
     def __init__(self):
         self.calls = []
+        self.points = []
         self.argsorts = 0
 
     def __getattr__(self, name):
@@ -346,6 +348,7 @@ class _LookupSpy:
     def _record(self, table, queries):
         step = np.diff(np.ravel(queries))
         self.calls.append((np.size(table), bool(np.all(step >= 0) or np.all(step <= 0))))
+        self.points.append(np.size(queries))
 
     def interp(self, x, xp, fp, *args, **kwargs):
         self._record(xp, x)
@@ -362,7 +365,7 @@ class _LookupSpy:
 
 def test_large_table_lookups_run_in_query_order(monkeypatch):
     from shockcop import distributions, generators, sampling
-    from shockcop.distributions import _SORTED_LOOKUP_KNOTS, TabulatedCdf
+    from shockcop.distributions import _SORTED_LOOKUP_KNOTS, _SORTED_LOOKUP_POINTS, TabulatedCdf
 
     reinduced = induced_copula(reconstruct(efgm(0.8), U, U))
     xs = np.arange(1000.0)
@@ -373,9 +376,20 @@ def test_large_table_lookups_run_in_query_order(monkeypatch):
     check_copula_axioms(reinduced, grid=21, rectangles=2000)
     assert validate(reinduced.f).passed and validate(reinduced.g).passed
     sample_model(step_model, 5000, seed=1)
-    large = [monotone for knots, monotone in spy.calls if knots >= _SORTED_LOOKUP_KNOTS]
+    large = [(monotone, points) for (knots, monotone), points in zip(spy.calls, spy.points)
+             if knots >= _SORTED_LOOKUP_KNOTS]
     assert len(large) >= 10 and (xs.size, True) in spy.calls
-    assert all(large)
+    assert all(monotone for monotone, points in large if points >= _SORTED_LOOKUP_POINTS)
+    # fewer scattered points than the floor go straight through: the v coordinate of
+    # a 21 x 21 lattice is not sorted; as many points as the floor are
+    knots = reinduced.f.us.size
+    assert knots >= _SORTED_LOOKUP_KNOTS
+    for points, sorts, monotone in ((441, 0, False), (_SORTED_LOOKUP_POINTS, 1, True)):
+        spy.calls, spy.argsorts = [], 0
+        vs = np.tile(np.linspace(0.0, 1.0, 21), -(-points // 21))[:points]
+        want = np.interp(vs, reinduced.f.us, reinduced.f.values)
+        assert reinduced.f.value_array(vs).tobytes() == want.tobytes()
+        assert spy.argsorts == sorts and spy.calls[0] == (knots, monotone)
 
 
 def test_large_step_table_quantile_sorts_no_levels(monkeypatch):

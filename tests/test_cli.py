@@ -85,6 +85,22 @@ def test_grid_bytes_match_row_by_row_evaluation(tmp_path, capsys, copula):
     assert out_path.read_text() == "".join(want)
 
 
+def test_grid_bytes_at_n_300_match_a_row_by_row_repr(tmp_path, capsys):
+    # 301 lattice levels cross the 64-row evaluation blocks and the 4096-row write blocks
+    from shockcop.descriptors import parse_copula
+
+    copula = "exprmm-ab:alpha=0.3,beta=0.6"
+    out_path = tmp_path / "g.csv"
+    assert run(capsys, "grid", copula, "--n", "300", "--out", str(out_path))[0] == 0
+    us = np.linspace(0.0, 1.0, 301)
+    values = parse_copula(copula).value_array(us[:, None], us).tolist()
+    rows = ["%r,%r,%r\n" % (u, v, values[i][j]) for i, u in enumerate(us.tolist())
+            for j, v in enumerate(us.tolist())]
+    lines = out_path.read_text().split("\n", 2)
+    assert lines[1] == "u,v,C"
+    assert lines[2] == "".join(rows), "the rows differ"  # a diff of 5 MB would take minutes
+
+
 def test_grid_memory_grows_with_n_not_n_squared(tmp_path, capsys):
     import tracemalloc
 

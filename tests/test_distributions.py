@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from shockcop.distributions import (
     _PROBE_LIMIT,
     _SORTED_LOOKUP_KNOTS,
+    _SORTED_LOOKUP_POINTS,
     EfgmMargin,
     EfgmShock,
     Exponential,
@@ -461,15 +462,15 @@ def test_tabulated_quantile_array_galois_inequalities(case):
 @st.composite
 def sized_tables_and_shuffled_points(draw):
     """A step or linear table on either side of the sorted-lookup crossover, with
-    shuffled points (knots, between and beyond them, +-inf, NaN) and shuffled levels
-    (knot levels included)."""
+    shuffled points (knots, between and beyond them, +-inf, NaN) on either side of
+    the point floor, and shuffled levels (knot levels included)."""
     k = draw(st.sampled_from([1, 5, 20, _SORTED_LOOKUP_KNOTS - 1, _SORTED_LOOKUP_KNOTS, 400]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     xs = np.cumsum(rng.integers(1, 4, k) * 0.5) - 3.0
     ps = np.sort(rng.choice(np.concatenate((rng.random(k), [0.0, 0.5, 1.0])), k))
     d = TabulatedCdf(xs, ps, draw(st.sampled_from(["step", "linear"])))
     pool = np.concatenate((xs, rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, 50), [np.inf, -np.inf, np.nan]))
-    points = rng.permutation(rng.choice(pool, draw(st.integers(2, 300))))
+    points = rng.permutation(rng.choice(pool, draw(st.integers(2, 2 * _SORTED_LOOKUP_POINTS))))
     levels = np.concatenate((ps, rng.random(50)))
     levels = rng.permutation(rng.choice(levels[(levels > 0.0) & (levels < 1.0)], 200))
     return d, points, levels
@@ -494,9 +495,10 @@ def test_tabulated_lookups_of_shuffled_points_match_direct_lookups(case):
 def test_sorted_table_lookup_takes_repeated_infinities():
     # the order probe of a 64-knot lookup compares neighbours; inf - inf would be invalid
     d = TabulatedCdf(np.arange(64.0), np.linspace(0.5, 0.9, 64), "step")
-    xs = np.array([np.inf, np.inf, 3.0, -np.inf, -np.inf])
+    reps = _SORTED_LOOKUP_POINTS // 5 + 1  # enough points for the probe
+    xs = np.tile([np.inf, np.inf, 3.0, -np.inf, -np.inf], reps)
     with np.errstate(invalid="raise"):
-        want = [1.0, 1.0, d.ps[3], 0.0, 0.0]
+        want = [1.0, 1.0, d.ps[3], 0.0, 0.0] * reps
         assert d.cdf_array(xs).tolist() == d.cdf_left_array(xs + 0.5).tolist() == want
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from shockcop.copulas import exprmm_ab
 from shockcop.distributions import (
     _SORTED_LOOKUP_KNOTS,
+    _SORTED_LOOKUP_POINTS,
     EfgmMargin,
     Exponential,
     Product,
@@ -131,14 +132,14 @@ def test_generator_arguments_are_rejected(call, error, message):
 @st.composite
 def tabulated_and_points(draw):
     """A tabulated generator on either side of the sorted-lookup crossover and
-    repeated points (knots, NaN) that are shuffled, sorted either way, 0-d, 2-D
-    or empty."""
+    repeated points (knots, NaN), on either side of the point floor, that are
+    shuffled, sorted either way, 0-d, 2-D or empty."""
     k = draw(st.sampled_from([2, 5, 20, _SORTED_LOOKUP_KNOTS - 1, _SORTED_LOOKUP_KNOTS, 3000]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     us = np.unique(np.concatenate(([0.0, 1.0], rng.random(k - 2))))
     gen = TabulatedGenerator(us, rng.normal(size=us.size), RMM)
     pool = np.concatenate((us, rng.random(50), [np.nan]))
-    points = rng.choice(pool, draw(st.integers(0, 400)))
+    points = rng.choice(pool, draw(st.integers(0, 2 * _SORTED_LOOKUP_POINTS)))
     shape = draw(st.sampled_from(["shuffled", "ascending", "descending", "0-d", "2-D"]))
     if shape == "ascending":
         points = np.sort(points)

@@ -54,6 +54,12 @@ def test_cli_defaults_openblas_to_one_thread():
     assert child(code, OPENBLAS_NUM_THREADS="3") == "3"
 
 
+def test_cli_import_generates_no_dataclass_code():
+    # the package's record types are NamedTuples and slotted classes; numpy and
+    # argparse import no dataclasses either, so every CLI child skips its code generation
+    assert child("import json, sys, shockcop.cli; print(json.dumps('dataclasses' in sys.modules))") is False
+
+
 def test_library_import_leaves_openblas_unset():
     code = "import json, os, shockcop; shockcop.Copula\n"
     code += "print(json.dumps('OPENBLAS_NUM_THREADS' in os.environ))"

@@ -1,5 +1,7 @@
 import io
 import re
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from shockcop.sampling import (
     read_pairs_csv,
     write_pairs_csv,
 )
+from shockcop import tables
 from shockcop.tables import read_table, write_table
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -171,3 +174,131 @@ def test_cdf_table_round_trip(tmp_path):
     back = load_tabulated_csv(path, "linear")
     np.testing.assert_array_equal(bits(back.xs), bits(xs))
     np.testing.assert_array_equal(bits(back.ps), bits(ps))
+
+
+# ---------------------------------------------------------------------------
+# the block reader against the line loop
+# ---------------------------------------------------------------------------
+
+
+def read_outcome(source):
+    """``read_table(source)`` with its table as bits, or the error text."""
+    try:
+        meta, header, table = read_table(source)
+    except TableFormatError as exc:
+        return str(exc)
+    return meta, header, bits(table).tolist()
+
+
+def line_loop():
+    """Turn the block parse off, which leaves every line to the line loop."""
+    return mock.patch.object(tables, "_block_values", lambda lines: None)
+
+
+def handle_outcome(text, newline, block_chars, by_lines=False):
+    """:func:`read_outcome` of ``text`` through a handle that splits lines as a file
+    opened with ``newline`` does, in blocks of ``block_chars``."""
+    handle = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
+    with mock.patch.object(tables, "_READ_BLOCK", block_chars), line_loop() if by_lines else nullcontext():
+        return read_outcome(handle)
+
+
+MUTATIONS = ["# seed=7 k=v", "", "   ", "\t", "1.0,2.0,3.0", "1_0,2.0", "١٢,2.0", " 1.5,2.0", "1.5 ,2.0",
+             " ,0.5", "0.5, ", "nan,0.5", "0.5,inf", "-inf,0.5", "0.5", "0.5,", ",0.5", "abc,0.5", "u,v",
+             "1e999,0.5", "0x1p0,1", "1.5e,2.0", "0.5,1.5.2", "+-1,2", "1,2,"]
+
+
+@st.composite
+def table_texts(draw):
+    """A ``write_table`` text of 1 to 200 rows, maybe with one line replaced by or
+    inserted as a mutation, CRLF ends or no final newline."""
+    rows = draw(st.lists(st.tuples(finite, finite), min_size=1, max_size=200))
+    buf = io.StringIO()
+    write_table(buf, "tool=t seed=3", "a,b", np.array(rows, dtype=np.float64).T)
+    lines = buf.getvalue().splitlines()
+    if draw(st.booleans()):
+        at = draw(st.integers(1, len(lines)))
+        lines[at:at + draw(st.integers(0, 1))] = [draw(st.sampled_from(MUTATIONS))]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + ("" if draw(st.booleans()) else end)
+    return text, draw(st.sampled_from([None, "\n", ""])), draw(st.integers(1, 3000))
+
+
+@given(table_texts())
+@example(("# k=v\nu,v\n0.1,0.2\n", "\n", 1))
+@example(("u,v\n0.1,0.2\n1.0,2.0,3.0\n0.5\n0.3,0.4\n", None, 3000))  # 3 fields, then 1
+@settings(max_examples=300, deadline=None)
+def test_block_reader_equals_the_line_loop(case):
+    text, newline, block_chars = case
+    assert handle_outcome(text, newline, block_chars) == handle_outcome(text, newline, block_chars, True)
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("at", [3, 2500, 4999])
+def test_a_bad_line_deep_in_a_multi_block_file_reads_as_in_the_line_loop(tmp_path, mutation, at):
+    rows = [f"{i / 7!r},{-i / 3!r}" for i in range(5000)]
+    rows[at] = mutation
+    path = tmp_path / "deep.csv"
+    path.write_text("# seed=3\nu,v\n" + "\n".join(rows) + "\n")
+    with mock.patch.object(tables, "_READ_BLOCK", 4096):
+        got = read_outcome(path)
+        with line_loop():
+            assert got == read_outcome(path)
+    if isinstance(got, str) and "bad row" in got:
+        assert got == f"{path}:{at + 3}: bad row {mutation.strip()!r}"
+    elif isinstance(got, str):
+        assert got == f"{path}:{at + 3}: value is not a finite number"
+
+
+def test_a_comment_mid_file_overrides_the_header_comment(tmp_path):
+    rows = "".join(f"{i / 7!r},{i / 9!r}\n" for i in range(3000))
+    path = tmp_path / "t.csv"
+    path.write_text(f"# seed=3 k=a\nu,v\n{rows}# seed=8\n{rows}")
+    with mock.patch.object(tables, "_READ_BLOCK", 1000):
+        meta, _, table = read_table(path)
+    assert meta == {"seed": "8", "k": "a"} and table.shape == (6000, 2)
+
+
+def test_a_string_handle_takes_the_block_path():
+    rows = np.random.default_rng(1).normal(size=(2, 20_000))
+    buf = io.StringIO()
+    write_table(buf, "seed=1", "u,v", rows)
+    parsed = []
+    block_values = tables._block_values
+
+    def spy(lines):
+        values = block_values(lines)
+        parsed.append(values is not None)
+        return values
+
+    with mock.patch.object(tables, "_block_values", spy):
+        _, _, table = read_table(io.StringIO(buf.getvalue()))
+    assert len(parsed) >= 2 and all(parsed)
+    np.testing.assert_array_equal(bits(table), bits(rows.T))
+
+
+def test_reading_200k_rows_holds_one_block_beside_the_result(tmp_path):
+    import tracemalloc
+
+    n = 200_000
+    path = tmp_path / "pairs.csv"
+    write_table(path, "seed=1", "u,v", np.random.default_rng(2).normal(size=(2, n)))
+    tracemalloc.start()
+    try:
+        _, _, table = read_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (n, 2)
+    # about 9 bytes a row beyond the result at 200k rows, all of it one block's lines,
+    # text and fields; the whole file's text alone would be 40
+    assert peak - table.nbytes < 16 * n
+
+
+def test_an_escaped_undecodable_byte_is_a_bad_row():
+    # errors="surrogateescape" turns the byte into a lone surrogate, which float() refuses
+    rows = "".join(f"{i / 7!r},{i / 9!r}\n" for i in range(50))
+    raw = f"u,v\n{rows}0.5,\udcff1\n{rows}".encode("utf-8", "surrogateescape")
+    handle = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
+    with pytest.raises(TableFormatError, match=r"^<stream>:52: bad row '0.5,\\udcff1'$"):
+        read_table(handle)
