@@ -40,9 +40,8 @@ A law made of parts may invert through them (``_parts_quantile_array``): a
 and shocks of :mod:`shockcop.shock_models` read a generator's inverse and a margin's
 quantile.  A level inside an atom, F(J-) < u <= F(J), is the jump point J.  The
 parts' answers round, so F is read once at them: an answer where F falls short of
-its level moves up, at most by the generic inverse's stopping width, to where F
-reaches it, and a level still short takes the generic inverse, so F(Q(u)) >= u
-holds exactly on every path.
+its level moves up, at most 1024 ulps, to where F reaches it, and a level still
+short takes the generic inverse, so F(Q(u)) >= u holds exactly on every path.
 
 The generic inverse evaluates F once per call on one shared table: the jump
 points, 2**14 + 1 even points on ``support_hint`` and, for levels the hint does
@@ -52,18 +51,16 @@ brackets them, kept up to the first that does.  One ``searchsorted`` on the
 table's running maximum gives every level a bracket F(lo) < u <= F(hi).  A
 level with F(J-) < u <= F(J) at a jump J inverts to J exactly; a level that no
 probe reaches below or above inverts to -inf or +inf.
-The other brackets shrink, in blocks of levels, by a few Illinois (secant)
-steps and then by bisection, until hi - lo <= 1e-14 + 1e-14 * max(|lo|, |hi|)
-or no float lies between them.  The result is hi, so F(quantile(u)) >= u
-holds exactly and F stays below u a stopping width to the left.  Each block of
-4096 levels is sorted before the table lookup, so the lookup sweeps the table
-and F sees nearly ascending points, and is scattered back once.  A level's
-result is recorded the step its bracket closes; closed levels stay in the
-working arrays, ignored, until half of them have closed, and only then are the
-arrays compacted.  Every step is elementwise, so a level's result does not
-depend on the other levels or their order.  Knot placement (``_place_array``)
-only reads the table: it interpolates x linearly between the points where the
-running maximum rises, with no probe of F beyond the table.
+The other brackets shrink, in blocks of levels, by bisection on the float
+lattice until lo and hi are neighbouring floats.  The result is hi, so
+F(quantile(u)) >= u > F(prevfloat(quantile(u))) holds exactly: where F is
+nondecreasing in floats, the quantile is the least float where F reaches u.  Each
+block of 4096 levels is sorted before the table lookup, so the lookup sweeps the
+table and F sees nearly ascending points, and is scattered back once.  Every step
+is elementwise, so a level's result does not depend on the other levels or their
+order.  Knot placement (``_place_array``) only reads the table: it interpolates x
+linearly between the points where the running maximum rises, with no probe of F
+beyond the table.
 
 Lookups of levels in a table read a guide table (``_level_index``), lookups of
 points run in ascending order (``_in_query_order``); both return the plain
@@ -72,7 +69,6 @@ points run in ascending order (``_in_query_order``); both return the plain
 
 from __future__ import annotations
 
-import itertools
 import math
 from abc import ABC, abstractmethod
 
@@ -82,19 +78,28 @@ from .errors import MalformedCdfError, TableFormatError
 from .tables import read_table
 
 _QUANTILE_MAX_EXPAND = 200
-_QUANTILE_REL_TOL = 1e-14
-_QUANTILE_ABS_TOL = 1e-14
 _QUANTILE_TABLE = 2**14  # intervals of the shared grid on support_hint
-_QUANTILE_SECANT_STEPS = 6
 _QUANTILE_BLOCK = 4096  # levels refined together
+_GUARD_ULPS = 4.0 ** np.arange(6)  # the steps up a parts answer may take: 1, 4, ..., 1024 ulps
 _SORTED_LOOKUP_KNOTS = 64  # table size from which sorting scattered queries pays
 _SORTED_LOOKUP_POINTS = 512  # query count from which it pays
-_PROBE_LIMIT = float(np.finfo(float).max) / 2.0  # the farthest probe: midpoints stay finite
+_PROBE_LIMIT = float(np.finfo(float).max) / 2.0  # the farthest probe: table points stay finite
 
 
 def _at(array_fn, x: float) -> float:
     """An array method evaluated at the single point x."""
     return float(array_fn(np.array([float(x)]))[0])
+
+
+def _lattice(a: np.ndarray) -> np.ndarray:
+    """Floats to their ordered int64 keys, and keys back to floats.  A float's key is
+    its bits, and for a negative float minus its bits without the sign, so keys ascend
+    with the floats, neighbouring floats have neighbouring keys and both zeros read 0;
+    the map of the bits is its own inverse."""
+    to_keys = a.dtype.kind == "f"
+    bits = a.view(np.int64) if to_keys else a
+    keys = np.where(bits < 0, -(bits & np.iinfo(np.int64).max), bits)
+    return keys if to_keys else keys.view(float)
 
 
 def _in_query_order(lookup, xs, knots: int):
@@ -193,7 +198,7 @@ class DistributionFunction(ABC):
     def _place_array(self, levels: np.ndarray) -> np.ndarray:
         """Points near the quantiles of ascending interior levels, interpolated linearly
         in the generic inverse's table; a level the table never reaches is refused."""
-        xs, _, _, reach = self._quantile_table(float(levels[0]), float(levels[-1]))
+        xs, _, reach = self._quantile_table(float(levels[0]), float(levels[-1]))
         strict = np.concatenate(([True], reach[1:] > reach[:-1]))
         return self._finite(np.interp(levels, reach[strict], xs[strict], left=-np.inf, right=np.inf))
 
@@ -247,12 +252,12 @@ class DistributionFunction(ABC):
         A level inside an atom, F(J-) < u <= F(J) at a jump point J, inverts to J.
         ``inverse`` answers the other levels from the parts, NaN where they do not
         apply, and may round a little short, so F is read once at its answers.  An
-        answer x where F is below its level moves up to the first of x + 1 ulp,
-        x + 4 ulps, x + tol/4 and x + tol (tol the generic inverse's stopping width)
-        where F reaches it, read in one more call: far enough for a level rounded an
-        ulp short where F rises slowly, and no further right of the infimum than the
-        generic inverse may land.  A level still short, or without a finite answer,
-        takes the generic inverse.
+        answer x where F is below its level moves up to the first of x + 1, 4, 16,
+        64, 256 and 1024 ulps where F reaches it, read in one more call: far enough
+        for a level rounded a few ulps short, or short on a stretch where F rises by
+        less than an ulp of its value over hundreds of floats and wobbles by an ulp,
+        at a cost of 6 points instead of the generic inverse's table.  A level still
+        short, or without a finite answer, takes the generic inverse.
         """
         shape = us.shape
         us = us.ravel()
@@ -275,8 +280,7 @@ class DistributionFunction(ABC):
         low = np.flatnonzero(short)
         if low.size:
             x = xs[low]
-            ulp, tol = np.spacing(np.abs(x)), _QUANTILE_ABS_TOL + _QUANTILE_REL_TOL * np.abs(x)
-            steps = x + np.stack((ulp, 4.0 * ulp, 0.25 * tol, tol))
+            steps = x + np.multiply.outer(_GUARD_ULPS, np.spacing(np.abs(x)))
             reached = self.cdf_array(steps) >= levels[low]
             first = (np.argmax(reached, axis=0), np.arange(low.size))
             xs[low] = steps[first]
@@ -307,7 +311,7 @@ class DistributionFunction(ABC):
         return out.reshape(shape)
 
     def _quantile_table(self, u_min: float, u_max: float):
-        """Sorted points x with F(x), F(x-) and the running maximum of F.
+        """Sorted points x with F(x-) and the running maximum of F.
 
         The points are the jumps, an even grid on ``support_hint`` and the
         expansion probes below and above it, which reach for the smallest and
@@ -325,8 +329,7 @@ class DistributionFunction(ABC):
         fs = np.concatenate((self.cdf_array(jumps), f_below, f_grid, f_above))
         f_left = np.concatenate((self.cdf_left_array(jumps), f_below, f_grid, f_above))
         order = np.argsort(xs, kind="stable")
-        fs = fs[order]
-        return xs[order], fs, f_left[order], np.maximum.accumulate(fs)
+        return xs[order], f_left[order], np.maximum.accumulate(fs[order])
 
     def _expand(self, x: float, span: float, f: float, short) -> tuple[np.ndarray, np.ndarray]:
         """Probes x + span, then steps of twice the last, while ``short(F)``, up to
@@ -345,9 +348,9 @@ class DistributionFunction(ABC):
         n = np.argmin(np.append(short(fs), False)) + 1  # up to the first probe not short
         return xs[:n], fs[:n]
 
-    def _quantile_block(self, us, xs, fs, f_left, reach) -> np.ndarray:
+    def _quantile_block(self, us, xs, f_left, reach) -> np.ndarray:
         """The quantiles of some levels from the table: exact at a jump, ±inf past
-        its ends, otherwise refined inside the table's bracket (see ``_refine``)."""
+        its ends, otherwise bisected inside the table's bracket (see ``_refine``)."""
         j = np.searchsorted(reach, us, side="left")  # F(xs[j-1]) < u <= F(xs[j])
         last = xs.size - 1
         k = np.minimum(j, last)
@@ -355,56 +358,26 @@ class DistributionFunction(ABC):
         # F(J-) < u <= F(J) at a jump J: the quantile is J itself
         rest = (j > 0) & (j <= last) & (f_left[k] >= us)
         k = k[rest]
-        out[rest] = self._refine(us[rest], xs[k - 1], xs[k], fs[k - 1], fs[k])
+        out[rest] = self._refine(us[rest], xs[k - 1], xs[k])
         return out
 
-    def _refine(self, us, lo, hi, f_lo, f_hi) -> np.ndarray:
-        """Shrink brackets F(lo) < u <= F(hi) to the stopping width and return hi.
+    def _refine(self, us, lo, hi) -> np.ndarray:
+        """Bisect brackets F(lo) < u <= F(hi) until lo and hi are neighbouring floats
+        and return hi, so F(hi) >= u > F(prevfloat(hi)).
 
-        The first steps are Illinois steps (Dowell & Jarratt 1971): secant
-        probes, where an end that stays put twice in a row has its ordinate
-        halved, clamped at least half the stopping width inside the bracket so
-        that it closes from both sides. Bisection follows. A converged level's
-        hi is recorded at once; the working arrays drop the converged levels
-        once they make up half of them.
+        The bisection runs on the ordered int64 view of the floats (``_lattice``), so
+        every step halves the floats left in the bracket, at most 64 steps in all.  The
+        midpoint floor((lo + hi) / 2) and the test hi - 1 > lo cannot overflow, where
+        hi - lo can across 0.  A closed bracket's midpoint is lo, where F < u, so a
+        closed level stays closed until the last one closes.
         """
-        out = np.empty_like(us)
-        at = np.arange(us.size)
-        live, n_live = np.ones(us.size, dtype=bool), us.size
-        g_lo, g_hi = f_lo - us, f_hi - us  # g_lo < 0 <= g_hi
-        moved = np.zeros(us.size)  # +1 where the last step moved hi, -1 where it moved lo
-        for step in itertools.count():
-            tol = _QUANTILE_ABS_TOL + _QUANTILE_REL_TOL * np.maximum(np.abs(lo), np.abs(hi))
-            mid = 0.5 * (lo + hi)
-            # stop once the bracket is narrow or float midpoints can no longer split it
-            open_ = live & (hi - lo > tol) & (mid > lo) & (mid < hi)
-            left = np.count_nonzero(open_)
-            if left < n_live:
-                closed = live & ~open_
-                out[at[closed]] = hi[closed]
-                live, n_live = open_, left
-                # closed levels ride along, ignored, until half the working arrays are closed
-                if 2 * left <= at.size:
-                    at, us, lo, hi, g_lo, g_hi, moved, tol, mid, live = (
-                        a[live] for a in (at, us, lo, hi, g_lo, g_hi, moved, tol, mid, live)
-                    )
-            if not left:
-                return out
-            if step < _QUANTILE_SECANT_STEPS:
-                with np.errstate(all="ignore"):
-                    secant = lo - g_lo * ((hi - lo) / (g_hi - g_lo))
-                secant = np.where(np.isfinite(secant), secant, mid)
-                x = np.clip(secant, lo + 0.5 * tol, hi - 0.5 * tol)
-                g = self.cdf_array(x) - us
-                up = g >= 0.0
-                g_lo = np.where(up, np.where(moved > 0, 0.5 * g_lo, g_lo), g)
-                g_hi = np.where(up, g, np.where(moved < 0, 0.5 * g_hi, g_hi))
-                moved = np.where(up, 1.0, -1.0)
-            else:
-                x = mid
-                up = self.cdf_array(x) >= us
-            hi = np.where(up, x, hi)
-            lo = np.where(up, lo, x)
+        lo, hi = _lattice(lo), _lattice(hi)
+        while np.any(hi - 1 > lo):
+            mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+            up = self.cdf_array(_lattice(mid)) >= us
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+        return _lattice(hi)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from shockcop.copulas import (
 )
 from shockcop.descriptors import parse_copula, parse_generator
 from shockcop.distributions import (
+    _GUARD_ULPS,
     DistributionFunction,
     EfgmMargin,
     EfgmShock,
@@ -70,7 +71,7 @@ from shockcop.shock_models import (
     smm_model,
     support_grid,
 )
-from test_distributions import LEVELS, bisection_width, exact_cdf
+from test_distributions import LEVELS, assert_float_infimum, exact_cdf
 
 U = Uniform()
 
@@ -832,11 +833,38 @@ def test_parts_laws_cover_every_margin_and_generator_kind():
 
 
 #: F's own rounding, in ulps of the level: a parts answer is the exact quantile of its
-#: parts' rounded values, so where F's floats resolve a level coarser than the bisection
-#: width (the far tail of an exponential or an EFGM shock, a negated product near 1) it
-#: reads up to this much above the level a width to its left, and it may sit anywhere on
-#: the flat or ulp-noisy stretch whose start, or one of its starts, the bisection finds
+#: parts' rounded values, so where F's floats resolve a level coarser than the guard's
+#: widest step (the far tail of an exponential or an EFGM shock, a negated product near
+#: 1) it may sit anywhere on the flat or ulp-noisy stretch whose start, or one of its
+#: starts, the bisection finds, and F reads the same level there up to this much
 F_ROUNDING_ULPS = 4
+
+#: A parts answer further than this many ulps from the exact infimum must read the
+#: infimum's level up to F's rounding.  Over 22 seeds of 3,307 levels on each parts law,
+#: no answer that F reads apart lay more than 11 floats from it.
+AGREE_ULPS = 16
+
+
+def checked_axis(d):
+    """The law and the map to the axis on which its parts answers are checked: its own,
+    but for the law that the FOUND line on the affine chi in CHANGES.md names.  There
+    chi^-1(x) rounds to floats near 1, so F steps only once per ulp of 1 and a parts
+    answer may read the step of F of the infimum up to 4.5e15 floats right of it; on
+    the base's axis, chi^-1(x), both position checks hold."""
+    if d.describe() == "chi-shifted(uniform:a=1.0,b=3.0)":
+        return d.inner, d.inverse
+    return d, np.asarray
+
+
+@given(st.integers(0, 10**6), st.lists(LEVELS, min_size=1, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_generic_inverse_is_the_float_infimum_at_any_depth(i, levels):
+    laws = laws_at_any_depth()
+    d = laws[i % len(laws)]
+    us = np.array(levels)
+    qs = d._bisect_quantile_array(us)
+    finite = np.isfinite(qs)
+    assert_float_infimum(d, us[finite], qs[finite])
 
 
 @given(st.integers(0, 10**6), st.lists(LEVELS, min_size=1, max_size=12), st.floats(0.0, 1.0))
@@ -861,15 +889,17 @@ def test_parts_inverse_agrees_with_the_generic_inverse(i, levels, t):
     assert np.all(qs[ref > -np.inf] > -np.inf), d
     finite = np.isfinite(qs)
     us, qs, ref = us[finite], qs[finite], ref[finite]
-    width = np.array([bisection_width(q) for q in qs])
-    slack = F_ROUNDING_ULPS * np.spacing(us)
-    # F(Q(u)) >= u exactly, and F(Q(u) - width) <= u up to F's own rounding
+    # F(Q(u)) >= u exactly
     assert np.all(d.cdf_array(qs) >= us), d
-    assert np.all(d.cdf_array(qs - width) <= us + slack), d
-    # within a width of the generic inverse, or at the level F reads there, up to rounding
+    # F(Q(u) - the guard's widest step) <= u up to F's own rounding
+    law, to_axis = checked_axis(d)
+    ys, slack = to_axis(qs), F_ROUNDING_ULPS * np.spacing(us)
+    assert np.all(law.cdf_array(ys - _GUARD_ULPS[-1] * np.spacing(np.abs(ys))) <= us + slack), d
+    # within a few ulps of the exact infimum, or at the level F reads there, up to rounding
     known = np.isfinite(ref)
-    qs, ref, us, width, slack = qs[known], ref[known], us[known], width[known], slack[known]
-    apart = np.abs(qs - ref) > np.maximum(width, [bisection_width(r) for r in ref])
+    qs, ref, ys, slack = qs[known], ref[known], ys[known], slack[known]
+    y_ref = to_axis(ref)
+    apart = np.abs(ys - y_ref) > AGREE_ULPS * np.maximum(np.spacing(np.abs(ys)), np.spacing(np.abs(y_ref)))
     assert np.all(np.abs(d.cdf_array(qs) - d.cdf_array(ref))[apart] <= slack[apart]), d
 
 
